@@ -1,83 +1,19 @@
-"""Nameless (de Bruijn) views of terms and formulas.
+"""Oracle operations on the nameless (de Bruijn) view of terms and formulas.
 
-Independent of the named kernel operations on purpose: the conversions here
-back the oracle tests for substitution, alpha equivalence and free-variable
-computation.  Nameless trees are plain nested tuples so they compare with
-``==``.
+The view itself, ``syntax.to_nameless``, is the kernel's one binding-invariant
+key: ``alpha_eq`` compares it, and proof keys (``proof_ops.canon``) and the
+realizability memo keys are built from it.  This module adds what only the
+oracle tests need: free variables, substitution and read-back computed on the
+nameless tuples, independently of the named kernel operations, so the kernel's
+``free_vars`` and ``substitute`` can be checked against them.
 """
 
 from __future__ import annotations
 
 from . import syntax as s
+from .syntax import to_nameless  # noqa: F401  (re-exported next to its oracles)
 
 Nameless = tuple
-
-
-def to_nameless(x: s.Tree, stack: tuple[str, ...] = ()) -> Nameless:
-    """Convert to a tuple tree; bound vars become levels, free vars names."""
-
-    def var(a: str) -> Nameless:
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] == a:
-                return ("bound", len(stack) - 1 - i)
-        return ("free", a)
-
-    match x:
-        case s.Var(a):
-            return var(a)
-        case s.Empty():
-            return ("empty",)
-        case s.Omega():
-            return ("omega",)
-        case s.Inac(i):
-            return ("inac", i)
-        case s.NwfConst(n):
-            return ("nwf", n)
-        case s.NameRef(p):
-            return ("nameref", p)
-        case s.PairT(l, r):
-            return ("pair", to_nameless(l, stack), to_nameless(r, stack))
-        case s.UnionT(t):
-            return ("union", to_nameless(t, stack))
-        case s.PowerT(t):
-            return ("power", to_nameless(t, stack))
-        case s.Sep(z, ps, body, carrier, args):
-            inner = stack + (z,) + ps
-            return (
-                "sep",
-                len(ps),
-                to_nameless(body, inner),
-                to_nameless(carrier, stack),
-                tuple(to_nameless(u, stack) for u in args),
-            )
-        case s.Repl(z, y, ps, body, carrier, args):
-            inner = stack + (z, y) + ps
-            return (
-                "repl",
-                len(ps),
-                to_nameless(body, inner),
-                to_nameless(carrier, stack),
-                tuple(to_nameless(u, stack) for u in args),
-            )
-        case s.Bottom():
-            return ("bot",)
-        case s.MemI(l, r):
-            return ("memi", to_nameless(l, stack), to_nameless(r, stack))
-        case s.Mem(l, r):
-            return ("mem", to_nameless(l, stack), to_nameless(r, stack))
-        case s.Eq(l, r):
-            return ("eq", to_nameless(l, stack), to_nameless(r, stack))
-        case s.And(l, r):
-            return ("and", to_nameless(l, stack), to_nameless(r, stack))
-        case s.Or(l, r):
-            return ("or", to_nameless(l, stack), to_nameless(r, stack))
-        case s.Imp(l, r):
-            return ("imp", to_nameless(l, stack), to_nameless(r, stack))
-        case s.Forall(a, body):
-            return ("forall", to_nameless(body, stack + (a,)))
-        case s.Exists(a, body):
-            return ("exists", to_nameless(body, stack + (a,)))
-    raise TypeError(f"not a term or formula: {x!r}")
 
 
 def nameless_free_vars(n: Nameless) -> frozenset[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .proof_ops import canon_key, canon_repr, esubst_prop, esubst_term
+from .proof_ops import canon, canon_key, esubst_prop, esubst_term
 from .proofs import (
     EAxRep,
     EExIntro,
@@ -55,7 +55,9 @@ from .syntax import (
     Term,
     UnionT,
     Var,
+    free_vars,
     succ_term,
+    to_nameless,
 )
 
 
@@ -80,12 +82,14 @@ class LambdaName:
                 raise ValueError("name labels must be erased values")
             if not isinstance(member, LambdaName):
                 raise ValueError("name members must be names")
+        # Each label is keyed once, here, by the string form of its canon
+        # key; entries are stored in the sorted order of their keys.
         seen = {}
         for label, member in self.entries:
-            seen[(canon_repr(label), member.key)] = (label, member)
-        ordered = tuple(seen[k] for k in sorted(seen))
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "key", ("name", tuple(sorted(seen))))
+            seen[(repr(canon(label)), member.key)] = (label, member)
+        keys = tuple(sorted(seen))
+        object.__setattr__(self, "entries", tuple(seen[k] for k in keys))
+        object.__setattr__(self, "key", ("name", keys))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LambdaName) and self.key == other.key
@@ -104,21 +108,20 @@ class LambdaName:
                 out.append(m)
         return tuple(out)
 
-    def labels(self) -> tuple[ErasedProof, ...]:
-        out, seen = [], set()
-        for v, _ in self.entries:
-            k = canon_repr(v)
-            if k not in seen:
-                seen.add(k)
-                out.append(v)
-        return tuple(out)
+    def labels(self) -> dict[str, ErasedProof]:
+        """The distinct labels in entry order, by label key."""
+        out: dict[str, ErasedProof] = {}
+        for (k, _), (v, _) in zip(self.key[1], self.entries):
+            out.setdefault(k, v)
+        return out
 
     def rank(self) -> int:
         return 1 + max((m.rank() for m in self.members()), default=0)
 
-    def has_entry(self, label: ErasedProof, member: "LambdaName") -> bool:
-        want = (canon_repr(label), member.key)
-        return any((canon_repr(v), m.key) == want for v, m in self.entries)
+    def has_entry(self, label_key: str, member: "LambdaName") -> bool:
+        """Whether an entry pairs a label whose ``repr(canon(label))`` is
+        ``label_key`` with a member equal to ``member``."""
+        return (label_key, member.key) in self.key[1]
 
 
 EMPTY_NAME = LambdaName(())
@@ -333,11 +336,15 @@ class _Eval:
         self._meaning: dict[object, LambdaName] = {}
         self._pools: dict[object, tuple] = {}
         self._running: set[object] = set()
+        self._canon: dict[int, tuple[object, tuple]] = {}
 
     # -- normalization with memo
 
+    def key(self, m: ErasedProof) -> tuple:
+        return canon_key(m, self._canon)
+
     def norm(self, m: ErasedProof) -> tuple[str, ErasedProof]:
-        key = canon_key(m)
+        key = self.key(m)
         hit = self._norm.get(key)
         if hit is None:
             out = normalize(m, self.cfg.fuel)
@@ -372,13 +379,13 @@ class _Eval:
     # -- atomic relations
 
     def mem_i(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        return self._memo(("memi", canon_key(m), a.key, b.key), lambda: self._mem_i(m, a, b))
+        return self._memo(("memi", self.key(m), a.key, b.key), lambda: self._mem_i(m, a, b))
 
     def _mem_i(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
         v, err = self._value_of(m)
         if err is not None:
             return err
-        if b.has_entry(v, a):
+        if b.has_entry(repr(self.key(v)), a):
             return REALIZES
         if b.key == self.omega_name().key:
             # The omega name is inductively defined: arbitrary labels are
@@ -388,7 +395,7 @@ class _Eval:
         return FAILS
 
     def _omega_entry(self, v: ErasedProof, a: LambdaName) -> Verdict:
-        key = ("omega-entry", canon_key(v), a.key)
+        key = ("omega-entry", self.key(v), a.key)
         return self._memo(key, lambda: self._omega_entry_raw(v, a))
 
     def _omega_entry_raw(self, v: ErasedProof, a: LambdaName) -> Verdict:
@@ -427,7 +434,7 @@ class _Eval:
         return _v_any(for_b(b) for b in candidates)
 
     def mem(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        return self._memo(("mem", canon_key(m), a.key, b.key), lambda: self._mem(m, a, b))
+        return self._memo(("mem", self.key(m), a.key, b.key), lambda: self._mem(m, a, b))
 
     def _mem(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
         v, err = self._value_of(m)
@@ -463,7 +470,7 @@ class _Eval:
         return _v_any(check_c(c) for c in candidates)
 
     def eq(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        return self._memo(("eq", canon_key(m), a.key, b.key), lambda: self._eq(m, a, b))
+        return self._memo(("eq", self.key(m), a.key, b.key), lambda: self._eq(m, a, b))
 
     def _eq(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
         v, err = self._value_of(m)
@@ -523,10 +530,9 @@ class _Eval:
         if hit is not None:
             return hit
         out = list(self.cfg.realizers)
-        seen = {canon_repr(x) for x in out}
+        seen = {repr(self.key(x)) for x in out}
         for nm in names:
-            for lab in nm.labels():
-                k = canon_repr(lab)
+            for k, lab in nm.labels().items():
                 if k not in seen:
                     seen.add(k)
                     out.append(lab)
@@ -537,7 +543,7 @@ class _Eval:
     # -- term meanings
 
     def meaning(self, t: Term, rho: dict[str, LambdaName]) -> LambdaName:
-        key = ("t", self._tkey(t, rho))
+        key = ("t", _syntax_key(t, rho))
         hit = self._meaning.get(key)
         if hit is None:
             hit = self._meaning_of(t, rho)
@@ -631,85 +637,10 @@ class _Eval:
         self._meaning[key] = out
         return out
 
-    def _tkey(self, t: Term, rho: dict[str, LambdaName]):
-        match t:
-            case Var(a):
-                return ("v", rho[a].key) if a in rho else ("v?", a)
-            case NameRef(payload):
-                return ("n", payload.key if isinstance(payload, LambdaName) else repr(payload))
-            case Empty():
-                return ("empty",)
-            case Omega():
-                return ("omega",)
-            case Inac(i):
-                return ("inac", i)
-            case NwfConst(n):
-                return ("nwf", n)
-            case PairT(l, r):
-                return ("pair", self._tkey(l, rho), self._tkey(r, rho))
-            case UnionT(u):
-                return ("union", self._tkey(u, rho))
-            case PowerT(u):
-                return ("power", self._tkey(u, rho))
-            case Sep(z, ps, body, carrier, args):
-                return (
-                    "sep",
-                    repr(canon(ELamP("_", EPropVar("_")))),  # stable filler
-                    repr((z, ps, body)),
-                    self._tkey(carrier, rho),
-                    tuple(self._tkey(u, rho) for u in args),
-                )
-            case Repl(z, y, ps, body, carrier, args):
-                return (
-                    "repl",
-                    repr((z, y, ps, body)),
-                    self._tkey(carrier, rho),
-                    tuple(self._tkey(u, rho) for u in args),
-                )
-        raise UnsupportedFormulaError(f"no key for term {t!r}")
-
-    def _fkey(self, phi: Formula, rho: dict[str, LambdaName], stack: tuple[str, ...] = ()):
-        def tk(t: Term):
-            match t:
-                case Var(a):
-                    for i in range(len(stack) - 1, -1, -1):
-                        if stack[i] == a:
-                            return ("b", len(stack) - 1 - i)
-                    return self._tkey(t, rho)
-                case PairT(l, r):
-                    return ("pair", tk(l), tk(r))
-                case UnionT(u):
-                    return ("union", tk(u))
-                case PowerT(u):
-                    return ("power", tk(u))
-                case _:
-                    return self._tkey(t, rho)
-
-        match phi:
-            case Bottom():
-                return ("bot",)
-            case MemI(l, r):
-                return ("memi", tk(l), tk(r))
-            case Mem(l, r):
-                return ("mem", tk(l), tk(r))
-            case Eq(l, r):
-                return ("eq", tk(l), tk(r))
-            case And(l, r):
-                return ("and", self._fkey(l, rho, stack), self._fkey(r, rho, stack))
-            case Or(l, r):
-                return ("or", self._fkey(l, rho, stack), self._fkey(r, rho, stack))
-            case Imp(l, r):
-                return ("imp", self._fkey(l, rho, stack), self._fkey(r, rho, stack))
-            case Forall(a, body):
-                return ("all", self._fkey(body, rho, stack + (a,)))
-            case Exists(a, body):
-                return ("ex", self._fkey(body, rho, stack + (a,)))
-        raise UnsupportedFormulaError(f"no key for formula {phi!r}")
-
     # -- the realizability relation proper
 
     def reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
-        key = ("reals", canon_key(m), self._fkey(phi, rho))
+        key = ("reals", self.key(m), _syntax_key(phi, rho))
         return self._memo(key, lambda: self._reals(m, phi, rho))
 
     def _reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
@@ -799,6 +730,13 @@ class _Eval:
                     seen.add(cand.key)
                     out.append(cand)
         return tuple(out)
+
+
+def _syntax_key(x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
+    """Memo key of a term or formula under an environment: its nameless
+    form plus the names bound to its free variables, so alpha-variants
+    (schema bodies of separation and replacement terms included) share it."""
+    return to_nameless(x), tuple((a, rho[a]) for a in sorted(free_vars(x)) if a in rho)
 
 
 def _reject_inac(phi: Formula) -> None:

@@ -42,6 +42,7 @@ from .proofs import (
     ELet,
     EMagic,
     EPairP,
+    EPropVar,
     ErasedProof,
     ESnd,
     ExIntro,

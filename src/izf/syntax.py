@@ -6,6 +6,8 @@ Three atomic relations exist and are kept distinct throughout: intensional
 membership (MemI), extensional membership (Mem) and equality (Eq).
 
 All nodes are immutable; every operation returns fresh structure.
+``to_nameless`` is the package's one binding-invariant key: ``alpha_eq``
+compares it, and the proof keys and realizability memo keys are built on it.
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ def _reject_sugar(x: Tree) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and fresh names
+# Free variables, the nameless key and fresh names
 
 
 def free_vars(x: Tree) -> frozenset[str]:
@@ -365,6 +367,72 @@ def _fv_all(xs: tuple[Term, ...]) -> frozenset[str]:
     for t in xs:
         out |= free_vars(t)
     return out
+
+
+def to_nameless(x: Tree, stack: tuple[str, ...] = ()) -> tuple:
+    """Binding-invariant key: equal tuples iff alpha-equal trees.
+
+    Bound variables become de Bruijn indices into ``stack`` (innermost
+    binder last), free variables keep their names.  The tuples are hashable
+    whenever the ``NameRef`` payloads are.
+    """
+    match x:
+        case Var(a):
+            for i in range(len(stack) - 1, -1, -1):
+                if stack[i] == a:
+                    return ("bound", len(stack) - 1 - i)
+            return ("free", a)
+        case Empty():
+            return ("empty",)
+        case Omega():
+            return ("omega",)
+        case Inac(i):
+            return ("inac", i)
+        case NwfConst(n):
+            return ("nwf", n)
+        case NameRef(p):
+            return ("nameref", p)
+        case PairT(l, r):
+            return ("pair", to_nameless(l, stack), to_nameless(r, stack))
+        case UnionT(t):
+            return ("union", to_nameless(t, stack))
+        case PowerT(t):
+            return ("power", to_nameless(t, stack))
+        case Sep(z, ps, body, carrier, args):
+            return (
+                "sep",
+                len(ps),
+                to_nameless(body, stack + (z,) + ps),
+                to_nameless(carrier, stack),
+                tuple(to_nameless(u, stack) for u in args),
+            )
+        case Repl(z, y, ps, body, carrier, args):
+            return (
+                "repl",
+                len(ps),
+                to_nameless(body, stack + (z, y) + ps),
+                to_nameless(carrier, stack),
+                tuple(to_nameless(u, stack) for u in args),
+            )
+        case Bottom():
+            return ("bot",)
+        case MemI(l, r):
+            return ("memi", to_nameless(l, stack), to_nameless(r, stack))
+        case Mem(l, r):
+            return ("mem", to_nameless(l, stack), to_nameless(r, stack))
+        case Eq(l, r):
+            return ("eq", to_nameless(l, stack), to_nameless(r, stack))
+        case And(l, r):
+            return ("and", to_nameless(l, stack), to_nameless(r, stack))
+        case Or(l, r):
+            return ("or", to_nameless(l, stack), to_nameless(r, stack))
+        case Imp(l, r):
+            return ("imp", to_nameless(l, stack), to_nameless(r, stack))
+        case Forall(a, body):
+            return ("forall", to_nameless(body, stack + (a,)))
+        case Exists(a, body):
+            return ("exists", to_nameless(body, stack + (a,)))
+    raise TypeError(f"not a term or formula: {x!r}")
 
 
 def bound_names(x: Tree) -> frozenset[str]:
@@ -488,61 +556,7 @@ def _enter_binder(
 
 def alpha_eq(x: Tree, y: Tree) -> bool:
     """Equality up to consistent renaming of bound variables."""
-    _reject_sugar(x)
-    _reject_sugar(y)
-    return _aeq(x, y, (), ())
-
-
-def _lookup(stack: tuple[str, ...], name: str) -> int | None:
-    # De Bruijn level of the most recent binding, None if free.
-    for i in range(len(stack) - 1, -1, -1):
-        if stack[i] == name:
-            return i
-    return None
-
-
-def _aeq(x: Tree, y: Tree, sx: tuple[str, ...], sy: tuple[str, ...]) -> bool:
-    if type(x) is not type(y):
-        return False
-    match x:
-        case Var(a):
-            ia, ib = _lookup(sx, a), _lookup(sy, y.name)
-            return ia == ib if ia is not None or ib is not None else a == y.name
-        case Empty() | Omega() | Bottom():
-            return True
-        case Inac(i):
-            return i == y.index
-        case NwfConst(n):
-            return n == y.name
-        case NameRef(p):
-            return p == y.payload
-        case PairT(l, r):
-            return _aeq(l, y.left, sx, sy) and _aeq(r, y.right, sx, sy)
-        case UnionT(t) | PowerT(t):
-            return _aeq(t, y.arg, sx, sy)
-        case Sep(z, ps, body, carrier, args):
-            if len(ps) != len(y.params) or len(args) != len(y.args):
-                return False
-            return (
-                _aeq(body, y.body, sx + (z,) + ps, sy + (y.binder,) + y.params)
-                and _aeq(carrier, y.carrier, sx, sy)
-                and all(_aeq(u, v, sx, sy) for u, v in zip(args, y.args))
-            )
-        case Repl(z, w, ps, body, carrier, args):
-            if len(ps) != len(y.params) or len(args) != len(y.args):
-                return False
-            return (
-                _aeq(body, y.body, sx + (z, w) + ps, sy + (y.binder1, y.binder2) + y.params)
-                and _aeq(carrier, y.carrier, sx, sy)
-                and all(_aeq(u, v, sx, sy) for u, v in zip(args, y.args))
-            )
-        case MemI(l, r) | Mem(l, r) | Eq(l, r):
-            return _aeq(l, y.left, sx, sy) and _aeq(r, y.right, sx, sy)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return _aeq(l, y.left, sx, sy) and _aeq(r, y.right, sx, sy)
-        case Forall(a, body) | Exists(a, body):
-            return _aeq(body, y.body, sx + (a,), sy + (y.binder,))
-    raise TypeError(f"not a term or formula: {x!r}")
+    return x is y or to_nameless(x) == to_nameless(y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gens import rand_proof, rand_term
+from izf import proof_ops, syntax
 from izf.axioms import PairAx
 from izf.proof_ops import alpha_eq_proof, erase, esubst_prop, esubst_term, subst_proof, subst_proof_term
 from izf.proofs import (
@@ -15,6 +16,7 @@ from izf.proofs import (
     ExIntro,
     Ind,
     Inl,
+    LamF,
     LamP,
     Magic,
     PairP,
@@ -25,7 +27,7 @@ from izf.proofs import (
     value_tag,
 )
 from izf.axioms import IndAx
-from izf.syntax import Bottom, Empty, Eq, Exists, Omega, Var
+from izf.syntax import Bottom, Empty, Eq, Exists, Omega, PairT, Var
 
 x, y = PropVar("x"), PropVar("y")
 B = Bottom()
@@ -115,3 +117,27 @@ def test_prop_substitution_matches_free_var_accounting(seed):
     else:
         pv_n, _ = proof_free_vars(n)
         assert pv_out == (pv_m - {"x"}) | pv_n
+
+
+def test_substitution_walks_its_argument_once_and_only_past_a_binder(monkeypatch):
+    n = LamP("z", B, PropVar("z"))
+    en = erase(n)
+    t = PairT(Var("c"), Omega())
+    seen = []
+    for module, name in ((proof_ops, "proof_free_vars"), (syntax, "free_vars")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda v, real=real: seen.append(v) or real(v))
+
+    def calls_on(arg, run) -> int:
+        seen.clear()
+        run()
+        return sum(v is arg for v in seen)
+
+    flat = App(AppT(PropVar("f"), Var("a")), PairP(x, x))
+    deep = LamF("b", LamF("d", flat))
+    for body, want in ((flat, 0), (deep, 1)):
+        ebody = erase(body)
+        assert calls_on(n, lambda: subst_proof(body, "x", n)) == want
+        assert calls_on(en, lambda: esubst_prop(ebody, "x", en)) == want
+        assert calls_on(t, lambda: subst_proof_term(body, "a", t)) == want
+        assert calls_on(t, lambda: esubst_term(ebody, "a", t)) == want

@@ -1,13 +1,18 @@
+import gc
+import weakref
+
 import pytest
 
-from izf.proof_ops import erase
-from izf.proofs import EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, is_value
+from izf.proof_ops import alpha_eq_proof, erase
+from izf.proofs import EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar, is_value
 from izf.realizability import (
     EMPTY_NAME,
     FAILS,
     REALIZES,
     RealizCfg,
     UnsupportedFormulaError,
+    Verdict,
+    _Eval,
     default_cfg,
     default_realizer_pool,
     enumerate_names,
@@ -23,7 +28,7 @@ from izf.realizability import (
 )
 from izf.realizers import mk_eqRefl, mk_eqSymm, mk_eqTrans, mk_lei
 from izf.reduction import normalize
-from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Var, succ_term
+from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Sep, Var, succ_term
 from izf.corpus import nwf_suite
 
 a, b, c = Var("a"), Var("b"), Var("c")
@@ -266,3 +271,30 @@ def test_omega_meaning_is_compositional():
     one = ev.meaning(numeral(1), {})
     two_stepped = ev.meaning(succ_term(NameRef(one)), {})
     assert two_direct == two_stepped
+
+
+def test_reals_over_a_separation_term_gives_a_verdict():
+    B = _sing(identity_value())
+    sep = Sep("z", (), Eq(Var("z"), Var("z")), b, ())
+    v = reals(mem_wrap(identity_value()), Mem(a, sep), {"a": EMPTY_NAME, "b": B}, SMALL)
+    assert isinstance(v, Verdict)
+
+
+def test_queried_terms_are_not_retained_after_the_call():
+    m = ELamP("q", EPropVar("q"))
+    ref = weakref.ref(m)
+    assert reals(m, Imp(Eq(a, a), Eq(a, a)), {"a": EMPTY_NAME}, SMALL).realizes
+    assert alpha_eq_proof(m, identity_value())
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_alpha_variant_separation_bodies_share_a_meaning():
+    ev = _Eval(SMALL)
+    rho = {"a": EMPTY_NAME, "b": _sing(identity_value())}
+    s1 = Sep("z", ("p",), Eq(Var("z"), Var("p")), b, (a,))
+    s2 = Sep("y", ("q",), Eq(Var("y"), Var("q")), b, (a,))
+    m1 = ev.meaning(s1, rho)
+    assert len(m1.entries) == 1
+    assert ev.meaning(s2, rho) is m1

@@ -11,6 +11,7 @@ from izf.proofs import (
     AxRep,
     EApp,
     EAppT,
+    EFst,
     EInd,
     ELamF,
     ELamP,
@@ -52,6 +53,11 @@ IDB = LamP("x", B, x)
 def test_step_fst_pair():
     got = step(Fst(PairP(x, y)))
     assert isinstance(got, Stepped) and got.term == x and got.rule == "fst"
+
+
+def test_step_erased_free_hypothesis_is_stuck():
+    got = step_erased(EFst(EPropVar("x")))
+    assert isinstance(got, Stuck) and got.path == ("arg",)
 
 
 def test_step_ax_cancel():
