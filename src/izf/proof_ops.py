@@ -1,4 +1,8 @@
-"""Substitution, erasure and alpha-equivalence for proof terms.
+"""Substitution, erasure and the nameless key for proof terms.
+
+Substitution and ``canon`` are read off the binding shapes declared once in
+``proofs.SHAPES``: each is one traversal serving annotated and erased terms
+alike, planned per constructor at import.
 
 Substitution is capture-avoiding across both namespaces: substituting a
 proof must dodge both propositional and first-order binders, substituting a
@@ -21,6 +25,16 @@ from functools import cache
 from . import syntax as sx
 from .axioms import AxiomId, IndAx, ReplAx, SepAx, family_name
 from .proofs import (
+    FO_BINDER,
+    FORMULA,
+    HYP,
+    HYP_BINDER,
+    LITERAL,
+    PROOF,
+    SCHEMA,
+    SHAPES,
+    TERM,
+    TERMS,
     App,
     AppT,
     AxProp,
@@ -49,6 +63,7 @@ from .proofs import (
     Ind,
     Inl,
     Inr,
+    Kind,
     LamF,
     LamP,
     Let,
@@ -61,307 +76,119 @@ from .proofs import (
 )
 from .syntax import Term, Var, fresh_name, to_nameless
 
-
-# ---------------------------------------------------------------------------
-# Propositional substitution
-
-
-def subst_proof(m: Proof, x: str, n: Proof) -> Proof:
-    """M[x := N] on the propositional namespace."""
-    free_n = cache(lambda: proof_free_vars(n))
-
-    def under_prop(var: str, body: Proof) -> tuple[str, Proof]:
-        # Shadowing callers handle; here the binder stays but may need renaming.
-        pn = free_n()[0]
-        if var in pn:
-            pv, fv = proof_free_vars(body)
-            var2 = fresh_name(var, pn | pv | {x})
-            return var2, rec(subst_proof(body, var, PropVar(var2)))
-        return var, rec(body)
-
-    def under_fo(var: str, body: Proof) -> tuple[str, Proof]:
-        fn = free_n()[1]
-        if var in fn:
-            pv, fv = proof_free_vars(body)
-            var2 = fresh_name(var, fn | fv)
-            return var2, rec(subst_proof_term(body, var, Var(var2)))
-        return var, rec(body)
-
-    def rec(m: Proof) -> Proof:
-        match m:
-            case PropVar(y):
-                return n if y == x else m
-            case App(f, a):
-                return App(rec(f), rec(a))
-            case LamP(y, dom, body):
-                if y == x:
-                    return m
-                y2, body2 = under_prop(y, body)
-                return LamP(y2, dom, body2)
-            case LamF(a, body):
-                a2, body2 = under_fo(a, body)
-                return LamF(a2, body2)
-            case AppT(f, t):
-                return AppT(rec(f), t)
-            case PairP(l, r):
-                return PairP(rec(l), rec(r))
-            case Fst(a):
-                return Fst(rec(a))
-            case Snd(a):
-                return Snd(rec(a))
-            case Inl(body, ann):
-                return Inl(rec(body), ann)
-            case Inr(body, ann):
-                return Inr(rec(body), ann)
-            case Case(s, lx, la, lb, rx, ra, rb):
-                s2 = rec(s)
-                lx2, lb2 = (lx, lb) if lx == x else under_prop(lx, lb)
-                rx2, rb2 = (rx, rb) if rx == x else under_prop(rx, rb)
-                return Case(s2, lx2, la, lb2, rx2, ra, rb2)
-            case ExIntro(t, body, ann):
-                return ExIntro(t, rec(body), ann)
-            case Let(a, y, ann, subj, body):
-                subj2 = rec(subj)
-                pn, fn = free_n()
-                ann2, a2, y2, body2 = ann, a, y, body
-                if a in fn:
-                    pv, fv = proof_free_vars(body)
-                    a2 = fresh_name(a, fn | fv | sx.free_vars(ann))
-                    ann2 = sx.substitute(ann, a, Var(a2))
-                    body2 = subst_proof_term(body, a, Var(a2))
-                if y == x:
-                    return Let(a2, y, ann2, subj2, body2)
-                if y in pn:
-                    pv, fv = proof_free_vars(body2)
-                    y2 = fresh_name(y, pn | pv | {x})
-                    body2 = subst_proof(body2, y, PropVar(y2))
-                return Let(a2, y2, ann2, subj2, rec(body2))
-            case Magic(arg, ann):
-                return Magic(rec(arg), ann)
-            case Ind(schema, arg, ts):
-                return Ind(schema, rec(arg), ts)
-            case AxRep(ax, t, args, arg):
-                return AxRep(ax, t, args, rec(arg))
-            case AxProp(ax, t, args, arg):
-                return AxProp(ax, t, args, rec(arg))
-        raise TypeError(f"not a proof term: {m!r}")
-
-    return rec(m)
+AnyProof = Proof | ErasedProof
 
 
 # ---------------------------------------------------------------------------
-# First-order substitution
+# Substitution
 
 
-def subst_proof_term(m: Proof, a: str, t: Term) -> Proof:
-    """M[a := t]: rewrites embedded terms and formula annotations too."""
-    free_t = cache(lambda: sx.free_vars(t))
+def subst(m: AnyProof, x: str, n: AnyProof | Term) -> AnyProof:
+    """M[x := N] in either calculus.
 
-    def f(phi: sx.Formula) -> sx.Formula:
-        return sx.substitute(phi, a, t)
+    A proof N replaces the hypothesis variable x; a term N replaces the
+    first-order variable x, in embedded terms and formulas too.  Binders are
+    met in field order.  One equal to x in x's namespace seals its scope;
+    one free in N is renamed to the first fresh name that avoids N's free
+    names, the free names of its scope and, in x's namespace, x itself.
+    """
+    on_hyp = not isinstance(n, Term)
+    x_ns = 0 if on_hyp else 1  # index of x's namespace in (hypotheses, first-order)
+    plans = _HYP_PLANS if on_hyp else _FO_PLANS
+    free_n = cache(lambda: proof_free_vars(n) if on_hyp else (frozenset(), sx.free_vars(n)))
 
-    def tm(u: Term) -> Term:
-        return sx.substitute(u, a, t)
-
-    def under_fo(var: str, body: Proof, anns: tuple[sx.Formula, ...] = ()):
-        """Enter a first-order binder: stop if shadowing, rename on capture."""
-        if var == a:
-            return var, body, anns, False
-        ft = free_t()
-        if var in ft:
-            pv, fv = proof_free_vars(body)
-            avoid = ft | fv | {a}
-            for an in anns:
-                avoid |= sx.free_vars(an)
-            var2 = fresh_name(var, avoid)
-            body2 = subst_proof_term(body, var, Var(var2))
-            anns2 = tuple(sx.substitute(an, var, Var(var2)) for an in anns)
-            return var2, body2, anns2, True
-        return var, body, anns, True
-
-    def rec(m: Proof) -> Proof:
-        match m:
-            case PropVar():
-                return m
-            case App(fn, arg):
-                return App(rec(fn), rec(arg))
-            case LamP(x, dom, body):
-                return LamP(x, f(dom), rec(body))
-            case LamF(b, body):
-                b2, body2, _, descend = under_fo(b, body)
-                return LamF(b2, rec(body2) if descend else body2)
-            case AppT(fn, u):
-                return AppT(rec(fn), tm(u))
-            case PairP(l, r):
-                return PairP(rec(l), rec(r))
-            case Fst(arg):
-                return Fst(rec(arg))
-            case Snd(arg):
-                return Snd(rec(arg))
-            case Inl(body, ann):
-                return Inl(rec(body), f(ann))
-            case Inr(body, ann):
-                return Inr(rec(body), f(ann))
-            case Case(s, lx, la, lb, rx, ra, rb):
-                return Case(rec(s), lx, f(la), rec(lb), rx, f(ra), rec(rb))
-            case ExIntro(u, body, ann):
-                return ExIntro(tm(u), rec(body), f(ann))
-            case Let(b, y, ann, subj, body):
-                subj2 = rec(subj)
-                b2, body2, (ann2,), descend = under_fo(b, body, (ann,))
-                if descend:
-                    body2 = rec(body2)
-                    ann2 = f(ann2)
-                return Let(b2, y, ann2, subj2, body2)
-            case Magic(arg, ann):
-                return Magic(rec(arg), f(ann))
-            case Ind(schema, arg, ts):
-                return Ind(schema, rec(arg), tuple(tm(u) for u in ts))
-            case AxRep(ax, u, args, arg):
-                return AxRep(ax, tm(u), tuple(tm(v) for v in args), rec(arg))
-            case AxProp(ax, u, args, arg):
-                return AxProp(ax, tm(u), tuple(tm(v) for v in args), rec(arg))
-        raise TypeError(f"not a proof term: {m!r}")
+    def rec(m: AnyProof) -> AnyProof:
+        plan = plans.get(type(m))
+        if plan is None:
+            raise TypeError(f"not a proof term: {m!r}")
+        cls, hyp_var, names, binders, rewrites = plan
+        if cls is None:  # a hypothesis variable
+            return n if on_hyp and m.name == x else m
+        vals = [getattr(m, a) for a in names]
+        sealed: tuple[int, ...] = ()
+        for i, ns, scope in binders:
+            b = vals[i]
+            if ns == x_ns and b == x:
+                sealed += (i,)
+                continue
+            clash = free_n()[ns]
+            if b not in clash:
+                continue
+            avoid = set(clash)
+            for j, kind in scope:
+                avoid |= _free_names(vals[j], kind, ns)
+            if ns == x_ns:
+                avoid.add(x)
+            b2 = fresh_name(b, avoid)
+            to = hyp_var(b2) if ns == 0 else Var(b2)
+            for j, kind in scope:
+                if kind is PROOF:
+                    vals[j] = subst(vals[j], b, to)
+                elif ns == 1:
+                    vals[j] = sx.substitute(vals[j], b, to)
+            vals[i] = b2
+        for j, kind, over in rewrites:
+            if sealed and any(i in sealed for i in over):
+                continue
+            v = vals[j]
+            if kind is PROOF:
+                vals[j] = rec(v)
+            elif kind is TERMS:
+                vals[j] = tuple(sx.substitute(u, x, n) for u in v)
+            else:  # a term or formula
+                vals[j] = sx.substitute(v, x, n)
+        return cls(*vals)
 
     return rec(m)
 
 
-# ---------------------------------------------------------------------------
-# Erased substitution (same shape, no annotations)
+subst_proof = esubst_prop = subst_proof_term = esubst_term = subst
 
 
-def esubst_prop(m: ErasedProof, x: str, n: ErasedProof) -> ErasedProof:
-    free_n = cache(lambda: proof_free_vars(n))
-
-    def under_prop(var: str, body: ErasedProof) -> tuple[str, ErasedProof]:
-        pn = free_n()[0]
-        if var in pn:
-            pv, fv = proof_free_vars(body)
-            var2 = fresh_name(var, pn | pv | {x})
-            return var2, rec(esubst_prop(body, var, EPropVar(var2)))
-        return var, rec(body)
-
-    def rec(m: ErasedProof) -> ErasedProof:
-        match m:
-            case EPropVar(y):
-                return n if y == x else m
-            case EApp(f, a):
-                return EApp(rec(f), rec(a))
-            case ELamP(y, body):
-                if y == x:
-                    return m
-                y2, body2 = under_prop(y, body)
-                return ELamP(y2, body2)
-            case ELamF(a, body):
-                fn = free_n()[1]
-                if a in fn:
-                    pv, fv = proof_free_vars(body)
-                    a2 = fresh_name(a, fn | fv)
-                    return ELamF(a2, rec(esubst_term(body, a, Var(a2))))
-                return ELamF(a, rec(body))
-            case EAppT(f, t):
-                return EAppT(rec(f), t)
-            case EPairP(l, r):
-                return EPairP(rec(l), rec(r))
-            case EFst(a):
-                return EFst(rec(a))
-            case ESnd(a):
-                return ESnd(rec(a))
-            case EInl(body):
-                return EInl(rec(body))
-            case EInr(body):
-                return EInr(rec(body))
-            case ECase(s, lx, lb, rx, rb):
-                s2 = rec(s)
-                lx2, lb2 = (lx, lb) if lx == x else under_prop(lx, lb)
-                rx2, rb2 = (rx, rb) if rx == x else under_prop(rx, rb)
-                return ECase(s2, lx2, lb2, rx2, rb2)
-            case EExIntro(t, body):
-                return EExIntro(t, rec(body))
-            case ELet(a, y, subj, body):
-                subj2 = rec(subj)
-                pn, fn = free_n()
-                a2, y2, body2 = a, y, body
-                if a in fn:
-                    pv, fv = proof_free_vars(body)
-                    a2 = fresh_name(a, fn | fv)
-                    body2 = esubst_term(body, a, Var(a2))
-                if y == x:
-                    return ELet(a2, y, subj2, body2)
-                if y in pn:
-                    pv, fv = proof_free_vars(body2)
-                    y2 = fresh_name(y, pn | pv | {x})
-                    body2 = esubst_prop(body2, y, EPropVar(y2))
-                return ELet(a2, y2, subj2, rec(body2))
-            case EMagic(arg):
-                return EMagic(rec(arg))
-            case EInd(arg):
-                return EInd(rec(arg))
-            case EAxRep(fam, arg):
-                return EAxRep(fam, rec(arg))
-            case EAxProp(fam, arg):
-                return EAxProp(fam, rec(arg))
-        raise TypeError(f"not an erased proof term: {m!r}")
-
-    return rec(m)
+def _free_names(v, kind: Kind, ns: int) -> frozenset[str]:
+    """Free names of one field in the namespace ``ns`` (0 hypotheses, 1 first-order)."""
+    if kind is PROOF:
+        return proof_free_vars(v)[ns]
+    return frozenset() if ns == 0 else sx.free_vars(v)
 
 
-def esubst_term(m: ErasedProof, a: str, t: Term) -> ErasedProof:
-    free_t = cache(lambda: sx.free_vars(t))
+def _subst_plans(on_hyp: bool) -> dict[type, tuple]:
+    """Per constructor: (class, hypothesis-variable class of its calculus,
+    field names, binders as (index, namespace, scope as (index, kind)
+    pairs), rewritten fields as (index, kind, binder indices over it)).
+    Hypothesis variables get class None.  Substituting a term crosses
+    hypothesis binders untouched, and a proof leaves terms, formulas and
+    schemas as they are."""
+    plans = {}
+    for cls, shape in SHAPES.items():
+        names = tuple(f.name for f in shape.fields)
+        index = {f.name: i for i, f in enumerate(shape.fields)}
+        if shape.fields[0].kind is HYP:
+            plans[cls] = (None, None, names, (), ())
+            continue
+        kinds = (HYP_BINDER, FO_BINDER) if on_hyp else (FO_BINDER,)
+        binders = tuple(
+            (
+                index[b.name],
+                0 if b.kind is HYP_BINDER else 1,
+                tuple((index[f.name], f.kind) for f in shape.fields if b.name in f.under),
+            )
+            for b in shape.fields
+            if b.kind in kinds
+        )
+        touched = (PROOF,) if on_hyp else (PROOF, TERM, TERMS, FORMULA)
+        rewrites = tuple(
+            (index[f.name], f.kind, tuple(index[u] for u in f.under))
+            for f in shape.fields
+            if f.kind in touched
+        )
+        hyp_var = PropVar if issubclass(cls, Proof) else EPropVar
+        plans[cls] = (cls, hyp_var, names, binders, rewrites)
+    return plans
 
-    def under_fo(b: str, body: ErasedProof) -> tuple[str, ErasedProof]:
-        ft = free_t()
-        if b in ft:
-            pv, fv = proof_free_vars(body)
-            b2 = fresh_name(b, ft | fv | {a})
-            return b2, rec(esubst_term(body, b, Var(b2)))
-        return b, rec(body)
 
-    def rec(m: ErasedProof) -> ErasedProof:
-        match m:
-            case EPropVar():
-                return m
-            case EApp(f, arg):
-                return EApp(rec(f), rec(arg))
-            case ELamP(x, body):
-                return ELamP(x, rec(body))
-            case ELamF(b, body):
-                if b == a:
-                    return m
-                return ELamF(*under_fo(b, body))
-            case EAppT(f, u):
-                return EAppT(rec(f), sx.substitute(u, a, t))
-            case EPairP(l, r):
-                return EPairP(rec(l), rec(r))
-            case EFst(arg):
-                return EFst(rec(arg))
-            case ESnd(arg):
-                return ESnd(rec(arg))
-            case EInl(body):
-                return EInl(rec(body))
-            case EInr(body):
-                return EInr(rec(body))
-            case ECase(s, lx, lb, rx, rb):
-                return ECase(rec(s), lx, rec(lb), rx, rec(rb))
-            case EExIntro(u, body):
-                return EExIntro(sx.substitute(u, a, t), rec(body))
-            case ELet(b, y, subj, body):
-                subj2 = rec(subj)
-                if b == a:
-                    return ELet(b, y, subj2, body)
-                b2, body2 = under_fo(b, body)
-                return ELet(b2, y, subj2, body2)
-            case EMagic(arg):
-                return EMagic(rec(arg))
-            case EInd(arg):
-                return EInd(rec(arg))
-            case EAxRep(fam, arg):
-                return EAxRep(fam, rec(arg))
-            case EAxProp(fam, arg):
-                return EAxProp(fam, rec(arg))
-        raise TypeError(f"not an erased proof term: {m!r}")
-
-    return rec(m)
+_HYP_PLANS = _subst_plans(True)
+_FO_PLANS = _subst_plans(False)
 
 
 # ---------------------------------------------------------------------------
@@ -424,117 +251,52 @@ def _schema_canon(ax: AxiomId, fstack: tuple[str, ...]):
             return (family_name(ax),)
 
 
-def canon(m: Proof | ErasedProof, pstack: tuple[str, ...] = (), fstack: tuple[str, ...] = ()):
-    """Nameless tuple rendering; equal tuples iff alpha-equivalent terms."""
+def canon(m: AnyProof, pstack: tuple[str, ...] = (), fstack: tuple[str, ...] = ()):
+    """Nameless tuple rendering; equal tuples iff alpha-equivalent terms.
 
-    def pvar(x: str):
-        for i in range(len(pstack) - 1, -1, -1):
-            if pstack[i] == x:
-                return ("pb", len(pstack) - 1 - i)
-        return ("pf", x)
+    A node renders as its tag followed by its non-binder fields in field
+    order; a hypothesis variable renders as its binder's index or its name.
+    """
+    plan = _CANON_PLANS.get(type(m))
+    if plan is None:
+        raise TypeError(f"not a proof term: {m!r}")
+    tag, fields = plan
+    out = [tag]
+    for name, kind, hyp_under, fo_under in fields:
+        v = getattr(m, name)
+        ps = pstack + tuple(getattr(m, b) for b in hyp_under) if hyp_under else pstack
+        fs = fstack + tuple(getattr(m, b) for b in fo_under) if fo_under else fstack
+        if kind is PROOF:
+            out.append(canon(v, ps, fs))
+        elif kind is HYP:
+            for i in range(len(pstack) - 1, -1, -1):
+                if pstack[i] == v:
+                    return ("pb", len(pstack) - 1 - i)
+            return ("pf", v)
+        elif kind is TERMS:
+            out.append(tuple(to_nameless(u, fs) for u in v))
+        elif kind is SCHEMA:
+            out.append(_schema_canon(v, fs))
+        elif kind is LITERAL:
+            out.append(v)
+        else:  # a term or formula
+            out.append(to_nameless(v, fs))
+    return tuple(out)
 
-    def t(u: Term):
-        return to_nameless(u, fstack)
 
-    def f(phi: sx.Formula):
-        return to_nameless(phi, fstack)
-
-    match m:
-        case PropVar(x) | EPropVar(x):
-            return pvar(x)
-        case App(fn, a):
-            return ("app", canon(fn, pstack, fstack), canon(a, pstack, fstack))
-        case EApp(fn, a):
-            return ("app", canon(fn, pstack, fstack), canon(a, pstack, fstack))
-        case LamP(x, dom, body):
-            return ("lamp", f(dom), canon(body, pstack + (x,), fstack))
-        case ELamP(x, body):
-            return ("lamp", canon(body, pstack + (x,), fstack))
-        case LamF(a, body) | ELamF(a, body):
-            return ("lamf", canon(body, pstack, fstack + (a,)))
-        case AppT(fn, u) | EAppT(fn, u):
-            return ("appt", canon(fn, pstack, fstack), t(u))
-        case PairP(l, r) | EPairP(l, r):
-            return ("pairp", canon(l, pstack, fstack), canon(r, pstack, fstack))
-        case Fst(a) | EFst(a):
-            return ("fst", canon(a, pstack, fstack))
-        case Snd(a) | ESnd(a):
-            return ("snd", canon(a, pstack, fstack))
-        case Inl(body, ann):
-            return ("inl", f(ann), canon(body, pstack, fstack))
-        case EInl(body):
-            return ("inl", canon(body, pstack, fstack))
-        case Inr(body, ann):
-            return ("inr", f(ann), canon(body, pstack, fstack))
-        case EInr(body):
-            return ("inr", canon(body, pstack, fstack))
-        case Case(s, lx, la, lb, rx, ra, rb):
-            return (
-                "case",
-                canon(s, pstack, fstack),
-                f(la),
-                canon(lb, pstack + (lx,), fstack),
-                f(ra),
-                canon(rb, pstack + (rx,), fstack),
-            )
-        case ECase(s, lx, lb, rx, rb):
-            return (
-                "case",
-                canon(s, pstack, fstack),
-                canon(lb, pstack + (lx,), fstack),
-                canon(rb, pstack + (rx,), fstack),
-            )
-        case ExIntro(u, body, ann):
-            return ("exi", t(u), f(ann), canon(body, pstack, fstack))
-        case EExIntro(u, body):
-            return ("exi", t(u), canon(body, pstack, fstack))
-        case Let(a, x, ann, subj, body):
-            return (
-                "let",
-                to_nameless(ann, fstack + (a,)),
-                canon(subj, pstack, fstack),
-                canon(body, pstack + (x,), fstack + (a,)),
-            )
-        case ELet(a, x, subj, body):
-            return (
-                "let",
-                canon(subj, pstack, fstack),
-                canon(body, pstack + (x,), fstack + (a,)),
-            )
-        case Magic(arg, ann):
-            return ("magic", f(ann), canon(arg, pstack, fstack))
-        case EMagic(arg):
-            return ("magic", canon(arg, pstack, fstack))
-        case Ind(schema, arg, ts):
-            return (
-                "ind",
-                _schema_canon(schema, fstack),
-                canon(arg, pstack, fstack),
-                tuple(t(u) for u in ts),
-            )
-        case EInd(arg):
-            return ("ind", canon(arg, pstack, fstack))
-        case AxRep(ax, u, args, arg):
-            return (
-                "axrep",
-                _schema_canon(ax, fstack),
-                t(u),
-                tuple(t(v) for v in args),
-                canon(arg, pstack, fstack),
-            )
-        case EAxRep(fam, arg):
-            return ("axrep", fam, canon(arg, pstack, fstack))
-        case AxProp(ax, u, args, arg):
-            return (
-                "axprop",
-                _schema_canon(ax, fstack),
-                t(u),
-                tuple(t(v) for v in args),
-                canon(arg, pstack, fstack),
-            )
-        case EAxProp(fam, arg):
-            return ("axprop", fam, canon(arg, pstack, fstack))
-    raise TypeError(f"not a proof term: {m!r}")
+# Per constructor: its tag and (field, kind, hypothesis binders over it,
+# first-order binders over it) for each field that is not a binder.
+_CANON_PLANS = {
+    cls: (
+        shape.tag,
+        tuple(
+            (f.name, f.kind, f.hyp_under, f.fo_under)
+            for f in shape.fields
+            if f.kind not in (HYP_BINDER, FO_BINDER)
+        ),
+    )
+    for cls, shape in SHAPES.items()
+}
 
 
 def canon_key(m: Proof | ErasedProof, memo: dict[int, tuple[object, tuple]]) -> tuple:

@@ -1,4 +1,4 @@
-"""Proof terms, their erased counterparts, and the erasure map.
+"""Proof terms, their erased counterparts, and their binding shapes.
 
 Two variable namespaces: propositional variables (hypothesis names) and
 first-order variables shared with terms and formulas.  Lambdas, case, let
@@ -7,6 +7,9 @@ inference is fully syntax-directed; erasure drops every annotation and the
 term arguments of the axiom and induction constructors, but keeps the
 first-order terms of quantifier proofs, mirroring the reduction-transparent
 erasure of the untyped calculus.
+
+``SHAPES`` declares each constructor's binding shape once; free variables
+here, and substitution and ``canon`` in ``proof_ops``, are derived from it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import syntax as sx
-from .axioms import AxiomId, IndAx
+from .axioms import AxiomId, IndAx, ReplAx, SepAx
 from .syntax import Formula, Term
 
 
@@ -250,6 +253,119 @@ class EAxProp(ErasedProof):
 
 
 # ---------------------------------------------------------------------------
+# Binding shapes
+#
+# One declaration per constructor, annotated and erased alike: its fields in
+# dataclass order, each with a kind, and for each sub-proof or formula field
+# the binder fields whose scope covers it.  Free variables, substitution and
+# the nameless key ``canon`` are all derived from this table, so the binding
+# structure of the calculus is written down once.  The tag names the
+# constructor inside ``canon`` keys.
+
+
+class Kind(Enum):
+    PROOF = "sub-proof"
+    TERM = "term"
+    FORMULA = "formula"
+    TERMS = "term tuple"
+    SCHEMA = "axiom schema"  # an axiom identifier; its schema binds its own body
+    LITERAL = "literal"  # copied as is
+    HYP = "hypothesis variable"  # the occurrence PropVar/EPropVar stands for
+    HYP_BINDER = "hypothesis binder"
+    FO_BINDER = "first-order binder"
+
+
+PROOF, TERM, FORMULA, TERMS, SCHEMA, LITERAL, HYP, HYP_BINDER, FO_BINDER = Kind
+
+
+@dataclass(frozen=True)
+class FieldShape:
+    name: str
+    kind: Kind
+    under: tuple[str, ...]  # binder fields whose scope covers this field, in field order
+    hyp_under: tuple[str, ...]  # the hypothesis binders among them
+    fo_under: tuple[str, ...]  # the first-order binders among them
+
+
+@dataclass(frozen=True)
+class Shape:
+    tag: str
+    fields: tuple[FieldShape, ...]
+
+
+def _shape(tag: str, **fields: Kind | tuple) -> Shape:
+    """``name=KIND`` or ``name=(KIND, binder, ...)`` for each field, in order."""
+    specs = {n: (s,) if isinstance(s, Kind) else s for n, s in fields.items()}
+    out = []
+    for name, (kind, *under) in specs.items():
+        hyp = tuple(b for b in under if specs[b][0] is HYP_BINDER)
+        fo = tuple(b for b in under if specs[b][0] is FO_BINDER)
+        out.append(FieldShape(name, kind, tuple(under), hyp, fo))
+    return Shape(tag, tuple(out))
+
+
+SHAPES: dict[type, Shape] = {
+    PropVar: _shape("var", name=HYP),
+    App: _shape("app", fn=PROOF, arg=PROOF),
+    LamP: _shape("lamp", var=HYP_BINDER, dom=FORMULA, body=(PROOF, "var")),
+    LamF: _shape("lamf", var=FO_BINDER, body=(PROOF, "var")),
+    AppT: _shape("appt", fn=PROOF, arg=TERM),
+    PairP: _shape("pairp", left=PROOF, right=PROOF),
+    Fst: _shape("fst", arg=PROOF),
+    Snd: _shape("snd", arg=PROOF),
+    Inl: _shape("inl", body=PROOF, ann=FORMULA),
+    Inr: _shape("inr", body=PROOF, ann=FORMULA),
+    Case: _shape(
+        "case",
+        scrut=PROOF,
+        lvar=HYP_BINDER,
+        lann=FORMULA,
+        lbody=(PROOF, "lvar"),
+        rvar=HYP_BINDER,
+        rann=FORMULA,
+        rbody=(PROOF, "rvar"),
+    ),
+    ExIntro: _shape("exi", witness=TERM, body=PROOF, ann=FORMULA),
+    Let: _shape(
+        "let",
+        fvar=FO_BINDER,
+        pvar=HYP_BINDER,
+        ann=(FORMULA, "fvar"),
+        subject=PROOF,
+        body=(PROOF, "fvar", "pvar"),
+    ),
+    Magic: _shape("magic", arg=PROOF, ann=FORMULA),
+    Ind: _shape("ind", schema=SCHEMA, arg=PROOF, terms=TERMS),
+    AxRep: _shape("axrep", ax=SCHEMA, term=TERM, args=TERMS, arg=PROOF),
+    AxProp: _shape("axprop", ax=SCHEMA, term=TERM, args=TERMS, arg=PROOF),
+    EPropVar: _shape("var", name=HYP),
+    EApp: _shape("app", fn=PROOF, arg=PROOF),
+    ELamP: _shape("lamp", var=HYP_BINDER, body=(PROOF, "var")),
+    ELamF: _shape("lamf", var=FO_BINDER, body=(PROOF, "var")),
+    EAppT: _shape("appt", fn=PROOF, arg=TERM),
+    EPairP: _shape("pairp", left=PROOF, right=PROOF),
+    EFst: _shape("fst", arg=PROOF),
+    ESnd: _shape("snd", arg=PROOF),
+    EInl: _shape("inl", body=PROOF),
+    EInr: _shape("inr", body=PROOF),
+    ECase: _shape(
+        "case",
+        scrut=PROOF,
+        lvar=HYP_BINDER,
+        lbody=(PROOF, "lvar"),
+        rvar=HYP_BINDER,
+        rbody=(PROOF, "rvar"),
+    ),
+    EExIntro: _shape("exi", witness=TERM, body=PROOF),
+    ELet: _shape("let", fvar=FO_BINDER, pvar=HYP_BINDER, subject=PROOF, body=(PROOF, "fvar", "pvar")),
+    EMagic: _shape("magic", arg=PROOF),
+    EInd: _shape("ind", arg=PROOF),
+    EAxRep: _shape("axrep", family=LITERAL, arg=PROOF),
+    EAxProp: _shape("axprop", family=LITERAL, arg=PROOF),
+}
+
+
+# ---------------------------------------------------------------------------
 # Value classification
 
 
@@ -300,94 +416,54 @@ def proof_free_vars(m: Proof | ErasedProof) -> tuple[frozenset[str], frozenset[s
     terms count as free occurrences; the let binder binds its first-order
     variable in both the annotation and the body.
     """
-    match m:
-        case PropVar(x) | EPropVar(x):
-            return frozenset((x,)), frozenset()
-        case App(f, a) | EApp(f, a):
-            return _union2(proof_free_vars(f), proof_free_vars(a))
-        case LamP(x, dom, body):
-            pv, fv = proof_free_vars(body)
-            return pv - {x}, fv | sx.free_vars(dom)
-        case ELamP(x, body):
-            pv, fv = proof_free_vars(body)
-            return pv - {x}, fv
-        case LamF(a, body) | ELamF(a, body):
-            pv, fv = proof_free_vars(body)
-            return pv, fv - {a}
-        case AppT(f, t) | EAppT(f, t):
-            pv, fv = proof_free_vars(f)
-            return pv, fv | sx.free_vars(t)
-        case PairP(l, r) | EPairP(l, r):
-            return _union2(proof_free_vars(l), proof_free_vars(r))
-        case Fst(a) | Snd(a) | EFst(a) | ESnd(a) | EMagic(a):
-            return proof_free_vars(a)
-        case Inl(body, ann) | Inr(body, ann):
-            pv, fv = proof_free_vars(body)
-            return pv, fv | sx.free_vars(ann)
-        case EInl(body) | EInr(body):
-            return proof_free_vars(body)
-        case Case(s, lx, la, lb, rx, ra, rb):
-            spv, sfv = proof_free_vars(s)
-            lpv, lfv = proof_free_vars(lb)
-            rpv, rfv = proof_free_vars(rb)
-            pv = spv | (lpv - {lx}) | (rpv - {rx})
-            fv = sfv | lfv | rfv | sx.free_vars(la) | sx.free_vars(ra)
-            return pv, fv
-        case ECase(s, lx, lb, rx, rb):
-            spv, sfv = proof_free_vars(s)
-            lpv, lfv = proof_free_vars(lb)
-            rpv, rfv = proof_free_vars(rb)
-            return spv | (lpv - {lx}) | (rpv - {rx}), sfv | lfv | rfv
-        case ExIntro(t, body, ann):
-            pv, fv = proof_free_vars(body)
-            return pv, fv | sx.free_vars(t) | sx.free_vars(ann)
-        case EExIntro(t, body):
-            pv, fv = proof_free_vars(body)
-            return pv, fv | sx.free_vars(t)
-        case Let(a, x, ann, subj, body):
-            spv, sfv = proof_free_vars(subj)
-            bpv, bfv = proof_free_vars(body)
-            return spv | (bpv - {x}), sfv | ((bfv | sx.free_vars(ann)) - {a})
-        case ELet(a, x, subj, body):
-            spv, sfv = proof_free_vars(subj)
-            bpv, bfv = proof_free_vars(body)
-            return spv | (bpv - {x}), sfv | (bfv - {a})
-        case Magic(arg, ann):
-            pv, fv = proof_free_vars(arg)
-            return pv, fv | sx.free_vars(ann)
-        case Ind(schema, arg, terms):
-            pv, fv = proof_free_vars(arg)
-            for t in terms:
-                fv |= sx.free_vars(t)
-            inner = sx.free_vars(schema.body) - ({schema.binder} | set(schema.params))
-            return pv, fv | inner
-        case EInd(arg):
-            return proof_free_vars(arg)
-        case AxRep(ax, t, args, arg) | AxProp(ax, t, args, arg):
-            pv, fv = proof_free_vars(arg)
-            fv |= sx.free_vars(t)
-            for u in args:
-                fv |= sx.free_vars(u)
-            fv |= _schema_free(ax)
-            return pv, fv
-        case EAxRep(_, arg) | EAxProp(_, arg):
-            return proof_free_vars(arg)
-    raise TypeError(f"not a proof term: {m!r}")
+    plan = _FV_PLANS.get(type(m))
+    if plan is None:
+        raise TypeError(f"not a proof term: {m!r}")
+    pv = fv = _NO_VARS
+    for name, kind, hyp_under, fo_under in plan:
+        v = getattr(m, name)
+        if kind is PROOF:
+            p, t = proof_free_vars(v)
+            if hyp_under:
+                p = p - {getattr(m, b) for b in hyp_under}
+            if fo_under:
+                t = t - {getattr(m, b) for b in fo_under}
+            pv, fv = pv | p, fv | t
+        elif kind is HYP:
+            pv = pv | {v}
+        elif kind is TERMS:
+            for u in v:
+                fv = fv | sx.free_vars(u)
+        elif kind is SCHEMA:
+            fv = fv | _schema_free(v)
+        else:  # a term or formula
+            t = sx.free_vars(v)
+            fv = fv | (t - {getattr(m, b) for b in fo_under} if fo_under else t)
+    return pv, fv
+
+
+_NO_VARS: frozenset[str] = frozenset()
+
+# Per constructor: (field, kind, hypothesis binders over it, first-order
+# binders over it) for each field that can hold a free variable.
+_FV_PLANS = {
+    cls: tuple(
+        (f.name, f.kind, f.hyp_under, f.fo_under)
+        for f in shape.fields
+        if f.kind not in (LITERAL, HYP_BINDER, FO_BINDER)
+    )
+    for cls, shape in SHAPES.items()
+}
 
 
 def _schema_free(ax: AxiomId) -> frozenset[str]:
-    from .axioms import ReplAx, SepAx
-
+    """Free variables of a schema body beyond the variables the schema binds."""
     match ax:
         case SepAx(z, ps, body):
             return sx.free_vars(body) - ({z} | set(ps))
         case ReplAx(z, y, ps, body):
             return sx.free_vars(body) - ({z, y} | set(ps))
+        case IndAx(a, ps, body):
+            return sx.free_vars(body) - ({a} | set(ps))
         case _:
             return frozenset()
-
-
-def _union2(
-    a: tuple[frozenset[str], frozenset[str]], b: tuple[frozenset[str], frozenset[str]]
-) -> tuple[frozenset[str], frozenset[str]]:
-    return a[0] | b[0], a[1] | b[1]

@@ -69,6 +69,26 @@ class UnsupportedFormulaError(Exception):
 # Lambda-names
 
 
+def label_key(key: tuple) -> str:
+    """The string a label with canon key ``key`` is sorted and found by.
+
+    It is the repr of the key with every name constant spelled as that
+    name's own key: a name's repr shows only its rank and size, so two
+    different names would otherwise give one string.  Labels without name
+    constants keep the plain repr of their key.
+    """
+    text = repr(key)
+    # Spelling walks the whole key, so it is done only where a name
+    # constant can occur.
+    return repr(_spelled(key)) if "'nameref'" in text else text
+
+
+def _spelled(x):
+    if isinstance(x, tuple):
+        return tuple(_spelled(y) for y in x)
+    return x.key if isinstance(x, LambdaName) else x
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class LambdaName:
     """A finite set of (erased value, name) pairs, compared up to alpha."""
@@ -82,11 +102,11 @@ class LambdaName:
                 raise ValueError("name labels must be erased values")
             if not isinstance(member, LambdaName):
                 raise ValueError("name members must be names")
-        # Each label is keyed once, here, by the string form of its canon
-        # key; entries are stored in the sorted order of their keys.
+        # Each label is keyed once, here, by ``label_key``; entries are
+        # stored in the sorted order of their keys.
         seen = {}
         for label, member in self.entries:
-            seen[(repr(canon(label)), member.key)] = (label, member)
+            seen[(label_key(canon(label)), member.key)] = (label, member)
         keys = tuple(sorted(seen))
         object.__setattr__(self, "entries", tuple(seen[k] for k in keys))
         object.__setattr__(self, "key", ("name", keys))
@@ -119,8 +139,8 @@ class LambdaName:
         return 1 + max((m.rank() for m in self.members()), default=0)
 
     def has_entry(self, label_key: str, member: "LambdaName") -> bool:
-        """Whether an entry pairs a label whose ``repr(canon(label))`` is
-        ``label_key`` with a member equal to ``member``."""
+        """Whether an entry pairs a label keyed ``label_key`` (by the
+        function of that name) with a member equal to ``member``."""
         return (label_key, member.key) in self.key[1]
 
 
@@ -129,6 +149,15 @@ EMPTY_NAME = LambdaName(())
 
 def name_of(pairs) -> LambdaName:
     return LambdaName(tuple(pairs))
+
+
+def _distinct(names) -> list[LambdaName]:
+    """The names in order, each kept only at its first occurrence."""
+    out: list[LambdaName] = []
+    for nm in names:
+        if all(nm.key != o.key for o in out):
+            out.append(nm)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +414,7 @@ class _Eval:
         v, err = self._value_of(m)
         if err is not None:
             return err
-        if b.has_entry(repr(self.key(v)), a):
+        if b.has_entry(label_key(self.key(v)), a):
             return REALIZES
         if b.key == self.omega_name().key:
             # The omega name is inductively defined: arbitrary labels are
@@ -399,6 +428,20 @@ class _Eval:
         return self._memo(key, lambda: self._omega_entry_raw(v, a))
 
     def _omega_entry_raw(self, v: ErasedProof, a: LambdaName) -> Verdict:
+        omega = self.omega_name()
+        candidates = _distinct((*omega.members(), a, *a.members(), *self.cfg.universe))
+        return self._omega_clause(v, a, omega, candidates)
+
+    def _omega_clause(
+        self, v: ErasedProof, a: LambdaName, approx: LambdaName, candidates
+    ) -> Verdict:
+        """Whether the entry (v, a) meets omega's base or successor clause.
+
+        The base clause wants an inl whose payload realizes equality with
+        zero; the successor clause wants an inr packaging a membership of
+        some candidate b in ``approx`` together with an equality of a to
+        the successor of b.
+        """
         if not (isinstance(v, EAxRep) and v.family == "inf"):
             return FAILS
         nv, err = self._value_of(v.arg)
@@ -418,14 +461,9 @@ class _Eval:
             return err
         if not isinstance(pair, EPairP):
             return FAILS
-        omega = self.omega_name()
-        candidates: list[LambdaName] = list(omega.members())
-        for extra in (a, *a.members(), *self.cfg.universe):
-            if all(extra.key != c.key for c in candidates):
-                candidates.append(extra)
 
         def for_b(b: LambdaName) -> Verdict:
-            member = self.mem(pair.left, b, omega)
+            member = self.mem(pair.left, b, approx)
             if member.fails:
                 return member
             succ = self.meaning(succ_term(NameRef(b)), {})
@@ -452,10 +490,7 @@ class _Eval:
             return err
         if not isinstance(pair, EPairP):
             return FAILS
-        candidates = list(b.members())
-        for extra in (a, *a.members(), *self.cfg.universe):
-            if all(extra.key != c.key for c in candidates):
-                candidates.append(extra)
+        candidates = _distinct((*b.members(), a, *a.members(), *self.cfg.universe))
 
         def check_c(c: LambdaName) -> Verdict:
             first = self.mem_i(pair.left, c, b)
@@ -500,10 +535,7 @@ class _Eval:
                 return FAILS
             # Only member names of a or b can have realizable intensional
             # membership hypotheses, so this sweep is exhaustive.
-            dpool = list(a.members())
-            for extra in b.members():
-                if all(extra.key != d.key for d in dpool):
-                    dpool.append(extra)
+            dpool = _distinct((*a.members(), *b.members()))
 
             def direction(lam: ELamP, src: LambdaName, dst: LambdaName, d: LambdaName) -> Verdict:
                 pool = self._hyp_pool((src, dst))
@@ -530,7 +562,7 @@ class _Eval:
         if hit is not None:
             return hit
         out = list(self.cfg.realizers)
-        seen = {repr(self.key(x)) for x in out}
+        seen = {label_key(self.key(x)) for x in out}
         for nm in names:
             for k, lab in nm.labels().items():
                 if k not in seen:
@@ -804,46 +836,10 @@ def omega_prime_member(
     approx: LambdaName,
     fuel: int = 10**4,
 ) -> Verdict:
-    """Check one candidate entry against the base or successor clause.
-
-    The base clause wants an inl whose payload realizes equality with zero;
-    the successor clause wants an inr packaging a membership in the given
-    approximation together with an equality to the successor of the member.
-    """
+    """Check one candidate entry against omega's base or successor clause,
+    with ``approx`` as the approximation the successor clause looks into."""
     label, a = entry
-    universe = [EMPTY_NAME, a, approx, *approx.members(), *a.members()]
-    dedup: list[LambdaName] = []
-    for nm in universe:
-        if all(nm.key != o.key for o in dedup):
-            dedup.append(nm)
+    dedup = _distinct((EMPTY_NAME, a, approx, *approx.members(), *a.members()))
     pool = default_realizer_pool()
     cfg = RealizCfg(fuel=fuel, universe=tuple(dedup), realizers=pool, terms=(Empty(),))
-    ev = _Eval(cfg)
-    if not (isinstance(label, EAxRep) and label.family == "inf"):
-        return FAILS
-    v, err = ev._value_of(label.arg)
-    if err is not None:
-        return err
-    if isinstance(v, EInl):
-        return ev.eq(v.body, a, EMPTY_NAME)
-    if not isinstance(v, EInr):
-        return FAILS
-    ex, err = ev._value_of(v.body)
-    if err is not None:
-        return err
-    if not isinstance(ex, EExIntro):
-        return FAILS
-    pair, err = ev._value_of(ex.body)
-    if err is not None:
-        return err
-    if not isinstance(pair, EPairP):
-        return FAILS
-
-    def for_b(b: LambdaName) -> Verdict:
-        member = ev.mem(pair.left, b, approx)
-        if member.fails:
-            return member
-        succ = ev.meaning(succ_term(NameRef(b)), {})
-        return _v_all([member, ev.eq(pair.right, a, succ)])
-
-    return _v_any(for_b(b) for b in (*approx.members(), *dedup))
+    return _Eval(cfg)._omega_clause(label, a, approx, (*approx.members(), *dedup))

@@ -4,23 +4,20 @@ The evaluation contexts descend into exactly one position per constructor
 (function position of applications, subject of projections, case, let,
 axiom elimination and magic), so decomposition is unique; induction terms
 fire in place.  Everything reduction-based is fuel-bounded and total.
+
+One rule function serves both machines: annotated and erased nodes share
+the field names it reads.  ``_redex_at_root`` and ``_hole_child`` keep
+an independent, per-calculus statement of the same grammar for
+``count_redexes`` and the determinism check.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Union
 
-from .proof_ops import (
-    axiom_id_alpha_eq,
-    canon,
-    erase,
-    esubst_prop,
-    esubst_term,
-    subst_proof,
-    subst_proof_term,
-)
+from .proof_ops import axiom_id_alpha_eq, canon, erase, subst_proof, subst_proof_term
 from .proofs import (
     App,
     AppT,
@@ -89,187 +86,104 @@ class Stuck:
 StepResult = Union[Stepped, IsValue, Stuck]
 
 
-def _ind_unfold(m: Ind) -> Proof:
+def _ind_unfold(m: Ind | EInd) -> AnyProof:
     """ind_phi(M, ts) -> fresh-variable unfolding of one induction layer."""
     pv, fv = proof_free_vars(m)
     c = fresh_name("c", fv)
     b = fresh_name("b", fv | {c})
     x = fresh_name("x", pv)
-    again = AppT(Ind(m.schema, m.arg, m.terms), Var(b))
-    step_fn = LamF(b, LamP(x, MemI(Var(b), Var(c)), again))
-    return LamF(c, App(AppT(m.arg, Var(c)), step_fn))
-
-
-def _ind_unfold_erased(m: EInd) -> ErasedProof:
-    pv, fv = proof_free_vars(m)
-    c = fresh_name("c", fv)
-    b = fresh_name("b", fv | {c})
-    x = fresh_name("x", pv)
-    again = EAppT(EInd(m.arg), Var(b))
-    step_fn = ELamF(b, ELamP(x, again))
+    if isinstance(m, Ind):
+        step_fn = LamF(b, LamP(x, MemI(Var(b), Var(c)), AppT(m, Var(b))))
+        return LamF(c, App(AppT(m.arg, Var(c)), step_fn))
+    step_fn = ELamF(b, ELamP(x, EAppT(m, Var(b))))
     return ELamF(c, EApp(EAppT(m.arg, Var(c)), step_fn))
 
 
-def step(m: Proof) -> StepResult:
-    """One step of the annotated machine."""
+def step(m: AnyProof) -> StepResult:
+    """One step of the machine of m's calculus, annotated or erased."""
     if is_value(m):
         return IsValue()
     return _step(m, ())
 
 
-def _descend(
-    m: AnyProof,
-    sub: AnyProof,
-    attr: str,
-    path: Path,
-    rebuild: Callable[[AnyProof], AnyProof],
-    stepper: Callable[[AnyProof, Path], StepResult],
-) -> StepResult:
-    res = stepper(sub, path + (attr,))
-    match res:
-        case Stepped(t, rule, p):
-            return Stepped(rebuild(t), rule, p)
-        case IsValue():
-            return Stuck(path, f"no rule for {type(m).__name__} of this value")
-        case Stuck():
-            return res
-    raise AssertionError
+step_erased = step
 
 
-def _step(m: Proof, path: Path) -> StepResult:
+def _descend(m: AnyProof, attr: str, path: Path, stuck: str) -> StepResult:
+    """Step m's evaluation-context child ``attr`` and rebuild m around it.
+
+    A value there meets no rule of m, which is then stuck for ``stuck``.
+    """
+    sub = getattr(m, attr)
+    if is_value(sub):
+        return Stuck(path, stuck)
+    res = _step(sub, path + (attr,))
+    if isinstance(res, Stepped):
+        return Stepped(replace(m, **{attr: res.term}), res.rule, res.path)
+    return res
+
+
+def _step(m: AnyProof, path: Path) -> StepResult:
+    """The rules of both machines; annotated and erased nodes share the
+    field names read here."""
     match m:
-        case PropVar(x):
+        case PropVar(x) | EPropVar(x):
             return Stuck(path, f"free hypothesis {x}")
-        case App(f, a):
-            if isinstance(f, LamP):
-                return Stepped(subst_proof(f.body, f.var, a), "beta", path)
-            if is_value(f):
-                return Stuck(path, "application of a non-lambda value")
-            return _descend(m, f, "fn", path, lambda t: App(t, a), _step)
-        case AppT(f, t):
-            if isinstance(f, LamF):
-                return Stepped(subst_proof_term(f.body, f.var, t), "beta-fo", path)
-            if is_value(f):
-                return Stuck(path, "term application of a non-term-lambda value")
-            return _descend(m, f, "fn", path, lambda s: AppT(s, t), _step)
-        case Fst(a):
-            if isinstance(a, PairP):
-                return Stepped(a.left, "fst", path)
-            if is_value(a):
-                return Stuck(path, "fst of a non-pair value")
-            return _descend(m, a, "arg", path, Fst, _step)
-        case Snd(a):
-            if isinstance(a, PairP):
-                return Stepped(a.right, "snd", path)
-            if is_value(a):
-                return Stuck(path, "snd of a non-pair value")
-            return _descend(m, a, "arg", path, Snd, _step)
-        case Case(s, lx, la, lb, rx, ra, rb):
-            if isinstance(s, Inl):
-                return Stepped(subst_proof(lb, lx, s.body), "case-inl", path)
-            if isinstance(s, Inr):
-                return Stepped(subst_proof(rb, rx, s.body), "case-inr", path)
-            if is_value(s):
-                return Stuck(path, "case subject is not an injection")
-            return _descend(m, s, "scrut", path, lambda t: Case(t, lx, la, lb, rx, ra, rb), _step)
-        case Let(a, x, ann, subj, body):
-            if isinstance(subj, ExIntro):
-                out = subst_proof(subst_proof_term(body, a, subj.witness), x, subj.body)
+        case App() | EApp():
+            f = m.fn
+            if isinstance(f, (LamP, ELamP)):
+                return Stepped(subst_proof(f.body, f.var, m.arg), "beta", path)
+            return _descend(m, "fn", path, "application of a non-lambda value")
+        case AppT() | EAppT():
+            f = m.fn
+            if isinstance(f, (LamF, ELamF)):
+                return Stepped(subst_proof_term(f.body, f.var, m.arg), "beta-fo", path)
+            return _descend(m, "fn", path, "term application of a non-term-lambda value")
+        case Fst() | EFst():
+            if isinstance(m.arg, (PairP, EPairP)):
+                return Stepped(m.arg.left, "fst", path)
+            return _descend(m, "arg", path, "fst of a non-pair value")
+        case Snd() | ESnd():
+            if isinstance(m.arg, (PairP, EPairP)):
+                return Stepped(m.arg.right, "snd", path)
+            return _descend(m, "arg", path, "snd of a non-pair value")
+        case Case() | ECase():
+            s = m.scrut
+            if isinstance(s, (Inl, EInl)):
+                return Stepped(subst_proof(m.lbody, m.lvar, s.body), "case-inl", path)
+            if isinstance(s, (Inr, EInr)):
+                return Stepped(subst_proof(m.rbody, m.rvar, s.body), "case-inr", path)
+            return _descend(m, "scrut", path, "case subject is not an injection")
+        case Let() | ELet():
+            subj = m.subject
+            if isinstance(subj, (ExIntro, EExIntro)):
+                out = subst_proof(subst_proof_term(m.body, m.fvar, subj.witness), m.pvar, subj.body)
                 return Stepped(out, "let-ex", path)
-            if is_value(subj):
-                return Stuck(path, "let subject is not a witness pair")
-            return _descend(m, subj, "subject", path, lambda t: Let(a, x, ann, t, body), _step)
-        case Magic(arg, ann):
-            if is_value(arg):
-                return Stuck(path, "magic of a value")
-            return _descend(m, arg, "arg", path, lambda t: Magic(t, ann), _step)
-        case AxProp(ax, t, args, arg):
-            if isinstance(arg, AxRep):
-                same = (
-                    axiom_id_alpha_eq(ax, arg.ax)
-                    and alpha_eq(t, arg.term)
-                    and len(args) == len(arg.args)
-                    and all(alpha_eq(u, v) for u, v in zip(args, arg.args))
-                )
-                if same:
+            return _descend(m, "subject", path, "let subject is not a witness pair")
+        case Magic() | EMagic():
+            return _descend(m, "arg", path, "magic of a value")
+        case AxProp() | EAxProp():
+            arg = m.arg
+            if isinstance(arg, (AxRep, EAxRep)):
+                if _cancels(m, arg):
                     return Stepped(arg.arg, "ax-cancel", path)
                 return Stuck(path, "mismatched elimination/introduction pair")
-            if is_value(arg):
-                return Stuck(path, "axiom elimination of a non-introduction value")
-            return _descend(m, arg, "arg", path, lambda s: AxProp(ax, t, args, s), _step)
-        case Ind():
+            return _descend(m, "arg", path, "axiom elimination of a non-introduction value")
+        case Ind() | EInd():
             return Stepped(_ind_unfold(m), "ind-unfold", path)
     return Stuck(path, f"no rule for {type(m).__name__}")
 
 
-def step_erased(m: ErasedProof) -> StepResult:
-    if is_value(m):
-        return IsValue()
-    return _step_erased(m, ())
-
-
-def _step_erased(m: ErasedProof, path: Path) -> StepResult:
-    match m:
-        case EApp(f, a):
-            if isinstance(f, ELamP):
-                return Stepped(esubst_prop(f.body, f.var, a), "beta", path)
-            if is_value(f):
-                return Stuck(path, "application of a non-lambda value")
-            return _descend(m, f, "fn", path, lambda t: EApp(t, a), _step_erased)
-        case EAppT(f, t):
-            if isinstance(f, ELamF):
-                return Stepped(esubst_term(f.body, f.var, t), "beta-fo", path)
-            if is_value(f):
-                return Stuck(path, "term application of a non-term-lambda value")
-            return _descend(m, f, "fn", path, lambda s: EAppT(s, t), _step_erased)
-        case EFst(a):
-            if isinstance(a, EPairP):
-                return Stepped(a.left, "fst", path)
-            if is_value(a):
-                return Stuck(path, "fst of a non-pair value")
-            return _descend(m, a, "arg", path, EFst, _step_erased)
-        case ESnd(a):
-            if isinstance(a, EPairP):
-                return Stepped(a.right, "snd", path)
-            if is_value(a):
-                return Stuck(path, "snd of a non-pair value")
-            return _descend(m, a, "arg", path, ESnd, _step_erased)
-        case ECase(s, lx, lb, rx, rb):
-            if isinstance(s, EInl):
-                return Stepped(esubst_prop(lb, lx, s.body), "case-inl", path)
-            if isinstance(s, EInr):
-                return Stepped(esubst_prop(rb, rx, s.body), "case-inr", path)
-            if is_value(s):
-                return Stuck(path, "case subject is not an injection")
-            return _descend(m, s, "scrut", path, lambda t: ECase(t, lx, lb, rx, rb), _step_erased)
-        case ELet(a, x, subj, body):
-            if isinstance(subj, EExIntro):
-                out = esubst_prop(esubst_term(body, a, subj.witness), x, subj.body)
-                return Stepped(out, "let-ex", path)
-            if is_value(subj):
-                return Stuck(path, "let subject is not a witness pair")
-            return _descend(m, subj, "subject", path, lambda t: ELet(a, x, t, body), _step_erased)
-        case EMagic(arg):
-            if is_value(arg):
-                return Stuck(path, "magic of a value")
-            return _descend(m, arg, "arg", path, EMagic, _step_erased)
-        case EAxProp(fam, arg):
-            if isinstance(arg, EAxRep):
-                if fam == arg.family:
-                    return Stepped(arg.arg, "ax-cancel", path)
-                return Stuck(path, "mismatched elimination/introduction pair")
-            if is_value(arg):
-                return Stuck(path, "axiom elimination of a non-introduction value")
-            return _descend(m, arg, "arg", path, lambda s: EAxProp(fam, s), _step_erased)
-        case EInd():
-            return Stepped(_ind_unfold_erased(m), "ind-unfold", path)
-        case EPropVar(x):
-            return Stuck(path, f"free hypothesis {x}")
-    return Stuck(path, f"no rule for {type(m).__name__}")
-
-
-def _stepper_for(m: AnyProof) -> Callable[[AnyProof], StepResult]:
-    return step if isinstance(m, Proof) else step_erased
+def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
+    """Whether an axiom elimination meets an introduction of the same instance."""
+    if isinstance(elim, EAxProp):
+        return elim.family == intro.family
+    return (
+        axiom_id_alpha_eq(elim.ax, intro.ax)
+        and alpha_eq(elim.term, intro.term)
+        and len(elim.args) == len(intro.args)
+        and all(alpha_eq(u, v) for u, v in zip(elim.args, intro.args))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +250,10 @@ def normalize(
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    stepper = _stepper_for(m)
     tail: deque[TraceEntry] = deque(maxlen=tail_size)
     state = m
     for i in range(fuel + 1):
-        res = stepper(state)
+        res = step(state)
         match res:
             case IsValue():
                 return NormalizeOutcome("value", state, i, Trace(i, "value", tuple(tail)))
@@ -371,10 +284,9 @@ def normalize_value(m: AnyProof, fuel: int = DEFAULT_FUEL) -> tuple[AnyProof, in
 def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
     """All states of a run that must end in a value: [m, ..., value]."""
     states = [m]
-    stepper = _stepper_for(m)
     state = m
     for _ in range(fuel):
-        res = stepper(state)
+        res = step(state)
         if isinstance(res, IsValue):
             return states
         if isinstance(res, Stuck):
@@ -389,14 +301,13 @@ def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
 def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:
     """First recurrence of an alpha-equal state: (prefix length, period)."""
     seen: dict[object, int] = {}
-    stepper = _stepper_for(m)
     state = m
     for i in range(fuel + 1):
         key = canon(state)
         if key in seen:
             return seen[key], i - seen[key]
         seen[key] = i
-        res = stepper(state)
+        res = step(state)
         if not isinstance(res, Stepped):
             return None
         state = res.term

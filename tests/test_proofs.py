@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,13 @@ from izf import proof_ops, syntax
 from izf.axioms import PairAx
 from izf.proof_ops import alpha_eq_proof, erase, esubst_prop, esubst_term, subst_proof, subst_proof_term
 from izf.proofs import (
+    FO_BINDER,
+    HYP_BINDER,
+    SHAPES,
     App,
     AppT,
     AxRep,
+    Case,
     EAppT,
     EAxRep,
     ELamP,
@@ -18,8 +23,11 @@ from izf.proofs import (
     Inl,
     LamF,
     LamP,
+    Let,
     Magic,
     PairP,
+    Proof,
+    ErasedProof,
     PropVar,
     ValueTag,
     is_value,
@@ -141,3 +149,60 @@ def test_substitution_walks_its_argument_once_and_only_past_a_binder(monkeypatch
         assert calls_on(en, lambda: esubst_prop(ebody, "x", en)) == want
         assert calls_on(t, lambda: subst_proof_term(body, "a", t)) == want
         assert calls_on(t, lambda: esubst_term(ebody, "a", t)) == want
+
+
+def test_every_constructor_declares_its_binding_shape():
+    classes = [c for base in (Proof, ErasedProof) for c in base.__subclasses__()]
+    assert len(classes) == 34 and set(SHAPES) == set(classes)
+    for cls in classes:
+        shape = SHAPES[cls]
+        assert [f.name for f in shape.fields] == [f.name for f in dataclasses.fields(cls)]
+        binders = {f.name for f in shape.fields if f.kind in (HYP_BINDER, FO_BINDER)}
+        for f in shape.fields:
+            assert set(f.under) <= binders, (cls.__name__, f.name)
+
+
+A, C = Eq(Var("a"), Var("a")), Eq(Var("a1"), Var("a1"))
+_f, _g, _s = PropVar("f"), PropVar("g"), PropVar("s")
+
+
+@pytest.mark.parametrize(
+    "m, var, n, want",
+    [
+        # LamP: the fresh name avoids N's names, the body's and the substituted variable
+        (LamP("y", B, App(App(x, y), PropVar("y1"))), "x", y,
+         LamP("y2", B, App(App(y, PropVar("y2")), PropVar("y1")))),
+        (LamP("y", B, y), "y1", y, LamP("y2", B, PropVar("y2"))),
+        # LamF under a proof substitution: the hypothesis x is not avoided
+        (LamF("a", App(x, AppT(AppT(_g, Var("a")), Var("a1")))), "x", AppT(_f, Var("a")),
+         LamF("a2", App(AppT(_f, Var("a")), AppT(AppT(_g, Var("a2")), Var("a1"))))),
+        # both Case branches
+        (Case(_s, "y", B, App(x, y), "z", A, App(x, PropVar("z"))), "x", App(y, PropVar("z")),
+         Case(_s, "y1", B, App(App(y, PropVar("z")), PropVar("y1")),
+              "z1", A, App(App(y, PropVar("z")), PropVar("z1")))),
+        # both Let binders, first-order before hypothesis
+        (Let("a", "y", A, _s, App(AppT(x, Var("a")), y)), "x", AppT(y, Var("a")),
+         Let("a1", "y1", C, _s, App(AppT(AppT(y, Var("a")), Var("a1")), PropVar("y1")))),
+        # a Let binding x seals its body, but its first-order binder is still renamed
+        (Let("a", "x", A, x, AppT(x, Var("a"))), "x", AppT(_f, Var("a")),
+         Let("a1", "x", C, AppT(_f, Var("a")), AppT(x, Var("a1")))),
+    ],
+)
+def test_proof_substitution_picks_exact_fresh_names(m, var, n, want):
+    assert subst_proof(m, var, n) == want
+    assert esubst_prop(erase(m), var, erase(n)) == erase(want)
+
+
+@pytest.mark.parametrize(
+    "m, var, t, want",
+    [
+        (LamF("b", AppT(AppT(_f, Var("a")), Var("b"))), "a", Var("b"),
+         LamF("b1", AppT(AppT(_f, Var("b")), Var("b1")))),
+        (LamF("b", AppT(_f, Var("b"))), "b1", Var("b"), LamF("b2", AppT(_f, Var("b2")))),
+        (Let("b", "y", Eq(Var("b"), Var("c")), _s, AppT(y, Var("a"))), "a", Var("b"),
+         Let("b1", "y", Eq(Var("b1"), Var("c")), _s, AppT(y, Var("b")))),
+    ],
+)
+def test_term_substitution_picks_exact_fresh_names(m, var, t, want):
+    assert subst_proof_term(m, var, t) == want
+    assert esubst_term(erase(m), var, t) == erase(want)

@@ -210,6 +210,18 @@ def test_name_equality_alpha_on_labels():
     assert name_of(((v1, EMPTY_NAME),)) == name_of(((v2, EMPTY_NAME),))
 
 
+def test_name_labels_keep_distinct_name_constants_apart():
+    # two different names that both print <name:2:1>
+    p, q = _sing(identity_value()), _sing(EInl(identity_value()))
+    assert p != q and repr(p) == repr(q)
+    ep = (EExIntro(NameRef(p), identity_value()), EMPTY_NAME)
+    eq = (EExIntro(NameRef(q), identity_value()), EMPTY_NAME)
+    both = name_of((ep, eq))
+    assert len(both.entries) == 2 and len(both.labels()) == 2
+    assert both == name_of((eq, ep))
+    assert name_of((ep,)) != name_of((eq,))
+
+
 def test_names_require_value_labels():
     from izf.proofs import EApp, EPropVar
 
