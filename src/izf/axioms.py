@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    FO_BINDER,
+    FO_BINDERS,
+    FORMULA,
+    LITERAL,
     And,
     Bottom,
     Empty,
@@ -34,7 +38,9 @@ from .syntax import (
     Term,
     UnionT,
     Var,
+    _shape,
     bound_names,
+    declare,
     forall_many,
     free_vars,
     fresh_name,
@@ -149,6 +155,37 @@ class Sep0Ax(AxiomId):
     """The separation instance defining D in the nwf counterexample."""
 
     pass
+
+
+# The schema-carrying identifiers bind their bodies like the set terms do;
+# every other identifier is a constant tagged with its family name.
+declare(
+    {
+        EmptyAx: _shape("empty"),
+        PairAx: _shape("pair"),
+        InfAx: _shape("inf"),
+        UnionAx: _shape("union"),
+        PowerAx: _shape("power"),
+        SepAx: _shape(
+            "sepax", binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params")
+        ),
+        ReplAx: _shape(
+            "replax",
+            binder1=FO_BINDER,
+            binder2=FO_BINDER,
+            params=FO_BINDERS,
+            body=(FORMULA, "binder1", "binder2", "params"),
+        ),
+        InacAx: _shape("inac", index=LITERAL),
+        InAx: _shape("in"),
+        EqAx: _shape("eq"),
+        IndAx: _shape(
+            "indax", binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params")
+        ),
+        NwfAx: _shape("n"),
+        Sep0Ax: _shape("s"),
+    }
+)
 
 
 def arity(ax: AxiomId) -> int:
@@ -491,7 +528,7 @@ def axiom_statement(ax: AxiomId) -> Formula:
             return Forall(c, iff(head_formula(ax, Var(c), ()), phi_A(ax, Var(c), ())))
         case _:
             k = arity(ax)
-            avoid = _schema_names(ax)
+            avoid = free_vars(ax) | bound_names(ax)
             names = _freshes(k, avoid, ("a", "b", "f"))
             c = fresh_name("c", avoid | set(names))
             args = tuple(Var(n) for n in names)
@@ -499,16 +536,6 @@ def axiom_statement(ax: AxiomId) -> Formula:
                 names + [c],
                 iff(MemI(Var(c), term_head(ax, args)), phi_A(ax, Var(c), args)),
             )
-
-
-def _schema_names(ax: AxiomId) -> frozenset[str]:
-    match ax:
-        case SepAx(z, ps, body):
-            return frozenset({z, *ps}) | free_vars(body) | bound_names(body)
-        case ReplAx(z, y, ps, body):
-            return frozenset({z, y, *ps}) | free_vars(body) | bound_names(body)
-        case _:
-            return frozenset()
 
 
 STANDARD_FAMILIES = ("empty", "pair", "inf", "union", "power", "sep", "repl", "in", "eq", "ind")

@@ -53,6 +53,7 @@ from .syntax import (
     Var,
     free_vars,
     fresh_name,
+    map_children,
     substitute,
 )
 from .typecheck import check, infer
@@ -260,16 +261,8 @@ def _formula_term_free(phi: Formula) -> Formula:
             raise UnsupportedTermError(
                 "intensional membership over compound terms has no term-free form"
             )
-        case And(l, r):
-            return And(_formula_term_free(l), _formula_term_free(r))
-        case Or(l, r):
-            return Or(_formula_term_free(l), _formula_term_free(r))
-        case Imp(l, r):
-            return Imp(_formula_term_free(l), _formula_term_free(r))
-        case Forall(a, body):
-            return Forall(a, _formula_term_free(body))
-        case Exists(a, body):
-            return Exists(a, _formula_term_free(body))
+        case And() | Or() | Imp() | Forall() | Exists():
+            return map_children(phi, _formula_term_free)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -302,43 +295,7 @@ def _fresh_for(base: str, xs: tuple) -> str:
 def _replace_term(phi: Formula, old: Term, new: Term) -> Formula:
     """Replace every occurrence of a closed constant term inside atoms."""
 
-    def rt(u: Term) -> Term:
-        if u == old:
-            return new
-        match u:
-            case PairT(l, r):
-                return PairT(rt(l), rt(r))
-            case UnionT(v):
-                return UnionT(rt(v))
-            case PowerT(v):
-                return PowerT(rt(v))
-            case Sep(z, ps, body, carrier, args):
-                return Sep(z, ps, rf(body), rt(carrier), tuple(rt(w) for w in args))
-            case Repl(z, y, ps, body, carrier, args):
-                return Repl(z, y, ps, rf(body), rt(carrier), tuple(rt(w) for w in args))
-            case _:
-                return u
+    def rep(x: Term | Formula) -> Term | Formula:
+        return new if x == old else map_children(x, rep)
 
-    def rf(f: Formula) -> Formula:
-        match f:
-            case Bottom():
-                return f
-            case MemI(l, r):
-                return MemI(rt(l), rt(r))
-            case Mem(l, r):
-                return Mem(rt(l), rt(r))
-            case Eq(l, r):
-                return Eq(rt(l), rt(r))
-            case And(l, r):
-                return And(rf(l), rf(r))
-            case Or(l, r):
-                return Or(rf(l), rf(r))
-            case Imp(l, r):
-                return Imp(rf(l), rf(r))
-            case Forall(a, body):
-                return Forall(a, rf(body))
-            case Exists(a, body):
-                return Exists(a, rf(body))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return rf(phi)
+    return rep(phi)

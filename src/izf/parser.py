@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .axioms import (
     AxiomId,
@@ -604,30 +605,35 @@ class _Parser:
         return TheoremFile(mode, tuple(decls), tuple(directives))
 
 
+def _run(text: str, rule: Callable[[_Parser], object]):
+    """Apply one grammar rule to the whole text.
+
+    Nesting deeper than the interpreter's stack comes back as a Diagnostic
+    at the token the parser had reached.
+    """
+    p = _Parser(tokenize(text))
+    try:
+        out = rule(p)
+    except RecursionError:
+        t = p.peek()
+        raise Diagnostic(t.line, t.col, "nesting too deep") from None
+    if p.peek().kind != "eof":
+        p.fail("end of input")
+    return out
+
+
 def parse(text: str) -> TheoremFile:
     """Parse a theorem file, raising Diagnostic on bad input."""
-    return _Parser(tokenize(text)).file()
+    return _run(text, _Parser.file)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(tokenize(text))
-    out = p.formula()
-    if p.peek().kind != "eof":
-        p.fail("end of input")
-    return out
+    return _run(text, _Parser.formula)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(tokenize(text))
-    out = p.term()
-    if p.peek().kind != "eof":
-        p.fail("end of input")
-    return out
+    return _run(text, _Parser.term)
 
 
 def parse_proof(text: str) -> Proof:
-    p = _Parser(tokenize(text))
-    out = p.proof()
-    if p.peek().kind != "eof":
-        p.fail("end of input")
-    return out
+    return _run(text, _Parser.proof)

@@ -8,8 +8,11 @@ term arguments of the axiom and induction constructors, but keeps the
 first-order terms of quantifier proofs, mirroring the reduction-transparent
 erasure of the untyped calculus.
 
-``SHAPES`` declares each constructor's binding shape once; free variables
-here, and substitution and ``canon`` in ``proof_ops``, are derived from it.
+``SHAPES`` declares each constructor's binding shape once, into the table
+``syntax.SHAPES`` that also holds every term, formula and axiom identifier.
+Free variables, the nameless key ``canon`` and term substitution are the
+syntax traversals over that table; hypothesis substitution in ``proof_ops``
+is planned from ``SHAPES``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,22 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import syntax as sx
-from .axioms import AxiomId, IndAx, ReplAx, SepAx
-from .syntax import Formula, Term
+from .axioms import AxiomId, IndAx
+from .syntax import (
+    FO_BINDER,
+    FORMULA,
+    HYP,
+    HYP_BINDER,
+    LITERAL,
+    PROOF,
+    SCHEMA,
+    TERM,
+    TERMS,
+    Formula,
+    Shape,
+    Term,
+    _shape,
+)
 
 
 class Proof:
@@ -255,57 +272,14 @@ class EAxProp(ErasedProof):
 # ---------------------------------------------------------------------------
 # Binding shapes
 #
-# One declaration per constructor, annotated and erased alike: its fields in
-# dataclass order, each with a kind, and for each sub-proof or formula field
-# the binder fields whose scope covers it.  Free variables, substitution and
-# the nameless key ``canon`` are all derived from this table, so the binding
+# One declaration per constructor, annotated and erased alike, so the binding
 # structure of the calculus is written down once.  The tag names the
-# constructor inside ``canon`` keys.
-
-
-class Kind(Enum):
-    PROOF = "sub-proof"
-    TERM = "term"
-    FORMULA = "formula"
-    TERMS = "term tuple"
-    SCHEMA = "axiom schema"  # an axiom identifier; its schema binds its own body
-    LITERAL = "literal"  # copied as is
-    HYP = "hypothesis variable"  # the occurrence PropVar/EPropVar stands for
-    HYP_BINDER = "hypothesis binder"
-    FO_BINDER = "first-order binder"
-
-
-PROOF, TERM, FORMULA, TERMS, SCHEMA, LITERAL, HYP, HYP_BINDER, FO_BINDER = Kind
-
-
-@dataclass(frozen=True)
-class FieldShape:
-    name: str
-    kind: Kind
-    under: tuple[str, ...]  # binder fields whose scope covers this field, in field order
-    hyp_under: tuple[str, ...]  # the hypothesis binders among them
-    fo_under: tuple[str, ...]  # the first-order binders among them
-
-
-@dataclass(frozen=True)
-class Shape:
-    tag: str
-    fields: tuple[FieldShape, ...]
-
-
-def _shape(tag: str, **fields: Kind | tuple) -> Shape:
-    """``name=KIND`` or ``name=(KIND, binder, ...)`` for each field, in order."""
-    specs = {n: (s,) if isinstance(s, Kind) else s for n, s in fields.items()}
-    out = []
-    for name, (kind, *under) in specs.items():
-        hyp = tuple(b for b in under if specs[b][0] is HYP_BINDER)
-        fo = tuple(b for b in under if specs[b][0] is FO_BINDER)
-        out.append(FieldShape(name, kind, tuple(under), hyp, fo))
-    return Shape(tag, tuple(out))
+# constructor inside ``canon`` keys; a free hypothesis variable renders as
+# ("pf", name).
 
 
 SHAPES: dict[type, Shape] = {
-    PropVar: _shape("var", name=HYP),
+    PropVar: _shape("pf", name=HYP),
     App: _shape("app", fn=PROOF, arg=PROOF),
     LamP: _shape("lamp", var=HYP_BINDER, dom=FORMULA, body=(PROOF, "var")),
     LamF: _shape("lamf", var=FO_BINDER, body=(PROOF, "var")),
@@ -338,7 +312,7 @@ SHAPES: dict[type, Shape] = {
     Ind: _shape("ind", schema=SCHEMA, arg=PROOF, terms=TERMS),
     AxRep: _shape("axrep", ax=SCHEMA, term=TERM, args=TERMS, arg=PROOF),
     AxProp: _shape("axprop", ax=SCHEMA, term=TERM, args=TERMS, arg=PROOF),
-    EPropVar: _shape("var", name=HYP),
+    EPropVar: _shape("pf", name=HYP),
     EApp: _shape("app", fn=PROOF, arg=PROOF),
     ELamP: _shape("lamp", var=HYP_BINDER, body=(PROOF, "var")),
     ELamF: _shape("lamf", var=FO_BINDER, body=(PROOF, "var")),
@@ -363,6 +337,7 @@ SHAPES: dict[type, Shape] = {
     EAxRep: _shape("axrep", family=LITERAL, arg=PROOF),
     EAxProp: _shape("axprop", family=LITERAL, arg=PROOF),
 }
+sx.declare(SHAPES)
 
 
 # ---------------------------------------------------------------------------
@@ -416,54 +391,7 @@ def proof_free_vars(m: Proof | ErasedProof) -> tuple[frozenset[str], frozenset[s
     terms count as free occurrences; the let binder binds its first-order
     variable in both the annotation and the body.
     """
-    plan = _FV_PLANS.get(type(m))
-    if plan is None:
-        raise TypeError(f"not a proof term: {m!r}")
-    pv = fv = _NO_VARS
-    for name, kind, hyp_under, fo_under in plan:
-        v = getattr(m, name)
-        if kind is PROOF:
-            p, t = proof_free_vars(v)
-            if hyp_under:
-                p = p - {getattr(m, b) for b in hyp_under}
-            if fo_under:
-                t = t - {getattr(m, b) for b in fo_under}
-            pv, fv = pv | p, fv | t
-        elif kind is HYP:
-            pv = pv | {v}
-        elif kind is TERMS:
-            for u in v:
-                fv = fv | sx.free_vars(u)
-        elif kind is SCHEMA:
-            fv = fv | _schema_free(v)
-        else:  # a term or formula
-            t = sx.free_vars(v)
-            fv = fv | (t - {getattr(m, b) for b in fo_under} if fo_under else t)
-    return pv, fv
+    pv, fv, _ = sx._names(m)
+    return frozenset(pv), frozenset(fv)
 
 
-_NO_VARS: frozenset[str] = frozenset()
-
-# Per constructor: (field, kind, hypothesis binders over it, first-order
-# binders over it) for each field that can hold a free variable.
-_FV_PLANS = {
-    cls: tuple(
-        (f.name, f.kind, f.hyp_under, f.fo_under)
-        for f in shape.fields
-        if f.kind not in (LITERAL, HYP_BINDER, FO_BINDER)
-    )
-    for cls, shape in SHAPES.items()
-}
-
-
-def _schema_free(ax: AxiomId) -> frozenset[str]:
-    """Free variables of a schema body beyond the variables the schema binds."""
-    match ax:
-        case SepAx(z, ps, body):
-            return sx.free_vars(body) - ({z} | set(ps))
-        case ReplAx(z, y, ps, body):
-            return sx.free_vars(body) - ({z, y} | set(ps))
-        case IndAx(a, ps, body):
-            return sx.free_vars(body) - ({a} | set(ps))
-        case _:
-            return frozenset()

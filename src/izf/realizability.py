@@ -56,6 +56,7 @@ from .syntax import (
     UnionT,
     Var,
     free_vars,
+    map_children,
     succ_term,
     to_nameless,
 )
@@ -772,35 +773,12 @@ def _syntax_key(x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
 
 
 def _reject_inac(phi: Formula) -> None:
-    def bad_term(t: Term) -> bool:
-        match t:
-            case Inac():
-                return True
-            case PairT(l, r):
-                return bad_term(l) or bad_term(r)
-            case UnionT(u) | PowerT(u):
-                return bad_term(u)
-            case Sep(_, _, body, carrier, args):
-                return bad_term(carrier) or any(bad_term(u) for u in args) or bad(body)
-            case Repl(_, _, _, body, carrier, args):
-                return bad_term(carrier) or any(bad_term(u) for u in args) or bad(body)
-            case _:
-                return False
+    def check(x: Term | Formula) -> Term | Formula:
+        if isinstance(x, Inac):
+            raise UnsupportedFormulaError("inaccessible constants are outside the finite model")
+        return map_children(x, check)
 
-    def bad(f: Formula) -> bool:
-        match f:
-            case Bottom():
-                return False
-            case MemI(l, r) | Mem(l, r) | Eq(l, r):
-                return bad_term(l) or bad_term(r)
-            case And(l, r) | Or(l, r) | Imp(l, r):
-                return bad(l) or bad(r)
-            case Forall(_, body) | Exists(_, body):
-                return bad(body)
-        return False
-
-    if bad(phi):
-        raise UnsupportedFormulaError("inaccessible constants are outside the finite model")
+    check(phi)
 
 
 # ---------------------------------------------------------------------------

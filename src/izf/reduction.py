@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .proof_ops import axiom_id_alpha_eq, canon, erase, subst_proof, subst_proof_term
+from .proof_ops import canon, erase, subst_proof, subst_proof_term
 from .proofs import (
     App,
     AppT,
@@ -179,7 +179,7 @@ def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
     if isinstance(elim, EAxProp):
         return elim.family == intro.family
     return (
-        axiom_id_alpha_eq(elim.ax, intro.ax)
+        alpha_eq(elim.ax, intro.ax)
         and alpha_eq(elim.term, intro.term)
         and len(elim.args) == len(intro.args)
         and all(alpha_eq(u, v) for u, v in zip(elim.args, intro.args))
@@ -379,7 +379,7 @@ def _redex_at_root(m: AnyProof) -> bool:
         case AxProp(ax, t, args, arg):
             return (
                 isinstance(arg, AxRep)
-                and axiom_id_alpha_eq(ax, arg.ax)
+                and alpha_eq(ax, arg.ax)
                 and alpha_eq(t, arg.term)
                 and len(args) == len(arg.args)
                 and all(alpha_eq(u, v) for u, v in zip(args, arg.args))

@@ -5,16 +5,25 @@ set terms carry a schema formula together with the variables it binds.
 Three atomic relations exist and are kept distinct throughout: intensional
 membership (MemI), extensional membership (Mem) and equality (Eq).
 
-All nodes are immutable; every operation returns fresh structure.
-``to_nameless`` is the package's one binding-invariant key: ``alpha_eq``
-compares it, and the proof keys and realizability memo keys are built on it.
+All nodes are immutable; an operation returns a node unchanged when it
+has nothing to change in it.
+
+``SHAPES`` holds each constructor's binding shape, declared once: terms and
+formulas here, axiom identifiers in ``axioms`` and proof terms in
+``proofs``.  A schema body is an ordinary scope under its binders.
+``free_vars``, ``bound_names``, ``to_nameless``, ``substitute_many`` and the
+child map ``map_children`` are each one traversal read off that table; a
+sugar node has no shape, so every one of them rejects it.  ``to_nameless``
+is the package's one binding-invariant key: ``alpha_eq`` compares it, proofs
+are keyed by it, and the realizability memo keys are built on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from enum import Enum
+from typing import Callable, Iterator, Union
 
 
 class Term:
@@ -110,9 +119,10 @@ class Sep(Term):
     """Separation set term: carries its schema formula explicitly.
 
     ``binder`` is the member variable of the schema body, ``params`` the
-    parameter variables, instantiated positionally by ``args``.  All free
-    variables of ``body`` must be among ``binder`` and ``params``; unused
-    params are permitted.
+    parameter variables, instantiated positionally by ``args``.  ``body`` is
+    a scope under ``binder`` and ``params`` (a later name shadows an earlier
+    equal one); its other free variables are free variables of the term.
+    Unused params are permitted.
     """
 
     binder: str
@@ -204,8 +214,129 @@ class Exists(Formula):
 
 
 # ---------------------------------------------------------------------------
+# Binding shapes
+#
+# One declaration per constructor: its fields in dataclass order, each with a
+# kind, and for each field under a binder the binder fields whose scope covers
+# it.  The tag names the constructor inside nameless keys.
+
+
+class Kind(Enum):
+    TERM = "term"
+    FORMULA = "formula"
+    TERMS = "term tuple"
+    LITERAL = "literal"  # copied as is
+    FO_VAR = "first-order variable"  # the occurrence Var stands for
+    FO_BINDER = "first-order binder"
+    FO_BINDERS = "first-order binder tuple"
+    PROOF = "sub-proof"
+    SCHEMA = "axiom schema"  # an axiom identifier; a schema binds its own body
+    HYP = "hypothesis variable"  # the occurrence PropVar/EPropVar stands for
+    HYP_BINDER = "hypothesis binder"
+
+
+TERM, FORMULA, TERMS, LITERAL, FO_VAR, FO_BINDER, FO_BINDERS, PROOF, SCHEMA, HYP, HYP_BINDER = Kind
+
+
+@dataclass(frozen=True)
+class FieldShape:
+    name: str
+    kind: Kind
+    under: tuple[str, ...]  # binder fields whose scope covers this field, in field order
+    hyp_under: tuple[str, ...]  # the hypothesis binders among them
+    fo_under: tuple[str, ...]  # the first-order binders among them
+
+
+@dataclass(frozen=True)
+class Shape:
+    tag: str
+    fields: tuple[FieldShape, ...]
+
+
+def _shape(tag: str, **fields: Kind | tuple) -> Shape:
+    """``name=KIND`` or ``name=(KIND, binder, ...)`` for each field, in order."""
+    specs = {n: (s,) if isinstance(s, Kind) else s for n, s in fields.items()}
+    out = []
+    for name, (kind, *under) in specs.items():
+        hyp = tuple(b for b in under if specs[b][0] is HYP_BINDER)
+        fo = tuple(b for b in under if specs[b][0] in (FO_BINDER, FO_BINDERS))
+        out.append(FieldShape(name, kind, tuple(under), hyp, fo))
+    return Shape(tag, tuple(out))
+
+
+SHAPES: dict[type, Shape] = {}
+
+
+class _Plans(dict):
+    def __missing__(self, cls: type):
+        raise TypeError(f"{cls.__name__} has no binding shape (sugar must be desugared first)")
+
+
+# Per constructor: (tag, fields as (name, kind, hypothesis binders over it,
+# first-order binders over it), its first-order binders, indices of the
+# fields they cover); a binder is (field name, is a tuple).  A node's
+# first-order binders all cover the same fields.
+_PLANS: dict[type, tuple] = _Plans()
+
+
+def declare(shapes: dict[type, Shape]) -> None:
+    """Add constructors to ``SHAPES`` and plan the traversals over them."""
+    for cls, shape in shapes.items():
+        SHAPES[cls] = shape
+        many = {f.name: f.kind is FO_BINDERS for f in shape.fields}
+        pairs = lambda names: tuple((b, many[b]) for b in names)
+        fields = tuple(
+            (f.name, f.kind, pairs(f.hyp_under), pairs(f.fo_under)) for f in shape.fields
+        )
+        binders = pairs(f.name for f in shape.fields if f.kind in (FO_BINDER, FO_BINDERS))
+        scope = tuple(i for i, f in enumerate(shape.fields) if f.fo_under)
+        _PLANS[cls] = (shape.tag, fields, binders, scope)
+
+
+declare(
+    {
+        Var: _shape("free", name=FO_VAR),
+        Empty: _shape("empty"),
+        Omega: _shape("omega"),
+        Inac: _shape("inac", index=LITERAL),
+        NwfConst: _shape("nwf", name=LITERAL),
+        NameRef: _shape("nameref", payload=LITERAL),
+        PairT: _shape("pair", left=TERM, right=TERM),
+        UnionT: _shape("union", arg=TERM),
+        PowerT: _shape("power", arg=TERM),
+        Sep: _shape(
+            "sep",
+            binder=FO_BINDER,
+            params=FO_BINDERS,
+            body=(FORMULA, "binder", "params"),
+            carrier=TERM,
+            args=TERMS,
+        ),
+        Repl: _shape(
+            "repl",
+            binder1=FO_BINDER,
+            binder2=FO_BINDER,
+            params=FO_BINDERS,
+            body=(FORMULA, "binder1", "binder2", "params"),
+            carrier=TERM,
+            args=TERMS,
+        ),
+        Bottom: _shape("bot"),
+        MemI: _shape("memi", left=TERM, right=TERM),
+        Mem: _shape("mem", left=TERM, right=TERM),
+        Eq: _shape("eq", left=TERM, right=TERM),
+        And: _shape("and", left=FORMULA, right=FORMULA),
+        Or: _shape("or", left=FORMULA, right=FORMULA),
+        Imp: _shape("imp", left=FORMULA, right=FORMULA),
+        Forall: _shape("forall", binder=FO_BINDER, body=(FORMULA, "binder")),
+        Exists: _shape("exists", binder=FO_BINDER, body=(FORMULA, "binder")),
+    }
+)
+
+
+# ---------------------------------------------------------------------------
 # Sugar nodes.  These never survive into the kernel: desugar() eliminates
-# them, and the structural operations below reject them.
+# them, and having no shape, they are rejected by every traversal below.
 
 
 @dataclass(frozen=True)
@@ -258,9 +389,6 @@ class ExistsUnique(Formula):
     body: Formula
 
 
-_SUGAR = (Not, Iff, Zero, Succ, Numeral, BoundedForall, BoundedExists, ExistsUnique)
-
-
 def desugar(x: Tree) -> Tree:
     """Expand every sugar node into core syntax.
 
@@ -293,174 +421,116 @@ def desugar(x: Tree) -> Tree:
             db = desugar(body)
             b = fresh_name(a, free_vars(db) | bound_names(db) | {a})
             return Exists(a, And(db, Forall(b, Imp(substitute(db, a, Var(b)), Eq(Var(b), Var(a))))))
-        case Var() | Empty() | Omega() | Inac() | NwfConst() | NameRef():
-            return x
-        case PairT(l, r):
-            return PairT(desugar(l), desugar(r))
-        case UnionT(t):
-            return UnionT(desugar(t))
-        case PowerT(t):
-            return PowerT(desugar(t))
-        case Sep(z, ps, body, carrier, args):
-            return Sep(z, ps, desugar(body), desugar(carrier), tuple(desugar(u) for u in args))
-        case Repl(z, y, ps, body, carrier, args):
-            return Repl(z, y, ps, desugar(body), desugar(carrier), tuple(desugar(u) for u in args))
-        case Bottom():
-            return x
-        case MemI(l, r):
-            return MemI(desugar(l), desugar(r))
-        case Mem(l, r):
-            return Mem(desugar(l), desugar(r))
-        case Eq(l, r):
-            return Eq(desugar(l), desugar(r))
-        case And(l, r):
-            return And(desugar(l), desugar(r))
-        case Or(l, r):
-            return Or(desugar(l), desugar(r))
-        case Imp(l, r):
-            return Imp(desugar(l), desugar(r))
-        case Forall(a, body):
-            return Forall(a, desugar(body))
-        case Exists(a, body):
-            return Exists(a, desugar(body))
-    raise TypeError(f"not a term or formula: {x!r}")
-
-
-def _reject_sugar(x: Tree) -> None:
-    if isinstance(x, _SUGAR):
-        raise TypeError(f"sugar node reached a kernel operation: {x!r}; call desugar first")
+    return map_children(x, desugar)
 
 
 # ---------------------------------------------------------------------------
-# Free variables, the nameless key and fresh names
+# Traversals read off the shapes
+#
+# Each serves every declared node: terms, formulas, axiom identifiers and, as
+# ``proofs`` declares them, proof terms of both calculi.
+
+_CHILD = (TERM, FORMULA, SCHEMA, PROOF)
+
+
+def _binder_names(x: Tree, binders: tuple) -> tuple[str, ...]:
+    """The names bound by the given binder fields of a node, innermost last."""
+    out: tuple[str, ...] = ()
+    for name, many in binders:
+        v = getattr(x, name)
+        out += v if many else (v,)
+    return out
+
+
+def map_children(x: Tree, f: Callable[[Tree], Tree]) -> Tree:
+    """x with ``f`` applied to each child node and each term of a tuple.
+
+    ``f`` is blind to binders: variables, binder names and literals stay as
+    they are.  x itself comes back when ``f`` returns every child unchanged.
+    """
+    vals, changed = [], False
+    for name, kind, _, _ in _PLANS[type(x)][1]:
+        v = w = getattr(x, name)
+        if kind in _CHILD:
+            w = f(v)
+        elif kind is TERMS and v:
+            w = tuple(f(u) for u in v)
+        changed = changed or w is not v
+        vals.append(w)
+    return type(x)(*vals) if changed else x
 
 
 def free_vars(x: Tree) -> frozenset[str]:
     """Variables with a free occurrence; schema binders bind their bodies."""
-    _reject_sugar(x)
-    match x:
-        case Var(a):
-            return frozenset((a,))
-        case Empty() | Omega() | Inac() | NwfConst() | NameRef() | Bottom():
-            return frozenset()
-        case PairT(l, r):
-            return free_vars(l) | free_vars(r)
-        case UnionT(t) | PowerT(t):
-            return free_vars(t)
-        case Sep(z, ps, body, carrier, args):
-            inner = free_vars(body) - ({z} | set(ps))
-            return inner | free_vars(carrier) | _fv_all(args)
-        case Repl(z, y, ps, body, carrier, args):
-            inner = free_vars(body) - ({z, y} | set(ps))
-            return inner | free_vars(carrier) | _fv_all(args)
-        case MemI(l, r) | Mem(l, r) | Eq(l, r):
-            return free_vars(l) | free_vars(r)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return free_vars(l) | free_vars(r)
-        case Forall(a, body) | Exists(a, body):
-            return free_vars(body) - {a}
-    raise TypeError(f"not a term or formula: {x!r}")
-
-
-def _fv_all(xs: tuple[Term, ...]) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for t in xs:
-        out |= free_vars(t)
-    return out
-
-
-def to_nameless(x: Tree, stack: tuple[str, ...] = ()) -> tuple:
-    """Binding-invariant key: equal tuples iff alpha-equal trees.
-
-    Bound variables become de Bruijn indices into ``stack`` (innermost
-    binder last), free variables keep their names.  The tuples are hashable
-    whenever the ``NameRef`` payloads are.
-    """
-    match x:
-        case Var(a):
-            for i in range(len(stack) - 1, -1, -1):
-                if stack[i] == a:
-                    return ("bound", len(stack) - 1 - i)
-            return ("free", a)
-        case Empty():
-            return ("empty",)
-        case Omega():
-            return ("omega",)
-        case Inac(i):
-            return ("inac", i)
-        case NwfConst(n):
-            return ("nwf", n)
-        case NameRef(p):
-            return ("nameref", p)
-        case PairT(l, r):
-            return ("pair", to_nameless(l, stack), to_nameless(r, stack))
-        case UnionT(t):
-            return ("union", to_nameless(t, stack))
-        case PowerT(t):
-            return ("power", to_nameless(t, stack))
-        case Sep(z, ps, body, carrier, args):
-            return (
-                "sep",
-                len(ps),
-                to_nameless(body, stack + (z,) + ps),
-                to_nameless(carrier, stack),
-                tuple(to_nameless(u, stack) for u in args),
-            )
-        case Repl(z, y, ps, body, carrier, args):
-            return (
-                "repl",
-                len(ps),
-                to_nameless(body, stack + (z, y) + ps),
-                to_nameless(carrier, stack),
-                tuple(to_nameless(u, stack) for u in args),
-            )
-        case Bottom():
-            return ("bot",)
-        case MemI(l, r):
-            return ("memi", to_nameless(l, stack), to_nameless(r, stack))
-        case Mem(l, r):
-            return ("mem", to_nameless(l, stack), to_nameless(r, stack))
-        case Eq(l, r):
-            return ("eq", to_nameless(l, stack), to_nameless(r, stack))
-        case And(l, r):
-            return ("and", to_nameless(l, stack), to_nameless(r, stack))
-        case Or(l, r):
-            return ("or", to_nameless(l, stack), to_nameless(r, stack))
-        case Imp(l, r):
-            return ("imp", to_nameless(l, stack), to_nameless(r, stack))
-        case Forall(a, body):
-            return ("forall", to_nameless(body, stack + (a,)))
-        case Exists(a, body):
-            return ("exists", to_nameless(body, stack + (a,)))
-    raise TypeError(f"not a term or formula: {x!r}")
+    return frozenset(_names(x)[1])
 
 
 def bound_names(x: Tree) -> frozenset[str]:
-    """All binder names occurring anywhere in the tree."""
-    match x:
-        case Var() | Empty() | Omega() | Inac() | NwfConst() | NameRef() | Bottom():
-            return frozenset()
-        case PairT(l, r):
-            return bound_names(l) | bound_names(r)
-        case UnionT(t) | PowerT(t):
-            return bound_names(t)
-        case Sep(z, ps, body, carrier, args):
-            out = frozenset({z} | set(ps)) | bound_names(body) | bound_names(carrier)
-            for u in args:
-                out |= bound_names(u)
-            return out
-        case Repl(z, y, ps, body, carrier, args):
-            out = frozenset({z, y} | set(ps)) | bound_names(body) | bound_names(carrier)
-            for u in args:
-                out |= bound_names(u)
-            return out
-        case MemI(l, r) | Mem(l, r) | Eq(l, r):
-            return bound_names(l) | bound_names(r)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return bound_names(l) | bound_names(r)
-        case Forall(a, body) | Exists(a, body):
-            return frozenset((a,)) | bound_names(body)
-    raise TypeError(f"not a term or formula: {x!r}")
+    """All first-order binder names occurring anywhere in the tree."""
+    return frozenset(_names(x)[2])
+
+
+def _names(x: Tree) -> tuple[set[str], set[str], set[str]]:
+    """Free hypothesis variables, free first-order variables, first-order binders."""
+    out: tuple[set[str], set[str], set[str]] = (set(), set(), set())
+    _collect(x, (), (), out)
+    return out
+
+
+def _collect(x: Tree, hstack: tuple[str, ...], stack: tuple[str, ...], out: tuple) -> None:
+    for name, kind, hyp_under, fo_under in _PLANS[type(x)][1]:
+        v = getattr(x, name)
+        if kind in _CHILD:
+            hs = hstack + _binder_names(x, hyp_under) if hyp_under else hstack
+            fs = stack + _binder_names(x, fo_under) if fo_under else stack
+            _collect(v, hs, fs, out)
+        elif kind is FO_VAR:
+            if v not in stack:
+                out[1].add(v)
+        elif kind is HYP:
+            if v not in hstack:
+                out[0].add(v)
+        elif kind is TERMS:
+            for u in v:
+                _collect(u, hstack, stack, out)
+        elif kind is FO_BINDER:
+            out[2].add(v)
+        elif kind is FO_BINDERS:
+            out[2].update(v)
+
+
+def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = ()) -> tuple:
+    """Binding-invariant key: equal tuples iff alpha-equal trees.
+
+    A node renders as its tag and then its fields in order, a binder tuple
+    as its length and a binder not at all.  Bound variables become de
+    Bruijn indices into ``stack`` (first-order) or ``hstack`` (hypotheses),
+    innermost binder last; free variables keep their names.  The tuples are
+    hashable whenever the ``NameRef`` payloads are.
+    """
+    plan = _PLANS[type(x)]
+    out = [plan[0]]
+    for name, kind, hyp_under, fo_under in plan[1]:
+        v = getattr(x, name)
+        if kind in _CHILD:
+            fs = stack + _binder_names(x, fo_under) if fo_under else stack
+            hs = hstack + _binder_names(x, hyp_under) if hyp_under else hstack
+            out.append(to_nameless(v, fs, hs))
+        elif kind is FO_VAR:
+            if v in stack:
+                return ("bound", stack[::-1].index(v))
+            out.append(v)
+        elif kind is HYP:
+            if v in hstack:
+                return ("pb", hstack[::-1].index(v))
+            out.append(v)
+        elif kind is TERMS:
+            out.append(tuple(to_nameless(u, stack) for u in v))
+        elif kind is FO_BINDERS:
+            out.append(len(v))
+        elif kind is LITERAL:
+            out.append(v)
+    return tuple(out)
 
 
 _SUFFIX = re.compile(r"^(.*?)(\d*)$")
@@ -487,67 +557,56 @@ def substitute(x: Tree, a: str, s: Term) -> Tree:
 
 
 def substitute_many(x: Tree, env: dict[str, Term]) -> Tree:
-    """Simultaneous capture-avoiding substitution."""
-    _reject_sugar(x)
+    """Simultaneous capture-avoiding substitution.
+
+    A binder named like a substituted variable seals its scope from it.  A
+    binder free in a substituted term is renamed, innermost first (so of
+    two equal names, the one the scope's occurrences refer to), to the first
+    fresh name avoiding the substituted terms' free names, the free names of
+    its scope, the substituted variables and the node's binders.
+    """
     live = {a: s for a, s in env.items() if s != Var(a)}
-    if not live:
-        return x
-    return _subst(x, live)
+    return _subst(x, live, {}) if live else x
 
 
-def _subst(x: Tree, env: dict[str, Term]) -> Tree:
-    match x:
-        case Var(a):
-            return env.get(a, x)
-        case Empty() | Omega() | Inac() | NwfConst() | NameRef() | Bottom():
-            return x
-        case PairT(l, r):
-            return PairT(_subst(l, env), _subst(r, env))
-        case UnionT(t):
-            return UnionT(_subst(t, env))
-        case PowerT(t):
-            return PowerT(_subst(t, env))
-        case Sep(z, ps, body, carrier, args):
-            # Schema binders seal the body: substitution touches only
-            # carrier and args.
-            return Sep(z, ps, body, _subst(carrier, env), tuple(_subst(u, env) for u in args))
-        case Repl(z, y, ps, body, carrier, args):
-            return Repl(z, y, ps, body, _subst(carrier, env), tuple(_subst(u, env) for u in args))
-        case MemI(l, r):
-            return MemI(_subst(l, env), _subst(r, env))
-        case Mem(l, r):
-            return Mem(_subst(l, env), _subst(r, env))
-        case Eq(l, r):
-            return Eq(_subst(l, env), _subst(r, env))
-        case And(l, r):
-            return And(_subst(l, env), _subst(r, env))
-        case Or(l, r):
-            return Or(_subst(l, env), _subst(r, env))
-        case Imp(l, r):
-            return Imp(_subst(l, env), _subst(r, env))
-        case Forall(a, body):
-            a2, body2, env2 = _enter_binder(a, body, env)
-            return Forall(a2, _subst(body2, env2) if env2 else body2)
-        case Exists(a, body):
-            a2, body2, env2 = _enter_binder(a, body, env)
-            return Exists(a2, _subst(body2, env2) if env2 else body2)
-    raise TypeError(f"not a term or formula: {x!r}")
-
-
-def _enter_binder(
-    a: str, body: Formula, env: dict[str, Term]
-) -> tuple[str, Formula, dict[str, Term]]:
-    """Rename the binder if it would capture; drop it from the environment."""
-    env2 = {v: s for v, s in env.items() if v != a}
-    if not env2:
-        return a, body, env2
-    clashes = frozenset().union(*(free_vars(s) for s in env2.values()))
-    if a in clashes:
-        avoid = clashes | free_vars(body) | frozenset(env2)
-        a2 = fresh_name(a, avoid)
-        body = _subst(body, {a: Var(a2)})
-        return a2, body, env2
-    return a, body, env2
+def _subst(x: Tree, env: dict[str, Term], free: dict[str, frozenset[str]]) -> Tree:
+    """``free`` holds the free variables of ``env``'s terms, each computed
+    when a binder is first crossed and then kept for the whole call."""
+    _, fields, binders, scope = _PLANS[type(x)]
+    vals = [getattr(x, f[0]) for f in fields]
+    inner, changed = env, False
+    if binders:
+        names = list(_binder_names(x, binders))
+        inner = {a: s for a, s in env.items() if a not in names}
+        for a in inner.keys() - free.keys():
+            free[a] = free_vars(inner[a])
+        clashes = frozenset().union(*(free[a] for a in inner))
+        for k in range(len(names) - 1, -1, -1):
+            b = names[k]
+            if b in clashes:
+                avoid = clashes.union(inner, names, *(free_vars(vals[j]) for j in scope))
+                names[k] = fresh_name(b, avoid)
+                for j in scope:
+                    vals[j] = _subst(vals[j], {b: Var(names[k])}, {})
+                changed = True
+        if changed:
+            it = iter(names)
+            for i, (_, kind, _, _) in enumerate(fields):
+                if kind is FO_BINDER:
+                    vals[i] = next(it)
+                elif kind is FO_BINDERS:
+                    vals[i] = tuple(next(it) for _ in vals[i])
+    for j, (_, kind, _, fo_under) in enumerate(fields):
+        e = inner if fo_under else env
+        if kind in _CHILD and e:
+            v, vals[j] = vals[j], _subst(vals[j], e, free)
+            changed = changed or vals[j] is not v
+        elif kind is FO_VAR:
+            return env.get(vals[j], x)
+        elif kind is TERMS and vals[j]:
+            vals[j] = tuple(_subst(u, env, free) for u in vals[j])
+            changed = True
+    return type(x)(*vals) if changed else x
 
 
 # ---------------------------------------------------------------------------

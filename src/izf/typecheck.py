@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .axioms import (
     AxiomId,
     IndAx,
-    ReplAx,
-    SepAx,
     arity,
     head_formula,
     is_nwf_axiom,
@@ -107,18 +105,6 @@ def ctx_fo_vars(ctx: Context) -> frozenset[str]:
 
 def _err(kind: str, path: Path, msg: str, expected=None, found=None) -> TypeCheckError:
     return TypeCheckError(kind, path, msg, expected, found)
-
-
-def _schema_ok(ax: AxiomId) -> bool:
-    match ax:
-        case SepAx(z, ps, body):
-            return free_vars(body) <= ({z} | set(ps))
-        case ReplAx(z, y, ps, body):
-            return free_vars(body) <= ({z, y} | set(ps))
-        case IndAx(a, ps, body):
-            return free_vars(body) <= ({a} | set(ps))
-        case _:
-            return True
 
 
 def infer(ctx: Context, m: Proof, nwf: bool = False) -> Formula:
@@ -279,7 +265,7 @@ def _infer(ctx: Context, m: Proof, nwf: bool, path: Path) -> Formula:
         case Ind(schema, arg, ts):
             if not isinstance(schema, IndAx):
                 raise _err("AxiomShape", path, "ind carries a non-induction schema")
-            if not _schema_ok(schema):
+            if free_vars(schema):
                 raise _err("AxiomShape", path, "schema body has stray free variables")
             if len(ts) != len(schema.params):
                 raise _err("ArityMismatch", path, f"ind expects {len(schema.params)} terms, got {len(ts)}")
@@ -321,7 +307,7 @@ def _axiom_common(ax: AxiomId, args: tuple[Term, ...], nwf: bool, path: Path) ->
         raise _err("AxiomShape", path, "induction has no rep/prop form")
     if is_nwf_axiom(ax) and not nwf:
         raise _err("AxiomShape", path, "nwf axiom used outside nwf mode")
-    if not _schema_ok(ax):
+    if free_vars(ax):
         raise _err("AxiomShape", path, "schema body has stray free variables")
     if len(args) != arity(ax):
         raise _err("ArityMismatch", path, f"axiom expects {arity(ax)} argument(s), got {len(args)}")

@@ -132,6 +132,35 @@ def test_cli_check_failure_exit_code(tmp_path):
     assert "FAIL nope" in r.stdout
 
 
+def test_cli_check_substitutes_into_separation_bodies(tmp_path):
+    # Instantiating c with c1 must reach the schema body of the sep term, so
+    # the statement mentioning c1 checks and the one still mentioning c fails.
+    def thm(name, v):
+        s = f"sep[z | z in {v}](empty)"
+        t = "sep[z | z in c](empty)"
+        return (f"thm {name} : forall c1, {s} = {s} -> {s} = {s} := "
+                f"fun c1 => (fun a => fun c => fun (x : {t} = {t}) => x) @c @c1 .")
+
+    src = tmp_path / "sep.izf"
+    src.write_text(thm("w", "c") + "\n" + thm("w1", "c1"))
+    r = izf("check", str(src))
+    assert r.returncode == 1
+    assert "FAIL w:" in r.stdout and "ok w1 :" in r.stdout
+
+
+def test_nesting_too_deep_is_a_diagnostic(tmp_path):
+    deep = "(" * 3000 + "bot" + ")" * 3000
+    for parse_one, text in ((parse_formula, deep), (parse_term, "(" * 3000 + "empty" + ")" * 3000),
+                            (parse, f"thm t : {deep} -> bot := fun (x : bot) => x .")):
+        with pytest.raises(Diagnostic, match="nesting too deep"):
+            parse_one(text)
+    src = tmp_path / "deep.izf"
+    src.write_text(f"thm t : {deep} -> bot := fun (x : bot) => x .")
+    r = izf("check", str(src))
+    assert r.returncode == 1
+    assert "nesting too deep" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_usage_error_exit_code():
     r = izf("extract", "corpus/axioms.izf", "--goal", "bogus")
     assert r.returncode == 2

@@ -5,7 +5,7 @@ import pytest
 
 from gens import rand_proof, rand_term
 from izf import proof_ops, syntax
-from izf.axioms import PairAx
+from izf.axioms import PairAx, SepAx
 from izf.proof_ops import alpha_eq_proof, erase, esubst_prop, esubst_term, subst_proof, subst_proof_term
 from izf.proofs import (
     FO_BINDER,
@@ -201,6 +201,13 @@ def test_proof_substitution_picks_exact_fresh_names(m, var, n, want):
         (LamF("b", AppT(_f, Var("b"))), "b1", Var("b"), LamF("b2", AppT(_f, Var("b2")))),
         (Let("b", "y", Eq(Var("b"), Var("c")), _s, AppT(y, Var("a"))), "a", Var("b"),
          Let("b1", "y", Eq(Var("b1"), Var("c")), _s, AppT(y, Var("b")))),
+        # a schema body is a scope under its binder: rewritten, and renamed on a clash
+        (Ind(IndAx("a", (), Eq(Var("a"), Var("b"))), x, ()), "b", Empty(),
+         Ind(IndAx("a", (), Eq(Var("a"), Empty())), x, ())),
+        (Ind(IndAx("a", (), Eq(Var("a"), Var("b"))), x, ()), "b", Var("a"),
+         Ind(IndAx("a1", (), Eq(Var("a1"), Var("a"))), x, ())),
+        (AxRep(SepAx("z", (), Eq(Var("z"), Var("b"))), Var("b"), (Var("b"),), x), "b", Omega(),
+         AxRep(SepAx("z", (), Eq(Var("z"), Omega())), Omega(), (Omega(),), x)),
     ],
 )
 def test_term_substitution_picks_exact_fresh_names(m, var, t, want):

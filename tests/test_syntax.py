@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import rand_formula, rand_term
+from izf.axioms import AxiomId
 from izf.nameless import nameless_free_vars, nameless_subst, readback, to_nameless
+from izf.proofs import SHAPES as PROOF_SHAPES
 from izf.syntax import (
+    FO_BINDER,
+    FO_BINDERS,
+    SHAPES,
     And,
+    BoundedExists,
     BoundedForall,
     Bottom,
     Empty,
@@ -15,6 +22,7 @@ from izf.syntax import (
     Exists,
     ExistsUnique,
     Forall,
+    Formula,
     Iff,
     Imp,
     Mem,
@@ -23,10 +31,13 @@ from izf.syntax import (
     Numeral,
     Omega,
     PairT,
+    Repl,
     Sep,
     Succ,
+    Term,
     UnionT,
     Var,
+    Zero,
     alpha_eq,
     desugar,
     free_vars,
@@ -43,9 +54,14 @@ def test_free_vars_atoms():
 
 
 def test_free_vars_sep_binders():
-    sep = Sep("z", (), Mem(Var("z"), f), a, ())
-    # oracle: occurrence scan on the nameless representation
-    assert free_vars(sep) == nameless_free_vars(to_nameless(sep)) == {"a", "f"}
+    z, p, y = Var("z"), Var("p"), Var("y")
+    for t, want in (
+        (Sep("z", (), Mem(z, f), a, ()), {"a", "f"}),
+        (Sep("z", ("p",), And(Mem(z, p), Eq(Var("q"), c)), a, (b,)), {"q", "c", "a", "b"}),
+        (Repl("z", "y", ("p",), Eq(y, PairT(z, Var("q"))), p, (c,)), {"q", "p", "c"}),
+    ):
+        # oracle: occurrence scan on the nameless representation
+        assert free_vars(t) == nameless_free_vars(to_nameless(t)) == want
 
 
 def test_substitute_variable():
@@ -61,9 +77,37 @@ def test_substitute_capture_avoiding():
     # forall b. b in a  [a := {b, b}]  must rename the binder
     got = substitute(Forall("b", Mem(b, a)), "a", PairT(b, b))
     assert isinstance(got, Forall) and got.binder != "b"
-    # oracle: nameless substitution then readback
-    oracle = readback(nameless_subst(to_nameless(Forall("b", Mem(b, a))), "a", to_nameless(PairT(b, b))))
-    assert alpha_eq(got, oracle)
+    # a schema body is a scope as well: substitution reaches into it and
+    # renames the member variable, a parameter or an output variable
+    z, p, y = Var("z"), Var("p"), Var("y")
+    open_sep = Sep("z", (), MemI(z, Var("q")), Empty(), ())
+    assert free_vars(substitute(open_sep, "q", Omega())) == frozenset()
+    for x, v, t in (
+        (Forall("b", Mem(b, a)), "a", PairT(b, b)),
+        (open_sep, "q", Omega()),
+        (Sep("z", ("p",), And(Mem(z, p), Eq(a, z)), a, (c,)), "a", PairT(z, p)),
+        (Repl("z", "y", ("p",), Eq(y, PairT(z, a)), p, (a,)), "a", PairT(y, p)),
+        (Sep("z", ("p", "p"), Mem(p, a), a, (b, c)), "a", p),  # the later p binds
+    ):
+        got = substitute(x, v, t)
+        # oracle: nameless substitution then readback
+        oracle = readback(nameless_subst(to_nameless(x), v, to_nameless(t)))
+        assert alpha_eq(got, oracle)
+        assert free_vars(got) == nameless_free_vars(to_nameless(oracle))
+
+
+def test_every_constructor_declares_its_binding_shape():
+    sugar = {Not, Iff, Zero, Succ, Numeral, BoundedForall, BoundedExists, ExistsUnique}
+    classes = {c for base in (Term, Formula) for c in base.__subclasses__()}
+    axioms = set(AxiomId.__subclasses__())
+    assert len(classes) == 28 and sugar <= classes and len(axioms) == 13
+    assert set(SHAPES) == (classes - sugar) | axioms | set(PROOF_SHAPES)
+    for cls, shape in SHAPES.items():
+        assert [f.name for f in shape.fields] == [f.name for f in dataclasses.fields(cls)]
+        binders = [f.name for f in shape.fields if f.kind in (FO_BINDER, FO_BINDERS)]
+        for f in shape.fields:
+            # a node's first-order binders all cover the same fields
+            assert f.fo_under in ((), tuple(binders)), (cls.__name__, f.name)
 
 
 def test_alpha_eq_examples():
