@@ -450,9 +450,12 @@ class _Parser:
         return t.text not in _KEYWORDS
 
     def _axname(self, word: str):
+        """(axiom, "Rep" or "Prop") for an axiom name, else None; an
+        inaccessible axiom comes back as its index, unchecked, since
+        lookahead asks too."""
         m = _INACREP_RE.match(word)
         if m:
-            return InacAx(int(m.group(1))), m.group(2)
+            return int(m.group(1)), m.group(2)
         for base, cls in _AX_SIMPLE.items():
             for kind in ("Rep", "Prop"):
                 if word == base + kind:
@@ -545,6 +548,10 @@ class _Parser:
             elif tag == "repl":
                 binders, body = self.schema_brackets(min_binders=2)
                 axid = ReplAx(binders[0], binders[1], binders[2:], body)
+            elif isinstance(tag, int):
+                if tag < 1:
+                    raise Diagnostic(t.line, t.col, "inaccessible axiom index must be >= 1")
+                axid = InacAx(tag)
             else:
                 axid = tag
             n_terms = 1 + arity(axid)

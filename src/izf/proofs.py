@@ -10,9 +10,10 @@ erasure of the untyped calculus.
 
 ``SHAPES`` declares each constructor's binding shape once, into the table
 ``syntax.SHAPES`` that also holds every term, formula and axiom identifier.
-Free variables, the nameless key ``canon`` and term substitution are the
-syntax traversals over that table; hypothesis substitution in ``proof_ops``
-is planned from ``SHAPES``.
+Free variables, the nameless key ``canon`` and substitution in both
+namespaces are the syntax traversals over that table, and erasure in
+``proof_ops`` is read off it: an annotated constructor and its erased
+partner share a tag, and the erased one keeps the same-named fields.
 """
 
 from __future__ import annotations

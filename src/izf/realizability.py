@@ -677,7 +677,6 @@ class _Eval:
         return self._memo(key, lambda: self._reals(m, phi, rho))
 
     def _reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
-        _reject_inac(phi)
         match phi:
             case Bottom():
                 return FAILS
@@ -773,6 +772,9 @@ def _syntax_key(x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
 
 
 def _reject_inac(phi: Formula) -> None:
+    """Checked once per public query: every formula the evaluator meets,
+    separation bodies included, is a sub-tree of the query's."""
+
     def check(x: Term | Formula) -> Term | Formula:
         if isinstance(x, Inac):
             raise UnsupportedFormulaError("inaccessible constants are outside the finite model")
@@ -805,8 +807,8 @@ def reals(
     cfg: RealizCfg | None = None,
 ) -> Verdict:
     cfg = cfg if cfg is not None else default_cfg()
-    ev = _Eval(cfg)
-    return ev.reals(m, phi, dict(rho or {}))
+    _reject_inac(phi)
+    return _Eval(cfg).reals(m, phi, dict(rho or {}))
 
 
 def omega_prime_member(

@@ -13,9 +13,12 @@ formulas here, axiom identifiers in ``axioms`` and proof terms in
 ``proofs``.  A schema body is an ordinary scope under its binders.
 ``free_vars``, ``bound_names``, ``to_nameless``, ``substitute_many`` and the
 child map ``map_children`` are each one traversal read off that table; a
-sugar node has no shape, so every one of them rejects it.  ``to_nameless``
-is the package's one binding-invariant key: ``alpha_eq`` compares it, proofs
-are keyed by it, and the realizability memo keys are built on it.
+sugar node has no shape, so every one of them rejects it.  Substitution
+serves both namespaces: a term replaces a first-order variable and a proof
+a hypothesis variable, in terms, formulas and proofs of both calculi.
+``to_nameless`` is the package's one binding-invariant key: ``alpha_eq``
+compares it, proofs are keyed by it, and the realizability memo keys are
+built on it.
 """
 
 from __future__ import annotations
@@ -274,15 +277,22 @@ class _Plans(dict):
 
 # Per constructor: (tag, fields as (name, kind, hypothesis binders over it,
 # first-order binders over it), its first-order binders, indices of the
-# fields they cover); a binder is (field name, is a tuple).  A node's
-# first-order binders all cover the same fields.
+# fields they cover, its hypothesis binders as (index, indices of the fields
+# it covers), the hypothesis variable of its calculus); a binder is (field
+# name, is a tuple).  A node's first-order binders all cover the same fields;
+# each hypothesis binder has its own scope.
 _PLANS: dict[type, tuple] = _Plans()
 
 
 def declare(shapes: dict[type, Shape]) -> None:
-    """Add constructors to ``SHAPES`` and plan the traversals over them."""
+    """Add constructors to ``SHAPES`` and plan the traversals over them.
+
+    A hypothesis binder is renamed to a variable of its node's calculus: the
+    declared hypothesis-variable class that shares the node's base class.
+    """
+    SHAPES.update(shapes)
+    hyp_vars = {c.__mro__[1]: c for c, s in SHAPES.items() if s.fields and s.fields[0].kind is HYP}
     for cls, shape in shapes.items():
-        SHAPES[cls] = shape
         many = {f.name: f.kind is FO_BINDERS for f in shape.fields}
         pairs = lambda names: tuple((b, many[b]) for b in names)
         fields = tuple(
@@ -290,7 +300,13 @@ def declare(shapes: dict[type, Shape]) -> None:
         )
         binders = pairs(f.name for f in shape.fields if f.kind in (FO_BINDER, FO_BINDERS))
         scope = tuple(i for i, f in enumerate(shape.fields) if f.fo_under)
-        _PLANS[cls] = (shape.tag, fields, binders, scope)
+        hyp_binders = tuple(
+            (i, tuple(j for j, g in enumerate(shape.fields) if b.name in g.hyp_under))
+            for i, b in enumerate(shape.fields)
+            if b.kind is HYP_BINDER
+        )
+        hyp_var = hyp_vars.get(cls.__mro__[1]) if hyp_binders else None
+        _PLANS[cls] = (shape.tag, fields, binders, scope, hyp_binders, hyp_var)
 
 
 declare(
@@ -430,7 +446,8 @@ def desugar(x: Tree) -> Tree:
 # Each serves every declared node: terms, formulas, axiom identifiers and, as
 # ``proofs`` declares them, proof terms of both calculi.
 
-_CHILD = (TERM, FORMULA, SCHEMA, PROOF)
+_TREES = (TERM, FORMULA, SCHEMA)
+_CHILD = (*_TREES, PROOF)
 
 
 def _binder_names(x: Tree, binders: tuple) -> tuple[str, ...]:
@@ -551,43 +568,55 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 # Substitution
 
 
-def substitute(x: Tree, a: str, s: Term) -> Tree:
-    """Capture-avoiding substitution of the term s for the variable a."""
-    return substitute_many(x, {a: s})
+def substitute(x: Tree, a: str, s: Tree) -> Tree:
+    """Capture-avoiding substitution of s for the variable a: a term for a
+    first-order variable, a proof for a hypothesis variable."""
+    if isinstance(s, Term):
+        return _subst(x, {a: s}, {}, {}) if s != Var(a) else x
+    return _subst(x, {}, {a: s}, {})
 
 
-def substitute_many(x: Tree, env: dict[str, Term]) -> Tree:
-    """Simultaneous capture-avoiding substitution.
+def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
+    """Simultaneous capture-avoiding substitution in both namespaces.
 
-    A binder named like a substituted variable seals its scope from it.  A
-    binder free in a substituted term is renamed, innermost first (so of
-    two equal names, the one the scope's occurrences refer to), to the first
-    fresh name avoiding the substituted terms' free names, the free names of
-    its scope, the substituted variables and the node's binders.
+    Each replacement's type gives its namespace: a term replaces a
+    first-order variable and a proof a hypothesis variable.  A binder named
+    like a substituted variable of its namespace seals its scope from it.
+    A binder free in a replacement in scope is renamed to the first fresh
+    name avoiding those replacements' free names in its namespace, the free
+    names of its scope and the substituted variables of its namespace; a
+    first-order binder also avoids the node's other binders, and of two
+    equal first-order binder names the inner one (the one the scope's
+    occurrences refer to) is renamed first.
     """
-    live = {a: s for a, s in env.items() if s != Var(a)}
-    return _subst(x, live, {}) if live else x
+    fo = {a: s for a, s in env.items() if isinstance(s, Term) and s != Var(a)}
+    hyp = {a: s for a, s in env.items() if not isinstance(s, Term)}
+    return _subst(x, fo, hyp, {}) if fo or hyp else x
 
 
-def _subst(x: Tree, env: dict[str, Term], free: dict[str, frozenset[str]]) -> Tree:
-    """``free`` holds the free variables of ``env``'s terms, each computed
-    when a binder is first crossed and then kept for the whole call."""
-    _, fields, binders, scope = _PLANS[type(x)]
+def _subst(x: Tree, env: dict[str, Term], henv: dict[str, Tree], free: dict[str, tuple]) -> Tree:
+    """``env`` maps first-order variables to terms and ``henv`` hypothesis
+    variables to proofs; only sub-proofs can hold hypotheses, so the other
+    children are entered with ``env`` alone.  ``free`` holds the ``_names``
+    of each replacement, computed when a binder is first crossed and then
+    kept for the whole call."""
+    _, fields, binders, scope, hyp_binders, hyp_var = _PLANS[type(x)]
     vals = [getattr(x, f[0]) for f in fields]
-    inner, changed = env, False
+    inner, sealed, changed = env, None, False
     if binders:
         names = list(_binder_names(x, binders))
         inner = {a: s for a, s in env.items() if a not in names}
-        for a in inner.keys() - free.keys():
-            free[a] = free_vars(inner[a])
-        clashes = frozenset().union(*(free[a] for a in inner))
+        for a, s in (*inner.items(), *henv.items()):
+            if a not in free:
+                free[a] = _names(s)
+        clashes = frozenset().union(*(free[a][1] for a in (*inner, *henv)))
         for k in range(len(names) - 1, -1, -1):
             b = names[k]
             if b in clashes:
                 avoid = clashes.union(inner, names, *(free_vars(vals[j]) for j in scope))
                 names[k] = fresh_name(b, avoid)
                 for j in scope:
-                    vals[j] = _subst(vals[j], {b: Var(names[k])}, {})
+                    vals[j] = _subst(vals[j], {b: Var(names[k])}, {}, {})
                 changed = True
         if changed:
             it = iter(names)
@@ -596,16 +625,40 @@ def _subst(x: Tree, env: dict[str, Term], free: dict[str, frozenset[str]]) -> Tr
                     vals[i] = next(it)
                 elif kind is FO_BINDERS:
                     vals[i] = tuple(next(it) for _ in vals[i])
+    if hyp_binders and henv:
+        for a, s in henv.items():
+            if a not in free:
+                free[a] = _names(s)
+        clashes = frozenset().union(*(free[a][0] for a in henv))
+        for i, over in hyp_binders:
+            b = vals[i]
+            if b in henv:
+                sealed = sealed or {}
+                for j in over:
+                    sealed[j] = {a: s for a, s in sealed.get(j, henv).items() if a != b}
+            elif b in clashes:
+                avoid = clashes.union(henv, *(_names(vals[j])[0] for j in over))
+                vals[i] = fresh_name(b, avoid)
+                for j in over:
+                    vals[j] = _subst(vals[j], {}, {b: hyp_var(vals[i])}, {})
+                changed = True
     for j, (_, kind, _, fo_under) in enumerate(fields):
         e = inner if fo_under else env
-        if kind in _CHILD and e:
-            v, vals[j] = vals[j], _subst(vals[j], e, free)
+        if kind is PROOF:
+            h = henv if sealed is None else sealed.get(j, henv)
+            if e or h:
+                v, vals[j] = vals[j], _subst(vals[j], e, h, free)
+                changed = changed or vals[j] is not v
+        elif kind in _TREES and e:
+            v, vals[j] = vals[j], _subst(vals[j], e, {}, free)
             changed = changed or vals[j] is not v
         elif kind is FO_VAR:
             return env.get(vals[j], x)
-        elif kind is TERMS and vals[j]:
-            vals[j] = tuple(_subst(u, env, free) for u in vals[j])
-            changed = True
+        elif kind is HYP:
+            return henv.get(vals[j], x)
+        elif kind is TERMS and e and vals[j]:
+            v, vals[j] = vals[j], tuple(_subst(u, e, {}, free) for u in vals[j])
+            changed = changed or any(p is not q for p, q in zip(v, vals[j]))
     return type(x)(*vals) if changed else x
 
 

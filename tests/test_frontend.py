@@ -6,13 +6,26 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gens import rand_formula, rand_proof, rand_term
 from izf.corpus import corpus_files, render_corpus_file
-from izf.parser import Diagnostic, parse, parse_formula, parse_proof, parse_term
+from izf.parser import (
+    _AX_SIMPLE,
+    _KEYWORDS,
+    _SYMBOLS,
+    Diagnostic,
+    TheoremFile,
+    parse,
+    parse_formula,
+    parse_proof,
+    parse_term,
+)
 from izf.printer import print_formula, print_proof, print_term
 from izf.proof_ops import alpha_eq_proof
-from izf.syntax import Bottom, Eq, Forall, Imp, Var, alpha_eq
+from izf.proofs import Proof
+from izf.syntax import Bottom, Eq, Forall, Formula, Imp, Term, Var, alpha_eq
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -159,6 +172,39 @@ def test_nesting_too_deep_is_a_diagnostic(tmp_path):
     r = izf("check", str(src))
     assert r.returncode == 1
     assert "nesting too deep" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_parse_proof_rejects_inaccessible_axiom_index_zero():
+    for word in ("inac0Rep", "inac0Prop"):
+        with pytest.raises(Diagnostic, match="index must be >= 1") as e:
+            parse_proof(f"f {word}(empty, x)")
+        assert (e.value.line, e.value.col) == (1, 3)
+
+
+def test_cli_check_rejects_inaccessible_axiom_index_zero(tmp_path):
+    src = tmp_path / "inac0.izf"
+    src.write_text("thm t : empty = empty := inac0Rep(empty, x) .")
+    r = izf("check", str(src))
+    assert r.returncode == 1
+    assert f"{src}:1:26: inaccessible axiom index must be >= 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+_AXIOM_NAMES = [base + kind for base in (*_AX_SIMPLE, "sep", "repl", "inac0", "inac1", "inac2")
+                for kind in ("Rep", "Prop")]
+_WORDS = (*_SYMBOLS, *sorted(_KEYWORDS), *_AXIOM_NAMES, "a", "b", "x", "y", "V0", "V1", "0", "2", "17")
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from((" ", "", "\n"))), max_size=40))
+def test_parse_gives_a_file_or_a_diagnostic(words):
+    text = "".join(w + sep for w, sep in words)
+    for parse_one, kind in ((parse, TheoremFile), (parse_formula, Formula), (parse_term, Term),
+                            (parse_proof, Proof)):
+        try:
+            assert isinstance(parse_one(text), kind)
+        except Diagnostic:
+            pass
 
 
 def test_cli_usage_error_exit_code():

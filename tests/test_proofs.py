@@ -4,12 +4,16 @@ import random
 import pytest
 
 from gens import rand_proof, rand_term
-from izf import proof_ops, syntax
+from izf import syntax
 from izf.axioms import PairAx, SepAx
 from izf.proof_ops import alpha_eq_proof, erase, esubst_prop, esubst_term, subst_proof, subst_proof_term
 from izf.proofs import (
     FO_BINDER,
+    FORMULA,
     HYP_BINDER,
+    SCHEMA,
+    TERM,
+    TERMS,
     SHAPES,
     App,
     AppT,
@@ -132,9 +136,8 @@ def test_substitution_walks_its_argument_once_and_only_past_a_binder(monkeypatch
     en = erase(n)
     t = PairT(Var("c"), Omega())
     seen = []
-    for module, name in ((proof_ops, "proof_free_vars"), (syntax, "free_vars")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda v, real=real: seen.append(v) or real(v))
+    real = syntax._names
+    monkeypatch.setattr(syntax, "_names", lambda v: seen.append(v) or real(v))
 
     def calls_on(arg, run) -> int:
         seen.clear()
@@ -160,7 +163,20 @@ def test_every_constructor_declares_its_binding_shape():
         binders = {f.name for f in shape.fields if f.kind in (HYP_BINDER, FO_BINDER)}
         for f in shape.fields:
             assert set(f.under) <= binders, (cls.__name__, f.name)
-
+    # erasure: each annotated constructor has one erased partner with its tag,
+    # whose fields are its own in order, minus annotations and term data,
+    # with the family tag in place of the axiom identifier
+    erased = [c for c in classes if issubclass(c, ErasedProof)]
+    annotated = [c for c in classes if c not in erased]
+    assert sorted(SHAPES[c].tag for c in erased) == sorted(SHAPES[c].tag for c in annotated)
+    for cls in annotated:
+        partners = [e for e in erased if SHAPES[e].tag == SHAPES[cls].tag]
+        assert len(partners) == 1, cls.__name__
+        own = [(f.name, f.kind, f.under) for f in SHAPES[cls].fields]
+        kept = [("ax", SCHEMA, ()) if f.name == "family" else (f.name, f.kind, f.under)
+                for f in SHAPES[partners[0]].fields]
+        assert kept == [f for f in own if f in kept], cls.__name__
+        assert {f[1] for f in own if f not in kept} <= {FORMULA, SCHEMA, TERM, TERMS}, cls.__name__
 
 A, C = Eq(Var("a"), Var("a")), Eq(Var("a1"), Var("a1"))
 _f, _g, _s = PropVar("f"), PropVar("g"), PropVar("s")

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from izf import realizability as rz
 from izf.proof_ops import alpha_eq_proof, erase
 from izf.proofs import EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar, is_value
 from izf.realizability import (
@@ -310,3 +311,12 @@ def test_alpha_variant_separation_bodies_share_a_meaning():
     m1 = ev.meaning(s1, rho)
     assert len(m1.entries) == 1
     assert ev.meaning(s2, rho) is m1
+
+
+def test_inaccessibles_are_rejected_once_per_query(monkeypatch):
+    calls = []
+    real = rz._reject_inac
+    monkeypatch.setattr(rz, "_reject_inac", lambda phi: calls.append(phi) or real(phi))
+    symm = Forall("a", Forall("b", Imp(Eq(a, b), Eq(b, a))))
+    assert reals(mk_eqSymm(), symm, {}, SMALL).realizes
+    assert calls == [symm]
