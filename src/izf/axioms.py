@@ -538,9 +538,6 @@ def axiom_statement(ax: AxiomId) -> Formula:
             )
 
 
-STANDARD_FAMILIES = ("empty", "pair", "inf", "union", "power", "sep", "repl", "in", "eq", "ind")
-
-
 def family_name(ax: AxiomId) -> str:
     """Short tag naming the axiom family; inaccessibles keep their index."""
     match ax:

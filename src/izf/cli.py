@@ -15,20 +15,7 @@ import json
 import os
 import sys
 
-from .axioms import (
-    EmptyAx,
-    EqAx,
-    InacAx,
-    InAx,
-    IndAx,
-    InfAx,
-    PairAx,
-    PowerAx,
-    ReplAx,
-    SepAx,
-    UnionAx,
-    axiom_statement,
-)
+from .axioms import axiom_statement
 from .extraction import (
     ExtractionConfig,
     ExtractionError,
@@ -36,7 +23,7 @@ from .extraction import (
     extract_numeral,
     extract_witness,
 )
-from .parser import Diagnostic, TheoremFile, parse, parse_term, tokenize, _Parser
+from .parser import Diagnostic, TheoremFile, parse, parse_axiom, parse_term
 from .printer import print_formula, print_proof, print_term
 from .proof_ops import erase
 from .realizability import UnsupportedFormulaError, default_cfg, reals
@@ -199,38 +186,13 @@ def cmd_realize(args) -> int:
     return 1 if failed else 0
 
 
-_AXIOMS = {
-    "empty": EmptyAx(),
-    "pair": PairAx(),
-    "inf": InfAx(),
-    "union": UnionAx(),
-    "power": PowerAx(),
-    "in": InAx(),
-    "eq": EqAx(),
-}
-
-
 def _axiom_id(name: str, schema: str | None):
-    import re as _re
-
-    m = _re.match(r"^inac(\d+)$", name)
-    if m:
-        return InacAx(int(m.group(1)))
-    if name in _AXIOMS:
-        return _AXIOMS[name]
-    if name in ("sep", "repl", "ind"):
-        if schema is None:
-            print(f"izf: axiom {name} needs --schema 'BINDERS | FORMULA'", file=sys.stderr)
-            raise SystemExit(2)
-        p = _Parser(tokenize("[" + schema + "]"))
-        binders, body = p.schema_brackets(min_binders=2 if name == "repl" else 1)
-        if name == "sep":
-            return SepAx(binders[0], binders[1:], body)
-        if name == "repl":
-            return ReplAx(binders[0], binders[1], binders[2:], body)
-        return IndAx(binders[0], binders[1:], body)
-    print(f"izf: unknown axiom {name!r}", file=sys.stderr)
-    raise SystemExit(2)
+    text = name if schema is None else f"{name}[{schema}]"
+    try:
+        return parse_axiom(text)
+    except Diagnostic as d:
+        print(f"izf: bad axiom {text!r}: {d}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def cmd_axiom(args) -> int:

@@ -1,0 +1,200 @@
+"""The surface syntax, declared once.
+
+``NOTATION`` spells every printable constructor -- set terms, formulas,
+axiom identifiers and annotated proofs -- as a template: the text of the
+construct with each field written ``{field}``, in field order.  The kind of
+a field comes from ``syntax.SHAPES``, and ``{field:spec}`` adds what the kind
+leaves open:
+
+* a formula or proof operand names the precedence level it is read at; the
+  default is the weakest, as between brackets;
+* a term tuple names the token that introduces it: ``;`` for an optional
+  comma-separated list, ``,`` for exactly as many terms as the node's axiom
+  takes (``axioms.arity``);
+* an axiom identifier names the suffix glued to its word (``pairRep``); it
+  reads the identifiers its field's annotation admits.
+
+An integer field is glued to the word before it (``V3``, ``inac2``, ``17``).
+A construct with a level says where it may stand; one that ends in an open
+operand is seen from its right at that operand's level, so it is bracketed
+before anything that follows it.  ``SUGAR`` is read but never printed.
+``printer`` fills the templates in and ``parser`` reads them back.
+"""
+
+from __future__ import annotations
+
+import re
+import typing
+from string import Formatter
+
+from . import axioms as ax
+from . import proofs as pr
+from . import syntax as sx
+from .syntax import FORMULA, LITERAL, PROOF, SCHEMA, SHAPES, TERM, TERMS
+
+# Longer symbols first: the tokenizer tries them in this order.
+SYMBOLS = (":=", "<->", "->", "/\\", "\\/", "=>", "{", "}", "(", ")", "[", "]", ",", ";", ".", ":", "|", "=", "@")
+# Groups: blank or comment, identifier, integer, symbol, any other character.
+TOKEN = re.compile(
+    r"(\s+|--[^\n]*)|([A-Za-z_][A-Za-z0-9_']*)|(\d+)|("
+    + "|".join(map(re.escape, SYMBOLS))
+    + ")|(.)"
+)
+KINDS = ("ident", "int", "sym")  # the token kind of each capturing group after the first
+GROUP = "({x})"  # any term, formula or proof, bracketed
+# The words of the file format: its header and modes, theorems and directives.
+MODE, MODES, THEOREM, DIRECTIVES = "mode", ("standard", "nwf"), "thm", ("eval", "realize")
+
+# Precedence levels of each category, weakest first.
+LEVELS = {
+    "term": ("atom",),
+    "formula": ("quant", "iff", "imp", "or", "and", "atom"),
+    "axiom": ("atom",),
+    "proof": ("lam", "app", "atom"),
+}
+
+# A constant with a field is keyed by its value (nwfC).
+NOTATION: dict = {
+    sx.Var: "{name}",
+    sx.Empty: "empty",
+    sx.Omega: "omega",
+    sx.Inac: "V{index}",
+    sx.NwfConst("C"): "nwfC",
+    sx.NwfConst("D"): "nwfD",
+    sx.PairT: "{{{left}, {right}}}",
+    sx.UnionT: "union {arg}",
+    sx.PowerT: "power {arg}",
+    sx.Sep: "sep[{binder}{params} | {body}]({carrier}{args:;})",
+    sx.Repl: "repl[{binder1} {binder2}{params} | {body}]({carrier}{args:;})",
+    sx.Bottom: "bot",
+    sx.MemI: "{left} ini {right}",
+    sx.Mem: "{left} in {right}",
+    sx.Eq: "{left} = {right}",
+    sx.And: ("and", "{left:atom} /\\ {right:and}"),
+    sx.Or: ("or", "{left:and} \\/ {right:or}"),
+    sx.Imp: ("imp", "{left:or} -> {right:imp}"),
+    sx.Forall: "forall {binder}, {body}",
+    sx.Exists: "exists {binder}, {body}",
+    ax.EmptyAx: "empty",
+    ax.PairAx: "pair",
+    ax.InfAx: "inf",
+    ax.UnionAx: "union",
+    ax.PowerAx: "power",
+    ax.InAx: "in",
+    ax.EqAx: "eq",
+    ax.NwfAx: "n",
+    ax.Sep0Ax: "s",
+    ax.InacAx: "inac{index}",
+    ax.SepAx: "sep[{binder}{params} | {body}]",
+    ax.ReplAx: "repl[{binder1} {binder2}{params} | {body}]",
+    ax.IndAx: "ind[{binder}{params} | {body}]",
+    pr.PropVar: "{name}",
+    pr.LamP: ("lam", "fun ({var} : {dom}) => {body}"),
+    pr.LamF: ("lam", "fun {var} => {body}"),
+    pr.Let: ("lam", "let [{fvar}, {pvar} : {ann}] := {subject} in {body}"),
+    pr.App: ("app", "{fn:app} {arg:atom}"),
+    pr.AppT: ("app", "{fn:app} @{arg}"),
+    pr.PairP: "({left}, {right})",
+    pr.Fst: "fst({arg})",
+    pr.Snd: "snd({arg})",
+    pr.Inl: "inl({body} : {ann})",
+    pr.Inr: "inr({body} : {ann})",
+    pr.Magic: "magic({arg} : {ann})",
+    pr.ExIntro: "[{witness}, {body} : {ann}]",
+    pr.Case: "case {scrut:app} of {{ {lvar} : {lann} => {lbody} ; {rvar} : {rann} => {rbody} }}",
+    pr.Ind: "{schema}({arg}{terms:;})",
+    pr.AxRep: "{ax:Rep}({term}{args:,}, {arg})",
+    pr.AxProp: "{ax:Prop}({term}{args:,}, {arg})",
+}
+
+SUGAR: dict = {
+    sx.Numeral: "{value}",
+    sx.Succ: "S({arg})",
+    sx.Iff: ("iff", "{left:imp} <-> {right:imp}"),
+}
+_SUGAR_KINDS = {sx.Numeral: {"value": LITERAL}, sx.Succ: {"arg": TERM}, sx.Iff: {"left": FORMULA, "right": FORMULA}}
+
+# How a node is built where that is not its constructor: V0 is omega, and
+# sugar is built as the core syntax it stands for.
+_READERS = {sx.Inac: sx.v_index, sx.Numeral: sx.numeral, sx.Succ: sx.succ_term, sx.Iff: sx.iff}
+
+
+class Hole(typing.NamedTuple):
+    """A field as a template spells it."""
+
+    field: str
+    kind: sx.Kind
+    cat: str  # the category it is read in
+    arg: object  # the level read at, a tuple's leading token, or (suffix, admitted classes)
+    glued: str = ""  # the word an integer is glued to
+
+
+class Note(typing.NamedTuple):
+    """A constructor's template, compiled."""
+
+    cat: str
+    level: int
+    right: int  # the level it is seen at from its right
+    parts: tuple  # the tokens it spells (str) and its holes, in order
+    text: tuple  # the same for printing: literal text (str) and holes
+    build: typing.Callable
+
+
+def _category(cls: type) -> str:
+    for base, cat in ((sx.Term, "term"), (sx.Formula, "formula"), (ax.AxiomId, "axiom"), (pr.Proof, "proof")):
+        if issubclass(cls, base):
+            return cat
+    raise TypeError(cls)
+
+
+_HOLE_CAT = {TERM: "term", TERMS: "term", FORMULA: "formula", PROOF: "proof", SCHEMA: "axiom"}
+
+
+def _note(key, spec, build, kinds: dict) -> Note:
+    """Compile the template of a constructor (or constant) whose fields have these kinds."""
+    cls = key if isinstance(key, type) else type(key)
+    cat = _category(cls)
+    level, template = spec if isinstance(spec, tuple) else ("atom", spec)
+    level = LEVELS[cat].index(level)
+    parts, text = [], []
+    for lit, field, fspec, _ in Formatter().parse(template):
+        toks = [m.group(0) for m in TOKEN.finditer(lit) if not m.group(1)]
+        text += [lit] if lit else []
+        if field is None:
+            parts += toks
+            continue
+        kind, glued = kinds[field], ""
+        if kind is LITERAL and toks and lit[-1].isalnum():
+            glued = toks.pop()
+        parts += toks
+        hcat = _HOLE_CAT.get(kind, cat)
+        if kind in (TERM, FORMULA, PROOF):
+            arg = LEVELS[hcat].index(fspec) if fspec else 0
+        elif kind is SCHEMA:
+            hint = typing.get_type_hints(cls)[field]
+            arg = (fspec, tuple(c for c in NOTATION if isinstance(c, type) and issubclass(c, hint)))
+        else:
+            arg = fspec
+        hole = Hole(field, kind, hcat, arg, glued)
+        parts.append(hole)
+        text.append(hole)
+    if [h.field for h in parts if isinstance(h, Hole)] != list(kinds):
+        raise ValueError(f"the template of {key!r} must spell each of its fields once, in order")
+    last = text[-1]
+    right = min(level, last.arg) if isinstance(last, Hole) and last.kind in (FORMULA, PROOF) else level
+    return Note(cat, level, right, tuple(parts), tuple(text), build)
+
+
+def _constant(x):
+    return lambda: x
+
+
+NOTES: dict = {}
+for _key, _spec in NOTATION.items():
+    if isinstance(_key, type):
+        _kinds = {f.name: f.kind for f in SHAPES[_key].fields}
+        NOTES[_key] = _note(_key, _spec, _READERS.get(_key, _key), _kinds)
+    else:
+        NOTES[_key] = _note(_key, _spec, _constant(_key), {})
+for _key, _spec in SUGAR.items():
+    NOTES[_key] = _note(_key, _spec, _READERS[_key], _SUGAR_KINDS[_key])

@@ -1,82 +1,29 @@
-"""Surface syntax: tokenizer and recursive-descent parser for theorem files.
+"""Surface syntax: the tokenizer and a parser read off the notation table.
 
 The file format is a header (optional ``mode nwf .``), followed by theorem
 declarations ``thm NAME : FORMULA := PROOF .`` and ``eval``/``realize``
 directives.  Later declarations may reference earlier ones by name in proof
-position; references are inlined at parse time.  Diagnostics carry line,
-column and the token set the parser was prepared to accept.
+position; references are inlined at parse time.
+
+Terms, formulas, axiom identifiers and proofs are read by one precedence
+climbing parser over the templates of ``notation``: a template that opens
+with a token is chosen by that token, one that opens with an operand of its
+own category extends the tree read so far, and the formula relations are
+reached through the term they open with.  Reserved words -- every word a
+template spells, ``V<n>`` and the axiom words such as ``pairRep`` -- are
+never names.  Diagnostics carry line, column and the tokens the parser was
+prepared to accept.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
 
-from .axioms import (
-    AxiomId,
-    EmptyAx,
-    EqAx,
-    InacAx,
-    InAx,
-    IndAx,
-    InfAx,
-    NwfAx,
-    PairAx,
-    PowerAx,
-    ReplAx,
-    Sep0Ax,
-    SepAx,
-    UnionAx,
-    arity,
-)
-from .proofs import (
-    App,
-    AppT,
-    AxProp,
-    AxRep,
-    Case,
-    ExIntro,
-    Fst,
-    Ind,
-    Inl,
-    Inr,
-    LamF,
-    LamP,
-    Let,
-    Magic,
-    PairP,
-    Proof,
-    PropVar,
-    Snd,
-)
-from .syntax import (
-    And,
-    Bottom,
-    Empty,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Imp,
-    Inac,
-    Mem,
-    MemI,
-    NwfConst,
-    Numeral,
-    Omega,
-    Or,
-    PairT,
-    PowerT,
-    Repl,
-    Sep,
-    Term,
-    UnionT,
-    Var,
-    desugar,
-    iff,
-    succ_term,
-)
+from .axioms import AxiomId, arity
+from .notation import DIRECTIVES, GROUP, KINDS, LEVELS, MODE, MODES, NOTES, THEOREM, TOKEN, Hole, Note
+from .proofs import Proof
+from .syntax import FO_BINDERS, FORMULA, LITERAL, PROOF, SCHEMA, TERM, TERMS, Formula, Term
 
 
 @dataclass
@@ -91,74 +38,22 @@ class Diagnostic(Exception):
         return f"{self.line}:{self.col}: {self.message}{exp}"
 
 
-@dataclass(frozen=True)
-class Tok:
-    kind: str  # "ident" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+def _diagnostic(text: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> Diagnostic:
+    line = text.count("\n", 0, offset) + 1
+    return Diagnostic(line, offset - text.rfind("\n", 0, offset), message, expected)
 
 
-_SYMBOLS = [
-    ":=", "<->", "->", "/\\", "\\/", "=>",
-    "{", "}", "(", ")", "[", "]", ",", ";", ".", ":", "|", "=", "@",
-]
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<int>\d+)
-  | (?P<sym>:=|<->|->|/\\|\\/|=>|[{}()\[\],;.:|=@])
-    """,
-    re.VERBOSE,
-)
-
-
-def tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    line, bol = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise Diagnostic(line, pos - bol + 1, f"unexpected character {text[pos]!r}")
-        newlines = m.group(0).count("\n")
-        if m.lastgroup in ("ws", "comment"):
-            if newlines:
-                line += newlines
-                bol = m.start(0) + m.group(0).rindex("\n") + 1
-            pos = m.end()
-            continue
-        kind = {"ident": "ident", "int": "int", "sym": "sym"}[m.lastgroup]
-        toks.append(Tok(kind, m.group(0), line, m.start() - bol + 1))
-        pos = m.end()
-    toks.append(Tok("eof", "", line, pos - bol + 1))
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for each token, then an ``eof`` token."""
+    toks = []
+    for m in TOKEN.finditer(text):
+        group = m.lastindex
+        if group > 1:
+            if group == 5:
+                raise _diagnostic(text, m.start(), f"unexpected character {m.group()!r}")
+            toks.append((KINDS[group - 2], m.group(), m.start()))
+    toks.append(("eof", "", len(text)))
     return toks
-
-
-_V_RE = re.compile(r"^V(\d+)$")
-_INACREP_RE = re.compile(r"^inac(\d+)(Rep|Prop)$")
-
-_AX_SIMPLE = {
-    "empty": EmptyAx,
-    "pair": PairAx,
-    "inf": InfAx,
-    "union": UnionAx,
-    "power": PowerAx,
-    "in": InAx,
-    "eq": EqAx,
-    "n": NwfAx,
-    "s": Sep0Ax,
-}
-
-_KEYWORDS = {
-    "thm", "mode", "eval", "realize", "nwf", "standard",
-    "bot", "forall", "exists", "in", "ini",
-    "empty", "omega", "union", "power", "sep", "repl", "S", "nwfC", "nwfD",
-    "fun", "fst", "snd", "inl", "inr", "case", "of", "let", "magic", "ind",
-}
 
 
 @dataclass(frozen=True)
@@ -179,452 +74,273 @@ class TheoremFile:
         return self.mode == "nwf"
 
 
+# ---------------------------------------------------------------------------
+# Dispatch tables read off the notes
+
+
+def _starts(note: Note) -> list[str | re.Pattern]:
+    """The first tokens of a note: words, or patterns for a family of words."""
+    first = note.parts[0]
+    if isinstance(first, str):
+        return [first]
+    if first.kind is LITERAL:
+        return [re.compile(re.escape(first.glued) + r"(\d+)")]
+    if first.kind is SCHEMA:
+        suffix, admitted = first.arg
+        out = []
+        for cls in admitted:
+            for s in _starts(NOTES[cls]):
+                out.append(re.compile(s.pattern + suffix) if isinstance(s, re.Pattern) else s + suffix)
+        return out
+    return []
+
+
+def _same(a, b) -> bool:
+    return a == b if isinstance(a, str) or isinstance(b, str) else (a.kind, a.arg) == (b.kind, b.arg)
+
+
+class _Choice:
+    """Notes that open alike: read their common parts, then let a token decide."""
+
+    def __init__(self, notes: list[Note]):
+        k = 0
+        while all(_same(n.parts[k], notes[0].parts[k]) for n in notes):
+            k += 1
+        self.parts, self.k = notes[0].parts[:k], k
+        self.by_token = {n.parts[k]: n for n in notes if isinstance(n.parts[k], str)}
+        self.default = next((n for n in notes if isinstance(n.parts[k], Hole)), None)
+
+
+_CATS = ("term", "formula", "axiom", "proof")
+_NUD: dict[str, list[dict]] = {c: [] for c in _CATS}  # level asked for -> first token -> note or choice
+_PATTERNS: dict[str, list] = {c: [] for c in _CATS}  # (pattern for a family of first tokens, note)
+_NAME: dict[str, Note] = {}  # the note of a bare name
+_LED: dict[str, dict[str, Note]] = {c: {} for c in _CATS}  # an operand, then this token
+_JUXT: dict[str, Note] = {}  # an operand, then another
+_VIA: dict[str, _Choice] = {}  # an operand of another category, then a token
+
+_notes = list(NOTES.values())
+_OPEN, _CLOSE = GROUP.split("{x}")
+for _cat, _kind in (("term", TERM), ("formula", FORMULA), ("proof", PROOF)):
+    _top = len(LEVELS[_cat]) - 1
+    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), lambda x: x))
+_relations: dict[str, list[Note]] = {}
+for _note in _notes:
+    _first = _note.parts[0]
+    if isinstance(_first, str) or _first.kind in (LITERAL, SCHEMA):
+        continue
+    if _first.cat != _note.cat:
+        _relations.setdefault(_note.cat, []).append(_note)
+    elif _first.kind not in (TERM, FORMULA, PROOF):
+        _NAME[_note.cat] = _note
+    elif isinstance(_note.parts[1], str):
+        _LED[_note.cat][_note.parts[1]] = _note
+    else:
+        _JUXT[_note.cat] = _note
+_VIA = {c: _Choice(ns) for c, ns in _relations.items()}
+for _cat in _CATS:
+    for _need in range(len(LEVELS[_cat])):
+        _keyed: dict[str, list[Note]] = {}
+        for _note in _notes:
+            if _note.cat == _cat and _note.level >= _need:
+                for _s in _starts(_note):
+                    if isinstance(_s, str):
+                        _keyed.setdefault(_s, []).append(_note)
+                    elif _need == 0:
+                        _PATTERNS[_cat].append((_s, _note))
+        _NUD[_cat].append({k: v[0] if len(v) == 1 else _Choice(v) for k, v in _keyed.items()})
+
+# Reserved words: every word the term, formula and proof notes open with or
+# spell, and the words of the declarations; V<n>, numerals and the axiom
+# words of inaccessibles come as patterns.
+KEYWORDS = frozenset({MODE, *MODES, THEOREM, *DIRECTIVES}) | {
+    w
+    for n in _notes
+    if n.cat != "axiom"
+    for w in (*(p for p in n.parts if isinstance(p, str)), *(s for s in _starts(n) if isinstance(s, str)))
+    if w[0].isalpha()
+}
+RESERVED = re.compile("|".join(p.pattern for c in ("term", "formula", "proof") for p, _ in _PATTERNS[c]))
+
+
+def reserved(word: str) -> bool:
+    """Whether a word is spelled by the notation, and so cannot be a name."""
+    return word in KEYWORDS or RESERVED.fullmatch(word) is not None
+
+
+# ---------------------------------------------------------------------------
+# The parser
+
+
 class _Parser:
-    def __init__(self, toks: list[Tok]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
         self.table: dict[str, Proof] = {}
 
-    # -- token plumbing
-
-    def peek(self, ahead: int = 0) -> Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Tok:
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
-
-    def at_word(self, w: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == w
-
-    def eat_sym(self, s: str) -> None:
-        if not self.at_sym(s):
-            t = self.peek()
-            raise Diagnostic(t.line, t.col, f"found {t.text!r}", (repr(s),))
-        self.pos += 1
-
-    def eat_word(self, w: str) -> None:
-        if not self.at_word(w):
-            t = self.peek()
-            raise Diagnostic(t.line, t.col, f"found {t.text!r}", (w,))
-        self.pos += 1
-
-    def ident(self, what: str = "identifier") -> str:
-        t = self.peek()
-        if t.kind != "ident":
-            raise Diagnostic(t.line, t.col, f"found {t.text!r}", (what,))
-        if t.text in _KEYWORDS:
-            raise Diagnostic(t.line, t.col, f"keyword {t.text!r} cannot be a name", (what,))
-        self.pos += 1
-        return t.text
+    def error(self, message: str, expected: tuple[str, ...] = (), pos: int | None = None):
+        tok = self.toks[self.pos if pos is None else pos]
+        return _diagnostic(self.text, tok[2], message, expected)
 
     def fail(self, what: str):
-        t = self.peek()
-        raise Diagnostic(t.line, t.col, f"found {t.text or 'end of input'!r}", (what,))
+        raise self.error(f"found {self.toks[self.pos][1] or 'end of input'!r}", (what,))
 
-    # -- terms
+    def expect(self, word: str) -> None:
+        if self.toks[self.pos][1] != word:
+            self.fail(word if word[0].isalpha() else repr(word))
+        self.pos += 1
 
-    def term(self) -> Term:
-        return self.term_prefix()
+    def name(self, what: str = "name") -> str:
+        kind, text, _ = self.toks[self.pos]
+        if kind != "ident":
+            self.fail(what)
+        if reserved(text):
+            raise self.error(f"reserved word {text!r} cannot be a name", (what,))
+        self.pos += 1
+        return text
 
-    def term_prefix(self) -> Term:
-        if self.at_word("union"):
-            self.next()
-            return UnionT(self.term_prefix())
-        if self.at_word("power"):
-            self.next()
-            return PowerT(self.term_prefix())
-        if self.at_word("S"):
-            self.next()
-            self.eat_sym("(")
-            inner = self.term()
-            self.eat_sym(")")
-            return succ_term(inner)
-        return self.term_atom()
+    # -- precedence climbing
 
-    def term_atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return desugar(Numeral(int(t.text)))
-        if t.kind == "ident":
-            if t.text == "empty":
-                self.next()
-                return Empty()
-            if t.text == "omega":
-                self.next()
-                return Omega()
-            if t.text == "nwfC":
-                self.next()
-                return NwfConst("C")
-            if t.text == "nwfD":
-                self.next()
-                return NwfConst("D")
-            m = _V_RE.match(t.text)
-            if m:
-                self.next()
-                idx = int(m.group(1))
-                return Omega() if idx == 0 else Inac(idx)
-            if t.text == "sep":
-                self.next()
-                binders, body = self.schema_brackets(min_binders=1)
-                carrier, args = self.schema_term_args(len(binders) - 1)
-                return Sep(binders[0], binders[1:], body, carrier, args)
-            if t.text == "repl":
-                self.next()
-                binders, body = self.schema_brackets(min_binders=2)
-                carrier, args = self.schema_term_args(len(binders) - 2)
-                return Repl(binders[0], binders[1], binders[2:], body, carrier, args)
-            if t.text in _KEYWORDS:
-                self.fail("term")
-            self.next()
-            return Var(t.text)
-        if self.at_sym("{"):
-            self.next()
-            l = self.term()
-            self.eat_sym(",")
-            r = self.term()
-            self.eat_sym("}")
-            return PairT(l, r)
-        if self.at_sym("("):
-            self.next()
-            inner = self.term()
-            self.eat_sym(")")
-            return inner
-        self.fail("term")
+    def parse(self, cat: str, need: int = 0, suffix: str = ""):
+        """Read one tree of the category that may stand at level ``need``.
 
-    def schema_brackets(self, min_binders: int) -> tuple[tuple[str, ...], Formula]:
-        self.eat_sym("[")
-        binders = [self.ident("binder")]
-        while self.peek().kind == "ident" and not self.at_sym("|"):
-            binders.append(self.ident("binder"))
-        self.eat_sym("|")
-        body = self.formula()
-        self.eat_sym("]")
-        if len(binders) < min_binders:
-            t = self.peek()
-            raise Diagnostic(t.line, t.col, f"schema needs at least {min_binders} binder(s)")
-        return tuple(binders), body
-
-    def schema_term_args(self, n_params: int) -> tuple[Term, tuple[Term, ...]]:
-        self.eat_sym("(")
-        carrier = self.term()
-        args: list[Term] = []
-        if self.at_sym(";"):
-            self.next()
-            args.append(self.term())
-            while self.at_sym(","):
-                self.next()
-                args.append(self.term())
-        self.eat_sym(")")
-        if len(args) != n_params:
-            t = self.peek()
-            raise Diagnostic(t.line, t.col, f"schema expects {n_params} parameter term(s), got {len(args)}")
-        return carrier, tuple(args)
-
-    # -- formulas
-
-    def formula(self) -> Formula:
-        if self.at_word("forall") or self.at_word("exists"):
-            quant = self.next().text
-            binder = self.ident("bound variable")
-            self.eat_sym(",")
-            body = self.formula()
-            return Forall(binder, body) if quant == "forall" else Exists(binder, body)
-        return self.formula_iff()
-
-    def formula_iff(self) -> Formula:
-        left = self.formula_imp()
-        if self.at_sym("<->"):
-            self.next()
-            right = self.formula_imp()
-            return iff(left, right)
-        return left
-
-    def formula_imp(self) -> Formula:
-        left = self.formula_or()
-        if self.at_sym("->"):
-            self.next()
-            return Imp(left, self.formula_imp())
-        return left
-
-    def formula_or(self) -> Formula:
-        left = self.formula_and()
-        if self.at_sym("\\/"):
-            self.next()
-            return Or(left, self.formula_or())
-        return left
-
-    def formula_and(self) -> Formula:
-        left = self.formula_atom()
-        if self.at_sym("/\\"):
-            self.next()
-            return And(left, self.formula_and())
-        return left
-
-    def formula_atom(self) -> Formula:
-        if self.at_word("bot"):
-            self.next()
-            return Bottom()
-        if self.at_sym("("):
-            self.next()
-            inner = self.formula()
-            self.eat_sym(")")
-            return inner
-        if self.at_word("forall") or self.at_word("exists"):
-            return self.formula()
-        left = self.term()
-        if self.at_word("in"):
-            self.next()
-            return Mem(left, self.term())
-        if self.at_word("ini"):
-            self.next()
-            return MemI(left, self.term())
-        if self.at_sym("="):
-            self.next()
-            return Eq(left, self.term())
-        self.fail("relation symbol (in, ini, =)")
-
-    # -- proofs
-
-    def proof(self) -> Proof:
-        if self.at_word("fun"):
-            self.next()
-            if self.at_sym("("):
-                self.next()
-                x = self.ident("hypothesis name")
-                self.eat_sym(":")
-                dom = self.formula()
-                self.eat_sym(")")
-                self.eat_sym("=>")
-                return LamP(x, dom, self.proof())
-            a = self.ident("variable")
-            self.eat_sym("=>")
-            return LamF(a, self.proof())
-        if self.at_word("let"):
-            self.next()
-            self.eat_sym("[")
-            a = self.ident("witness variable")
-            self.eat_sym(",")
-            x = self.ident("hypothesis name")
-            self.eat_sym(":")
-            ann = self.formula()
-            self.eat_sym("]")
-            self.eat_sym(":=")
-            subj = self.proof()
-            self.eat_word("in")
-            body = self.proof()
-            return Let(a, x, ann, subj, body)
-        return self.proof_app()
-
-    def proof_app(self) -> Proof:
-        out = self.proof_atom()
-        while True:
-            if self.at_sym("@"):
-                self.next()
-                out = AppT(out, self.term_prefix())
-                continue
-            if self._at_proof_atom_start():
-                out = App(out, self.proof_atom())
-                continue
-            return out
-
-    def _at_proof_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind == "sym":
-            return t.text in ("(", "[")
-        if t.kind != "ident":
-            return False
-        if t.text in ("in", "of", "ini"):
-            return False
-        if t.text in ("fst", "snd", "inl", "inr", "magic", "case", "ind"):
-            return True
-        if self._axname(t.text) is not None:
-            return True
-        return t.text not in _KEYWORDS
-
-    def _axname(self, word: str):
-        """(axiom, "Rep" or "Prop") for an axiom name, else None; an
-        inaccessible axiom comes back as its index, unchecked, since
-        lookahead asks too."""
-        m = _INACREP_RE.match(word)
-        if m:
-            return int(m.group(1)), m.group(2)
-        for base, cls in _AX_SIMPLE.items():
-            for kind in ("Rep", "Prop"):
-                if word == base + kind:
-                    return cls(), kind
-        if word in ("sepRep", "sepProp"):
-            return "sep", word[3:]
-        if word in ("replRep", "replProp"):
-            return "repl", word[4:]
-        return None
-
-    def proof_atom(self) -> Proof:
-        t = self.peek()
-        if self.at_sym("("):
-            self.next()
-            first = self.proof()
-            if self.at_sym(","):
-                self.next()
-                second = self.proof()
-                self.eat_sym(")")
-                return PairP(first, second)
-            self.eat_sym(")")
-            return first
-        if self.at_sym("["):
-            self.next()
-            witness = self.term()
-            self.eat_sym(",")
-            body = self.proof()
-            self.eat_sym(":")
-            ann = self.formula()
-            self.eat_sym("]")
-            return ExIntro(witness, body, ann)
-        if t.kind != "ident":
-            self.fail("proof")
-        word = t.text
-        if word in ("fst", "snd"):
-            self.next()
-            self.eat_sym("(")
-            inner = self.proof()
-            self.eat_sym(")")
-            return Fst(inner) if word == "fst" else Snd(inner)
-        if word in ("inl", "inr", "magic"):
-            self.next()
-            self.eat_sym("(")
-            inner = self.proof()
-            self.eat_sym(":")
-            ann = self.formula()
-            self.eat_sym(")")
-            cls = {"inl": Inl, "inr": Inr, "magic": Magic}[word]
-            return cls(inner, ann)
-        if word == "case":
-            self.next()
-            scrut = self.proof_app()
-            self.eat_word("of")
-            self.eat_sym("{")
-            lx = self.ident("branch hypothesis")
-            self.eat_sym(":")
-            la = self.formula()
-            self.eat_sym("=>")
-            lb = self.proof()
-            self.eat_sym(";")
-            rx = self.ident("branch hypothesis")
-            self.eat_sym(":")
-            ra = self.formula()
-            self.eat_sym("=>")
-            rb = self.proof()
-            self.eat_sym("}")
-            return Case(scrut, lx, la, lb, rx, ra, rb)
-        if word == "ind":
-            self.next()
-            binders, body = self.schema_brackets(min_binders=1)
-            schema = IndAx(binders[0], binders[1:], body)
-            self.eat_sym("(")
-            arg = self.proof()
-            ts: list[Term] = []
-            if self.at_sym(";"):
-                self.next()
-                ts.append(self.term())
-                while self.at_sym(","):
-                    self.next()
-                    ts.append(self.term())
-            self.eat_sym(")")
-            return Ind(schema, arg, tuple(ts))
-        ax = self._axname(word)
-        if ax is not None:
-            self.next()
-            tag, kind = ax
-            if tag == "sep":
-                binders, body = self.schema_brackets(min_binders=1)
-                axid: AxiomId = SepAx(binders[0], binders[1:], body)
-            elif tag == "repl":
-                binders, body = self.schema_brackets(min_binders=2)
-                axid = ReplAx(binders[0], binders[1], binders[2:], body)
-            elif isinstance(tag, int):
-                if tag < 1:
-                    raise Diagnostic(t.line, t.col, "inaccessible axiom index must be >= 1")
-                axid = InacAx(tag)
+        With a suffix, the tree opens with a word glued to it (``pairRep``).
+        """
+        toks = self.toks
+        start = self.pos
+        kind, text, _ = toks[start]
+        word = text[: len(text) - len(suffix)]
+        note, vals = _NUD[cat][need].get(word), []
+        if note is None:
+            for p, n in _PATTERNS[cat]:
+                m = p.fullmatch(word) if n.level >= need else None
+                if m:  # an integer glued to the word, or an axiom's word glued to a suffix
+                    note, vals = n, [int(m.group(1))] if n.parts[0].kind is LITERAL else []
+                    break
+        if note is None:
+            if kind == "ident" and cat in _NAME and not reserved(text):
+                self.pos += 1
+                have = _NAME[cat].right
+                left = self.table[text] if cat == "proof" and text in self.table else _NAME[cat].build(text)
+            elif cat in _VIA:
+                note = _VIA[cat]
             else:
-                axid = tag
-            n_terms = 1 + arity(axid)
-            self.eat_sym("(")
-            terms = [self.term()]
-            for _ in range(n_terms - 1):
-                self.eat_sym(",")
-                terms.append(self.term())
-            self.eat_sym(",")
-            inner = self.proof()
-            self.eat_sym(")")
-            cls = AxRep if kind == "Rep" else AxProp
-            return cls(axid, terms[0], tuple(terms[1:]), inner)
-        name = self.ident("proof")
-        if name in self.table:
-            return self.table[name]
-        return PropVar(name)
+                self.fail(cat)
+        if note is not None:
+            parts = note.parts
+            if vals or parts[0].__class__ is str:  # the opening word is read here
+                self.pos += 1
+                parts = parts[1:]
+        leds, juxt = _LED[cat], _JUXT.get(cat)
+        while True:
+            while note is not None:
+                for part in parts:
+                    if part.__class__ is str:
+                        if toks[self.pos][1] != part:
+                            self.fail(part if part[0].isalpha() else repr(part))
+                        self.pos += 1
+                    elif part.kind is PROOF or part.kind is FORMULA or part.kind is TERM:
+                        vals.append(self.parse(part.cat, part.arg))
+                    elif part.kind is SCHEMA:
+                        vals.append(self.parse("axiom", 0, part.arg[0]))
+                    else:
+                        vals.append(self.hole(part, vals))
+                if note.__class__ is _Choice:
+                    choice, note = note, note.by_token.get(toks[self.pos][1], note.default)
+                    if note is None:
+                        raise self.error(f"found {toks[self.pos][1] or 'end of input'!r}",
+                                         tuple(map(repr, choice.by_token)))
+                    parts = note.parts[choice.k:]
+                    continue
+                try:
+                    left = note.build(*vals)
+                except ValueError as e:
+                    raise self.error(str(e), pos=start) from None
+                note, have = None, note.right
+            note = leds.get(toks[self.pos][1])
+            if note is None and juxt is not None and self.starts(cat, juxt.parts[1].arg):
+                note = juxt
+            if note is None or note.level < need or have < note.parts[0].arg:
+                return left
+            vals, parts = [left], note.parts[1:]
+
+    def starts(self, cat: str, level: int) -> bool:
+        kind, text, _ = self.toks[self.pos]
+        if text in _NUD[cat][level] or any(p.fullmatch(text) for p, _ in _PATTERNS[cat]):
+            return True
+        return kind == "ident" and cat in _NAME and not reserved(text)
+
+    def hole(self, part: Hole, vals: list):
+        """A field that is not a term, a formula, a proof or an axiom."""
+        if part.kind is FO_BINDERS:
+            names = []
+            while self.toks[self.pos][0] == "ident":
+                names.append(self.name(part.kind.value))
+            return tuple(names)
+        if part.kind is not TERMS:
+            return self.name(part.kind.value)
+        out = []
+        if part.arg == ",":  # as many as the node's axiom takes
+            for _ in range(arity(next(v for v in vals if isinstance(v, AxiomId)))):
+                self.expect(",")
+                out.append(self.parse("term"))
+        elif self.toks[self.pos][1] == part.arg:
+            self.pos += 1
+            out.append(self.parse("term"))
+            while self.toks[self.pos][1] == ",":
+                self.pos += 1
+                out.append(self.parse("term"))
+        return tuple(out)
 
     # -- declarations
 
     def file(self) -> TheoremFile:
-        mode = "standard"
-        if self.at_word("mode"):
-            self.next()
-            t = self.peek()
-            if t.kind == "ident" and t.text in ("nwf", "standard"):
-                mode = self.next().text
-            else:
-                self.fail("mode name (standard or nwf)")
-            self.eat_sym(".")
+        mode = MODES[0]
+        if self.toks[self.pos][1] == MODE:
+            self.pos += 1
+            if self.toks[self.pos][1] not in MODES:
+                self.fail(f"mode name ({' or '.join(MODES)})")
+            mode = self.toks[self.pos][1]
+            self.pos += 1
+            self.expect(".")
         decls: list[Declaration] = []
         directives: list[tuple[str, str]] = []
-        while not self.peek().kind == "eof":
-            if self.at_word("thm"):
-                self.next()
-                name = self.ident("theorem name")
+        while self.toks[self.pos][0] != "eof":
+            word = self.toks[self.pos][1]
+            if word not in (THEOREM, *DIRECTIVES):
+                self.fail(f"declaration ({THEOREM}, {', '.join(DIRECTIVES)}) or end of file")
+            self.pos += 1
+            name = self.name("theorem name")
+            if word == THEOREM:
                 if name in self.table:
-                    t = self.peek()
-                    raise Diagnostic(t.line, t.col, f"duplicate theorem name {name!r}")
-                self.eat_sym(":")
-                phi = self.formula()
-                self.eat_sym(":=")
-                prf = self.proof()
-                self.eat_sym(".")
+                    raise self.error(f"duplicate theorem name {name!r}")
+                self.expect(":")
+                phi = self.parse("formula")
+                self.expect(":=")
+                prf = self.parse("proof")
                 self.table[name] = prf
                 decls.append(Declaration(name, phi, prf))
-                continue
-            if self.at_word("eval") or self.at_word("realize"):
-                kind = self.next().text
-                name = self.ident("theorem name")
-                if name not in self.table:
-                    t = self.peek()
-                    raise Diagnostic(t.line, t.col, f"directive names unknown theorem {name!r}")
-                self.eat_sym(".")
-                directives.append((kind, name))
-                continue
-            self.fail("declaration (thm, eval, realize) or end of file")
+            elif name in self.table:
+                directives.append((word, name))
+            else:
+                raise self.error(f"directive names unknown theorem {name!r}")
+            self.expect(".")
         return TheoremFile(mode, tuple(decls), tuple(directives))
 
 
-def _run(text: str, rule: Callable[[_Parser], object]):
-    """Apply one grammar rule to the whole text.
+def _run(text: str, read):
+    """Apply one reader to the whole text.
 
     Nesting deeper than the interpreter's stack comes back as a Diagnostic
     at the token the parser had reached.
     """
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     try:
-        out = rule(p)
+        out = read(p)
     except RecursionError:
-        t = p.peek()
-        raise Diagnostic(t.line, t.col, "nesting too deep") from None
-    if p.peek().kind != "eof":
+        raise p.error("nesting too deep") from None
+    if p.toks[p.pos][0] != "eof":
         p.fail("end of input")
     return out
 
@@ -635,12 +351,17 @@ def parse(text: str) -> TheoremFile:
 
 
 def parse_formula(text: str) -> Formula:
-    return _run(text, _Parser.formula)
+    return _run(text, lambda p: p.parse("formula"))
 
 
 def parse_term(text: str) -> Term:
-    return _run(text, _Parser.term)
+    return _run(text, lambda p: p.parse("term"))
 
 
 def parse_proof(text: str) -> Proof:
-    return _run(text, _Parser.proof)
+    return _run(text, lambda p: p.parse("proof"))
+
+
+def parse_axiom(text: str) -> AxiomId:
+    """An axiom identifier as ``izf axiom`` names it: ``pair``, ``inac2``, ``sep[z a | z in a]``."""
+    return _run(text, lambda p: p.parse("axiom"))

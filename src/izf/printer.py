@@ -1,243 +1,79 @@
-"""Deterministic pretty-printer with minimal parentheses.
+"""Deterministic pretty-printer read off the notation table.
 
-Implication and the right arguments of the binary connectives associate to
-the right, application to the left, quantifiers extend as far right as
-possible.  Everything printed re-parses to an alpha-equal tree.
+A node prints as its template in ``notation`` with every field filled in.
+An operand is bracketed exactly when the level it is seen at from its right
+is below the level its position asks for, which gives the fewest brackets
+that the parser reads back to an alpha-equal tree.
 """
 
 from __future__ import annotations
 
-from .axioms import (
-    AxiomId,
-    EmptyAx,
-    EqAx,
-    InacAx,
-    InAx,
-    InfAx,
-    NwfAx,
-    PairAx,
-    PowerAx,
-    ReplAx,
-    Sep0Ax,
-    SepAx,
-    UnionAx,
-)
-from .proofs import (
-    App,
-    AppT,
-    AxProp,
-    AxRep,
-    Case,
-    ExIntro,
-    Fst,
-    Ind,
-    Inl,
-    Inr,
-    LamF,
-    LamP,
-    Let,
-    Magic,
-    PairP,
-    Proof,
-    PropVar,
-    Snd,
-)
-from .syntax import (
-    And,
-    Bottom,
-    Empty,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Imp,
-    Inac,
-    Mem,
-    MemI,
-    NwfConst,
-    Omega,
-    Or,
-    PairT,
-    PowerT,
-    Repl,
-    Sep,
-    Term,
-    Tree,
-    UnionT,
-    Var,
-)
+import re
 
-# formula precedence levels: quantifiers bind weakest
-_QUANT, _IMP, _OR, _AND, _FATOM = 0, 1, 2, 3, 4
+from .notation import GROUP, NOTATION, NOTES
+from .proofs import Proof
+from .syntax import FO_BINDERS, FORMULA, PROOF, SCHEMA, TERM, TERMS, Formula, Term, Tree
+
+_OPEN, _CLOSE = GROUP.split("{x}")
+_WORD = re.compile(r"\w*")
 
 
-def print_term(t: Term) -> str:
-    match t:
-        case Var(a):
-            return a
-        case Empty():
-            return "empty"
-        case Omega():
-            return "omega"
-        case Inac(i):
-            return f"V{i}"
-        case NwfConst(n):
-            return "nwfC" if n == "C" else "nwfD"
-        case PairT(l, r):
-            return "{" + print_term(l) + ", " + print_term(r) + "}"
-        case UnionT(u):
-            return "union " + print_term(u)
-        case PowerT(u):
-            return "power " + print_term(u)
-        case Sep(z, ps, body, carrier, args):
-            return _schema_block("sep", (z, *ps), body) + _schema_args(carrier, args)
-        case Repl(z, y, ps, body, carrier, args):
-            return _schema_block("repl", (z, y, *ps), body) + _schema_args(carrier, args)
-    raise TypeError(f"cannot print term: {t!r}")
+def _piece(h):
+    """How one field prints: (field, level, None) for a tree, read by ``_show``,
+    or (field, 0, function of the value)."""
+    if h.kind in (TERM, FORMULA, PROOF):
+        return h.field, h.arg, None
+    if h.kind is FO_BINDERS:
+        return h.field, 0, lambda v: "".join(" " + b for b in v)
+    if h.kind is TERMS:
+        return h.field, 0, lambda v: f"{h.arg} " + ", ".join(map(_show, v)) if v else ""
+    if h.kind is SCHEMA:
+        return h.field, 0, lambda v: _WORD.sub(r"\g<0>" + h.arg[0], _show(v), 1)  # pairRep
+    return h.field, 0, str  # a name or an integer
 
 
-def _schema_block(kw: str, binders: tuple[str, ...], body: Formula) -> str:
-    return kw + _schema_brackets(binders, body)
+def _show(x, need: int = 0) -> str:
+    entry = _PIECES.get(type(x)) or _PIECES.get(x)  # constants are spelled by value
+    if entry is None:
+        raise TypeError(f"cannot print: {x!r}")
+    right, pieces = entry
+    out = []
+    for p in pieces:  # a loop, not a comprehension: one frame per level of nesting
+        if p.__class__ is str:
+            out.append(p)
+        elif p[2] is None:
+            out.append(_show(getattr(x, p[0]), p[1]))
+        else:
+            out.append(p[2](getattr(x, p[0])))
+    s = "".join(out)
+    return _OPEN + s + _CLOSE if right < need else s
 
 
-def _schema_brackets(binders: tuple[str, ...], body: Formula) -> str:
-    return f"[{' '.join(binders)} | {print_formula(body)}]"
-
-
-def _schema_args(carrier: Term, args: tuple[Term, ...]) -> str:
-    inner = print_term(carrier)
-    if args:
-        inner += "; " + ", ".join(print_term(u) for u in args)
-    return f"({inner})"
-
-
-def print_formula(phi: Formula) -> str:
-    return _pf(phi, _QUANT)
-
-
-def _pf(phi: Formula, level: int) -> str:
-    match phi:
-        case Bottom():
-            return "bot"
-        case MemI(l, r):
-            return f"{print_term(l)} ini {print_term(r)}"
-        case Mem(l, r):
-            return f"{print_term(l)} in {print_term(r)}"
-        case Eq(l, r):
-            return f"{print_term(l)} = {print_term(r)}"
-        case And(l, r):
-            s = f"{_pf(l, _FATOM)} /\\ {_pf(r, _AND)}"
-            return _wrap(s, _AND, level)
-        case Or(l, r):
-            s = f"{_pf(l, _AND)} \\/ {_pf(r, _OR)}"
-            return _wrap(s, _OR, level)
-        case Imp(l, r):
-            s = f"{_pf(l, _OR)} -> {_pf(r, _IMP)}"
-            return _wrap(s, _IMP, level)
-        case Forall(a, body):
-            return _wrap(f"forall {a}, {_pf(body, _QUANT)}", _QUANT, level)
-        case Exists(a, body):
-            return _wrap(f"exists {a}, {_pf(body, _QUANT)}", _QUANT, level)
-    raise TypeError(f"cannot print formula: {phi!r}")
-
-
-def _wrap(s: str, have: int, need: int) -> str:
-    return f"({s})" if have < need else s
-
-
-# proof precedence: lambda-like forms weakest, application, then atoms
-_PLAM, _PAPP, _PATOM = 0, 1, 2
-
-
-def print_proof(m: Proof) -> str:
-    return _pp(m, _PLAM)
-
-
-def _pp(m: Proof, level: int) -> str:
-    match m:
-        case PropVar(x):
-            return x
-        case LamP(x, dom, body):
-            return _wrap(f"fun ({x} : {print_formula(dom)}) => {_pp(body, _PLAM)}", _PLAM, level)
-        case LamF(a, body):
-            return _wrap(f"fun {a} => {_pp(body, _PLAM)}", _PLAM, level)
-        case Let(a, x, ann, subj, body):
-            s = f"let [{a}, {x} : {print_formula(ann)}] := {_pp(subj, _PLAM)} in {_pp(body, _PLAM)}"
-            return _wrap(s, _PLAM, level)
-        case App(f, a):
-            return _wrap(f"{_pp(f, _PAPP)} {_pp(a, _PATOM)}", _PAPP, level)
-        case AppT(f, t):
-            return _wrap(f"{_pp(f, _PAPP)} @{_at_term(t)}", _PAPP, level)
-        case PairP(l, r):
-            return f"({_pp(l, _PLAM)}, {_pp(r, _PLAM)})"
-        case Fst(a):
-            return f"fst({_pp(a, _PLAM)})"
-        case Snd(a):
-            return f"snd({_pp(a, _PLAM)})"
-        case Inl(body, ann):
-            return f"inl({_pp(body, _PLAM)} : {print_formula(ann)})"
-        case Inr(body, ann):
-            return f"inr({_pp(body, _PLAM)} : {print_formula(ann)})"
-        case Magic(arg, ann):
-            return f"magic({_pp(arg, _PLAM)} : {print_formula(ann)})"
-        case ExIntro(t, body, ann):
-            return f"[{print_term(t)}, {_pp(body, _PLAM)} : {print_formula(ann)}]"
-        case Case(s, lx, la, lb, rx, ra, rb):
-            return (
-                f"case {_pp(s, _PAPP)} of {{ {lx} : {print_formula(la)} => {_pp(lb, _PLAM)}"
-                f" ; {rx} : {print_formula(ra)} => {_pp(rb, _PLAM)} }}"
-            )
-        case Ind(schema, arg, ts):
-            head = _schema_block("ind", (schema.binder, *schema.params), schema.body)
-            inner = _pp(arg, _PLAM)
-            if ts:
-                inner += "; " + ", ".join(print_term(u) for u in ts)
-            return f"{head}({inner})"
-        case AxRep(ax, t, args, arg):
-            return _ax_call(ax, "Rep", t, args, arg)
-        case AxProp(ax, t, args, arg):
-            return _ax_call(ax, "Prop", t, args, arg)
-    raise TypeError(f"cannot print proof: {m!r}")
-
-
-def _at_term(t: Term) -> str:
-    # argument of @: the prefix-level term grammar
-    return print_term(t)
-
-
-_AX_BASE = {
-    EmptyAx: "empty",
-    PairAx: "pair",
-    InfAx: "inf",
-    UnionAx: "union",
-    PowerAx: "power",
-    InAx: "in",
-    EqAx: "eq",
-    NwfAx: "n",
-    Sep0Ax: "s",
+_PIECES = {
+    key: (note.right, tuple(p if isinstance(p, str) else _piece(p) for p in note.text))
+    for key, note in NOTES.items()
+    if key in NOTATION
 }
 
 
-def _ax_call(ax: AxiomId, kind: str, t: Term, args: tuple[Term, ...], arg: Proof) -> str:
-    parts = [print_term(t)] + [print_term(u) for u in args] + [_pp(arg, _PLAM)]
-    inner = ", ".join(parts)
-    match ax:
-        case SepAx(z, ps, body):
-            return f"sep{kind}" + _schema_brackets((z, *ps), body) + f"({inner})"
-        case ReplAx(z, y, ps, body):
-            return f"repl{kind}" + _schema_brackets((z, y, *ps), body) + f"({inner})"
-        case InacAx(i):
-            return f"inac{i}{kind}({inner})"
-        case _:
-            return f"{_AX_BASE[type(ax)]}{kind}({inner})"
+def _print(x, base) -> str:
+    if not isinstance(x, base):
+        raise TypeError(f"cannot print: {x!r}")
+    return _show(x)
+
+
+def print_term(t: Term) -> str:
+    return _print(t, Term)
+
+
+def print_formula(phi: Formula) -> str:
+    return _print(phi, Formula)
+
+
+def print_proof(m: Proof) -> str:
+    return _print(m, Proof)
 
 
 def print_tree(x: Tree | Proof) -> str:
-    """Entry point dispatching on the three printable kinds."""
-    if isinstance(x, Term):
-        return print_term(x)
-    if isinstance(x, Formula):
-        return print_formula(x)
-    if isinstance(x, Proof):
-        return print_proof(x)
-    raise TypeError(f"cannot print: {x!r}")
+    """Print a term, a formula or a proof."""
+    return _print(x, (Term, Formula, Proof))

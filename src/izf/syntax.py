@@ -551,13 +551,19 @@ def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = 
 
 
 _SUFFIX = re.compile(r"^(.*?)(\d*)$")
+_INAC_SPELLING = re.compile(r"V\d+")  # how the notation writes Inac: never a name
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """Deterministic fresh name: smallest numeric suffix of the stem of base."""
+    """Deterministic fresh name: smallest numeric suffix of the stem of base.
+
+    The name is never spelled like an inaccessible constant: the stem ``V``
+    becomes ``V_``.
+    """
     stem = _SUFFIX.match(base).group(1) or "v"
-    if base not in avoid:
+    if base not in avoid and not _INAC_SPELLING.fullmatch(base):
         return base
+    stem = "V_" if stem == "V" else stem
     n = 1
     while f"{stem}{n}" in avoid:
         n += 1

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from gens import rand_formula, rand_proof, rand_term
 from izf.corpus import corpus_files, render_corpus_file
+from izf.notation import NOTES, SYMBOLS
 from izf.parser import (
-    _AX_SIMPLE,
-    _KEYWORDS,
-    _SYMBOLS,
+    KEYWORDS,
+    RESERVED,
     Diagnostic,
     TheoremFile,
     parse,
@@ -25,7 +25,7 @@ from izf.parser import (
 from izf.printer import print_formula, print_proof, print_term
 from izf.proof_ops import alpha_eq_proof
 from izf.proofs import Proof
-from izf.syntax import Bottom, Eq, Forall, Formula, Imp, Term, Var, alpha_eq
+from izf.syntax import Bottom, Eq, Forall, Formula, Imp, Term, Var, alpha_eq, substitute
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -190,9 +190,11 @@ def test_cli_check_rejects_inaccessible_axiom_index_zero(tmp_path):
     assert "Traceback" not in r.stderr
 
 
-_AXIOM_NAMES = [base + kind for base in (*_AX_SIMPLE, "sep", "repl", "inac0", "inac1", "inac2")
-                for kind in ("Rep", "Prop")]
-_WORDS = (*_SYMBOLS, *sorted(_KEYWORDS), *_AXIOM_NAMES, "a", "b", "x", "y", "V0", "V1", "0", "2", "17")
+# Every word and symbol the notation declares, the numbered words at a few
+# numbers, and a few names.
+_AXIOM_WORDS = {n.parts[0] for n in NOTES.values() if n.cat == "axiom" and isinstance(n.parts[0], str)}
+_NUMBERED = [alt.replace(r"(\d+)", n) for alt in RESERVED.pattern.split("|") for n in ("0", "1", "2", "17")]
+_WORDS = (*SYMBOLS, *sorted(KEYWORDS | _AXIOM_WORDS), *_NUMBERED, "a", "b", "x", "y")
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
@@ -205,6 +207,38 @@ def test_parse_gives_a_file_or_a_diagnostic(words):
             assert isinstance(parse_one(text), kind)
         except Diagnostic:
             pass
+
+
+def test_reserved_words_are_never_names():
+    for parse_one, text, col in ((parse_formula, "forall V1, V1 = V1", 8),
+                                 (parse_proof, "fun (pairRep : bot) => pairRep", 6)):
+        with pytest.raises(Diagnostic, match="cannot be a name") as e:
+            parse_one(text)
+        assert (e.value.line, e.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("parse_one, text, col", [
+    (parse_formula, "bot <-> bot <-> bot", 13),  # <-> does not associate
+    (parse_proof, "f fun x => x", 3),  # a lambda is an argument only in brackets
+])
+def test_constructs_stand_only_at_their_level(parse_one, text, col):
+    with pytest.raises(Diagnostic) as e:
+        parse_one(text)
+    assert (e.value.line, e.value.col) == (1, col)
+
+
+def test_renamed_binder_is_not_spelled_like_an_inaccessible():
+    phi = substitute(parse_formula("forall V, V = a"), "a", Var("V"))
+    assert print_formula(phi) == "forall V_1, V_1 = V"
+    assert alpha_eq(parse_formula(print_formula(phi)), phi)
+
+
+@pytest.mark.parametrize("args", [("sep", "--schema", "z | z in"), ("repl", "--schema", "z | bot"),
+                                  ("sep", "--schema", "z | bot] junk"), ("inac0",)])
+def test_cli_axiom_rejects_bad_input(args):
+    r = izf("axiom", *args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("izf: ") and "Traceback" not in r.stderr
 
 
 def test_cli_usage_error_exit_code():
