@@ -28,6 +28,7 @@ from .syntax import (
     Inac,
     Mem,
     MemI,
+    Node,
     NwfConst,
     Omega,
     Or,
@@ -65,7 +66,7 @@ class ArityError(AxiomError):
     pass
 
 
-class AxiomId:
+class AxiomId(Node):
     """Base class of axiom identifiers."""
 
     __slots__ = ()

@@ -12,16 +12,18 @@ takes the same-named fields.
 proof binders become indices like first-order ones, and an axiom identifier
 renders as its schema's key or, without a schema, its family tag.  Equal
 keys mean alpha-equal terms, so the key is the state key of cycle detection
-and the memo key of the realizability evaluator.  ``canon_key`` memoises it
-in a dict the caller owns (the evaluator keeps one per instance); this
-module holds no cache.
+and the memo key of the realizability evaluator, which looks it up as
+``canon_key``.  ``canon_key`` is ``canon`` itself and takes no memo: keys
+and free names live on the node (see ``syntax``), so keying a node again
+costs O(1), and a new node built around keyed ones is keyed without
+walking them.  This module holds no cache.
 """
 
 from __future__ import annotations
 
 from .axioms import family_name
 from .proofs import SHAPES, ErasedProof, Proof
-from .syntax import PROOF, substitute, to_nameless
+from .syntax import PROOF, alpha_eq, substitute, to_nameless
 
 
 # ---------------------------------------------------------------------------
@@ -53,40 +55,26 @@ _ERASURE = _erasure_plans()
 
 def erase(m: Proof) -> ErasedProof:
     """Strip annotations; axiom and induction terms lose their term data,
-    and an axiom identifier becomes its family tag."""
+    and an axiom identifier becomes its family tag.  One frame per nesting
+    level."""
     plan = _ERASURE.get(type(m))
     if plan is None:
         raise TypeError(f"not a proof term: {m!r}")
     cls, fields = plan
-    return cls(
-        *(
-            erase(getattr(m, name)) if kind is PROOF
-            else family_name(m.ax) if name == "family"
-            else getattr(m, name)
-            for name, kind in fields
-        )
-    )
+    vals = []
+    for name, kind in fields:
+        if kind is PROOF:
+            vals.append(erase(getattr(m, name)))
+        elif name == "family":
+            vals.append(family_name(m.ax))
+        else:
+            vals.append(getattr(m, name))
+    return cls(*vals)
 
 
 # ---------------------------------------------------------------------------
 # Canonical nameless rendering; alpha equivalence for proofs
 
 
-canon = to_nameless
-
-
-def canon_key(m: Proof | ErasedProof, memo: dict[int, tuple[object, tuple]]) -> tuple:
-    """canon through an identity-keyed memo owned by the caller.
-
-    Terms are immutable and shared, so the same object is often keyed many
-    times.  Each entry keeps its term alive, so an id is never reused while
-    the memo lives, and the memo dies with its owner.
-    """
-    hit = memo.get(id(m))
-    if hit is None:
-        hit = memo[id(m)] = (m, canon(m))
-    return hit[1]
-
-
-def alpha_eq_proof(m: Proof | ErasedProof, n: Proof | ErasedProof) -> bool:
-    return canon(m) == canon(n)
+canon = canon_key = to_nameless
+alpha_eq_proof = alpha_eq

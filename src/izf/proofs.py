@@ -40,11 +40,11 @@ from .syntax import (
 )
 
 
-class Proof:
+class Proof(sx.Node):
     __slots__ = ()
 
 
-class ErasedProof:
+class ErasedProof(sx.Node):
     __slots__ = ()
 
 
@@ -392,7 +392,7 @@ def proof_free_vars(m: Proof | ErasedProof) -> tuple[frozenset[str], frozenset[s
     terms count as free occurrences; the let binder binds its first-order
     variable in both the annotation and the body.
     """
-    pv, fv, _ = sx._names(m)
-    return frozenset(pv), frozenset(fv)
+    pv, fv, _, _, _ = sx._names(m)
+    return pv, fv
 
 

@@ -366,12 +366,11 @@ class _Eval:
         self._meaning: dict[object, LambdaName] = {}
         self._pools: dict[object, tuple] = {}
         self._running: set[object] = set()
-        self._canon: dict[int, tuple[object, tuple]] = {}
 
     # -- normalization with memo
 
     def key(self, m: ErasedProof) -> tuple:
-        return canon_key(m, self._canon)
+        return canon_key(m)
 
     def norm(self, m: ErasedProof) -> tuple[str, ErasedProof]:
         key = self.key(m)
@@ -773,14 +772,19 @@ def _syntax_key(x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
 
 def _reject_inac(phi: Formula) -> None:
     """Checked once per public query: every formula the evaluator meets,
-    separation bodies included, is a sub-tree of the query's."""
+    separation bodies included, is a sub-tree of the query's.  The walk
+    keeps its own work list, so a deep formula takes no stack."""
+    todo = [phi]
 
-    def check(x: Term | Formula) -> Term | Formula:
+    def push(x: Term | Formula) -> Term | Formula:
+        todo.append(x)
+        return x
+
+    while todo:
+        x = todo.pop()
         if isinstance(x, Inac):
             raise UnsupportedFormulaError("inaccessible constants are outside the finite model")
-        return map_children(x, check)
-
-    check(phi)
+        map_children(x, push)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@ a hypothesis variable, in terms, formulas and proofs of both calculi.
 ``to_nameless`` is the package's one binding-invariant key: ``alpha_eq``
 compares it, proofs are keyed by it, and the realizability memo keys are
 built on it.
+
+Keys and free names live on the node.  Each node computes its binding
+facts once, when a traversal first needs them, and keeps them: its free
+hypothesis names, free first-order names, first-order and hypothesis binder
+names, and its closed nameless key.  ``free_vars``, ``bound_names`` and
+``proofs.proof_free_vars`` read them; ``to_nameless`` reuses a kept key
+wherever the stacks bind none of the node's free names; substitution
+returns a subtree as is when it cannot change it.  The caches live and die
+with their nodes.
 """
 
 from __future__ import annotations
@@ -29,13 +38,26 @@ from enum import Enum
 from typing import Callable, Iterator, Union
 
 
-class Term:
+class Node:
+    """Base class of every declared node: terms, formulas, axiom identifiers
+    and proof terms.
+
+    ``_facts`` is the node's binding facts (see ``_names``), stored on the
+    node the first time a traversal needs them.  It is the one attribute a
+    node gains after construction, so the cache lives and dies with it.
+    """
+
+    __slots__ = ()
+    _facts = None
+
+
+class Term(Node):
     """Base class for set terms."""
 
     __slots__ = ()
 
 
-class Formula:
+class Formula(Node):
     """Base class for formulas."""
 
     __slots__ = ()
@@ -479,41 +501,61 @@ def map_children(x: Tree, f: Callable[[Tree], Tree]) -> Tree:
 
 def free_vars(x: Tree) -> frozenset[str]:
     """Variables with a free occurrence; schema binders bind their bodies."""
-    return frozenset(_names(x)[1])
+    return _names(x)[1]
 
 
 def bound_names(x: Tree) -> frozenset[str]:
     """All first-order binder names occurring anywhere in the tree."""
-    return frozenset(_names(x)[2])
+    return _names(x)[2]
 
 
-def _names(x: Tree) -> tuple[set[str], set[str], set[str]]:
-    """Free hypothesis variables, free first-order variables, first-order binders."""
-    out: tuple[set[str], set[str], set[str]] = (set(), set(), set())
-    _collect(x, (), (), out)
-    return out
+_NONE: frozenset[str] = frozenset()
+_CLOSED = (_NONE, _NONE, _NONE, _NONE, None)  # shared by every unkeyed node without names
 
 
-def _collect(x: Tree, hstack: tuple[str, ...], stack: tuple[str, ...], out: tuple) -> None:
+def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing an operand that already is the union."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+def _names(x: Tree) -> tuple:
+    """x's binding facts, cached on x: its free hypothesis names, free
+    first-order names, first-order binder names and hypothesis binder names,
+    then its closed nameless key or None.  Each set is built from the
+    children's, so a node shares them wherever it adds nothing."""
+    facts = x._facts
+    if facts is not None:
+        return facts
+    hfree = ffree = fbound = hbound = _NONE
     for name, kind, hyp_under, fo_under in _PLANS[type(x)][1]:
         v = getattr(x, name)
         if kind in _CHILD:
-            hs = hstack + _binder_names(x, hyp_under) if hyp_under else hstack
-            fs = stack + _binder_names(x, fo_under) if fo_under else stack
-            _collect(v, hs, fs, out)
-        elif kind is FO_VAR:
-            if v not in stack:
-                out[1].add(v)
-        elif kind is HYP:
-            if v not in hstack:
-                out[0].add(v)
+            h, f, b, hb, _ = _names(v)
+            if hyp_under and h:
+                h = h.difference(_binder_names(x, hyp_under))
+            if fo_under and f:
+                f = f.difference(_binder_names(x, fo_under))
+            hfree, ffree = _join(hfree, h), _join(ffree, f)
+            fbound, hbound = _join(fbound, b), _join(hbound, hb)
         elif kind is TERMS:
             for u in v:
-                _collect(u, hstack, stack, out)
+                _, f, b, _, _ = _names(u)
+                ffree, fbound = _join(ffree, f), _join(fbound, b)
+        elif kind is FO_VAR:
+            ffree = frozenset((v,))
+        elif kind is HYP:
+            hfree = frozenset((v,))
         elif kind is FO_BINDER:
-            out[2].add(v)
+            fbound = _join(fbound, frozenset((v,)))
         elif kind is FO_BINDERS:
-            out[2].update(v)
+            fbound = _join(fbound, frozenset(v))
+        elif kind is HYP_BINDER:
+            hbound = _join(hbound, frozenset((v,)))
+    facts = (hfree, ffree, fbound, hbound, None) if hfree or ffree or fbound or hbound else _CLOSED
+    object.__setattr__(x, "_facts", facts)
+    return facts
 
 
 def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = ()) -> tuple:
@@ -524,7 +566,27 @@ def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = 
     Bruijn indices into ``stack`` (first-order) or ``hstack`` (hypotheses),
     innermost binder last; free variables keep their names.  The tuples are
     hashable whenever the ``NameRef`` payloads are.
+
+    A node's key does not depend on stacks that bind none of its free
+    names: it is then the node's closed key.  x and every node under it
+    whose key is closed keep that key, and a kept key serves under any such
+    stacks, so keying a tree again, or a new tree built around keyed
+    subtrees, walks only what is new.
     """
+    return _nameless(x, stack, hstack, True)
+
+
+def _nameless(x: Tree, stack: tuple[str, ...], hstack: tuple[str, ...], keep: bool) -> tuple:
+    """``to_nameless``; with ``keep``, each node whose key does not depend on
+    the stacks keeps it.  One frame per level."""
+    facts = x._facts
+    if (
+        facts is not None
+        and facts[4] is not None
+        and facts[1].isdisjoint(stack)
+        and facts[0].isdisjoint(hstack)
+    ):
+        return facts[4]
     plan = _PLANS[type(x)]
     out = [plan[0]]
     for name, kind, hyp_under, fo_under in plan[1]:
@@ -532,7 +594,7 @@ def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = 
         if kind in _CHILD:
             fs = stack + _binder_names(x, fo_under) if fo_under else stack
             hs = hstack + _binder_names(x, hyp_under) if hyp_under else hstack
-            out.append(to_nameless(v, fs, hs))
+            out.append(_nameless(v, fs, hs, keep))
         elif kind is FO_VAR:
             if v in stack:
                 return ("bound", stack[::-1].index(v))
@@ -542,12 +604,17 @@ def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = 
                 return ("pb", hstack[::-1].index(v))
             out.append(v)
         elif kind is TERMS:
-            out.append(tuple(to_nameless(u, stack) for u in v))
+            out.append(tuple(_nameless(u, stack, (), keep) for u in v))
         elif kind is FO_BINDERS:
             out.append(len(v))
         elif kind is LITERAL:
             out.append(v)
-    return tuple(out)
+    key = tuple(out)
+    if keep:
+        facts = _names(x)
+        if facts[1].isdisjoint(stack) and facts[0].isdisjoint(hstack):
+            object.__setattr__(x, "_facts", facts[:4] + (key,))
+    return key
 
 
 _SUFFIX = re.compile(r"^(.*?)(\d*)$")
@@ -600,22 +667,40 @@ def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
     return _subst(x, fo, hyp, {}) if fo or hyp else x
 
 
+def _known(free: dict[str, tuple], *envs: dict[str, Tree]) -> list[tuple]:
+    """The ``_names`` of each replacement in ``envs``, kept in ``free``."""
+    for env in envs:
+        for a, s in env.items():
+            if a not in free:
+                free[a] = _names(s)
+    return [free[a] for env in envs for a in env]
+
+
 def _subst(x: Tree, env: dict[str, Term], henv: dict[str, Tree], free: dict[str, tuple]) -> Tree:
     """``env`` maps first-order variables to terms and ``henv`` hypothesis
     variables to proofs; only sub-proofs can hold hypotheses, so the other
     children are entered with ``env`` alone.  ``free`` holds the ``_names``
-    of each replacement, computed when a binder is first crossed and then
-    kept for the whole call."""
+    of each replacement, looked up when first needed and then kept for the
+    whole call.
+
+    x comes back as is when no substituted variable is free in it and none
+    of its binders is named like a free name of a replacement, as no binder
+    in it can then be renamed."""
+    hfree, ffree, fbound, hbound, _ = x._facts or _names(x)
+    if (
+        ffree.isdisjoint(env)
+        and hfree.isdisjoint(henv)
+        and not (fbound and any(not fbound.isdisjoint(f[1]) for f in _known(free, env, henv)))
+        and not (hbound and any(not hbound.isdisjoint(f[0]) for f in _known(free, henv)))
+    ):
+        return x
     _, fields, binders, scope, hyp_binders, hyp_var = _PLANS[type(x)]
     vals = [getattr(x, f[0]) for f in fields]
     inner, sealed, changed = env, None, False
     if binders:
         names = list(_binder_names(x, binders))
         inner = {a: s for a, s in env.items() if a not in names}
-        for a, s in (*inner.items(), *henv.items()):
-            if a not in free:
-                free[a] = _names(s)
-        clashes = frozenset().union(*(free[a][1] for a in (*inner, *henv)))
+        clashes = frozenset().union(*(f[1] for f in _known(free, inner, henv)))
         for k in range(len(names) - 1, -1, -1):
             b = names[k]
             if b in clashes:
@@ -632,10 +717,7 @@ def _subst(x: Tree, env: dict[str, Term], henv: dict[str, Tree], free: dict[str,
                 elif kind is FO_BINDERS:
                     vals[i] = tuple(next(it) for _ in vals[i])
     if hyp_binders and henv:
-        for a, s in henv.items():
-            if a not in free:
-                free[a] = _names(s)
-        clashes = frozenset().union(*(free[a][0] for a in henv))
+        clashes = frozenset().union(*(f[0] for f in _known(free, henv)))
         for i, over in hyp_binders:
             b = vals[i]
             if b in henv:
@@ -673,8 +755,12 @@ def _subst(x: Tree, env: dict[str, Term], henv: dict[str, Tree], free: dict[str,
 
 
 def alpha_eq(x: Tree, y: Tree) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    return x is y or to_nameless(x) == to_nameless(y)
+    """Equality up to consistent renaming of bound variables.
+
+    Kept keys are read but the keys compared are not kept: keeping them
+    means building the binding facts of every compared node, which costs
+    type checking more than the repeated comparisons save."""
+    return x is y or _nameless(x, (), (), False) == _nameless(y, (), (), False)
 
 
 # ---------------------------------------------------------------------------

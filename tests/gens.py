@@ -54,6 +54,12 @@ _VARS = ("a", "b", "c", "d", "e")
 _PVARS = ("x", "y", "z")
 
 
+def _with(names: tuple[str, ...], name: str) -> tuple[str, ...]:
+    """names plus name, in order and without repeats: a set here would make
+    the draws depend on PYTHONHASHSEED."""
+    return names if name in names else (*names, name)
+
+
 def rand_term(rng: random.Random, depth: int = 3, fvars: tuple[str, ...] = _VARS):
     if depth <= 0 or rng.random() < 0.35:
         return rng.choice(
@@ -87,7 +93,7 @@ def rand_formula(rng: random.Random, depth: int = 3, fvars: tuple[str, ...] = _V
         return cls(rand_formula(rng, depth - 1, fvars), rand_formula(rng, depth - 1, fvars))
     binder = rng.choice(_VARS)
     cls = Forall if kind == 3 else Exists
-    return cls(binder, rand_formula(rng, depth - 1, tuple({*fvars, binder})))
+    return cls(binder, rand_formula(rng, depth - 1, _with(fvars, binder)))
 
 
 def rand_proof(rng: random.Random, depth: int = 3, pvars: tuple[str, ...] = _PVARS):
@@ -98,7 +104,7 @@ def rand_proof(rng: random.Random, depth: int = 3, pvars: tuple[str, ...] = _PVA
     phi = lambda: rand_formula(rng, min(depth, 2))
     if kind == 0:
         x = rng.choice(_PVARS)
-        return LamP(x, phi(), rand_proof(rng, depth - 1, tuple({*pvars, x})))
+        return LamP(x, phi(), rand_proof(rng, depth - 1, _with(pvars, x)))
     if kind == 1:
         return LamF(rng.choice(_VARS), sub())
     if kind == 2:
@@ -114,14 +120,14 @@ def rand_proof(rng: random.Random, depth: int = 3, pvars: tuple[str, ...] = _PVA
         return Inl(sub(), ann) if rng.random() < 0.5 else Inr(sub(), ann)
     if kind == 7:
         x, y = rng.choice(_PVARS), rng.choice(_PVARS)
-        return Case(sub(), x, phi(), rand_proof(rng, depth - 1, tuple({*pvars, x})), y, phi(),
-                    rand_proof(rng, depth - 1, tuple({*pvars, y})))
+        return Case(sub(), x, phi(), rand_proof(rng, depth - 1, _with(pvars, x)), y, phi(),
+                    rand_proof(rng, depth - 1, _with(pvars, y)))
     if kind == 8:
         a = rng.choice(_VARS)
         return ExIntro(rand_term(rng, 2), sub(), Exists(a, rand_formula(rng, 1, (a,))))
     if kind == 9:
         a, x = rng.choice(_VARS), rng.choice(_PVARS)
-        return Let(a, x, rand_formula(rng, 1, (a,)), sub(), rand_proof(rng, depth - 1, tuple({*pvars, x})))
+        return Let(a, x, rand_formula(rng, 1, (a,)), sub(), rand_proof(rng, depth - 1, _with(pvars, x)))
     if kind == 10:
         return Magic(sub(), phi())
     if kind == 11:

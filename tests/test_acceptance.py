@@ -301,3 +301,30 @@ def test_criterion_10_round_trip_parsing():
             assert alpha_eq(decl.formula, entry.formula)
             assert alpha_eq_proof(decl.proof, entry.proof)
     _report(10, f"parse-print identity up to alpha on {n} generated trees and all corpus files")
+
+
+_CRITERION_10_TREES = """
+import hashlib, random
+from gens import rand_formula, rand_proof, rand_term
+rng = random.Random(0xBEEF)
+h = hashlib.sha256()
+for i in range(10_000):
+    h.update(repr((rand_term, rand_formula, rand_proof)[i % 3](rng, 3)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_criterion_10_trees_do_not_depend_on_the_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH", "")))
+    digests = set()
+    for seed in ("0", "1"):
+        r = subprocess.run(
+            [sys.executable, "-c", _CRITERION_10_TREES],
+            capture_output=True,
+            text=True,
+            env={**env, "PYTHONHASHSEED": seed},
+        )
+        assert r.returncode == 0, r.stderr
+        digests.add(r.stdout)
+    assert len(digests) == 1

@@ -174,6 +174,18 @@ def test_nesting_too_deep_is_a_diagnostic(tmp_path):
     assert "nesting too deep" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_cli_runs_a_500_binder_chain(tmp_path):
+    n = 500
+    src = tmp_path / "deep.izf"
+    binders = "".join(f"fun (x{i} : bot) => " for i in range(n))
+    src.write_text(f"thm deep : {' -> '.join(['bot'] * (n + 1))} :=\n  {binders}x0 .\n")
+    for args in (("check",), ("normalize",), ("realize", "--depth", "1")):
+        r = izf(*args, str(src))
+        assert r.returncode == 0, (args, r.stderr[-500:])
+        assert "Traceback" not in r.stdout + r.stderr
+    assert r.stdout.strip() == "deep REALIZES"
+
+
 def test_parse_proof_rejects_inaccessible_axiom_index_zero():
     for word in ("inac0Rep", "inac0Prop"):
         with pytest.raises(Diagnostic, match="index must be >= 1") as e:

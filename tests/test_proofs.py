@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
-from gens import rand_proof, rand_term
+from gens import _PVARS, _VARS, rand_formula, rand_proof, rand_term
 from izf import syntax
 from izf.axioms import PairAx, SepAx
 from izf.proof_ops import alpha_eq_proof, erase, esubst_prop, esubst_term, subst_proof, subst_proof_term
@@ -39,7 +41,22 @@ from izf.proofs import (
     value_tag,
 )
 from izf.axioms import IndAx
-from izf.syntax import Bottom, Empty, Eq, Exists, Omega, PairT, Var
+from izf.syntax import (
+    Bottom,
+    Empty,
+    Eq,
+    Exists,
+    Forall,
+    Imp,
+    Mem,
+    Omega,
+    PairT,
+    Var,
+    free_vars,
+    map_children,
+    substitute,
+    to_nameless,
+)
 
 x, y = PropVar("x"), PropVar("y")
 B = Bottom()
@@ -152,6 +169,47 @@ def test_substitution_walks_its_argument_once_and_only_past_a_binder(monkeypatch
         assert calls_on(en, lambda: esubst_prop(ebody, "x", en)) == want
         assert calls_on(t, lambda: subst_proof_term(body, "a", t)) == want
         assert calls_on(t, lambda: esubst_term(ebody, "a", t)) == want
+
+
+def _fresh_copy(m):
+    """A copy of m that shares no node with it, so it has nothing cached."""
+    return dataclasses.replace(map_children(m, _fresh_copy))
+
+
+def _subtrees(m):
+    out = [m]
+    map_children(m, lambda c: out.extend(_subtrees(c)) or c)
+    return out
+
+
+def test_cached_keys_agree_with_fresh_copies_under_random_stacks():
+    rng = random.Random(47)
+    for _ in range(500):
+        m = rand_proof(rng, 3)
+        for tree in (m, erase(m), rand_formula(rng, 3), rand_term(rng, 3)):
+            key = to_nameless(tree)
+            assert tree._facts[4] is key  # kept on the node
+            for node in _subtrees(tree):
+                stack = tuple(rng.choice(_VARS) for _ in range(rng.randrange(4)))
+                hstack = tuple(rng.choice(_PVARS) for _ in range(rng.randrange(3)))
+                fresh = _fresh_copy(node)
+                assert to_nameless(node, stack, hstack) == to_nameless(fresh, stack, hstack)
+                assert to_nameless(node) == to_nameless(_fresh_copy(node))
+
+
+def test_nodes_with_cached_facts_are_freed():
+    phi = Forall("a", Imp(Eq(Var("a"), Var("b")), Mem(Var("b"), Var("a"))))
+    m = LamP("x", phi, PropVar("x"))
+    trees = [phi, m, erase(m)]
+    for tree in trees:
+        to_nameless(tree)
+        free_vars(tree)
+        substitute(tree, "b", Var("a"))
+        assert tree._facts[4] is not None
+    refs = [weakref.ref(tree) for tree in trees]
+    del phi, m, tree, trees
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_every_constructor_declares_its_binding_shape():

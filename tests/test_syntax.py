@@ -30,6 +30,7 @@ from izf.syntax import (
     Not,
     Numeral,
     Omega,
+    Or,
     PairT,
     Repl,
     Sep,
@@ -39,6 +40,7 @@ from izf.syntax import (
     Var,
     Zero,
     alpha_eq,
+    bound_names,
     desugar,
     free_vars,
     fresh_name,
@@ -94,6 +96,35 @@ def test_substitute_capture_avoiding():
         oracle = readback(nameless_subst(to_nameless(x), v, to_nameless(t)))
         assert alpha_eq(got, oracle)
         assert free_vars(got) == nameless_free_vars(to_nameless(oracle))
+
+
+def test_cached_free_vars_agree_with_the_nameless_scan():
+    rng = random.Random(41)
+    for _ in range(2000):
+        x = rand_formula(rng, 3) if rng.random() < 0.5 else rand_term(rng, 3)
+        fv = free_vars(x)
+        assert fv == nameless_free_vars(to_nameless(x))
+        assert free_vars(x) is fv  # read off the node
+
+
+def test_substitution_returns_untouched_subtrees_as_is():
+    closed = Forall("b", Eq(b, c))
+    got = substitute(And(closed, Eq(a, a)), "a", Var("d"))
+    assert got.left is closed and got.right == Eq(Var("d"), Var("d"))
+    # a binder named like a free name of the replacement is still renamed,
+    # even where its scope holds no occurrence of the substituted variable
+    got = substitute(And(closed, Eq(a, a)), "a", b)
+    assert got.left == Forall("b1", Eq(Var("b1"), c))
+    rng = random.Random(43)
+    for _ in range(2000):
+        phi = rand_formula(rng, 3)
+        if not isinstance(phi, (And, Or, Imp)):
+            continue
+        t = rand_term(rng, 2)
+        got = substitute(phi, "a", t)
+        for old, new in ((phi.left, got.left), (phi.right, got.right)):
+            if "a" not in free_vars(old) and not bound_names(old) & free_vars(t):
+                assert new is old
 
 
 def test_every_constructor_declares_its_binding_shape():
