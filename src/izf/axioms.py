@@ -539,37 +539,5 @@ def axiom_statement(ax: AxiomId) -> Formula:
             )
 
 
-def family_name(ax: AxiomId) -> str:
-    """Short tag naming the axiom family; inaccessibles keep their index."""
-    match ax:
-        case EmptyAx():
-            return "empty"
-        case PairAx():
-            return "pair"
-        case InfAx():
-            return "inf"
-        case UnionAx():
-            return "union"
-        case PowerAx():
-            return "power"
-        case SepAx():
-            return "sep"
-        case ReplAx():
-            return "repl"
-        case InacAx(i):
-            return f"inac{i}"
-        case InAx():
-            return "in"
-        case EqAx():
-            return "eq"
-        case IndAx():
-            return "ind"
-        case NwfAx():
-            return "n"
-        case Sep0Ax():
-            return "s"
-    raise TypeError(f"not an axiom id: {ax!r}")
-
-
 def is_nwf_axiom(ax: AxiomId) -> bool:
     return isinstance(ax, (NwfAx, Sep0Ax))

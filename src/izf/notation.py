@@ -198,3 +198,11 @@ for _key, _spec in NOTATION.items():
         NOTES[_key] = _note(_key, _spec, _constant(_key), {})
 for _key, _spec in SUGAR.items():
     NOTES[_key] = _note(_key, _spec, _READERS[_key], _SUGAR_KINDS[_key])
+
+
+def family(x: ax.AxiomId) -> str:
+    """An axiom identifier's family tag, the ``family`` of its erased
+    rep/prop: the word its template starts with, an inaccessible's index
+    glued on (``inac2``)."""
+    first = NOTES[type(x)].parts[0]
+    return first if isinstance(first, str) else first.glued + str(getattr(x, first.field))

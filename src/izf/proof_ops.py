@@ -21,7 +21,7 @@ walking them.  This module holds no cache.
 
 from __future__ import annotations
 
-from .axioms import family_name
+from .notation import family
 from .proofs import SHAPES, ErasedProof, Proof
 from .syntax import PROOF, alpha_eq, substitute, to_nameless
 
@@ -66,7 +66,7 @@ def erase(m: Proof) -> ErasedProof:
         if kind is PROOF:
             vals.append(erase(getattr(m, name)))
         elif name == "family":
-            vals.append(family_name(m.ax))
+            vals.append(family(m.ax))
         else:
             vals.append(getattr(m, name))
     return cls(*vals)

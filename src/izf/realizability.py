@@ -10,12 +10,21 @@ which is a genuine truncation.  With ``truncated=False`` the pools are
 treated as exhaustive and every verdict is decisive; with ``truncated=True``
 a universally quantified pool position that merely survives its pool
 reports Unknown instead.  Fuel exhaustion always reports Unknown.
+
+Each query runs one evaluator, ``_Eval``, whose tables die with the query,
+so that each piece of work is done once per query: the small int standing
+for each nameless key (so memo keys hash in O(1), and a node met again is
+not keyed again), each normal form, each instantiation of a lambda's body,
+each label's ``label_key``, each relation instance's verdict, each term's
+meaning and each hypothesis pool.  A name hashes in O(1) too: it computes
+its hash once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from .proof_ops import canon, canon_key, esubst_prop, esubst_term
 from .proofs import (
@@ -90,44 +99,50 @@ def _spelled(x):
     return x.key if isinstance(x, LambdaName) else x
 
 
+def _label(v: ErasedProof) -> str:
+    return label_key(canon(v))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class LambdaName:
-    """A finite set of (erased value, name) pairs, compared up to alpha."""
+    """A finite set of (erased value, name) pairs, compared up to alpha.
+
+    ``label`` spells each entry's label as its ``label_key``; an evaluator
+    passes its own table of them.
+    """
 
     entries: tuple[tuple[ErasedProof, "LambdaName"], ...]
     key: tuple = field(default=(), compare=False)
+    label: InitVar[Callable[[ErasedProof], str] | None] = None
 
-    def __post_init__(self) -> None:
-        for label, member in self.entries:
-            if not is_value(label):
+    def __post_init__(self, label) -> None:
+        for v, member in self.entries:
+            if not is_value(v):
                 raise ValueError("name labels must be erased values")
             if not isinstance(member, LambdaName):
                 raise ValueError("name members must be names")
-        # Each label is keyed once, here, by ``label_key``; entries are
-        # stored in the sorted order of their keys.
+        # Each label is keyed once, here; entries are stored in the sorted
+        # order of their keys.
+        label = label or _label
         seen = {}
-        for label, member in self.entries:
-            seen[(label_key(canon(label)), member.key)] = (label, member)
+        for v, member in self.entries:
+            seen[(label(v), member.key)] = (v, member)
         keys = tuple(sorted(seen))
         object.__setattr__(self, "entries", tuple(seen[k] for k in keys))
         object.__setattr__(self, "key", ("name", keys))
+        object.__setattr__(self, "_hash", hash(self.key))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LambdaName) and self.key == other.key
+        return isinstance(other, LambdaName) and self._hash == other._hash and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<name:{self.rank()}:{len(self.entries)}>"
 
     def members(self) -> tuple["LambdaName", ...]:
-        out, seen = [], set()
-        for _, m in self.entries:
-            if m.key not in seen:
-                seen.add(m.key)
-                out.append(m)
-        return tuple(out)
+        return tuple(dict.fromkeys(m for _, m in self.entries))
 
     def labels(self) -> dict[str, ErasedProof]:
         """The distinct labels in entry order, by label key."""
@@ -150,15 +165,6 @@ EMPTY_NAME = LambdaName(())
 
 def name_of(pairs) -> LambdaName:
     return LambdaName(tuple(pairs))
-
-
-def _distinct(names) -> list[LambdaName]:
-    """The names in order, each kept only at its first occurrence."""
-    out: list[LambdaName] = []
-    for nm in names:
-        if all(nm.key != o.key for o in out):
-            out.append(nm)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +364,76 @@ def default_cfg(
 # The evaluator
 
 
+_RUNNING = object()  # the verdict of a relation instance while it is being computed
+
+
 class _Eval:
+    """One query's evaluator.  Its tables die with it:
+
+    * ``_ids``: the small int standing for each nameless key, so that the
+      keys of the other tables hash in O(1);
+    * ``_nodes``: each keyed node's int, by identity; an entry holds its
+      node, so no other node takes its id while the query runs;
+    * ``_norm``: each term's normal form, by key;
+    * ``_inst``: each instantiation of a lambda's body, by the keys of the
+      lambda and the argument;
+    * ``_labels``: each label's ``label_key``, by key;
+    * ``_rel``: each relation instance's verdict, ``_RUNNING`` while it is
+      being computed;
+    * ``_meaning``: each term's name under the names of its free variables,
+      and omega's;
+    * ``_pools``: each hypothesis pool, by the set of names it draws on.
+    """
+
     def __init__(self, cfg: RealizCfg):
         self.cfg = cfg
-        self._norm: dict[object, tuple[str, ErasedProof]] = {}
+        self._ids: dict[tuple, int] = {}
+        self._nodes: dict[int, tuple[object, int]] = {}
+        self._norm: dict[int, tuple[str, ErasedProof]] = {}
+        self._inst: dict[tuple[int, int], ErasedProof] = {}
+        self._labels: dict[int, str] = {}
         self._rel: dict[object, Verdict] = {}
         self._meaning: dict[object, LambdaName] = {}
-        self._pools: dict[object, tuple] = {}
-        self._running: set[object] = set()
+        self._pools: dict[frozenset, tuple] = {}
+
+    # -- keys, labels and instantiation, each computed once
+
+    def key(self, x: ErasedProof | Term | Formula) -> int:
+        """The int standing for x's canon key: equal iff alpha-equal."""
+        hit = self._nodes.get(id(x))
+        if hit is None:
+            hit = self._nodes[id(x)] = (x, self._ids.setdefault(canon_key(x), len(self._ids)))
+        return hit[1]
+
+    def _syntax_key(self, x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
+        """Memo key of a term or formula under an environment: its key plus
+        the names bound to its free variables, so alpha-variants (schema
+        bodies of separation and replacement terms included) share it."""
+        return self.key(x), tuple((a, rho[a]) for a in sorted(free_vars(x)) if a in rho)
+
+    def label(self, v: ErasedProof) -> str:
+        """``label_key`` of v's canon key."""
+        k = self.key(v)
+        hit = self._labels.get(k)
+        if hit is None:
+            hit = self._labels[k] = label_key(canon_key(v))
+        return hit
+
+    def name(self, pairs) -> LambdaName:
+        """``name_of(pairs)``, its labels keyed through ``label``."""
+        return LambdaName(tuple(pairs), label=self.label)
+
+    def instantiate(self, lam: ELamF | ELamP, arg: Term | ErasedProof) -> ErasedProof:
+        """lam's body with arg (a term for an ``ELamF``, a proof for an
+        ``ELamP``) for its variable."""
+        k = (self.key(lam), self.key(arg))
+        hit = self._inst.get(k)
+        if hit is None:
+            subst = esubst_term if isinstance(lam, ELamF) else esubst_prop
+            hit = self._inst[k] = subst(lam.body, lam.var, arg)
+        return hit
 
     # -- normalization with memo
-
-    def key(self, m: ErasedProof) -> tuple:
-        return canon_key(m)
 
     def norm(self, m: ErasedProof) -> tuple[str, ErasedProof]:
         key = self.key(m)
@@ -392,31 +455,32 @@ class _Eval:
     # -- relation memoization
 
     def _memo(self, key, compute) -> Verdict:
-        hit = self._rel.get(key)
-        if hit is not None:
-            return hit
-        if key in self._running:
+        rel = self._rel
+        hit = rel.get(key)
+        if hit is None:
+            rel[key] = _RUNNING
+            try:
+                hit = compute()
+            except BaseException:
+                del rel[key]
+                raise
+            rel[key] = hit
+        elif hit is _RUNNING:
             return unknown("self-referential relation instance")
-        self._running.add(key)
-        try:
-            out = compute()
-        finally:
-            self._running.discard(key)
-        self._rel[key] = out
-        return out
+        return hit
 
     # -- atomic relations
 
     def mem_i(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        return self._memo(("memi", self.key(m), a.key, b.key), lambda: self._mem_i(m, a, b))
+        return self._memo(("memi", self.key(m), a, b), lambda: self._mem_i(m, a, b))
 
     def _mem_i(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
         v, err = self._value_of(m)
         if err is not None:
             return err
-        if b.has_entry(label_key(self.key(v)), a):
+        if b.has_entry(self.label(v), a):
             return REALIZES
-        if b.key == self.omega_name().key:
+        if b == self.omega_name():
             # The omega name is inductively defined: arbitrary labels are
             # admitted whenever the base or successor clause accepts them,
             # not only the canonical entries listed in the approximation.
@@ -424,12 +488,12 @@ class _Eval:
         return FAILS
 
     def _omega_entry(self, v: ErasedProof, a: LambdaName) -> Verdict:
-        key = ("omega-entry", self.key(v), a.key)
+        key = ("omega-entry", self.key(v), a)
         return self._memo(key, lambda: self._omega_entry_raw(v, a))
 
     def _omega_entry_raw(self, v: ErasedProof, a: LambdaName) -> Verdict:
         omega = self.omega_name()
-        candidates = _distinct((*omega.members(), a, *a.members(), *self.cfg.universe))
+        candidates = dict.fromkeys((*omega.members(), a, *a.members(), *self.cfg.universe))
         return self._omega_clause(v, a, omega, candidates)
 
     def _omega_clause(
@@ -472,7 +536,7 @@ class _Eval:
         return _v_any(for_b(b) for b in candidates)
 
     def mem(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        return self._memo(("mem", self.key(m), a.key, b.key), lambda: self._mem(m, a, b))
+        return self._memo(("mem", self.key(m), a, b), lambda: self._mem(m, a, b))
 
     def _mem(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
         v, err = self._value_of(m)
@@ -490,7 +554,7 @@ class _Eval:
             return err
         if not isinstance(pair, EPairP):
             return FAILS
-        candidates = _distinct((*b.members(), a, *a.members(), *self.cfg.universe))
+        candidates = dict.fromkeys((*b.members(), a, *a.members(), *self.cfg.universe))
 
         def check_c(c: LambdaName) -> Verdict:
             first = self.mem_i(pair.left, c, b)
@@ -505,7 +569,7 @@ class _Eval:
         return _v_any(check_c(c) for c in candidates)
 
     def eq(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        return self._memo(("eq", self.key(m), a.key, b.key), lambda: self._eq(m, a, b))
+        return self._memo(("eq", self.key(m), a, b), lambda: self._eq(m, a, b))
 
     def _eq(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
         v, err = self._value_of(m)
@@ -520,7 +584,7 @@ class _Eval:
             return FAILS
 
         def per_term(t: Term) -> Verdict:
-            pair, err = self._value_of(esubst_term(m0.body, m0.var, t))
+            pair, err = self._value_of(self.instantiate(m0, t))
             if err is not None:
                 return err
             if not isinstance(pair, EPairP):
@@ -535,7 +599,7 @@ class _Eval:
                 return FAILS
             # Only member names of a or b can have realizable intensional
             # membership hypotheses, so this sweep is exhaustive.
-            dpool = _distinct((*a.members(), *b.members()))
+            dpool = dict.fromkeys((*a.members(), *b.members()))
 
             def direction(lam: ELamP, src: LambdaName, dst: LambdaName, d: LambdaName) -> Verdict:
                 pool = self._hyp_pool((src, dst))
@@ -543,7 +607,7 @@ class _Eval:
                     (
                         _v_implies(
                             self.mem_i(n, d, src),
-                            lambda n=n: self.mem(esubst_prop(lam.body, lam.var, n), d, dst),
+                            lambda n=n: self.mem(self.instantiate(lam, n), d, dst),
                         )
                         for n in pool
                     ),
@@ -557,12 +621,12 @@ class _Eval:
         return _v_all((per_term(t) for t in self.cfg.terms), truncated_pool=self.cfg.truncated)
 
     def _hyp_pool(self, names: tuple[LambdaName, ...]) -> tuple[ErasedProof, ...]:
-        cache_key = tuple(sorted({n.key for n in names}))
+        cache_key = frozenset(names)
         hit = self._pools.get(cache_key)
         if hit is not None:
             return hit
         out = list(self.cfg.realizers)
-        seen = {label_key(self.key(x)) for x in out}
+        seen = {self.label(x) for x in out}
         for nm in names:
             for k, lab in nm.labels().items():
                 if k not in seen:
@@ -575,7 +639,7 @@ class _Eval:
     # -- term meanings
 
     def meaning(self, t: Term, rho: dict[str, LambdaName]) -> LambdaName:
-        key = ("t", _syntax_key(t, rho))
+        key = ("t", self._syntax_key(t, rho))
         hit = self._meaning.get(key)
         if hit is None:
             hit = self._meaning_of(t, rho)
@@ -601,7 +665,7 @@ class _Eval:
             case PairT(l, r):
                 al, ar = self.meaning(l, rho), self.meaning(r, rho)
                 rv = refl_value()
-                return name_of(
+                return self.name(
                     ((EAxRep("pair", EInl(rv)), al), (EAxRep("pair", EInr(rv)), ar))
                 )
             case UnionT(u):
@@ -613,7 +677,7 @@ class _Eval:
                             Empty(), EPairP(mem_wrap(v1), mem_wrap(v2))
                         )
                         entries.append((EAxRep("union", witness), c))
-                return name_of(entries)
+                return self.name(entries)
             case PowerT(u):
                 un = self.meaning(u, rho)
                 base = un.entries[: self.cfg.power_cap]
@@ -622,12 +686,12 @@ class _Eval:
                     subsets += [s + (e,) for s in subsets]
                 entries = []
                 for s in subsets:
-                    sub = name_of(s)
+                    sub = self.name(s)
                     # Any membership proof for the subset is one for the
                     # carrier verbatim, so identity realizes the inclusion.
                     witness = ELamF("a", ELamP("x", EPropVar("x")))
                     entries.append((EAxRep("power", witness), sub))
-                return name_of(entries)
+                return self.name(entries)
             case Sep(z, ps, body, carrier, args):
                 un = self.meaning(carrier, rho)
                 argnames = tuple(self.meaning(u, rho) for u in args)
@@ -642,7 +706,7 @@ class _Eval:
                                 (EAxRep("sep", EPairP(mem_wrap(v1), w)), c)
                             )
                             break
-                return name_of(entries)
+                return self.name(entries)
             case Repl():
                 # Pool-searched; replacement meanings are usually empty at
                 # desk scale and that is acceptable for the tests they back.
@@ -665,14 +729,14 @@ class _Eval:
             label = EAxRep("inf", EInr(witness))
             numeral_name = succ
             entries.append((label, numeral_name))
-        out = name_of(entries)
+        out = self.name(entries)
         self._meaning[key] = out
         return out
 
     # -- the realizability relation proper
 
     def reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
-        key = ("reals", self.key(m), _syntax_key(phi, rho))
+        key = ("reals", self.key(m), self._syntax_key(phi, rho))
         return self._memo(key, lambda: self._reals(m, phi, rho))
 
     def _reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
@@ -712,7 +776,7 @@ class _Eval:
                     (
                         _v_implies(
                             self.reals(n, l, rho),
-                            lambda n=n: self.reals(esubst_prop(v.body, v.var, n), r, rho),
+                            lambda n=n: self.reals(self.instantiate(v, n), r, rho),
                         )
                         for n in pool
                     ),
@@ -728,7 +792,7 @@ class _Eval:
                 def inst(nm: LambdaName, t: Term) -> Verdict:
                     rho2 = dict(rho)
                     rho2[a] = nm
-                    return self.reals(esubst_term(v.body, v.var, t), body, rho2)
+                    return self.reals(self.instantiate(v, t), body, rho2)
 
                 return _v_all(
                     (inst(nm, t) for nm in self.cfg.universe for t in self.cfg.terms),
@@ -761,13 +825,6 @@ class _Eval:
                     seen.add(cand.key)
                     out.append(cand)
         return tuple(out)
-
-
-def _syntax_key(x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
-    """Memo key of a term or formula under an environment: its nameless
-    form plus the names bound to its free variables, so alpha-variants
-    (schema bodies of separation and replacement terms included) share it."""
-    return to_nameless(x), tuple((a, rho[a]) for a in sorted(free_vars(x)) if a in rho)
 
 
 def _reject_inac(phi: Formula) -> None:
@@ -823,7 +880,7 @@ def omega_prime_member(
     """Check one candidate entry against omega's base or successor clause,
     with ``approx`` as the approximation the successor clause looks into."""
     label, a = entry
-    dedup = _distinct((EMPTY_NAME, a, approx, *approx.members(), *a.members()))
+    dedup = dict.fromkeys((EMPTY_NAME, a, approx, *approx.members(), *a.members()))
     pool = default_realizer_pool()
     cfg = RealizCfg(fuel=fuel, universe=tuple(dedup), realizers=pool, terms=(Empty(),))
     return _Eval(cfg)._omega_clause(label, a, approx, (*approx.members(), *dedup))

@@ -97,6 +97,26 @@ def test_erase_examples():
     assert erase(apt) == EAppT(erase(x), Omega())
 
 
+# sha256 of the reprs of the erasures of corpus.all_entries(), each followed
+# by a NUL byte: it pins every family tag erasure writes for the corpus.
+_ERASED_CORPUS_SHA256 = "75cefb681fa604971c9fb55cbf388802ec880ba36a359711c58a051f727cc815"
+
+
+def test_erasure_of_every_corpus_proof_is_unchanged():
+    import hashlib
+
+    from izf.corpus import all_entries
+
+    h = hashlib.sha256()
+    for e in all_entries():
+        h.update(repr(erase(e.proof)).encode())
+        h.update(b"\0")
+    assert h.hexdigest() == _ERASED_CORPUS_SHA256
+    # the one family the corpus never erases
+    ind = AxRep(IndAx("a", (), Bottom()), Empty(), (), x)
+    assert erase(ind) == EAxRep("ind", erase(x))
+
+
 def test_value_tag_examples():
     assert value_tag(Inl(x, Bottom())) is ValueTag.INL
     assert value_tag(App(x, y)) is ValueTag.NOT_VALUE

@@ -320,3 +320,76 @@ def test_inaccessibles_are_rejected_once_per_query(monkeypatch):
     symm = Forall("a", Forall("b", Imp(Eq(a, b), Eq(b, a))))
     assert reals(mk_eqSymm(), symm, {}, SMALL).realizes
     assert calls == [symm]
+
+
+LEI = Forall("a", Forall("b", Forall("c", Imp(And(Mem(a, c), Eq(a, b)), Mem(b, c)))))
+
+
+def test_a_query_instantiates_and_labels_each_key_once(monkeypatch):
+    cfg, lei = default_cfg(depth=1), mk_lei()
+    subst, labels = [], []
+    real_term, real_prop, real_label = rz.esubst_term, rz.esubst_prop, rz.label_key
+
+    def term(body, var, t):
+        subst.append((rz.canon_key(ELamF(var, body)), rz.canon_key(t)))
+        return real_term(body, var, t)
+
+    def prop(body, var, n):
+        subst.append((rz.canon_key(ELamP(var, body)), rz.canon_key(n)))
+        return real_prop(body, var, n)
+
+    def label(key):
+        labels.append(key)
+        return real_label(key)
+
+    monkeypatch.setattr(rz, "esubst_term", term)
+    monkeypatch.setattr(rz, "esubst_prop", prop)
+    monkeypatch.setattr(rz, "label_key", label)
+    assert reals(lei, LEI, {}, cfg).realizes
+    assert subst and labels
+    assert len(set(subst)) == len(subst)
+    assert len(set(labels)) == len(labels)
+
+
+def test_reentering_a_running_relation_instance_is_unknown():
+    ev = _Eval(SMALL)
+    inner = []
+
+    def compute():
+        inner.append(ev._memo(("k",), lambda: REALIZES))
+        return FAILS
+
+    assert ev._memo(("k",), compute) is FAILS
+    assert inner == [rz.unknown("self-referential relation instance")]
+    assert ev._memo(("k",), lambda: REALIZES) is FAILS
+
+
+def test_a_raising_computation_leaves_its_instance_unmarked():
+    ev = _Eval(SMALL)
+    with pytest.raises(ZeroDivisionError):
+        ev._memo(("k",), lambda: 1 // 0)
+    assert ev._memo(("k",), lambda: REALIZES) is REALIZES
+
+
+def test_separately_built_equal_names_compare_and_hash_equal():
+    p = _sing(ELamF("u", EInl(identity_value())))
+    q = _sing(ELamF("s", EInl(ELamP("y", EPropVar("y")))))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    # equal members are listed once
+    assert name_of(((identity_value(), p), (refl_value(), q))).members() == (p,)
+
+
+def test_erasures_of_checked_theorems_realize():
+    # soundness: the erasure of a proof of a theorem realizes it
+    from izf.corpus import standard_entries
+
+    cfg = default_cfg(depth=1)
+    verdicts, unsupported = {}, []
+    for e in standard_entries():
+        try:
+            verdicts[e.name] = reals(erase(e.proof), e.formula, {}, cfg).status
+        except UnsupportedFormulaError:
+            unsupported.append(e.name)
+    assert unsupported == ["ax_inac1"]
+    assert len(verdicts) == 31 and set(verdicts.values()) == {"realizes"}, verdicts
