@@ -104,17 +104,16 @@ def cmd_normalize(args) -> int:
                     continue
 
                 def on_step(i, rule, p, state, name=decl.name):
-                    if trace_fh is not None:
-                        rec = {
-                            "thm": name,
-                            "step": i,
-                            "rule": rule,
-                            "path": "/".join(p),
-                            "term": print_proof(state),
-                        }
-                        trace_fh.write(json.dumps(rec) + "\n")
+                    rec = {
+                        "thm": name,
+                        "step": i,
+                        "rule": rule,
+                        "path": "/".join(p),
+                        "term": print_proof(state),
+                    }
+                    trace_fh.write(json.dumps(rec) + "\n")
 
-                out = normalize(decl.proof, fuel, on_step=on_step)
+                out = normalize(decl.proof, fuel, on_step=on_step if trace_fh is not None else None)
                 if out.status == "value":
                     print(f"{decl.name}: value in {out.steps} steps")
                 else:

@@ -356,29 +356,32 @@ class ValueTag(Enum):
     NOT_VALUE = "not-value"
 
 
+# The value grammar, annotated and erased: each value constructor's tag.
+_VALUE_TAGS = {
+    LamF: ValueTag.LAMF,
+    ELamF: ValueTag.LAMF,
+    LamP: ValueTag.LAMP,
+    ELamP: ValueTag.LAMP,
+    Inl: ValueTag.INL,
+    EInl: ValueTag.INL,
+    Inr: ValueTag.INR,
+    EInr: ValueTag.INR,
+    ExIntro: ValueTag.EXINTRO,
+    EExIntro: ValueTag.EXINTRO,
+    PairP: ValueTag.PAIRP,
+    EPairP: ValueTag.PAIRP,
+    AxRep: ValueTag.AXREP,
+    EAxRep: ValueTag.AXREP,
+}
+
+
 def value_tag(m: Proof | ErasedProof) -> ValueTag:
     """Classify per the value grammar; ind terms always reduce."""
-    match m:
-        case LamF() | ELamF():
-            return ValueTag.LAMF
-        case LamP() | ELamP():
-            return ValueTag.LAMP
-        case Inl() | EInl():
-            return ValueTag.INL
-        case Inr() | EInr():
-            return ValueTag.INR
-        case ExIntro() | EExIntro():
-            return ValueTag.EXINTRO
-        case PairP() | EPairP():
-            return ValueTag.PAIRP
-        case AxRep() | EAxRep():
-            return ValueTag.AXREP
-        case _:
-            return ValueTag.NOT_VALUE
+    return _VALUE_TAGS.get(type(m), ValueTag.NOT_VALUE)
 
 
 def is_value(m: Proof | ErasedProof) -> bool:
-    return value_tag(m) is not ValueTag.NOT_VALUE
+    return type(m) in _VALUE_TAGS
 
 
 # ---------------------------------------------------------------------------

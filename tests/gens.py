@@ -148,3 +148,32 @@ def rand_proof(rng: random.Random, depth: int = 3, pvars: tuple[str, ...] = _PVA
     args = tuple(rand_term(rng, 1) for _ in range(n))
     cls = AxRep if kind == 12 else AxProp
     return cls(axid, rand_term(rng, 1), args, sub())
+
+
+def enum_restricted(size: int, k: int) -> list:
+    """Every proof of the given size, free hypotheses among x0..x{k-1}, over
+    a restricted signature: hypotheses over bot and bot->bot, both lambda
+    domains, magic, projections, pairs, left injection, empty-set axiom
+    introduction/elimination, application.  Sizes 1..7 from k = 0 are the
+    closed terms of the progress-and-determinism criterion."""
+    B, D, IB = Bottom(), Or(Bottom(), Bottom()), Imp(Bottom(), Bottom())
+    out = []
+    if size == 1:
+        return [PropVar(f"x{i}") for i in range(k)]
+    n = size - 1
+    for dom in (B, IB):
+        for b in enum_restricted(n, k + 1):
+            out.append(LamP(f"x{k}", dom, b))
+    for b in enum_restricted(n, k):
+        out.append(Magic(b, B))
+        out.append(Fst(b))
+        out.append(Snd(b))
+        out.append(Inl(b, D))
+        out.append(AxRep(EmptyAx(), Empty(), (), b))
+        out.append(AxProp(EmptyAx(), Empty(), (), b))
+    for i in range(1, n):
+        for f in enum_restricted(i, k):
+            for a in enum_restricted(n - i, k):
+                out.append(App(f, a))
+                out.append(PairP(f, a))
+    return out

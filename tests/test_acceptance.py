@@ -13,8 +13,7 @@ import time
 
 import pytest
 
-from gens import rand_formula, rand_proof, rand_term
-from izf.axioms import EmptyAx
+from gens import enum_restricted, rand_formula, rand_proof, rand_term
 from izf.corpus import (
     all_entries,
     axiom_theorems,
@@ -30,19 +29,12 @@ from izf.parser import parse_formula, parse_proof, parse_term
 from izf.printer import print_formula, print_proof, print_term
 from izf.proof_ops import alpha_eq_proof, erase
 from izf.proofs import (
-    App,
     AppT,
-    AxProp,
-    AxRep,
     ExIntro,
-    Fst,
     Inl,
     Inr,
     LamP,
-    Magic,
-    PairP,
     PropVar,
-    Snd,
     is_value,
 )
 from izf.realizability import default_cfg, reals
@@ -117,37 +109,13 @@ def test_criterion_02_subject_reduction():
     _report(2, f"re-checking succeeded at 100% of {total} corpus trace steps (>= 500)")
 
 
-def _enum_restricted(size: int, k: int):
-    B, D, IB = Bottom(), Or(Bottom(), Bottom()), Imp(Bottom(), Bottom())
-    out = []
-    if size == 1:
-        return [PropVar(f"x{i}") for i in range(k)]
-    n = size - 1
-    for dom in (B, IB):
-        for b in _enum_restricted(n, k + 1):
-            out.append(LamP(f"x{k}", dom, b))
-    for b in _enum_restricted(n, k):
-        out.append(Magic(b, B))
-        out.append(Fst(b))
-        out.append(Snd(b))
-        out.append(Inl(b, D))
-        out.append(AxRep(EmptyAx(), Empty(), (), b))
-        out.append(AxProp(EmptyAx(), Empty(), (), b))
-    for i in range(1, n):
-        for f in _enum_restricted(i, k):
-            for a in _enum_restricted(n - i, k):
-                out.append(App(f, a))
-                out.append(PairP(f, a))
-    return out
-
-
 def test_criterion_03_progress_and_determinism():
     # restricted signature: hypotheses over bot and bot->bot, both lambda
     # domains, magic, projections, pairs, left injection, empty-set axiom
     # introduction/elimination, application
     n_all = n_typed_nonvalue = n_stuck = 0
     for size in range(1, 8):
-        for m in _enum_restricted(size, 0):
+        for m in enum_restricted(size, 0):
             n_all += 1
             try:
                 infer((), m)

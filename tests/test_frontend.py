@@ -287,6 +287,26 @@ def test_cli_trace_export(tmp_path):
         parse_proof(rec["term"])  # term field re-parses
 
 
+def test_cli_normalize_passes_a_step_callback_only_when_tracing(monkeypatch, tmp_path):
+    from izf import cli
+
+    callbacks = []
+    real = cli.normalize
+
+    def spy(m, fuel, **kwargs):
+        callbacks.append(kwargs.get("on_step"))
+        return real(m, fuel, **kwargs)
+
+    monkeypatch.setattr(cli, "normalize", spy)
+    monkeypatch.delenv("IZF_FUEL", raising=False)
+    path = str(CORPUS / "equality.izf")
+    assert cli.main(["normalize", path]) == 0
+    assert callbacks and all(cb is None for cb in callbacks)
+    callbacks.clear()
+    assert cli.main(["normalize", path, "--trace", str(tmp_path / "t.jsonl")]) == 0
+    assert callbacks and all(cb is not None for cb in callbacks)
+
+
 def test_cli_deterministic_reports():
     a = izf("check", "corpus/equality.izf")
     b = izf("check", "corpus/equality.izf")

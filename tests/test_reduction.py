@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from gens import enum_restricted
 from izf.axioms import PairAx, phi_A
 from izf.corpus import all_entries, nwf_suite
 from izf.lemmas import mk_eq_refl
@@ -15,6 +18,7 @@ from izf.proofs import (
     EInd,
     ELamF,
     ELamP,
+    EPairP,
     EPropVar,
     Fst,
     Ind,
@@ -33,6 +37,8 @@ from izf.reduction import (
     Stepped,
     Stuck,
     StuckTerm,
+    _hole_child,
+    _redex_at_root,
     count_redexes,
     detect_cycle,
     normalize,
@@ -199,3 +205,78 @@ def test_normalize_within_declared_bounds():
         out = normalize(e.proof, 10**4)
         assert out.status == "value"
         assert out.steps <= e.step_bound, (e.name, out.steps, e.step_bound)
+
+
+def _fst_spine(depth: int):
+    """fst applied depth times to pairs nested depth deep on the left."""
+    v = ELamP("z", EPropVar("z"))
+    m = v
+    for _ in range(depth):
+        m = EPairP(m, v)
+    for _ in range(depth):
+        m = EFst(m)
+    return m, v
+
+
+def test_deep_fst_spine_steps_without_native_recursion():
+    m, v = _fst_spine(3000)
+    out = normalize(m, 10**4)
+    assert out.status == "value" and out.steps == 3000 and out.result is v
+    assert [t.index for t in out.trace.tail] == list(range(3000 - 64, 3000))
+    deep, _ = _fst_spine(10**4)
+    assert count_redexes(deep) == 1
+    got = step(deep)
+    assert isinstance(got, Stepped) and got.rule == "fst" and got.path == ("arg",) * (10**4 - 1)
+
+
+def _run_against_oracle(m, fuel: int, h) -> None:
+    """Normalize m, checking every step against the root/hole oracle and
+    hashing (index, rule, path, repr(state)) and the outcome into h (the
+    final state only if it was reached by a step).
+
+    The step's path must lead through the same nodes as the _hole_child
+    walk from the root to the first node where _redex_at_root holds, and
+    that node must be the only redex the oracle counts.
+    """
+    before = [m]
+
+    def on_step(i, rule, path, state):
+        prev = before[0]
+        along = [prev]
+        for attr in path:
+            along.append(getattr(along[-1], attr))
+        walk = [prev]
+        while not _redex_at_root(walk[-1]):
+            walk.append(_hole_child(walk[-1]))
+        assert len(walk) == len(along) and all(a is b for a, b in zip(walk, along)), (i, path)
+        assert count_redexes(prev) == 1
+        h.update(repr((i, rule, path, repr(state))).encode())
+        before[0] = state
+
+    out = normalize(m, fuel, on_step=on_step)
+    if out.status != "fuel":
+        assert count_redexes(out.result) == 0
+    assert out.steps or out.result == m
+    final = repr(out.result) if out.steps else ""
+    h.update(repr((out.status, out.steps, out.stuck_path, out.stuck_reason, final)).encode())
+
+
+# Taken with the machine that re-descended from the root at every step.
+_CORPUS_LOCKSTEP_SHA256 = "c493b36d3f55957ccb02731d6d855eb94249f9d9e4a7f37dd2a28f0505274d8d"
+_ENUM_LOCKSTEP_SHA256 = "23cb1bebf1fb099261ea053c0d39b2b6b30872c2ba43cbf88673b16718bb43a5"
+
+
+def test_machine_steps_at_the_oracle_redex_on_the_corpus():
+    h = hashlib.sha256()
+    for e in all_entries():
+        for m in (e.proof, erase(e.proof)):
+            _run_against_oracle(m, 200, h)
+    assert h.hexdigest() == _CORPUS_LOCKSTEP_SHA256
+
+
+def test_machine_steps_at_the_oracle_redex_on_the_enumeration():
+    h = hashlib.sha256()
+    for size in range(1, 8):
+        for m in enum_restricted(size, 0):
+            _run_against_oracle(m, 200, h)
+    assert h.hexdigest() == _ENUM_LOCKSTEP_SHA256
