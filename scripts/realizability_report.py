@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Verdict table for the stock realizers over growing name universes.
+"""Verdict table for the stock realizers, each against its lemma's statement,
+over growing name universes.
 
 Usage: python scripts/realizability_report.py [--max-depth 2] [--fuel 10000]
 
@@ -16,9 +17,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from izf import lemmas  # noqa: E402
 from izf.realizability import default_cfg, reals  # noqa: E402
 from izf.realizers import mk_eqRefl, mk_eqSymm, mk_eqTrans, mk_lei  # noqa: E402
-from izf.syntax import And, Eq, Forall, Imp, Mem, Var  # noqa: E402
 
 
 def main() -> None:
@@ -28,20 +29,11 @@ def main() -> None:
     ap.add_argument("--universe", type=int, default=24)
     args = ap.parse_args()
 
-    a, b, c = Var("a"), Var("b"), Var("c")
     suite = [
-        ("eqRefl", mk_eqRefl(), Forall("a", Eq(a, a))),
-        ("eqSymm", mk_eqSymm(), Forall("a", Forall("b", Imp(Eq(a, b), Eq(b, a))))),
-        (
-            "eqTrans",
-            mk_eqTrans(),
-            Forall("b", Forall("a", Forall("c", Imp(And(Eq(a, b), Eq(b, c)), Eq(a, c))))),
-        ),
-        (
-            "lei",
-            mk_lei(),
-            Forall("a", Forall("b", Forall("c", Imp(And(Mem(a, c), Eq(a, b)), Mem(b, c))))),
-        ),
+        ("eqRefl", mk_eqRefl(), lemmas.eq_refl_formula()),
+        ("eqSymm", mk_eqSymm(), lemmas.eq_symm_formula()),
+        ("eqTrans", mk_eqTrans(), lemmas.eq_trans_formula()),
+        ("lei", mk_lei(), lemmas.lei_formula()),
     ]
     print(f"{'realizer':10s} {'depth':>5s} {'names':>5s} {'verdict':>9s} {'secs':>7s}")
     for depth in range(1, args.max_depth + 1):

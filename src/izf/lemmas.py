@@ -4,8 +4,6 @@ The constructions follow the informal equality proofs: reflexivity by set
 induction, transitivity by set induction on the middle argument with the
 two membership unfoldings chained through the inductive hypothesis, and the
 membership-respects-equality lemma composing symmetry and transitivity.
-Everything here is annotated; the realizability module carries the erased
-twins.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .proofs import (
     is_value,
 )
 from .reduction import normalize
-from .realizers import mk_eqRefl
+from .realizers import mk_eqRefl, mk_eqSymm
 from .syntax import (
     And,
     Bottom,
@@ -288,8 +288,6 @@ def generator_labels() -> tuple[ErasedProof, ...]:
 
 def default_realizer_pool() -> tuple[ErasedProof, ...]:
     """Eight stock hypothesis realizers covering the shapes the lemmas need."""
-    from .realizers import mk_eqSymm
-
     i = identity_value()
     r = refl_value()
     mid = mem_wrap(i)

@@ -1,139 +1,29 @@
-"""The four untyped realizer terms, transcribed from their displays.
+"""The four stock realizers: erasures of the checked equality lemmas.
 
-Reflexivity is an induction whose body re-embeds each member with the
-recursive call; symmetry flips the two directions of an unfolded equality;
-transitivity is the induction on the middle set threading two membership
-unfoldings; the last term pushes a membership along an equality using the
-previous two.
+The erasure of a checked proof of a formula realizes it, so each realizer
+is read off its typed lemma in `lemmas` instead of being written out a
+second time: reflexivity, symmetry, transitivity, and membership respecting
+equality.
 """
 
 from __future__ import annotations
 
-from .proofs import (
-    EApp,
-    EAppT,
-    EAxProp,
-    EAxRep,
-    EExIntro,
-    EFst,
-    EInd,
-    ELamF,
-    ELamP,
-    ELet,
-    EPairP,
-    EPropVar,
-    ErasedProof,
-    ESnd,
-)
-from .syntax import Var
-
-
-def _p(n: str) -> EPropVar:
-    return EPropVar(n)
-
-
-def _in_rep(m: ErasedProof) -> ErasedProof:
-    return EAxRep("in", m)
-
-
-def _in_prop(m: ErasedProof) -> ErasedProof:
-    return EAxProp("in", m)
-
-
-def _eq_rep(m: ErasedProof) -> ErasedProof:
-    return EAxRep("eq", m)
-
-
-def _eq_prop(m: ErasedProof) -> ErasedProof:
-    return EAxProp("eq", m)
+from . import lemmas
+from .proof_ops import erase
+from .proofs import ErasedProof
 
 
 def mk_eqRefl() -> ErasedProof:
-    """ind(lam c. lam x. eqRep(lam d. <N, N>)), N = lam y. inRep([d, <y, x d y>])."""
-    d = Var("d")
-    n = ELamP("y", _in_rep(EExIntro(d, EPairP(_p("y"), EApp(EAppT(_p("x"), d), _p("y"))))))
-    m = ELamF("c", ELamP("x", _eq_rep(ELamF("d", EPairP(n, n)))))
-    return EInd(m)
+    return erase(lemmas.mk_eq_refl())
 
 
 def mk_eqSymm() -> ErasedProof:
-    """lam a b. lam x. eqRep(lam d. <snd(eqProp(x) d), fst(eqProp(x) d)>)."""
-    d = Var("d")
-    unfold = lambda: EAppT(_eq_prop(_p("x")), d)
-    body = _eq_rep(ELamF("d", EPairP(ESnd(unfold()), EFst(unfold()))))
-    return ELamF("a", ELamF("b", ELamP("x", body)))
+    return erase(lemmas.mk_eq_symm())
 
 
 def mk_eqTrans() -> ErasedProof:
-    """Induction on the middle argument, both directions chained through it."""
-    a2, a3, f = Var("a2"), Var("a3"), Var("f")
-
-    # x1 a2 fst(x4) f a3 <snd(x4), snd(x5)>
-    chained = EApp(
-        EAppT(EAppT(EApp(EAppT(_p("x1"), a2), EFst(_p("x4"))), f), a3),
-        EPairP(ESnd(_p("x4")), ESnd(_p("x5"))),
-    )
-
-    n2 = _in_rep(EExIntro(a3, EPairP(EFst(_p("x5")), chained)))
-    n1 = ELet(
-        "a3",
-        "x5",
-        _in_prop(EApp(EFst(EAppT(_eq_prop(ESnd(_p("x2"))), a2)), EFst(_p("x4")))),
-        n2,
-    )
-    n0 = ELamP(
-        "x3",
-        ELet(
-            "a2",
-            "x4",
-            _in_prop(EApp(EFst(EAppT(_eq_prop(EFst(_p("x2"))), f)), _p("x3"))),
-            n1,
-        ),
-    )
-
-    o2 = _in_rep(EExIntro(a3, EPairP(EFst(_p("x5")), chained)))
-    o1 = ELet(
-        "a3",
-        "x5",
-        _in_prop(EApp(ESnd(EAppT(_eq_prop(EFst(_p("x2"))), a2)), EFst(_p("x4")))),
-        o2,
-    )
-    o0 = ELamP(
-        "x3",
-        ELet(
-            "a2",
-            "x4",
-            _in_prop(EApp(ESnd(EAppT(_eq_prop(ESnd(_p("x2"))), f)), _p("x3"))),
-            o1,
-        ),
-    )
-
-    m0 = ELamF(
-        "b",
-        ELamP(
-            "x1",
-            ELamF("a1", ELamF("c", ELamP("x2", _eq_rep(ELamF("f", EPairP(n0, o0)))))),
-        ),
-    )
-    return EInd(m0)
+    return erase(lemmas.mk_eq_trans())
 
 
-def mk_lei(
-    eq_symm: ErasedProof | None = None, eq_trans: ErasedProof | None = None
-) -> ErasedProof:
-    """lam a b c. lam x. let [d, y] := inProp(fst(x)) in
-    inRep([d, <fst(y), eqTrans a b c <eqSymm a b snd(x), snd(y)>>])."""
-    a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
-    eq_symm = eq_symm if eq_symm is not None else mk_eqSymm()
-    eq_trans = eq_trans if eq_trans is not None else mk_eqTrans()
-    glue = EApp(
-        EAppT(EAppT(EAppT(eq_trans, a), b), c),
-        EPairP(EApp(EAppT(EAppT(eq_symm, a), b), ESnd(_p("x"))), ESnd(_p("y"))),
-    )
-    body = ELet(
-        "d",
-        "y",
-        _in_prop(EFst(_p("x"))),
-        _in_rep(EExIntro(d, EPairP(EFst(_p("y")), glue))),
-    )
-    return ELamF("a", ELamF("b", ELamF("c", ELamP("x", body))))
+def mk_lei() -> ErasedProof:
+    return erase(lemmas.mk_lei())

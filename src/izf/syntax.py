@@ -771,10 +771,6 @@ def iff(l: Formula, r: Formula) -> Formula:
     return And(Imp(l, r), Imp(r, l))
 
 
-def neg(phi: Formula) -> Formula:
-    return Imp(phi, Bottom())
-
-
 def succ_term(t: Term) -> Term:
     return UnionT(PairT(t, PairT(t, t)))
 

@@ -46,12 +46,13 @@ def _grow(rng: random.Random, pool):
     return None
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_well_typed_terms_respect_metatheory(seed):
+def grown_theorems(seed: int, rounds: int = 25):
+    """The checked (proof, formula) pairs that `rounds` growth steps from the
+    standard library create under the given seed."""
     rng = random.Random(0xABCDE + seed)
     pool = [(e.proof, e.formula) for e in standard_entries()]
     created = []
-    for _ in range(25):
+    for _ in range(rounds):
         out = _grow(rng, pool)
         if out is None:
             continue
@@ -59,7 +60,12 @@ def test_random_well_typed_terms_respect_metatheory(seed):
         check((), m, phi)
         pool.append((m, phi))
         created.append((m, phi))
-    for m, phi in created:
+    return created
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_well_typed_terms_respect_metatheory(seed):
+    for m, phi in grown_theorems(seed):
         states = trace_states(m, 10**4)
         for s in states:
             check((), s, phi)  # subject reduction

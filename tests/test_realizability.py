@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from izf import lemmas
 from izf import realizability as rz
 from izf.proof_ops import alpha_eq_proof, erase
 from izf.proofs import EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar, is_value
@@ -29,8 +30,10 @@ from izf.realizability import (
 )
 from izf.realizers import mk_eqRefl, mk_eqSymm, mk_eqTrans, mk_lei
 from izf.reduction import normalize
-from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Sep, Var, succ_term
+from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Sep, Var, alpha_eq, succ_term
+from izf.typecheck import check
 from izf.corpus import nwf_suite
+from test_metatheory_random import grown_theorems
 
 a, b, c = Var("a"), Var("b"), Var("c")
 SMALL = default_cfg(depth=1, fuel=10**4, universe_size=10)
@@ -194,14 +197,25 @@ def test_omega_prime_wrong_head_fails():
     assert omega_prime_member((identity_value(), EMPTY_NAME), EMPTY_NAME).fails
 
 
-def test_typed_lemma_erasures_match_realizer_transcriptions():
-    # erasing the typed equality lemmas yields exactly the stock untyped
-    # realizers
-    from izf.lemmas import mk_eq_refl, mk_eq_symm
-    from izf.proof_ops import alpha_eq_proof
-
-    assert alpha_eq_proof(erase(mk_eq_refl()), mk_eqRefl())
-    assert alpha_eq_proof(erase(mk_eq_symm()), mk_eqSymm())
+def test_stock_realizers_erase_proofs_of_the_criterion_8_statements():
+    # each stock realizer is the erasure of a lemma that checks against
+    # exactly the statement criterion 8 runs it on
+    stock = (
+        (mk_eqRefl, lemmas.mk_eq_refl, lemmas.eq_refl_formula, Forall("a", Eq(a, a))),
+        (mk_eqSymm, lemmas.mk_eq_symm, lemmas.eq_symm_formula, Forall("a", Forall("b", Imp(Eq(a, b), Eq(b, a))))),
+        (
+            mk_eqTrans,
+            lemmas.mk_eq_trans,
+            lemmas.eq_trans_formula,
+            Forall("b", Forall("a", Forall("c", Imp(And(Eq(a, b), Eq(b, c)), Eq(a, c))))),
+        ),
+        (mk_lei, lemmas.mk_lei, lemmas.lei_formula, LEI),
+    )
+    for realizer, lemma, formula, stated in stock:
+        proof = lemma()
+        assert realizer() == erase(proof)
+        check((), proof, formula())
+        assert alpha_eq(formula(), stated)
 
 
 def test_name_equality_alpha_on_labels():
@@ -393,3 +407,16 @@ def test_erasures_of_checked_theorems_realize():
             unsupported.append(e.name)
     assert unsupported == ["ax_inac1"]
     assert len(verdicts) == 31 and set(verdicts.values()) == {"realizes"}, verdicts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_erasures_of_grown_theorems_realize(seed):
+    # soundness on random compositions of the library: a checked proof's
+    # erasure never fails its statement
+    cfg = default_cfg(depth=1)
+    for m, phi in grown_theorems(seed):
+        try:
+            verdict = reals(erase(m), phi, {}, cfg)
+        except UnsupportedFormulaError:
+            continue
+        assert verdict.realizes, (phi, verdict)
