@@ -1,16 +1,29 @@
-"""The axiom-schema catalogue.
+"""The axiom catalogue: one row per family, in the paper's notation.
 
-For each axiom (A) with a set-term form this module provides the term head
-t_A(args) and the defining formula phi_A(c, args); for the membership and
-equality axioms it provides their defining right-hand sides, and for the
-induction schema the induction-hypothesis premise shape.  The two
-non-well-founded axioms of the optional nwf mode reuse the same machinery
-with the extensional membership relation as their head.
+Every axiom but set induction has one shape in the paper,
+
+    forall a.. forall c, c R t_A(a..) <-> phi_A(c, a..),
+
+with R intensional membership (``ini``) for the set-term families,
+extensional membership (``in``) for (IN) and the two axioms of the nwf mode,
+and equality for (EQ).  ``FAMILIES`` is the only place a family is
+described.  A family without a schema is written as that statement in the
+concrete syntax, over placeholder names.  Its quantifiers give the arity and
+the order of the arguments.  The left side of ``<->`` gives R, the
+placeholder of c, and the term head t_A; in (IN) and (EQ) that is the
+argument itself, so they have no term form.  The right side is phi_A.  An
+inaccessible's statement also names its V_i and V_{i-1}, as ``Vi`` and
+``Vh``.  The statements are parsed on first use, because the parser imports
+this module.  One ``substitute_many`` instantiates a piece, so capture
+avoidance comes from substitution.  Separation, replacement and induction
+carry a formula; their rows are small functions of the identifier.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .syntax import (
     FO_BINDER,
@@ -18,8 +31,6 @@ from .syntax import (
     FORMULA,
     LITERAL,
     And,
-    Bottom,
-    Empty,
     Eq,
     Exists,
     Forall,
@@ -30,14 +41,10 @@ from .syntax import (
     MemI,
     Node,
     NwfConst,
-    Omega,
     Or,
-    PairT,
-    PowerT,
     Repl,
     Sep,
     Term,
-    UnionT,
     Var,
     _shape,
     bound_names,
@@ -46,12 +53,10 @@ from .syntax import (
     free_vars,
     fresh_name,
     iff,
-    kuratowski,
-    substitute,
     substitute_many,
-    succ_term,
     v_index,
 )
+
 
 
 class AxiomError(Exception):
@@ -189,299 +194,235 @@ declare(
 )
 
 
+
+
+# ---------------------------------------------------------------------------
+# The catalogue
+
+
+class Row(NamedTuple):
+    """One family; each function takes the identifier, so that one row
+    serves every instance of a schema."""
+
+    arity: int  # a schema takes one more argument per parameter
+    rel: type | None  # R; induction has none
+    term: Callable | None  # t_A(ax, args); none where R takes the argument itself
+    phi: Callable  # phi_A(ax, c, args)
+    statement: Callable  # the closed axiom
+    nwf: bool = False  # an axiom of the nwf mode only
+
+
+# "c is a function from a to w", with Kuratowski pairs: every x in a has
+# exactly one y in w with (x, y) in c, and every z in c is such a pair.
+FUNC = (
+    r"(forall x, x in a -> (exists y, y in w /\ {{x, x}, {x, y}} in c"
+    r" /\ (forall u, {{x, x}, {x, u}} in c -> u = y)))"
+    r" /\ (forall z, z in c -> (exists x, x in a /\ (exists y, y in w /\ z = {{x, x}, {x, y}})))"
+)
+
+
+def _func(c: str, a: str, w: str) -> str:
+    return re.sub(r"\b[caw]\b", lambda m: {"c": c, "a": a, "w": w}[m.group()], FUNC)
+
+
+# c is a member of V_i (Vi), and d is closed like an inaccessible above V_{i-1} (Vh).
+INAC_PHI1 = (
+    r"c = Vh \/ (exists a, a in Vi /\ c in a) \/ (exists a, a in Vi /\ c = union a)"
+    rf" \/ (exists a, a in Vi /\ c = power a) \/ (exists a, a in Vi /\ {_func('c', 'a', 'Vi')})"
+)
+INAC_PHI2 = (
+    r"Vh in d /\ (forall e, forall f, e in d /\ f in e -> f in d) /\ (forall e, e in d -> union e in d)"
+    r" /\ (forall e, e in d -> power e in d)"
+    rf" /\ (forall e, e in d -> (forall f, {_func('f', 'e', 'd')} -> f in d))"
+)
+
+
+def _inaccessibles(i: int) -> dict[str, Term]:
+    return {"Vi": Inac(i), "Vh": v_index(i - 1)}
+
+
+_PARSED: dict[str, Formula] = {}
+
+
+def _parsed(text: str) -> Formula:
+    """A template of this module, parsed on first use."""
+    if text not in _PARSED:
+        from .parser import parse_formula
+
+        _PARSED[text] = parse_formula(text)
+    return _PARSED[text]
+
+
+def _template_row(text: str, consts: Callable = lambda ax: {}) -> Row:
+    """The row of a family written as its statement; ``consts`` gives the
+    identifier's values of the statement's free names."""
+    stmt = body = _parsed(text)
+    names = []
+    while isinstance(body, Forall):
+        names.append(body.binder)
+        body = body.body
+    head, phi = body.left.left, body.left.right  # head <-> phi is (head -> phi) /\ (phi -> head)
+    c, t = head.left.name, head.right
+    params = tuple(n for n in names if n != c)
+    inst = lambda x, ax, env: substitute_many(x, {**env, **consts(ax)})
+    return Row(
+        len(params),
+        type(head),
+        None if t in map(Var, params) else lambda ax, args: inst(t, ax, dict(zip(params, args))),
+        lambda ax, e, args: inst(phi, ax, {c: e, **dict(zip(params, args))}),
+        lambda ax: inst(stmt, ax, {}),
+        isinstance(t, NwfConst),
+    )
+
+
+def _body(ax: AxiomId, at: dict[str, Term], args: tuple[Term, ...]) -> Formula:
+    """A schema's body with its binders at ``at`` and its parameters at ``args``."""
+    return substitute_many(ax.body, {**at, **dict(zip(ax.params, args))})
+
+
+def _taken(ax: AxiomId, c: Term, args: tuple[Term, ...]) -> frozenset[str]:
+    return free_vars(c).union(free_vars(ax.body), bound_names(ax.body), *map(free_vars, args))
+
+
+def _repl_phi(ax: ReplAx, c: Term, args: tuple[Term, ...]) -> Formula:
+    """The body is functional on the carrier, and c is the image of a member."""
+    taken = _taken(ax, c, args)
+    x = fresh_name(ax.binder1, taken)
+    y = fresh_name(ax.binder2, taken | {x})
+    e = fresh_name("e", taken | {x, y})
+    at = lambda v: _body(ax, {ax.binder1: Var(x), ax.binder2: v}, args[1:])
+    unique = Forall(e, Imp(at(Var(e)), Eq(Var(e), Var(y))))
+    functional = Forall(x, Imp(Mem(Var(x), args[0]), Exists(y, And(at(Var(y)), unique))))
+    return And(functional, Exists(x, And(Mem(Var(x), args[0]), at(c))))
+
+
+def _ind_phi(ax: IndAx, c: Term, args: tuple[Term, ...]) -> Formula:
+    """The induction premise at c: (forall b, b ini c -> phi(b)) -> phi(c)."""
+    b = fresh_name("b", _taken(ax, c, args))
+    premise = Forall(b, Imp(MemI(Var(b), c), _body(ax, {ax.binder: Var(b)}, args)))
+    return Imp(premise, _body(ax, {ax.binder: c}, args))
+
+
+def _schema_statement(ax: AxiomId) -> Formula:
+    """forall a.., forall c, c ini t_A(a..) <-> phi_A(c, a..), over names
+    clear of the schema's own."""
+    k = arity(ax)
+    taken, names = free_vars(ax) | bound_names(ax), []
+    for i in range(k + 1):
+        names.append(fresh_name("abf"[i % 3] if i < k else "c", taken | set(names)))
+    *args, c = map(Var, names)
+    return forall_many(names, iff(head_formula(ax, c, tuple(args)), phi_A(ax, c, tuple(args))))
+
+
+def _ind_statement(ax: IndAx) -> Formula:
+    """forall params, (forall a, the premise at a) -> forall a, phi(a)."""
+    a = fresh_name("a", free_vars(ax.body) | bound_names(ax.body) | set(ax.params) | {ax.binder})
+    args = tuple(map(Var, ax.params))
+    premise = Forall(a, phi_A(ax, Var(a), args))
+    return forall_many(ax.params, Imp(premise, Forall(a, substitute_many(ax.body, {ax.binder: Var(a)}))))
+
+
+# Each family once: its statement over placeholder names, or a schema's row.
+FAMILIES: dict[type, str | tuple | Row] = {
+    EmptyAx: r"forall c, c ini empty <-> bot",
+    PairAx: r"forall a, forall b, forall c, c ini {a, b} <-> c = a \/ c = b",
+    InfAx: r"forall c, c ini omega <-> c = empty \/ (exists b, b in omega /\ c = S(b))",
+    UnionAx: r"forall a, forall c, c ini union a <-> (exists b, b in a /\ c in b)",
+    PowerAx: r"forall a, forall c, c ini power a <-> (forall b, b in c -> b in a)",
+    InAx: r"forall a, forall b, a in b <-> (exists c, c ini b /\ a = c)",
+    EqAx: r"forall a, forall b, a = b <-> (forall d, (d ini a -> d in b) /\ (d ini b -> d in a))",
+    NwfAx: r"forall a, a in nwfC <-> (forall e, (e in a -> e in nwfC) /\ (e in nwfC -> e in a))",
+    Sep0Ax: r"forall a, a in nwfD <-> a in nwfC /\ (a in a -> a in nwfC)",
+    InacAx: (
+        rf"forall c, c ini Vi <-> ({INAC_PHI1}) /\ (forall d, {INAC_PHI2} -> c in d)",
+        lambda ax: _inaccessibles(ax.index),
+    ),
+    SepAx: Row(
+        1,
+        MemI,
+        lambda ax, args: Sep(ax.binder, ax.params, ax.body, args[0], args[1:]),
+        lambda ax, c, args: And(Mem(c, args[0]), _body(ax, {ax.binder: c}, args[1:])),
+        _schema_statement,
+    ),
+    ReplAx: Row(
+        1,
+        MemI,
+        lambda ax, args: Repl(ax.binder1, ax.binder2, ax.params, ax.body, args[0], args[1:]),
+        _repl_phi,
+        _schema_statement,
+    ),
+    IndAx: Row(0, None, None, _ind_phi, _ind_statement),
+}
+_ROWS: dict[type, Row] = {}
+
+
+def _row(ax: AxiomId) -> Row:
+    if type(ax) not in _ROWS:
+        spec = FAMILIES.get(type(ax))
+        if spec is None:
+            raise TypeError(f"not an axiom id: {ax!r}")
+        if not isinstance(spec, Row):
+            spec = _template_row(*spec) if isinstance(spec, tuple) else _template_row(spec)
+        _ROWS[type(ax)] = spec
+    return _ROWS[type(ax)]
+
+
 def arity(ax: AxiomId) -> int:
     """Number of argument terms the axiom's term/formula family expects."""
-    match ax:
-        case EmptyAx() | InfAx() | InacAx() | NwfAx() | Sep0Ax():
-            return 0
-        case PairAx():
-            return 2
-        case UnionAx() | PowerAx() | InAx() | EqAx():
-            return 1
-        case SepAx(_, params, _):
-            return 1 + len(params)
-        case ReplAx(_, _, params, _):
-            return 1 + len(params)
-        case IndAx(_, params, _):
-            return len(params)
-    raise TypeError(f"not an axiom id: {ax!r}")
+    return _row(ax).arity + len(getattr(ax, "params", ()))
 
 
-def _check_arity(ax: AxiomId, args: tuple[Term, ...]) -> None:
+def _checked(ax: AxiomId, args: tuple[Term, ...]) -> Row:
     if len(args) != arity(ax):
         raise ArityError(f"{ax!r} expects {arity(ax)} argument(s), got {len(args)}")
+    return _row(ax)
 
 
 def term_head(ax: AxiomId, args: tuple[Term, ...]) -> Term:
     """The set term t_A(args); In/Eq/Ind have no term form."""
-    _check_arity(ax, args)
-    match ax:
-        case EmptyAx():
-            return Empty()
-        case PairAx():
-            return PairT(args[0], args[1])
-        case InfAx():
-            return Omega()
-        case UnionAx():
-            return UnionT(args[0])
-        case PowerAx():
-            return PowerT(args[0])
-        case SepAx(z, ps, body):
-            return Sep(z, ps, body, args[0], args[1:])
-        case ReplAx(z, y, ps, body):
-            return Repl(z, y, ps, body, args[0], args[1:])
-        case InacAx(i):
-            return Inac(i)
-        case NwfAx():
-            return NwfConst("C")
-        case Sep0Ax():
-            return NwfConst("D")
-        case InAx() | EqAx() | IndAx():
-            raise NoTermFormError(f"{type(ax).__name__} has no term form")
-    raise TypeError(f"not an axiom id: {ax!r}")
+    row = _checked(ax, args)
+    if row.term is None:
+        raise NoTermFormError(f"{type(ax).__name__} has no term form")
+    return row.term(ax, args)
 
 
 def head_formula(ax: AxiomId, t: Term, args: tuple[Term, ...]) -> Formula:
-    """The conclusion an introduction proof term gets for this axiom.
-
-    Set-term axioms conclude intensional membership in t_A(args); the (IN)
-    and (EQ) axioms conclude the defined relations themselves; the nwf pair
-    concludes extensional membership, matching the appendix theory whose
-    only relation is extensional.
-    """
-    _check_arity(ax, args)
-    match ax:
-        case InAx():
-            return Mem(t, args[0])
-        case EqAx():
-            return Eq(t, args[0])
-        case NwfAx():
-            return Mem(t, NwfConst("C"))
-        case Sep0Ax():
-            return Mem(t, NwfConst("D"))
-        case IndAx():
-            raise NoTermFormError("induction has no membership head")
-        case _:
-            return MemI(t, term_head(ax, args))
-
-
-def _freshes(k: int, avoid: frozenset[str], bases: tuple[str, ...]) -> list[str]:
-    out: list[str] = []
-    taken = set(avoid)
-    for i in range(k):
-        n = fresh_name(bases[i % len(bases)], taken)
-        out.append(n)
-        taken.add(n)
-    return out
+    """The conclusion an introduction proof term gets: t R t_A(args), or t R
+    args[0] for (IN) and (EQ)."""
+    row = _checked(ax, args)
+    if row.rel is None:
+        raise NoTermFormError("induction has no membership head")
+    return row.rel(t, args[0] if row.term is None else row.term(ax, args))
 
 
 def phi_A(ax: AxiomId, c: Term, args: tuple[Term, ...]) -> Formula:
-    """The defining formula phi_A(c, args), fully instantiated.
-
-    For In/Eq this is the right-hand side of (IN)/(EQ); for Ind it is the
-    induction-hypothesis premise shape at c.  Schema instantiation commutes
-    with substitution because schema binders are renamed away from the
-    arguments' free variables before instantiating.
-    """
-    _check_arity(ax, args)
-    avoid = free_vars(c) | frozenset().union(frozenset(), *(free_vars(u) for u in args))
-    match ax:
-        case EmptyAx():
-            return Bottom()
-        case PairAx():
-            return Or(Eq(c, args[0]), Eq(c, args[1]))
-        case InfAx():
-            (b,) = _freshes(1, avoid, ("b",))
-            return Or(
-                Eq(c, Empty()),
-                Exists(b, And(Mem(Var(b), Omega()), Eq(c, succ_term(Var(b))))),
-            )
-        case UnionAx():
-            (b,) = _freshes(1, avoid | bound_names(args[0]), ("b",))
-            return Exists(b, And(Mem(Var(b), args[0]), Mem(c, Var(b))))
-        case PowerAx():
-            (b,) = _freshes(1, avoid | bound_names(args[0]), ("b",))
-            return Forall(b, Imp(Mem(Var(b), c), Mem(Var(b), args[0])))
-        case SepAx(z, ps, body):
-            inst = substitute_many(body, {z: c, **dict(zip(ps, args[1:]))})
-            return And(Mem(c, args[0]), inst)
-        case ReplAx(z, y, ps, body):
-            return _phi_repl(z, y, ps, body, c, args, avoid)
-        case InacAx(i):
-            cv = _as_var_or_fresh(c, avoid)
-            d = fresh_name("d", avoid | {cv})
-            left = inac_phi1(i, cv)
-            out = And(left, Forall(d, Imp(inac_phi2(i, d), Mem(Var(cv), Var(d)))))
-            return substitute(out, cv, c) if not _is_var(c, cv) else out
-        case InAx():
-            (d,) = _freshes(1, avoid, ("c",))
-            return Exists(d, And(MemI(Var(d), args[0]), Eq(c, Var(d))))
-        case EqAx():
-            (d,) = _freshes(1, avoid, ("d",))
-            return Forall(
-                d,
-                And(
-                    Imp(MemI(Var(d), c), Mem(Var(d), args[0])),
-                    Imp(MemI(Var(d), args[0]), Mem(Var(d), c)),
-                ),
-            )
-        case IndAx(a, ps, body):
-            env = dict(zip(ps, args))
-            (b,) = _freshes(1, avoid | free_vars(body) | bound_names(body), ("b",))
-            at_b = substitute_many(body, {a: Var(b), **env})
-            at_c = substitute_many(body, {a: c, **env})
-            return Imp(Forall(b, Imp(MemI(Var(b), c), at_b)), at_c)
-        case NwfAx():
-            (x,) = _freshes(1, avoid, ("e",))
-            cc = NwfConst("C")
-            return Forall(
-                x,
-                And(
-                    Imp(Mem(Var(x), c), Mem(Var(x), cc)),
-                    Imp(Mem(Var(x), cc), Mem(Var(x), c)),
-                ),
-            )
-        case Sep0Ax():
-            cc = NwfConst("C")
-            return And(Mem(c, cc), Imp(Mem(c, c), Mem(c, cc)))
-    raise TypeError(f"not an axiom id: {ax!r}")
+    """The defining formula phi_A(c, args), fully instantiated; for Ind the
+    induction-hypothesis premise shape at c."""
+    return _checked(ax, args).phi(ax, c, args)
 
 
-def _is_var(c: Term, name: str) -> bool:
-    return isinstance(c, Var) and c.name == name
+def axiom_statement(ax: AxiomId) -> Formula:
+    """The full universally quantified axiom."""
+    return _row(ax).statement(ax)
 
 
-def _as_var_or_fresh(c: Term, avoid: frozenset[str]) -> str:
-    if isinstance(c, Var):
-        return c.name
-    return fresh_name("c", avoid)
-
-
-def _phi_repl(
-    z: str,
-    y: str,
-    ps: tuple[str, ...],
-    body: Formula,
-    c: Term,
-    args: tuple[Term, ...],
-    avoid: frozenset[str],
-) -> Formula:
-    carrier = args[0]
-    env = dict(zip(ps, args[1:]))
-    taken = avoid | free_vars(body) | bound_names(body)
-    x1 = fresh_name(z, taken)
-    taken |= {x1}
-    y1 = fresh_name(y, taken)
-    taken |= {y1}
-    y2 = fresh_name("e", taken)
-    at = lambda xx, yy: substitute_many(body, {z: xx, y: yy, **env})
-    functional = Forall(
-        x1,
-        Imp(
-            Mem(Var(x1), carrier),
-            Exists(
-                y1,
-                And(
-                    at(Var(x1), Var(y1)),
-                    Forall(y2, Imp(at(Var(x1), Var(y2)), Eq(Var(y2), Var(y1)))),
-                ),
-            ),
-        ),
-    )
-    witness = Exists(x1, And(Mem(Var(x1), carrier), at(Var(x1), c)))
-    return And(functional, witness)
-
-
-# ---------------------------------------------------------------------------
-# Inaccessibility formulas
+def is_nwf_axiom(ax: AxiomId) -> bool:
+    return _row(ax).nwf
 
 
 def func_formula(c: Term, a: Term, w: Term) -> Formula:
-    """Spell out "c is a function from a to w" with Kuratowski pairing.
-
-    Reads: every x in a has exactly one y in w with (x, y) in c, and every
-    z in c is such a pair.  Bounded unique existence takes the shape used in
-    the function-closure argument: a witness in w whose property-instances
-    all equal it.
-    """
-    avoid = free_vars(c) | free_vars(a) | free_vars(w)
-    x, y, zz, u = _freshes(4, avoid, ("x", "y", "z", "u"))
-    pair_in = lambda xx, yy: Mem(kuratowski(xx, yy), c)
-    total = Forall(
-        x,
-        Imp(
-            Mem(Var(x), a),
-            Exists(
-                y,
-                And(
-                    Mem(Var(y), w),
-                    And(
-                        pair_in(Var(x), Var(y)),
-                        Forall(u, Imp(pair_in(Var(x), Var(u)), Eq(Var(u), Var(y)))),
-                    ),
-                ),
-            ),
-        ),
-    )
-    onto_pairs = Forall(
-        zz,
-        Imp(
-            Mem(Var(zz), c),
-            Exists(
-                x,
-                And(
-                    Mem(Var(x), a),
-                    Exists(y, And(Mem(Var(y), w), Eq(Var(zz), kuratowski(Var(x), Var(y))))),
-                ),
-            ),
-        ),
-    )
-    return And(total, onto_pairs)
+    """"c is a function from a to w", spelled out with Kuratowski pairs."""
+    return substitute_many(_parsed(FUNC), {"c": c, "a": a, "w": w})
 
 
 def inac_phi1(i: int, c: str) -> Formula:
     """Membership conditions for V_i: the five-way disjunction."""
-    if i < 1:
-        raise ValueError("inaccessible index must be >= 1")
-    vi = Inac(i)
-    a = fresh_name("a", frozenset((c,)))
-    in_vi = Mem(Var(a), vi)
-    clauses = [
-        Eq(Var(c), v_index(i - 1)),
-        Exists(a, And(in_vi, Mem(Var(c), Var(a)))),
-        Exists(a, And(in_vi, Eq(Var(c), UnionT(Var(a))))),
-        Exists(a, And(in_vi, Eq(Var(c), PowerT(Var(a))))),
-        Exists(a, And(in_vi, func_formula(Var(c), Var(a), vi))),
-    ]
-    out = clauses[-1]
-    for cl in reversed(clauses[:-1]):
-        out = Or(cl, out)
-    return out
+    return substitute_many(_parsed(INAC_PHI1), {"c": Var(c), **_inaccessibles(i)})
 
 
 def inac_phi2(i: int, d: str) -> Formula:
     """Inaccessibility conditions for d: the five-way conjunction."""
-    if i < 1:
-        raise ValueError("inaccessible index must be >= 1")
-    e, f = _freshes(2, frozenset((d,)), ("e", "f"))
-    dv = Var(d)
-    clauses = [
-        Mem(v_index(i - 1), dv),
-        Forall(e, Forall(f, Imp(And(Mem(Var(e), dv), Mem(Var(f), Var(e))), Mem(Var(f), dv)))),
-        Forall(e, Imp(Mem(Var(e), dv), Mem(UnionT(Var(e)), dv))),
-        Forall(e, Imp(Mem(Var(e), dv), Mem(PowerT(Var(e)), dv))),
-        Forall(
-            e,
-            Imp(
-                Mem(Var(e), dv),
-                Forall(f, Imp(func_formula(Var(f), Var(e), dv), Mem(Var(f), dv))),
-            ),
-        ),
-    ]
-    out = clauses[-1]
-    for cl in reversed(clauses[:-1]):
-        out = And(cl, out)
-    return out
+    return substitute_many(_parsed(INAC_PHI2), {"d": Var(d), **_inaccessibles(i)})
 
 
 def disjuncts(phi: Formula) -> list[Formula]:
@@ -502,42 +443,3 @@ def conjuncts(phi: Formula) -> list[Formula]:
         phi = phi.right
     out.append(phi)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Closed axiom statements
-
-
-def axiom_statement(ax: AxiomId) -> Formula:
-    """The full universally quantified axiom."""
-    match ax:
-        case InAx():
-            a, b = "a", "b"
-            return forall_many((a, b), iff(Mem(Var(a), Var(b)), phi_A(ax, Var(a), (Var(b),))))
-        case EqAx():
-            a, b = "a", "b"
-            return forall_many((a, b), iff(Eq(Var(a), Var(b)), phi_A(ax, Var(a), (Var(b),))))
-        case IndAx(binder, params, body):
-            taken = free_vars(body) | bound_names(body) | set(params) | {binder}
-            a = fresh_name("a", taken)
-            args = tuple(Var(p) for p in params)
-            premise = Forall(a, phi_A(ax, Var(a), args))
-            concl = Forall(a, substitute_many(body, {binder: Var(a)}))
-            return forall_many(params, Imp(premise, concl))
-        case NwfAx() | Sep0Ax():
-            c = "a"
-            return Forall(c, iff(head_formula(ax, Var(c), ()), phi_A(ax, Var(c), ())))
-        case _:
-            k = arity(ax)
-            avoid = free_vars(ax) | bound_names(ax)
-            names = _freshes(k, avoid, ("a", "b", "f"))
-            c = fresh_name("c", avoid | set(names))
-            args = tuple(Var(n) for n in names)
-            return forall_many(
-                names + [c],
-                iff(MemI(Var(c), term_head(ax, args)), phi_A(ax, Var(c), args)),
-            )
-
-
-def is_nwf_axiom(ax: AxiomId) -> bool:
-    return isinstance(ax, (NwfAx, Sep0Ax))

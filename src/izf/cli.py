@@ -113,16 +113,22 @@ def cmd_normalize(args) -> int:
                     }
                     trace_fh.write(json.dumps(rec) + "\n")
 
-                out = normalize(decl.proof, fuel, on_step=on_step if trace_fh is not None else None)
+                # The machine is deterministic: a run that revisits a state
+                # loops for ever and spends all its fuel, so without a trace
+                # to write, a cycle found in the first steps ends the run.
+                budget = fuel if trace_fh is not None else min(fuel, 1000)
+                out = normalize(decl.proof, budget, on_step=on_step if trace_fh is not None else None)
+                cyc = detect_cycle(decl.proof, min(fuel, 1000)) if out.status == "fuel" else None
+                if cyc is None and out.status == "fuel" and out.steps < fuel:
+                    out = normalize(decl.proof, fuel)
                 if out.status == "value":
                     print(f"{decl.name}: value in {out.steps} steps")
-                else:
-                    failed += 1
-                    cyc = detect_cycle(decl.proof, min(fuel, 1000))
-                    report = f"{decl.name}: FuelExhausted after {out.steps} steps"
-                    if cyc is not None:
-                        report += f"; cycle prefix={cyc[0]} period={cyc[1]}"
-                    print(report)
+                    continue
+                failed += 1
+                report = f"{decl.name}: FuelExhausted after {fuel if cyc else out.steps} steps"
+                if cyc is not None:
+                    report += f"; cycle prefix={cyc[0]} period={cyc[1]}"
+                print(report)
     finally:
         if trace_fh is not None:
             trace_fh.close()

@@ -17,14 +17,13 @@ from enum import Enum
 from . import syntax as sx
 from .axioms import (
     AxiomId,
+    InacAx,
     InfAx,
     PairAx,
     PowerAx,
     ReplAx,
     SepAx,
     UnionAx,
-    inac_phi1,
-    inac_phi2,
     phi_A,
 )
 from .proofs import AxRep, ExIntro, Inl, Inr, PairP, Proof
@@ -51,6 +50,7 @@ from .syntax import (
     Term,
     UnionT,
     Var,
+    bound_names,
     free_vars,
     fresh_name,
     map_children,
@@ -202,18 +202,11 @@ def _term_char(t: Term, e: Term) -> Formula:
         case Empty():
             c = _fresh_for("c", (e, t))
             return Forall(c, Imp(Mem(Var(c), e), Bottom()))
-        case Omega():
-            # self-referential membership characterization of omega
+        case Omega() | Inac():
+            # self-referential: the membership condition of t, with e for t
             c = _fresh_for("c", (e, t))
-            body = phi_A(InfAx(), Var(c), ())
-            body = _replace_term(body, Omega(), e)
-            return Forall(c, sx.iff(Mem(Var(c), e), _formula_term_free(body)))
-        case Inac(i):
-            c = _fresh_for("c", (e, t))
-            d = _fresh_for("d", (e, t, Var(c)))
-            left = inac_phi1(i, c)
-            body = And(left, Forall(d, Imp(inac_phi2(i, d), Mem(Var(c), Var(d)))))
-            body = _replace_term(body, Inac(i), e)
+            body = phi_A(InfAx() if t == Omega() else InacAx(t.index), Var(c), ())
+            body = _replace_term(body, t, e)
             return Forall(c, sx.iff(Mem(Var(c), e), _formula_term_free(body)))
         case PairT(l, r):
             return _compound_char(PairAx(), (l, r), t, e)
@@ -293,9 +286,11 @@ def _fresh_for(base: str, xs: tuple) -> str:
 
 
 def _replace_term(phi: Formula, old: Term, new: Term) -> Formula:
-    """Replace every occurrence of a closed constant term inside atoms."""
+    """Replace every occurrence of a closed constant term inside atoms,
+    capture-avoiding: through a variable fresh for the whole formula."""
+    v = Var(fresh_name("v", free_vars(phi) | bound_names(phi) | free_vars(new)))
 
     def rep(x: Term | Formula) -> Term | Formula:
-        return new if x == old else map_children(x, rep)
+        return v if x == old else map_children(x, rep)
 
-    return rep(phi)
+    return substitute(rep(phi), v.name, new)

@@ -209,28 +209,39 @@ def test_phi_uses_only_extensional_relations():
     scan(phi_A(IndAx("a", (), Eq(a, a)), c, ()), allow_memi=True)
 
 
-@pytest.mark.parametrize("seed", range(40))
+SCHEMA_CASES = [
+    EmptyAx(),
+    PairAx(),
+    InfAx(),
+    UnionAx(),
+    PowerAx(),
+    InAx(),
+    EqAx(),
+    InacAx(1),
+    NwfAx(),
+    Sep0Ax(),
+    SepAx("z", ("p",), Mem(Var("z"), Var("p"))),
+    ReplAx("z", "y", ("p",), Eq(Var("y"), PairT(Var("z"), Var("p")))),
+    IndAx("a", ("p",), Mem(Var("a"), Var("p"))),
+]
+
+
+@pytest.mark.parametrize("seed", range(4 * len(SCHEMA_CASES)))
 def test_schema_instantiation_commutes_with_substitution(seed):
+    # c and the arguments are drawn over names the families bind (b, d, e, x),
+    # so that instantiating must avoid capture.
     rng = random.Random(seed)
-    ax = rng.choice(
-        [
-            PairAx(),
-            UnionAx(),
-            PowerAx(),
-            InAx(),
-            EqAx(),
-            SepAx("z", ("p",), Mem(Var("z"), Var("p"))),
-        ]
-    )
+    ax = SCHEMA_CASES[seed % len(SCHEMA_CASES)]
     from izf.axioms import arity
 
+    names = ("b", "d", "e", "x")
     fresh = tuple(Var(f"v{i}") for i in range(arity(ax)))
-    args = tuple(rand_term(rng, 2) for _ in range(arity(ax)))
-    generic = phi_A(ax, Var("w"), fresh)
-    inst = generic
-    for v, t in zip(fresh, args):
+    args = tuple(rand_term(rng, 2, names) for _ in range(arity(ax)))
+    elem = rand_term(rng, 2, names)
+    inst = phi_A(ax, Var("w"), fresh)
+    for v, t in zip((Var("w"), *fresh), (elem, *args)):
         inst = substitute(inst, v.name, t)
-    direct = phi_A(ax, Var("w"), args)
+    direct = phi_A(ax, elem, args)
     assert alpha_eq(inst, direct)
 
 

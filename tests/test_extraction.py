@@ -32,9 +32,11 @@ from izf.syntax import (
     Sep,
     UnionT,
     Var,
+    alpha_eq,
     free_vars,
     iff,
     numeral,
+    substitute,
 )
 from izf.typecheck import check, checks
 
@@ -192,6 +194,15 @@ def test_defining_formula_scan(t):
     got = defining_formula(t, "x")
     assert free_vars(got) == {"x"}
     assert _function_free(got)
+
+
+@pytest.mark.parametrize("t", [Omega(), Inac(1), Inac(2), PairT(Empty(), Omega()), PowerT(Inac(1))])
+def test_defining_formula_names_its_variable_without_capture(t):
+    # The constant of a self-referential characterization becomes the defined
+    # variable; no binder of the axiom formula may capture it.
+    generic = defining_formula(t, "q")
+    for n in "x y z u a b c d e f w".split():
+        assert alpha_eq(defining_formula(t, n), substitute(generic, "q", Var(n))), n
 
 
 def test_defining_formula_open_term_rejected():

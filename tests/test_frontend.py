@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,21 @@ def test_cli_normalize_nwf_loop():
     assert "cycle prefix=0 period=3" in r.stdout
 
 
+def test_cli_normalize_stops_at_a_cycle(tmp_path):
+    # nwf_l2 revisits a state after 3 steps, so the default fuel of 10^6 steps
+    # is reported without being spent; a traced run still writes every step.
+    start = time.perf_counter()
+    r = izf("normalize", "corpus/nwf_loop.izf")
+    assert time.perf_counter() - start < 30
+    assert r.returncode == 1
+    assert "nwf_l2: FuelExhausted after 1000000 steps; cycle prefix=0 period=3" in r.stdout.splitlines()
+    out = tmp_path / "trace.jsonl"
+    r = izf("normalize", "corpus/nwf_loop.izf", "--fuel", "500", "--trace", str(out))
+    assert "nwf_l2: FuelExhausted after 500 steps; cycle prefix=0 period=3" in r.stdout.splitlines()
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rec["step"] for rec in recs if rec["thm"] == "nwf_l2"] == list(range(500))
+
+
 def test_cli_extract_numeral():
     r = izf("extract", "corpus/two_in_omega.izf", "--goal", "numeral")
     assert r.returncode == 0
@@ -337,6 +353,18 @@ def test_cli_axiom_instantiated():
         " /\\ (c = empty \\/ c = omega -> c ini {empty, omega})"
     )
     assert alpha_eq(got, want)
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((ROOT / "tests" / "axiom_statements.json").read_text()), ids=lambda c: " ".join(c["argv"][1:])
+)
+def test_cli_axiom_prints_each_statement_exactly(case, capsys):
+    # Bound names included: the statements were recorded before the axiom
+    # catalogue became one table, and alpha-equivalence would hide a renaming.
+    from izf import cli
+
+    assert cli.main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_cli_realize_eq_file():
