@@ -13,7 +13,10 @@ The table holds the (status, reason) of every query in `queries()`:
   truncated and not, and of the theorems grown for seeds 0-3;
 * every stock realizer against every standard statement, and every standard
   erasure against the four stock statements, at depth 1 truncated and not
-  and at depth 0.
+  and at depth 0;
+* the stock and corpus realizers with a diverging hypothesis realizer in
+  the pool;
+* open formulas under environments whose names lie outside the universe.
 
 A query whose formula has no desk-scale meaning is recorded with status
 ``unsupported``.  With ``--check`` the table is compared instead of written,
@@ -35,8 +38,9 @@ for _p in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
 
 import inputs  # noqa: E402  (the benchmark's seeded inputs; imports nothing from izf)
 from izf import lemmas, realizers  # noqa: E402
-from izf.corpus import standard_entries  # noqa: E402
+from izf.corpus import nwf_suite, standard_entries  # noqa: E402
 from izf.parser import parse_formula  # noqa: E402
+from izf.proofs import EExIntro, EInl, EPairP  # noqa: E402
 from izf.proof_ops import erase  # noqa: E402
 from izf.realizability import (  # noqa: E402
     RealizCfg,
@@ -44,8 +48,12 @@ from izf.realizability import (  # noqa: E402
     default_cfg,
     default_realizer_pool,
     enumerate_names,
+    identity_value,
+    mem_wrap,
     reals,
+    refl_value,
 )
+from izf.syntax import Empty  # noqa: E402
 from test_metatheory_random import grown_theorems  # noqa: E402
 
 BENCH_SEEDS = range(21, 26)
@@ -63,7 +71,7 @@ def _stock():
 
 
 def queries():
-    """Yield (query id, realizer, formula, configuration)."""
+    """Yield (query id, realizer, formula, configuration[, environment])."""
     names = enumerate_names(inputs.UNIVERSE_DEPTH, inputs.UNIVERSE_POPULATION)
     suite = [
         (name, getattr(realizers, ctor)(), parse_formula(stmt))
@@ -103,18 +111,55 @@ def queries():
         for e in entries:
             for name, _, phi in stock:
                 yield f"{tag}/{e.name}/{name}", erase(e.proof), phi, cfg
+    loop = erase(next(e for e in nwf_suite() if e.name == "nwf_l2").proof)
+    cfg = RealizCfg(fuel=300, universe=enumerate_names(1, 6), realizers=(*default_realizer_pool(), loop))
+    for name, m, phi in (*stock, *((e.name, erase(e.proof), e.formula) for e in entries)):
+        yield f"diverging/{name}", m, phi, cfg
+    yield from _open_queries()
 
 
-def verdict(m, phi, cfg) -> list[str]:
+def _open_queries():
+    """Open formulas under environments of depth-2 names, with universes of
+    depth 0 and 1: the pools must draw on the environment's names."""
+    names = enumerate_names(2, 24)
+    i, r = identity_value(), refl_value()
+    subjects = (
+        *default_realizer_pool(),
+        *(m for _, m, _ in _stock()),
+        EExIntro(Empty(), mem_wrap(i)),
+        EExIntro(Empty(), EPairP(mem_wrap(i), r)),
+        EExIntro(Empty(), EInl(mem_wrap(i))),
+    )
+    formulas = (
+        "exists x, x in b",
+        "exists x, x = b",
+        "exists x, b in x",
+        "exists x, x ini b /\\ x = c",
+        "forall x, x in b -> x in c",
+        "b = c -> c = b",
+        "b in c \\/ c in b",
+        "exists x, exists y, x in y /\\ y = b",
+    )
+    for depth in (0, 1):
+        cfg = default_cfg(depth=depth)
+        for k in (5, 11, 17, 23):
+            rho = {"b": names[k], "c": names[k - 4]}
+            for text in formulas:
+                phi = parse_formula(text)
+                for j, m in enumerate(subjects):
+                    yield f"open/{depth}/{k}/{text}/{j}", m, phi, cfg, rho
+
+
+def verdict(m, phi, cfg, rho=None) -> list[str]:
     try:
-        v = reals(m, phi, {}, cfg)
+        v = reals(m, phi, rho, cfg)
     except UnsupportedFormulaError as err:
         return ["unsupported", str(err)]
     return [v.status, v.reason]
 
 
 def table() -> dict[str, list[str]]:
-    return {qid: verdict(m, phi, cfg) for qid, m, phi, cfg in queries()}
+    return {qid: verdict(*query) for qid, *query in queries()}
 
 
 def main() -> None:

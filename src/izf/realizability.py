@@ -11,19 +11,22 @@ treated as exhaustive and every verdict is decisive; with ``truncated=True``
 a universally quantified pool position that merely survives its pool
 reports Unknown instead.  Fuel exhaustion always reports Unknown.
 
-Each query runs one evaluator, ``_Eval``, whose tables die with the query,
-so that each piece of work is done once per query: the small int standing
-for each nameless key (so memo keys hash in O(1), and a node met again is
-not keyed again), each normal form, each instantiation of a lambda's body,
-each label's ``label_key``, each relation instance's verdict, each term's
-meaning and each hypothesis pool.  A name hashes in O(1) too: it computes
-its hash once, when it is built.
+Each query runs one evaluator, ``_Eval``, whose tables die with the query.
+It first compiles the query's formula, separation bodies included, into one
+node per subformula: the node's int key, the slots of its free variables in
+the environment, and a closure for its clause (one per paper clause: ⊥, ∈ᵢ,
+∈, =, ∧, ∨, →, ∀, ∃) over its compiled children; terms compile likewise.
+An environment is a tuple of per-query name ids, so a relation instance is
+keyed by ints alone, and each piece of work is done once per query: each
+key, name id, normal form, instantiation, label, verdict, meaning and pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
+from itertools import combinations
+from operator import itemgetter
 from typing import Callable
 
 from .proof_ops import canon, canon_key, esubst_prop, esubst_term
@@ -67,7 +70,6 @@ from .syntax import (
     free_vars,
     map_children,
     succ_term,
-    to_nameless,
 )
 
 
@@ -124,9 +126,7 @@ class LambdaName:
         # Each label is keyed once, here; entries are stored in the sorted
         # order of their keys.
         label = label or _label
-        seen = {}
-        for v, member in self.entries:
-            seen[(label(v), member.key)] = (v, member)
+        seen = {(label(v), member.key): (v, member) for v, member in self.entries}
         keys = tuple(sorted(seen))
         object.__setattr__(self, "entries", tuple(seen[k] for k in keys))
         object.__setattr__(self, "key", ("name", keys))
@@ -153,11 +153,6 @@ class LambdaName:
 
     def rank(self) -> int:
         return 1 + max((m.rank() for m in self.members()), default=0)
-
-    def has_entry(self, label_key: str, member: "LambdaName") -> bool:
-        """Whether an entry pairs a label keyed ``label_key`` (by the
-        function of that name) with a member equal to ``member``."""
-        return (label_key, member.key) in self.key[1]
 
 
 EMPTY_NAME = LambdaName(())
@@ -200,9 +195,10 @@ def unknown(reason: str) -> Verdict:
 def _v_all(verdicts, truncated_pool: bool = False) -> Verdict:
     pending = None
     for v in verdicts:
-        if v.fails:
+        status = v.status
+        if status == "fails":
             return v
-        if v.unknown and pending is None:
+        if status == "unknown" and pending is None:
             pending = v
     if pending is not None:
         return pending
@@ -214,9 +210,10 @@ def _v_all(verdicts, truncated_pool: bool = False) -> Verdict:
 def _v_any(verdicts, truncated_pool: bool = False) -> Verdict:
     pending = None
     for v in verdicts:
-        if v.realizes:
+        status = v.status
+        if status == "realizes":
             return v
-        if v.unknown and pending is None:
+        if status == "unknown" and pending is None:
             pending = v
     if pending is not None:
         return pending
@@ -288,19 +285,9 @@ def generator_labels() -> tuple[ErasedProof, ...]:
 
 def default_realizer_pool() -> tuple[ErasedProof, ...]:
     """Eight stock hypothesis realizers covering the shapes the lemmas need."""
-    i = identity_value()
-    r = refl_value()
+    i, r = identity_value(), refl_value()
     mid = mem_wrap(i)
-    return (
-        i,
-        EInl(i),
-        EInr(i),
-        r,
-        mid,
-        EPairP(mid, r),
-        EPairP(r, r),
-        mk_eqSymm(),
-    )
+    return (i, EInl(i), EInr(i), r, mid, EPairP(mid, r), EPairP(r, r), mk_eqSymm())
 
 
 def enumerate_names(depth: int, limit: int | None = None) -> tuple[LambdaName, ...]:
@@ -321,22 +308,17 @@ def enumerate_names(depth: int, limit: int | None = None) -> tuple[LambdaName, .
             if cand.key not in seen:
                 seen.add(cand.key)
                 fresh.append(cand)
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                cand = name_of((pairs[i], pairs[j]))
-                if cand.key not in seen:
-                    seen.add(cand.key)
-                    fresh.append(cand)
-                if limit is not None and len(level) + len(fresh) >= 4 * limit:
-                    break
-            else:
-                continue
-            break
+        for p, q in combinations(pairs, 2):
+            cand = name_of((p, q))
+            if cand.key not in seen:
+                seen.add(cand.key)
+                fresh.append(cand)
+            if limit is not None and len(level) + len(fresh) >= 4 * limit:
+                break
         level.extend(fresh)
         if limit is not None and len(level) >= 4 * limit:
             break
-    out = tuple(level[:limit]) if limit is not None else tuple(level)
-    return out
+    return tuple(level[:limit]) if limit is not None else tuple(level)
 
 
 def default_cfg(
@@ -346,16 +328,9 @@ def default_cfg(
     pool_size: int = 8,
     truncated: bool = False,
 ) -> RealizCfg:
-    pool = default_realizer_pool()
-    if pool_size < len(pool):
-        pool = pool[:pool_size]
-    return RealizCfg(
-        fuel=fuel,
-        universe=enumerate_names(depth, universe_size),
-        realizers=pool,
-        terms=(Empty(),),
-        truncated=truncated,
-    )
+    pool = default_realizer_pool()[:pool_size]
+    universe = enumerate_names(depth, universe_size)
+    return RealizCfg(fuel=fuel, universe=universe, realizers=pool, terms=(Empty(),), truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -363,38 +338,77 @@ def default_cfg(
 
 
 _RUNNING = object()  # the verdict of a relation instance while it is being computed
+_HEADS = {And: EPairP, Or: (EInl, EInr), Imp: ELamP, Forall: ELamF, Exists: EExIntro}  # value shapes
+
+
+def _bind(scope: tuple, names) -> tuple[tuple, tuple[int, ...]]:
+    """The scope after binding ``names`` in order as a dict would (a name
+    already in scope keeps its slot, a new one goes last), and their slots."""
+    out = list(scope)
+    for a in names:
+        if a not in out:
+            out.append(a)
+    return tuple(out), tuple(out.index(a) for a in names)
+
+
+def _extend(env: tuple, slots: tuple[int, ...], ids) -> tuple:
+    """env with the name ids ``ids`` in ``slots`` (one past the end appends)."""
+    out = list(env)
+    for p, n in zip(slots, ids):
+        out[p : p + 1] = (n,)
+    return tuple(out)
+
+
+def _picker(x: Term | Formula, scope: tuple) -> Callable[[tuple], object]:
+    """Reads the ids in the slots of x's free variables, in sorted order,
+    off an environment of ``scope``; a variable out of scope reads slot 0."""
+    slots = tuple(scope.index(a) if a in scope else 0 for a in sorted(free_vars(x)))
+    return itemgetter(*slots) if slots else lambda env: ()
+
+
+class _Node:
+    """One compiled subformula: its int key, ``pick`` (the name ids in its
+    free variables' slots), ``head`` (the value shape its clause wants, or
+    None) and ``clause``, the closure for its paper clause over its compiled
+    children, which ``build`` makes when the node is first evaluated."""
+
+    __slots__ = ("key", "pick", "head", "clause", "build")
 
 
 class _Eval:
     """One query's evaluator.  Its tables die with it:
 
-    * ``_ids``: the small int standing for each nameless key, so that the
-      keys of the other tables hash in O(1);
-    * ``_nodes``: each keyed node's int, by identity; an entry holds its
-      node, so no other node takes its id while the query runs;
-    * ``_norm``: each term's normal form, by key;
-    * ``_inst``: each instantiation of a lambda's body, by the keys of the
-      lambda and the argument;
-    * ``_labels``: each label's ``label_key``, by key;
+    * ``_ids``: the int standing for each nameless key; ``_nodes``: each
+      keyed node's int, by identity (an entry holds its node, so no other
+      node takes its id during the query);
+    * ``_name_ids``/``_names``: each name's int id, by key, and back (a name
+      is hashed once, when interned); ``_facts``: each id's member ids and
+      its entries as (label key, member id) pairs;
+    * ``_compiled``: each formula's ``_Node`` and each term's function from
+      an environment to its name id, by identity and scope;
+    * ``_norm``/``_values``: each term's value or why it has none, by key
+      and by identity; ``_inst``: each instantiation of a lambda's body, by
+      the keys of lambda and argument; ``_labels``: each ``label_key``;
     * ``_rel``: each relation instance's verdict, ``_RUNNING`` while it is
-      being computed;
-    * ``_meaning``: each term's name under the names of its free variables,
-      and omega's;
-    * ``_pools``: each hypothesis pool, by the set of names it draws on.
+      computed; a formula's is keyed by (its key, the subject's key, the
+      ids in its slots); ``_meaning``: each compound term's name id, by its
+      key and slot ids; ``_pools``: each hypothesis pool, by its name ids.
+
+    A scope lists the variables bound at a node in the order a dict would,
+    after ``None`` in slot 0; an environment, their name ids after -1.
     """
 
     def __init__(self, cfg: RealizCfg):
         self.cfg = cfg
-        self._ids: dict[tuple, int] = {}
-        self._nodes: dict[int, tuple[object, int]] = {}
-        self._norm: dict[int, tuple[str, ErasedProof]] = {}
-        self._inst: dict[tuple[int, int], ErasedProof] = {}
-        self._labels: dict[int, str] = {}
-        self._rel: dict[object, Verdict] = {}
-        self._meaning: dict[object, LambdaName] = {}
-        self._pools: dict[frozenset, tuple] = {}
+        self._ids, self._nodes, self._name_ids, self._compiled = {}, {}, {}, {}
+        self._names, self._facts = [], []
+        self._norm, self._values, self._inst, self._labels = {}, {}, {}, {}
+        self._rel, self._meaning, self._pools = {}, {}, {}
+        self._universe = tuple(map(self.nid, cfg.universe))
+        self._empty = self.nid(EMPTY_NAME)
+        self._omega = self._succ = None
 
-    # -- keys, labels and instantiation, each computed once
+    # -- keys, name ids, labels, values and instantiation, each computed once
 
     def key(self, x: ErasedProof | Term | Formula) -> int:
         """The int standing for x's canon key: equal iff alpha-equal."""
@@ -403,11 +417,25 @@ class _Eval:
             hit = self._nodes[id(x)] = (x, self._ids.setdefault(canon_key(x), len(self._ids)))
         return hit[1]
 
-    def _syntax_key(self, x: Term | Formula, rho: dict[str, LambdaName]) -> tuple:
-        """Memo key of a term or formula under an environment: its key plus
-        the names bound to its free variables, so alpha-variants (schema
-        bodies of separation and replacement terms included) share it."""
-        return self.key(x), tuple((a, rho[a]) for a in sorted(free_vars(x)) if a in rho)
+    def nid(self, nm: LambdaName) -> int:
+        """The int standing for nm: equal iff equal names."""
+        hit = self._name_ids.get(nm)
+        if hit is None:
+            hit = self._name_ids[nm] = len(self._names)
+            self._names.append(nm)
+            self._facts.append(None)
+        return hit
+
+    def _name_facts(self, n: int) -> tuple[tuple[int, ...], frozenset]:
+        hit = self._facts[n]
+        if hit is None:
+            nm = self._names[n]
+            ms = tuple(self.nid(m) for _, m in nm.entries)
+            hit = self._facts[n] = (tuple(dict.fromkeys(ms)), frozenset(zip((k for k, _ in nm.key[1]), ms)))
+        return hit
+
+    def members(self, n: int) -> tuple[int, ...]:
+        return self._name_facts(n)[0]
 
     def label(self, v: ErasedProof) -> str:
         """``label_key`` of v's canon key."""
@@ -417,9 +445,9 @@ class _Eval:
             hit = self._labels[k] = label_key(canon_key(v))
         return hit
 
-    def name(self, pairs) -> LambdaName:
-        """``name_of(pairs)``, its labels keyed through ``label``."""
-        return LambdaName(tuple(pairs), label=self.label)
+    def name(self, pairs) -> int:
+        """The id of ``name_of(pairs)``, its labels keyed through ``label``."""
+        return self.nid(LambdaName(tuple(pairs), label=self.label))
 
     def instantiate(self, lam: ELamF | ELamP, arg: Term | ErasedProof) -> ErasedProof:
         """lam's body with arg (a term for an ``ELamF``, a proof for an
@@ -431,24 +459,26 @@ class _Eval:
             hit = self._inst[k] = subst(lam.body, lam.var, arg)
         return hit
 
-    # -- normalization with memo
-
-    def norm(self, m: ErasedProof) -> tuple[str, ErasedProof]:
-        key = self.key(m)
-        hit = self._norm.get(key)
+    def _value_of(self, m: ErasedProof) -> tuple[ErasedProof | None, Verdict | None]:
+        """m's value, or None and why not: unknown out of fuel, ``FAILS`` if stuck."""
+        hit = self._values.get(id(m))
         if hit is None:
-            out = normalize(m, self.cfg.fuel)
-            hit = (out.status, out.result)
-            self._norm[key] = hit
+            key = self.key(m)  # which also holds m, so its id is not reused
+            hit = self._norm.get(key)
+            if hit is None:
+                out = normalize(m, self.cfg.fuel)
+                why = unknown("fuel exhausted during normalization") if out.status == "fuel" else FAILS
+                hit = self._norm[key] = (out.result, None) if out.is_value else (None, why)
+            self._values[id(m)] = hit
         return hit
 
-    def _value_of(self, m: ErasedProof):
-        status, v = self.norm(m)
-        if status == "value":
-            return v, None
-        if status == "fuel":
-            return None, unknown("fuel exhausted during normalization")
-        return None, FAILS  # stuck terms do not normalize
+    def _as(self, m: ErasedProof, head, family: str | None = None):
+        """m's value if it is a ``head`` (of ``family``, for an axiom
+        value), else None and why not: ``FAILS`` for any other value."""
+        v, err = self._value_of(m)
+        if err is None and not (isinstance(v, head) and (family is None or v.family == family)):
+            return None, FAILS
+        return v, err
 
     # -- relation memoization
 
@@ -467,362 +497,336 @@ class _Eval:
             return unknown("self-referential relation instance")
         return hit
 
-    # -- atomic relations
+    # -- atomic relations, over name ids
 
-    def mem_i(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
+    def mem_i(self, m: ErasedProof, a: int, b: int) -> Verdict:
         return self._memo(("memi", self.key(m), a, b), lambda: self._mem_i(m, a, b))
 
-    def _mem_i(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
+    def _mem_i(self, m: ErasedProof, a: int, b: int) -> Verdict:
         v, err = self._value_of(m)
         if err is not None:
             return err
-        if b.has_entry(self.label(v), a):
+        if (self.label(v), a) in self._name_facts(b)[1]:
             return REALIZES
-        if b == self.omega_name():
+        if b == self.omega():
             # The omega name is inductively defined: arbitrary labels are
             # admitted whenever the base or successor clause accepts them,
             # not only the canonical entries listed in the approximation.
-            return self._omega_entry(v, a)
+            return self._memo(("omega-entry", self.key(v), a), lambda: self._omega_clause(v, a, b))
         return FAILS
 
-    def _omega_entry(self, v: ErasedProof, a: LambdaName) -> Verdict:
-        key = ("omega-entry", self.key(v), a)
-        return self._memo(key, lambda: self._omega_entry_raw(v, a))
-
-    def _omega_entry_raw(self, v: ErasedProof, a: LambdaName) -> Verdict:
-        omega = self.omega_name()
-        candidates = dict.fromkeys((*omega.members(), a, *a.members(), *self.cfg.universe))
-        return self._omega_clause(v, a, omega, candidates)
-
-    def _omega_clause(
-        self, v: ErasedProof, a: LambdaName, approx: LambdaName, candidates
-    ) -> Verdict:
-        """Whether the entry (v, a) meets omega's base or successor clause.
-
-        The base clause wants an inl whose payload realizes equality with
-        zero; the successor clause wants an inr packaging a membership of
-        some candidate b in ``approx`` together with an equality of a to
-        the successor of b.
-        """
+    def _omega_clause(self, v: ErasedProof, a: int, approx: int, candidates=None) -> Verdict:
+        """Whether the entry (v, a) meets omega's base clause (an inl whose
+        payload realizes equality with zero) or its successor clause (an inr
+        packaging a membership of some candidate b, by default as in ``_mem``,
+        in ``approx`` with an equality of a to the successor of b)."""
         if not (isinstance(v, EAxRep) and v.family == "inf"):
             return FAILS
-        nv, err = self._value_of(v.arg)
-        if err is not None:
-            return err
+        nv, err = self._as(v.arg, (EInl, EInr))
         if isinstance(nv, EInl):
-            return self.eq(nv.body, a, EMPTY_NAME)
-        if not isinstance(nv, EInr):
-            return FAILS
-        ex, err = self._value_of(nv.body)
+            return self.eq(nv.body, a, self._empty)
+        if err is None:
+            ex, err = self._as(nv.body, EExIntro)
+        if err is None:
+            pair, err = self._as(ex.body, EPairP)
         if err is not None:
             return err
-        if not isinstance(ex, EExIntro):
-            return FAILS
-        pair, err = self._value_of(ex.body)
-        if err is not None:
-            return err
-        if not isinstance(pair, EPairP):
-            return FAILS
 
-        def for_b(b: LambdaName) -> Verdict:
+        if candidates is None:
+            candidates = dict.fromkeys((*self.members(approx), a, *self.members(a), *self._universe))
+
+        def for_b(b: int) -> Verdict:
             member = self.mem(pair.left, b, approx)
             if member.fails:
                 return member
-            succ = self.meaning(succ_term(NameRef(b)), {})
-            return _v_all([member, self.eq(pair.right, a, succ)])
+            return _v_all([member, self.eq(pair.right, a, self.succ(b))])
 
         return _v_any(for_b(b) for b in candidates)
 
-    def mem(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
+    def mem(self, m: ErasedProof, a: int, b: int) -> Verdict:
         return self._memo(("mem", self.key(m), a, b), lambda: self._mem(m, a, b))
 
-    def _mem(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        v, err = self._value_of(m)
+    def _mem(self, m: ErasedProof, a: int, b: int) -> Verdict:
+        v, err = self._as(m, EAxRep, "in")
+        if err is None:
+            ex, err = self._as(v.arg, EExIntro)
+        if err is None:
+            pair, err = self._as(ex.body, EPairP)
         if err is not None:
             return err
-        if not (isinstance(v, EAxRep) and v.family == "in"):
-            return FAILS
-        ex, err = self._value_of(v.arg)
-        if err is not None:
-            return err
-        if not isinstance(ex, EExIntro):
-            return FAILS
-        pair, err = self._value_of(ex.body)
-        if err is not None:
-            return err
-        if not isinstance(pair, EPairP):
-            return FAILS
-        candidates = dict.fromkeys((*b.members(), a, *a.members(), *self.cfg.universe))
 
-        def check_c(c: LambdaName) -> Verdict:
+        def check_c(c: int) -> Verdict:
             first = self.mem_i(pair.left, c, b)
             if first.fails:
                 return first
-            second = self.eq(pair.right, a, c)
-            return _v_all([first, second])
+            return _v_all([first, self.eq(pair.right, a, c)])
 
         # Membership witnesses must label an entry of b, so the sweep over
         # b's member names is exhaustive for literal entries; the subject
         # and its members are added for the clause-extended omega name.
-        return _v_any(check_c(c) for c in candidates)
+        return _v_any(check_c(c) for c in dict.fromkeys((*self.members(b), a, *self.members(a), *self._universe)))
 
-    def eq(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
+    def eq(self, m: ErasedProof, a: int, b: int) -> Verdict:
         return self._memo(("eq", self.key(m), a, b), lambda: self._eq(m, a, b))
 
-    def _eq(self, m: ErasedProof, a: LambdaName, b: LambdaName) -> Verdict:
-        v, err = self._value_of(m)
+    def _eq(self, m: ErasedProof, a: int, b: int) -> Verdict:
+        v, err = self._as(m, EAxRep, "eq")
+        if err is None:
+            m0, err = self._as(v.arg, ELamF)
         if err is not None:
             return err
-        if not (isinstance(v, EAxRep) and v.family == "eq"):
-            return FAILS
-        m0, err = self._value_of(v.arg)
-        if err is not None:
-            return err
-        if not isinstance(m0, ELamF):
-            return FAILS
 
         def per_term(t: Term) -> Verdict:
-            pair, err = self._value_of(self.instantiate(m0, t))
+            pair, err = self._as(self.instantiate(m0, t), EPairP)
+            if err is None:
+                o, err = self._value_of(pair.left)
+            if err is None:
+                p, err = self._value_of(pair.right)
+            if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
+                err = FAILS
             if err is not None:
                 return err
-            if not isinstance(pair, EPairP):
-                return FAILS
-            o, err = self._value_of(pair.left)
-            if err is not None:
-                return err
-            p, err = self._value_of(pair.right)
-            if err is not None:
-                return err
-            if not isinstance(o, ELamP) or not isinstance(p, ELamP):
-                return FAILS
             # Only member names of a or b can have realizable intensional
             # membership hypotheses, so this sweep is exhaustive.
-            dpool = dict.fromkeys((*a.members(), *b.members()))
+            dpool = dict.fromkeys((*self.members(a), *self.members(b)))
 
-            def direction(lam: ELamP, src: LambdaName, dst: LambdaName, d: LambdaName) -> Verdict:
-                pool = self._hyp_pool((src, dst))
+            def direction(lam: ELamP, src: int, dst: int, d: int) -> Verdict:
                 return _v_all(
                     (
-                        _v_implies(
-                            self.mem_i(n, d, src),
-                            lambda n=n: self.mem(self.instantiate(lam, n), d, dst),
-                        )
-                        for n in pool
+                        _v_implies(self.mem_i(n, d, src), lambda n=n: self.mem(self.instantiate(lam, n), d, dst))
+                        for n in self._hyp_pool((src, dst))
                     ),
                     truncated_pool=self.cfg.truncated,
                 )
 
-            return _v_all(
-                _v_all([direction(o, a, b, d), direction(p, b, a, d)]) for d in dpool
-            )
+            return _v_all(_v_all([direction(o, a, b, d), direction(p, b, a, d)]) for d in dpool)
 
         return _v_all((per_term(t) for t in self.cfg.terms), truncated_pool=self.cfg.truncated)
 
-    def _hyp_pool(self, names: tuple[LambdaName, ...]) -> tuple[ErasedProof, ...]:
+    def _hyp_pool(self, names: tuple[int, ...]) -> tuple[ErasedProof, ...]:
+        """The configured realizers, then each further label of the names."""
         cache_key = frozenset(names)
         hit = self._pools.get(cache_key)
-        if hit is not None:
-            return hit
-        out = list(self.cfg.realizers)
-        seen = {self.label(x) for x in out}
-        for nm in names:
-            for k, lab in nm.labels().items():
-                if k not in seen:
-                    seen.add(k)
-                    out.append(lab)
-        pool = tuple(out)
-        self._pools[cache_key] = pool
-        return pool
+        if hit is None:
+            out = list(self.cfg.realizers)
+            seen = {self.label(x) for x in out}
+            for n in names:
+                for k, lab in self._names[n].labels().items():
+                    if k not in seen:
+                        seen.add(k)
+                        out.append(lab)
+            hit = self._pools[cache_key] = tuple(out)
+        return hit
+
+    def _exists_pool(self, env: tuple) -> tuple[int, ...]:
+        """The universe, then each further name of env and its members."""
+        return tuple(dict.fromkeys((*self._universe, *(c for n in env[1:] for c in (n, *self.members(n))))))
 
     # -- term meanings
 
     def meaning(self, t: Term, rho: dict[str, LambdaName]) -> LambdaName:
-        key = ("t", self._syntax_key(t, rho))
-        hit = self._meaning.get(key)
-        if hit is None:
-            hit = self._meaning_of(t, rho)
-            self._meaning[key] = hit
-        return hit
+        scope, env = self._root(rho)
+        return self._names[self._term(t, scope)(env)]
 
-    def _meaning_of(self, t: Term, rho: dict[str, LambdaName]) -> LambdaName:
+    def _root(self, rho: dict[str, LambdaName]) -> tuple[tuple, tuple]:
+        return (None, *rho), (-1, *map(self.nid, rho.values()))
+
+    def _term(self, t: Term, scope: tuple) -> Callable[[tuple], int]:
+        """t compiled under ``scope``: from an environment to its name's id."""
+        hit = self._compiled.get((id(t), scope))
+        if hit is not None:
+            return hit[1]
+        build = self._term_clause(t, scope)
+        if isinstance(t, (PairT, UnionT, PowerT, Sep)):
+            key, pick, table, build_raw = self.key(t), _picker(t, scope), self._meaning, build
+
+            def build(env: tuple) -> int:
+                k = (key, pick(env))
+                hit = table.get(k)
+                if hit is None:
+                    hit = table[k] = build_raw(env)
+                return hit
+
+        self._compiled[(id(t), scope)] = (t, build)
+        return build
+
+    def _term_clause(self, t: Term, scope: tuple) -> Callable[[tuple], int]:
+        names, cfg, rv = self._names, self.cfg, refl_value()
         match t:
             case Var(a):
-                if a not in rho:
-                    raise UnsupportedFormulaError(f"unbound variable {a} in realizability")
-                return rho[a]
-            case NameRef(payload):
-                if not isinstance(payload, LambdaName):
-                    raise UnsupportedFormulaError("foreign name constant")
-                return payload
-            case Empty():
-                return EMPTY_NAME
+                slot = scope.index(a) if a in scope else 0
+
+                def var(env: tuple) -> int:
+                    if env[slot] < 0:
+                        raise UnsupportedFormulaError(f"unbound variable {a} in realizability")
+                    return env[slot]
+
+                return var
+            case NameRef(payload) if isinstance(payload, LambdaName):
+                n = self.nid(payload)
+                return lambda env: n
+            case Empty() | Repl():
+                # Replacement is pool-searched; its meanings are usually empty
+                # at desk scale and that is acceptable for the tests they back.
+                return lambda env: self._empty
             case Omega():
-                return self.omega_name()
-            case Inac() | NwfConst():
-                raise UnsupportedFormulaError(f"no desk-scale meaning for {t!r}")
+                return lambda env: self.omega()
             case PairT(l, r):
-                al, ar = self.meaning(l, rho), self.meaning(r, rho)
-                rv = refl_value()
-                return self.name(
-                    ((EAxRep("pair", EInl(rv)), al), (EAxRep("pair", EInr(rv)), ar))
+                tl, tr = self._term(l, scope), self._term(r, scope)
+                return lambda env: self.name(
+                    ((EAxRep("pair", EInl(rv)), names[tl(env)]), (EAxRep("pair", EInr(rv)), names[tr(env)]))
                 )
             case UnionT(u):
-                un = self.meaning(u, rho)
-                entries = []
-                for v1, w in un.entries:
-                    for v2, c in w.entries:
-                        witness = EExIntro(
-                            Empty(), EPairP(mem_wrap(v1), mem_wrap(v2))
-                        )
-                        entries.append((EAxRep("union", witness), c))
-                return self.name(entries)
+                tu = self._term(u, scope)
+                return lambda env: self.name(
+                    (EAxRep("union", EExIntro(Empty(), EPairP(mem_wrap(v1), mem_wrap(v2)))), c)
+                    for v1, w in names[tu(env)].entries
+                    for v2, c in w.entries
+                )
             case PowerT(u):
-                un = self.meaning(u, rho)
-                base = un.entries[: self.cfg.power_cap]
-                subsets = [()]
-                for e in base:
-                    subsets += [s + (e,) for s in subsets]
-                entries = []
-                for s in subsets:
-                    sub = self.name(s)
-                    # Any membership proof for the subset is one for the
-                    # carrier verbatim, so identity realizes the inclusion.
-                    witness = ELamF("a", ELamP("x", EPropVar("x")))
-                    entries.append((EAxRep("power", witness), sub))
-                return self.name(entries)
-            case Sep(z, ps, body, carrier, args):
-                un = self.meaning(carrier, rho)
-                argnames = tuple(self.meaning(u, rho) for u in args)
-                entries = []
-                for v1, c in un.entries:
-                    inner_rho = dict(rho)
-                    inner_rho[z] = c
-                    inner_rho.update(zip(ps, argnames))
-                    for w in self.cfg.realizers + (refl_value(),):
-                        if self.reals(w, body, inner_rho).realizes:
-                            entries.append(
-                                (EAxRep("sep", EPairP(mem_wrap(v1), w)), c)
-                            )
-                            break
-                return self.name(entries)
-            case Repl():
-                # Pool-searched; replacement meanings are usually empty at
-                # desk scale and that is acceptable for the tests they back.
-                return EMPTY_NAME
-        raise UnsupportedFormulaError(f"no meaning for term {t!r}")
+                tu = self._term(u, scope)
+                # Any membership proof for the subset is one for the carrier
+                # verbatim, so identity realizes the inclusion.
+                witness = ELamF("a", ELamP("x", EPropVar("x")))
 
-    def omega_name(self) -> LambdaName:
-        key = ("omega", self.cfg.omega_depth)
-        hit = self._meaning.get(key)
-        if hit is not None:
-            return hit
-        rv = refl_value()
-        entries: list[tuple[ErasedProof, LambdaName]] = []
-        numeral_name = EMPTY_NAME
-        label = EAxRep("inf", EInl(rv))
-        entries.append((label, numeral_name))
-        for _ in range(self.cfg.omega_depth - 1):
-            succ = self.meaning(succ_term(NameRef(numeral_name)), {})
-            witness = EExIntro(Empty(), EPairP(mem_wrap(label), rv))
-            label = EAxRep("inf", EInr(witness))
-            numeral_name = succ
-            entries.append((label, numeral_name))
-        out = self.name(entries)
-        self._meaning[key] = out
-        return out
+                def power(env: tuple) -> int:
+                    subsets = [()]
+                    for e in names[tu(env)].entries[: cfg.power_cap]:
+                        subsets += [s + (e,) for s in subsets]
+                    return self.name((EAxRep("power", witness), names[self.name(s)]) for s in subsets)
+
+                return power
+            case Sep(z, ps, body, carrier, args):
+                tc, targs = self._term(carrier, scope), tuple(self._term(u, scope) for u in args)
+                inner, slots = _bind(scope, (z, *ps[: len(args)]))
+                cb = self._formula(body, inner)
+
+                def sep(env: tuple) -> int:
+                    un, argids = names[tc(env)], tuple(f(env) for f in targs)
+                    entries = []
+                    for v1, c in un.entries:
+                        inner_env = _extend(env, slots, (self.nid(c), *argids))
+                        for w in cfg.realizers + (rv,):
+                            if self.reals(cb, w, inner_env).realizes:
+                                entries.append((EAxRep("sep", EPairP(mem_wrap(v1), w)), c))
+                                break
+                    return self.name(entries)
+
+                return sep
+            case NameRef():
+                why = "foreign name constant"
+            case Inac() | NwfConst():
+                why = f"no desk-scale meaning for {t!r}"
+            case _:
+                why = f"no meaning for term {t!r}"
+
+        def fail(env: tuple) -> int:
+            raise UnsupportedFormulaError(why)
+
+        return fail
+
+    def succ(self, n: int) -> int:
+        """The id of the successor of the name with id n."""
+        if self._succ is None:
+            self._succ = self._term(succ_term(Var("b")), (None, "b"))
+        return self._succ((-1, n))
+
+    def omega(self) -> int:
+        """The id of omega's name, approximated to ``omega_depth`` numerals."""
+        if self._omega is None:
+            rv = refl_value()
+            label, n = EAxRep("inf", EInl(rv)), self._empty
+            entries = [(label, self._names[n])]
+            for _ in range(self.cfg.omega_depth - 1):
+                n = self.succ(n)
+                label = EAxRep("inf", EInr(EExIntro(Empty(), EPairP(mem_wrap(label), rv))))
+                entries.append((label, self._names[n]))
+            self._omega = self.name(entries)
+        return self._omega
 
     # -- the realizability relation proper
 
-    def reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
-        key = ("reals", self.key(m), self._syntax_key(phi, rho))
-        return self._memo(key, lambda: self._reals(m, phi, rho))
+    def reals(self, node: _Node, m: ErasedProof, env: tuple) -> Verdict:
+        """Whether m realizes node's formula under env.  A subject without
+        the value shape the clause wants fails (or is unknown, out of fuel)
+        before any memo is touched: no instance can recur through it."""
+        m_or_v = m
+        if node.head is not None:
+            m_or_v, err = self._as(m, node.head)
+            if err is not None:
+                return err
+        key = (node.key, self.key(m), node.pick(env))
+        hit = self._rel.get(key)
+        if hit is None or hit is _RUNNING:
+            if node.clause is None:
+                node.clause = node.build()
+            return self._memo(key, lambda: node.clause(m_or_v, env))
+        return hit
 
-    def _reals(self, m: ErasedProof, phi: Formula, rho: dict[str, LambdaName]) -> Verdict:
+    def _formula(self, phi: Formula, scope: tuple) -> _Node:
+        """phi compiled under ``scope``, once; its clause is built on demand."""
+        hit = self._compiled.get((id(phi), scope))
+        if hit is None:
+            node = _Node()
+            node.key, node.pick, node.head = self.key(phi), _picker(phi, scope), _HEADS.get(type(phi))
+            node.clause, node.build = None, lambda: self._clause(phi, scope)
+            hit = self._compiled[(id(phi), scope)] = (phi, node)
+        return hit[1]
+
+    def _clause(self, phi: Formula, scope: tuple) -> Callable[[ErasedProof, tuple], Verdict]:
+        """phi's clause, over the subject's value (its subject, for a node
+        without a head) and an environment; it compiles phi's children."""
+        reals, cfg = self.reals, self.cfg
         match phi:
             case Bottom():
-                return FAILS
-            case MemI(l, r):
-                return self.mem_i(m, self.meaning(l, rho), self.meaning(r, rho))
-            case Mem(l, r):
-                return self.mem(m, self.meaning(l, rho), self.meaning(r, rho))
-            case Eq(l, r):
-                return self.eq(m, self.meaning(l, rho), self.meaning(r, rho))
+                return lambda m, env: FAILS
+            case MemI(l, r) | Mem(l, r) | Eq(l, r):
+                rel = self.mem_i if isinstance(phi, MemI) else self.mem if isinstance(phi, Mem) else self.eq
+                tl, tr = self._term(l, scope), self._term(r, scope)
+                return lambda m, env: rel(m, tl(env), tr(env))
             case And(l, r):
-                v, err = self._value_of(m)
-                if err is not None:
-                    return err
-                if not isinstance(v, EPairP):
-                    return FAILS
-                return _v_all([self.reals(v.left, l, rho), self.reals(v.right, r, rho)])
+                cl, cr = self._formula(l, scope), self._formula(r, scope)
+                return lambda v, env: _v_all([reals(cl, v.left, env), reals(cr, v.right, env)])
             case Or(l, r):
-                v, err = self._value_of(m)
-                if err is not None:
-                    return err
-                if isinstance(v, EInl):
-                    return self.reals(v.body, l, rho)
-                if isinstance(v, EInr):
-                    return self.reals(v.body, r, rho)
-                return FAILS
+                cl, cr = self._formula(l, scope), self._formula(r, scope)
+                return lambda v, env: reals(cl if isinstance(v, EInl) else cr, v.body, env)
             case Imp(l, r):
-                v, err = self._value_of(m)
-                if err is not None:
-                    return err
-                if not isinstance(v, ELamP):
-                    return FAILS
-                pool = self._hyp_pool(tuple(rho.values()))
-                return _v_all(
-                    (
-                        _v_implies(
-                            self.reals(n, l, rho),
-                            lambda n=n: self.reals(self.instantiate(v, n), r, rho),
-                        )
-                        for n in pool
-                    ),
-                    truncated_pool=self.cfg.truncated,
-                )
-            case Forall(a, body):
-                v, err = self._value_of(m)
-                if err is not None:
-                    return err
-                if not isinstance(v, ELamF):
-                    return FAILS
+                cl, cr, pools = self._formula(l, scope), self._formula(r, scope), {}
 
-                def inst(nm: LambdaName, t: Term) -> Verdict:
-                    rho2 = dict(rho)
-                    rho2[a] = nm
-                    return self.reals(self.instantiate(v, t), body, rho2)
+                def imp(v: ELamP, env: tuple) -> Verdict:
+                    pool = pools.get(env)
+                    if pool is None:
+                        # A realizer that is stuck or of the wrong shape fails
+                        # the hypothesis, so the implication holds vacuously.
+                        pool = self._hyp_pool(env[1:])
+                        if cl.head is not None:
+                            pool = tuple(n for n in pool if self._as(n, cl.head)[1] is not FAILS)
+                        pools[env] = pool
+                    inst = self.instantiate
+                    verdicts = (_v_implies(reals(cl, n, env), lambda n=n: reals(cr, inst(v, n), env)) for n in pool)
+                    return _v_all(verdicts, truncated_pool=cfg.truncated)
 
-                return _v_all(
-                    (inst(nm, t) for nm in self.cfg.universe for t in self.cfg.terms),
-                    truncated_pool=self.cfg.truncated,
-                )
-            case Exists(a, body):
-                v, err = self._value_of(m)
-                if err is not None:
-                    return err
-                if not isinstance(v, EExIntro):
-                    return FAILS
+                return imp
+            case Forall(a, body) | Exists(a, body):
+                inner, slots = _bind(scope, (a,))
+                cb, envs_of, every = self._formula(body, inner), {}, isinstance(phi, Forall)
 
-                def inst(nm: LambdaName) -> Verdict:
-                    rho2 = dict(rho)
-                    rho2[a] = nm
-                    return self.reals(v.body, body, rho2)
+                def quantifier(v: ELamF | EExIntro, env: tuple) -> Verdict:
+                    envs = envs_of.get(env)
+                    if envs is None:
+                        pool = self._universe if every else self._exists_pool(env)
+                        envs = envs_of[env] = tuple(_extend(env, slots, (n,)) for n in pool)
+                    if every:
+                        insts = (reals(cb, self.instantiate(v, t), e) for e in envs for t in cfg.terms)
+                        return _v_all(insts, truncated_pool=cfg.truncated)
+                    return _v_any((reals(cb, v.body, e) for e in envs), truncated_pool=cfg.truncated)
 
-                return _v_any(
-                    (inst(nm) for nm in self._exists_pool(rho)),
-                    truncated_pool=self.cfg.truncated,
-                )
-        raise UnsupportedFormulaError(f"no clause for {phi!r}")
+                return quantifier
 
-    def _exists_pool(self, rho: dict[str, LambdaName]) -> tuple[LambdaName, ...]:
-        out = list(self.cfg.universe)
-        seen = {n.key for n in out}
-        for nm in rho.values():
-            for cand in (nm, *nm.members()):
-                if cand.key not in seen:
-                    seen.add(cand.key)
-                    out.append(cand)
-        return tuple(out)
+        def fail(m: ErasedProof, env: tuple) -> Verdict:
+            raise UnsupportedFormulaError(f"no clause for {phi!r}")
+
+        return fail
 
 
 def _reject_inac(phi: Formula) -> None:
@@ -830,16 +834,11 @@ def _reject_inac(phi: Formula) -> None:
     separation bodies included, is a sub-tree of the query's.  The walk
     keeps its own work list, so a deep formula takes no stack."""
     todo = [phi]
-
-    def push(x: Term | Formula) -> Term | Formula:
-        todo.append(x)
-        return x
-
     while todo:
         x = todo.pop()
         if isinstance(x, Inac):
             raise UnsupportedFormulaError("inaccessible constants are outside the finite model")
-        map_children(x, push)
+        map_children(x, lambda y: todo.append(y) or y)
 
 
 # ---------------------------------------------------------------------------
@@ -848,15 +847,17 @@ def _reject_inac(phi: Formula) -> None:
 
 def reals_mem_i(m: ErasedProof, a: LambdaName, b: LambdaName, fuel: int = 10**4) -> Verdict:
     ev = _Eval(RealizCfg(fuel=fuel))
-    return ev.mem_i(m, a, b)
+    return ev.mem_i(m, ev.nid(a), ev.nid(b))
 
 
 def reals_mem(m: ErasedProof, a: LambdaName, b: LambdaName, cfg: RealizCfg) -> Verdict:
-    return _Eval(cfg).mem(m, a, b)
+    ev = _Eval(cfg)
+    return ev.mem(m, ev.nid(a), ev.nid(b))
 
 
 def reals_eq(m: ErasedProof, a: LambdaName, b: LambdaName, cfg: RealizCfg) -> Verdict:
-    return _Eval(cfg).eq(m, a, b)
+    ev = _Eval(cfg)
+    return ev.eq(m, ev.nid(a), ev.nid(b))
 
 
 def reals(
@@ -867,18 +868,16 @@ def reals(
 ) -> Verdict:
     cfg = cfg if cfg is not None else default_cfg()
     _reject_inac(phi)
-    return _Eval(cfg).reals(m, phi, dict(rho or {}))
+    ev = _Eval(cfg)
+    scope, env = ev._root(rho or {})
+    return ev.reals(ev._formula(phi, scope), m, env)
 
 
-def omega_prime_member(
-    entry: tuple[ErasedProof, LambdaName],
-    approx: LambdaName,
-    fuel: int = 10**4,
-) -> Verdict:
+def omega_prime_member(entry: tuple[ErasedProof, LambdaName], approx: LambdaName, fuel: int = 10**4) -> Verdict:
     """Check one candidate entry against omega's base or successor clause,
     with ``approx`` as the approximation the successor clause looks into."""
     label, a = entry
     dedup = dict.fromkeys((EMPTY_NAME, a, approx, *approx.members(), *a.members()))
-    pool = default_realizer_pool()
-    cfg = RealizCfg(fuel=fuel, universe=tuple(dedup), realizers=pool, terms=(Empty(),))
-    return _Eval(cfg)._omega_clause(label, a, approx, (*approx.members(), *dedup))
+    ev = _Eval(RealizCfg(fuel=fuel, universe=tuple(dedup), realizers=default_realizer_pool(), terms=(Empty(),)))
+    candidates = tuple(map(ev.nid, (*approx.members(), *dedup)))
+    return ev._omega_clause(label, ev.nid(a), ev.nid(approx), candidates)

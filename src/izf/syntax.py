@@ -32,6 +32,7 @@ with their nodes.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -313,6 +314,8 @@ def declare(shapes: dict[type, Shape]) -> None:
     declared hypothesis-variable class that shares the node's base class.
     """
     SHAPES.update(shapes)
+    for cls in shapes:
+        cls.__repr__ = _node_repr
     hyp_vars = {c.__mro__[1]: c for c, s in SHAPES.items() if s.fields and s.fields[0].kind is HYP}
     for cls, shape in shapes.items():
         many = {f.name: f.kind is FO_BINDERS for f in shape.fields}
@@ -329,6 +332,46 @@ def declare(shapes: dict[type, Shape]) -> None:
         )
         hyp_var = hyp_vars.get(cls.__mro__[1]) if hyp_binders else None
         _PLANS[cls] = (shape.tag, fields, binders, scope, hyp_binders, hyp_var)
+
+
+class _Text(str):
+    """A piece of repr text, as opposed to a value still to be shown."""
+
+
+_REPR_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _node_repr(x: Node) -> str:
+    """The dataclass repr of a declared node, built on an explicit stack, so
+    that a deep tree takes no native recursion: ``Cls(field=value, ...)``
+    over the fields the dataclass shows, a tuple as Python shows it, and
+    any other value by its own repr."""
+    out: list[str] = []
+    todo: list[object] = [x]
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is _Text:
+            out.append(item)
+            continue
+        if cls.__repr__ is _node_repr:
+            names = _REPR_FIELDS.get(cls)
+            if names is None:
+                names = _REPR_FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls) if f.repr)
+            pieces: list[object] = [_Text(f"{cls.__qualname__}(")]
+            for i, name in enumerate(names):
+                pieces += (_Text(f"{', ' if i else ''}{name}="), getattr(item, name))
+        elif cls is tuple:
+            pieces = [_Text("(")]
+            for i, y in enumerate(item):
+                pieces += (_Text(", "), y) if i else (y,)
+            pieces.append(_Text("," if len(item) == 1 else ""))
+        else:
+            out.append(repr(item))
+            continue
+        todo.append(_Text(")"))
+        todo.extend(reversed(pieces))
+    return "".join(out)
 
 
 declare(

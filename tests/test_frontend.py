@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -392,3 +394,39 @@ def test_print_tree_dispatch():
     assert print_tree(PV("x")) == "x"
     with pytest.raises(TypeError):
         print_tree(42)
+
+
+_FUZZ_FILES = ("axioms.izf", "equality.izf", "nwf_loop.izf", "reduction.izf", "two_in_omega.izf")
+_FUZZ_RUNS = (
+    ("check",),
+    ("normalize", "--fuel", "200"),
+    ("extract", "--goal", "numeral", "--fuel", "200"),
+    ("realize", "--depth", "1", "--fuel", "200"),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    st.sampled_from(_FUZZ_FILES),
+    st.lists(
+        st.tuples(st.integers(0, 10**5), st.integers(0, 12), st.sampled_from(("", " ", *_WORDS))),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_cli_exit_codes_hold_on_mutated_corpus_files(tmp_path_factory, name, edits):
+    from izf import cli
+
+    text = (CORPUS / name).read_text("utf-8")
+    for pos, cut, word in edits:
+        at = pos % (len(text) + 1)
+        text = text[:at] + word + text[at + cut :]
+    src = tmp_path_factory.mktemp("fuzz") / name
+    src.write_text(text, encoding="utf-8")
+    for command, *opts in _FUZZ_RUNS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main([command, str(src), *opts])
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 1, 2), (command, code)

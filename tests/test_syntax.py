@@ -240,3 +240,37 @@ def test_numeral_expansion_is_iterated_succ(n):
     for _ in range(n):
         expect = UnionT(PairT(expect, PairT(expect, expect)))
     assert expanded == expect
+
+
+def _dataclass_twin(x, twins={}):
+    """x rebuilt from fresh dataclasses with the same names and fields; their
+    generated ``__repr__`` is the reference for the declared nodes' own."""
+    cls = type(x)
+    if cls in SHAPES:
+        fields = dataclasses.fields(cls)
+        if cls not in twins:
+            spec = [(f.name, object, dataclasses.field(repr=f.repr)) for f in fields]
+            twins[cls] = dataclasses.make_dataclass(cls.__qualname__, spec, frozen=True)
+        return twins[cls](*(_dataclass_twin(getattr(x, f.name)) for f in fields))
+    if cls is tuple:
+        return tuple(_dataclass_twin(y) for y in x)
+    return x
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_node_repr_is_the_dataclass_repr(seed):
+    from gens import rand_proof
+    from izf.proof_ops import erase
+
+    rng = random.Random(seed)
+    proof = rand_proof(rng, 4)
+    for x in (rand_term(rng, 3), rand_formula(rng, 3), proof, erase(proof)):
+        assert repr(x) == repr(_dataclass_twin(x))
+
+
+@pytest.mark.parametrize("burn", ["_burn_beta", "_burn_proj", "_burn_case", "_burn_cancel", "_burn_let"])
+def test_repr_of_a_deep_legal_term_takes_no_native_recursion(burn):
+    from izf import corpus
+
+    entry = getattr(corpus, burn)(10**4)
+    assert repr(entry).startswith(f"CorpusEntry(name={entry.name!r}, formula={entry.formula!r}, proof=")
