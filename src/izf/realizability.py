@@ -755,13 +755,9 @@ class _Eval:
             m_or_v, err = self._as(m, node.head)
             if err is not None:
                 return err
-        key = (node.key, self.key(m), node.pick(env))
-        hit = self._rel.get(key)
-        if hit is None or hit is _RUNNING:
-            if node.clause is None:
-                node.clause = node.build()
-            return self._memo(key, lambda: node.clause(m_or_v, env))
-        return hit
+        if node.clause is None:
+            node.clause = node.build()
+        return self._memo((node.key, self.key(m), node.pick(env)), lambda: node.clause(m_or_v, env))
 
     def _formula(self, phi: Formula, scope: tuple) -> _Node:
         """phi compiled under ``scope``, once; its clause is built on demand."""
