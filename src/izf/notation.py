@@ -19,6 +19,12 @@ A construct with a level says where it may stand; one that ends in an open
 operand is seen from its right at that operand's level, so it is bracketed
 before anything that follows it.  ``SUGAR`` is read but never printed.
 ``printer`` fills the templates in and ``parser`` reads them back.
+
+The tokens are read off the same table: ``TOKEN`` finds them, skipping
+blanks and comments, and ``key`` gives each word the class the parser looks
+it up by -- the word itself for a symbol, a reserved word or an axiom word,
+its family's key for a numbered word (``V3`` is ``V<n>``), ``NAME`` for any
+other identifier and ``BAD`` for a character no token has.
 """
 
 from __future__ import annotations
@@ -34,13 +40,9 @@ from .syntax import FORMULA, LITERAL, PROOF, SCHEMA, SHAPES, TERM, TERMS
 
 # Longer symbols first: the tokenizer tries them in this order.
 SYMBOLS = (":=", "<->", "->", "/\\", "\\/", "=>", "{", "}", "(", ")", "[", "]", ",", ";", ".", ":", "|", "=", "@")
-# Groups: blank or comment, identifier, integer, symbol, any other character.
-TOKEN = re.compile(
-    r"(\s+|--[^\n]*)|([A-Za-z_][A-Za-z0-9_']*)|(\d+)|("
-    + "|".join(map(re.escape, SYMBOLS))
-    + ")|(.)"
-)
-KINDS = ("ident", "int", "sym")  # the token kind of each capturing group after the first
+# A blank or a comment, which leaves the group empty, or a token in the
+# group: an identifier, an integer, a symbol or any other character.
+TOKEN = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|" + "|".join(map(re.escape, SYMBOLS)) + "|.)")
 GROUP = "({x})"  # any term, formula or proof, bracketed
 # The words of the file format: its header and modes, theorems and directives.
 MODE, MODES, THEOREM, DIRECTIVES = "mode", ("standard", "nwf"), "thm", ("eval", "realize")
@@ -158,7 +160,7 @@ def _note(key, spec, build, kinds: dict) -> Note:
     level = LEVELS[cat].index(level)
     parts, text = [], []
     for lit, field, fspec, _ in Formatter().parse(template):
-        toks = [m.group(0) for m in TOKEN.finditer(lit) if not m.group(1)]
+        toks = [t for t in TOKEN.findall(lit) if t]
         text += [lit] if lit else []
         if field is None:
             parts += toks
@@ -206,3 +208,55 @@ def family(x: ax.AxiomId) -> str:
     glued on (``inac2``)."""
     first = NOTES[type(x)].parts[0]
     return first if isinstance(first, str) else first.glued + str(getattr(x, first.field))
+
+
+# ---------------------------------------------------------------------------
+# Token classes: the key a word is looked up by
+
+
+N = "<n>"  # the integer in the key of a numbered family's word: V<n>, <n>, inac<n>Rep
+NAME, BAD, EOF = "<name>", "<bad>", "<eof>"  # any other identifier, any other character, the end
+IDENT = re.compile(r"[A-Za-z_]")  # the start of an identifier
+
+
+def starts(note: Note, suffix: str = "") -> list[str]:
+    """The keys of a note's first token: its word, or its numbered family."""
+    first = note.parts[0]
+    if isinstance(first, str):
+        return [first + suffix]
+    if first.kind is LITERAL:
+        return [first.glued + N + suffix]
+    if first.kind is SCHEMA:
+        return [s for cls in first.arg[1] for s in starts(NOTES[cls], first.arg[0])]
+    return []
+
+
+# Reserved words: every word the term, formula and proof notes open with or
+# spell, and the words of the declarations.  The numbered families those
+# notes open with are reserved too; an axiom word that is neither (``pair``,
+# ``inac<n>``) may be a name.
+KEYWORDS = frozenset({MODE, *MODES, THEOREM, *DIRECTIVES}) | {
+    w for n in NOTES.values() if n.cat != "axiom" for w in (*(p for p in n.parts if isinstance(p, str)), *starts(n))
+    if w[0].isalpha() and N not in w
+}
+NUMBERED = tuple(dict.fromkeys(  # in category order, as the parser's tests draw them
+    s for c in ("term", "formula", "proof") for n in NOTES.values() if n.cat == c for s in starts(n) if N in s
+))
+SUFFIXES = tuple(dict.fromkeys(  # the suffixes glued to axiom words, and none
+    ("", *(h.arg[0] for n in NOTES.values() for h in n.parts if getattr(h, "kind", 0) is SCHEMA))
+))
+_AXIOM_WORDS = {s for n in NOTES.values() if n.cat == "axiom" for x in SUFFIXES for s in starts(n, x)}
+NAMES = frozenset({NAME, *_AXIOM_WORDS.difference(KEYWORDS, NUMBERED)})  # the keys of a word that may be a name
+_FAMILIES = frozenset(s for s in {*NUMBERED, *_AXIOM_WORDS} if N in s)
+_OWN_KEYS = frozenset(w for w in (*SYMBOLS, *KEYWORDS, *_AXIOM_WORDS) if N not in w)
+_DIGITS = re.compile(r"\d+")
+
+
+def key(word: str) -> str:
+    """A token's key: a symbol, reserved word or axiom word is its own key,
+    a numbered word has its family's (``V3`` is ``V<n>``), any other
+    identifier is ``NAME`` and any other character ``BAD``."""
+    if word in _OWN_KEYS:
+        return word
+    family = _DIGITS.sub(N, word, 1)
+    return family if family in _FAMILIES else NAME if IDENT.match(word) else BAD

@@ -1,27 +1,33 @@
-"""Surface syntax: the tokenizer and a parser read off the notation table.
+"""Surface syntax: a Pratt parser compiled from the notation table.
 
 The file format is a header (optional ``mode nwf .``), followed by theorem
 declarations ``thm NAME : FORMULA := PROOF .`` and ``eval``/``realize``
 directives.  Later declarations may reference earlier ones by name in proof
 position; references are inlined at parse time.
 
-Terms, formulas, axiom identifiers and proofs are read by one precedence
-climbing parser over the templates of ``notation``: a template that opens
-with a token is chosen by that token, one that opens with an operand of its
-own category extends the tree read so far, and the formula relations are
-reached through the term they open with.  Reserved words -- every word a
-template spells, ``V<n>`` and the axiom words such as ``pairRep`` -- are
-never names.  Diagnostics carry line, column and the tokens the parser was
-prepared to accept.
+A token is looked up by its class, ``notation.key`` of its word, worked out
+once per distinct word of a text: a symbol, reserved word or axiom word is
+its own class, a numbered word has its family's (``V<n>``, ``<n>``,
+``inac<n>Rep``) and any other identifier is ``NAME``.  Per category and
+level, a prefix table maps a class to the handler of the construct that
+token opens, and an infix table to the handler of a construct that extends
+the tree read so far (Pratt, *Top Down Operator Precedence*, POPL 1973).  A
+handler is Python generated from its template when a text first needs it;
+it reads each operand through the operand's tables inline, so a nesting
+level costs one frame.  Reserved words -- every word a template spells,
+``V<n>`` and the axiom words such as ``pairRep`` -- are never names.
+Diagnostics carry line, column and the tokens the parser was prepared to
+accept.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .axioms import AxiomId, arity
-from .notation import DIRECTIVES, GROUP, KINDS, LEVELS, MODE, MODES, NOTES, THEOREM, TOKEN, Hole, Note
+from .notation import BAD, DIRECTIVES, EOF, GROUP, IDENT, LEVELS, MODE, MODES, NAMES, NOTES, SUFFIXES
+from .notation import THEOREM, TOKEN, Hole, Note, key, starts
 from .proofs import Proof
 from .syntax import FO_BINDERS, FORMULA, LITERAL, PROOF, SCHEMA, TERM, TERMS, Formula, Term
 
@@ -38,22 +44,11 @@ class Diagnostic(Exception):
         return f"{self.line}:{self.col}: {self.message}{exp}"
 
 
-def _diagnostic(text: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> Diagnostic:
+def _diagnostic(text: str, i: int, message: str, expected: tuple[str, ...] = ()) -> Diagnostic:
+    """A diagnostic at the i-th token of a text (its end, past the last)."""
+    offset = next(islice((m.start(1) for m in TOKEN.finditer(text) if m.group(1)), i, None), len(text))
     line = text.count("\n", 0, offset) + 1
     return Diagnostic(line, offset - text.rfind("\n", 0, offset), message, expected)
-
-
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` for each token, then an ``eof`` token."""
-    toks = []
-    for m in TOKEN.finditer(text):
-        group = m.lastindex
-        if group > 1:
-            if group == 5:
-                raise _diagnostic(text, m.start(), f"unexpected character {m.group()!r}")
-            toks.append((KINDS[group - 2], m.group(), m.start()))
-    toks.append(("eof", "", len(text)))
-    return toks
 
 
 @dataclass(frozen=True)
@@ -75,273 +70,278 @@ class TheoremFile:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch tables read off the notes
-
-
-def _starts(note: Note) -> list[str | re.Pattern]:
-    """The first tokens of a note: words, or patterns for a family of words."""
-    first = note.parts[0]
-    if isinstance(first, str):
-        return [first]
-    if first.kind is LITERAL:
-        return [re.compile(re.escape(first.glued) + r"(\d+)")]
-    if first.kind is SCHEMA:
-        suffix, admitted = first.arg
-        out = []
-        for cls in admitted:
-            for s in _starts(NOTES[cls]):
-                out.append(re.compile(s.pattern + suffix) if isinstance(s, re.Pattern) else s + suffix)
-        return out
-    return []
-
-
-def _same(a, b) -> bool:
-    return a == b if isinstance(a, str) or isinstance(b, str) else (a.kind, a.arg) == (b.kind, b.arg)
-
-
-class _Choice:
-    """Notes that open alike: read their common parts, then let a token decide."""
-
-    def __init__(self, notes: list[Note]):
-        k = 0
-        while all(_same(n.parts[k], notes[0].parts[k]) for n in notes):
-            k += 1
-        self.parts, self.k = notes[0].parts[:k], k
-        self.by_token = {n.parts[k]: n for n in notes if isinstance(n.parts[k], str)}
-        self.default = next((n for n in notes if isinstance(n.parts[k], Hole)), None)
-
+# Tokens, and the notes sorted by how they open
 
 _CATS = ("term", "formula", "axiom", "proof")
-_NUD: dict[str, list[dict]] = {c: [] for c in _CATS}  # level asked for -> first token -> note or choice
-_PATTERNS: dict[str, list] = {c: [] for c in _CATS}  # (pattern for a family of first tokens, note)
-_NAME: dict[str, Note] = {}  # the note of a bare name
-_LED: dict[str, dict[str, Note]] = {c: {} for c in _CATS}  # an operand, then this token
-_JUXT: dict[str, Note] = {}  # an operand, then another
-_VIA: dict[str, _Choice] = {}  # an operand of another category, then a token
+
+
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The words of a text and their keys, each list ending with the end of input."""
+    words = [*filter(None, TOKEN.findall(text))]
+    kinds = {w: key(w) for w in {*words}}  # each distinct word classified once
+    keys = [*map(kinds.__getitem__, words)]
+    _make(kinds.values())  # the table entries of classes that no text has had before
+    if BAD in keys:
+        i = keys.index(BAD)
+        raise _diagnostic(text, i, f"unexpected character {words[i]!r}")
+    return [*words, ""], [*keys, EOF]
+
 
 _notes = list(NOTES.values())
 _OPEN, _CLOSE = GROUP.split("{x}")
 for _cat, _kind in (("term", TERM), ("formula", FORMULA), ("proof", PROOF)):
     _top = len(LEVELS[_cat]) - 1
-    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), lambda x: x))
-_relations: dict[str, list[Note]] = {}
+    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), None))
+_PREFIX: dict[str, list[Note]] = {c: [] for c in _CATS}  # opened by a token
+_INFIX: dict[str, dict] = {c: {} for c in _CATS}  # an operand, then this word (None: another operand)
+_NAME: dict[str, Note] = {}  # a bare name
+_VIA: dict[str, list[Note]] = {}  # an operand of another category, then a word
 for _note in _notes:
     _first = _note.parts[0]
     if isinstance(_first, str) or _first.kind in (LITERAL, SCHEMA):
-        continue
-    if _first.cat != _note.cat:
-        _relations.setdefault(_note.cat, []).append(_note)
+        _PREFIX[_note.cat].append(_note)
+    elif _first.cat != _note.cat:
+        _VIA.setdefault(_note.cat, []).append(_note)
     elif _first.kind not in (TERM, FORMULA, PROOF):
         _NAME[_note.cat] = _note
-    elif isinstance(_note.parts[1], str):
-        _LED[_note.cat][_note.parts[1]] = _note
     else:
-        _JUXT[_note.cat] = _note
-_VIA = {c: _Choice(ns) for c, ns in _relations.items()}
-for _cat in _CATS:
-    for _need in range(len(LEVELS[_cat])):
-        _keyed: dict[str, list[Note]] = {}
-        for _note in _notes:
-            if _note.cat == _cat and _note.level >= _need:
-                for _s in _starts(_note):
-                    if isinstance(_s, str):
-                        _keyed.setdefault(_s, []).append(_note)
-                    elif _need == 0:
-                        _PATTERNS[_cat].append((_s, _note))
-        _NUD[_cat].append({k: v[0] if len(v) == 1 else _Choice(v) for k, v in _keyed.items()})
-
-# Reserved words: every word the term, formula and proof notes open with or
-# spell, and the words of the declarations; V<n>, numerals and the axiom
-# words of inaccessibles come as patterns.
-KEYWORDS = frozenset({MODE, *MODES, THEOREM, *DIRECTIVES}) | {
-    w
-    for n in _notes
-    if n.cat != "axiom"
-    for w in (*(p for p in n.parts if isinstance(p, str)), *(s for s in _starts(n) if isinstance(s, str)))
-    if w[0].isalpha()
-}
-RESERVED = re.compile("|".join(p.pattern for c in ("term", "formula", "proof") for p, _ in _PATTERNS[c]))
-
-
-def reserved(word: str) -> bool:
-    """Whether a word is spelled by the notation, and so cannot be a name."""
-    return word in KEYWORDS or RESERVED.fullmatch(word) is not None
+        _INFIX[_note.cat][_note.parts[1] if isinstance(_note.parts[1], str) else None] = _note
 
 
 # ---------------------------------------------------------------------------
-# The parser
+# The Pratt tables.  A handler is entered with ``p.pos`` at the token that chose
+# it (a prefix) or at the operator after the operand ``x`` (an infix); it
+# reads its template and leaves ``p.pos`` after it.
+
+_P = {c: [{} for _ in LEVELS[c]] for c in _CATS}  # key -> (handler, level seen from its right)
+_I = {c: [{} for _ in LEVELS[c]] for c in _CATS}  # key -> (handler, level on its left, on its right)
+_A: dict[str, dict] = {x: {} for x in SUFFIXES}  # an axiom's word, the suffix glued on -> (handler,)
+_D = {c: (lambda p, w, k, c=c: p.miss(p.pos, (c,)), 0) for c in _CATS}  # for a key no table has
+_LATER: dict[str, list] = {}  # key -> (table, entry maker) for the entries no text has needed yet
+_NS: dict = {"arity": arity}  # the generated code's globals
+_SHAPES: dict = {}  # generated source -> its compiled factory
+_HANDLERS: dict = {}  # (notes, suffix, infix) -> handler
+
+
+class _Emit:
+    """The source of one handler.  The objects it uses come in as ``c0``,
+    ``c1``, ..., so that the notes of one shape share one compilation."""
+
+    def __init__(self, head: str):
+        self.out, self.consts = [f" def h({head}):"], []
+
+    def c(self, x) -> str:
+        self.consts.append(x)
+        return f"c{len(self.consts) - 1}"
+
+    def site(self, ind: str, v: str, cat: str, need) -> None:
+        """Read an operand into ``v``: dispatch on its first token, extend it while an infix applies."""
+        if cat == "axiom":
+            return self.out.append(f"{ind}{v} = {self.c(_A[need])}.get(k[p.pos], {self.c(_D[cat])})[0](p, w, k)")
+        self.out.append(f"{ind}h, r = {self.c(_P[cat][need])}.get(k[p.pos], {self.c(_D[cat])}); {v} = h(p, w, k)")
+        if any(n.level >= need for n in _INFIX[cat].values()):
+            i = self.c(_I[cat][need])
+            self.out.append(f"{ind}while (e := {i}.get(k[p.pos])) and r >= e[1]: {v}, r = e[0](p, w, k, {v}), e[2]")
+
+    def read(self, ind: str, alts: list, args: list, suffix: str, lead: bool) -> None:
+        """Read the rest of ``alts``, (note, parts left) pairs that agree on the parts read into
+        ``args``; with ``lead``, the table lookup has matched the next part."""
+        out, c = self.out, self.c
+        while True:
+            note, parts = alts[0]
+            if not parts:
+                built = f"{c(note.build)}({', '.join(args)})" if note.build else args[0]
+                if getattr(note.parts[0], "kind", None) is not LITERAL:
+                    return out.append(f"{ind}return {built}")
+                out.append(f"{ind}try: return {built}")  # the integer may be out of range (inac0, a huge numeral)
+                return out.append(f"{ind}except ValueError as x: raise {c(_diagnostic)}(p.text, s, str(x)) from None")
+            if len({p[0] if isinstance(p[0], str) else p[0][1:] for _, p in alts}) > 1:  # a word decides
+                words = {p[0]: (n, p[1:]) for n, p in alts if isinstance(p[0], str)}
+                for j, (word, alt) in enumerate(words.items()):
+                    out += [f"{ind}{'el' * (j > 0)}if w[p.pos] == {c(word)}:", f"{ind} p.pos += 1"]
+                    self.read(ind + " ", [alt], list(args), suffix, False)
+                out.append(f"{ind}else:")
+                rest = [(n, p) for n, p in alts if not isinstance(p[0], str)][:1]
+                if rest:
+                    return self.read(ind + " ", rest, args, suffix, False)
+                return out.append(f"{ind} p.miss(p.pos, {c(tuple(map(repr, words)))})")
+            part, v = parts[0], f"v{len(args)}"
+            alts = [(n, p[1:]) for n, p in alts]
+            if isinstance(part, str):
+                label = part if part[0].isalpha() else repr(part)
+                out += [] if lead else [f"{ind}if w[p.pos] != {c(part)}: p.miss(p.pos, {c((label,))})"]
+                out.append(f"{ind}p.pos += 1")
+            elif part.kind is LITERAL:  # the integer glued to the word
+                out.append(f"{ind}s = p.pos; p.pos += 1")
+                v = f"int(w[s][{len(part.glued)}:len(w[s]) - {len(suffix)}])"
+            elif part.kind is SCHEMA:
+                self.site(ind, v, "axiom", part.arg[0])
+            elif part.kind is TERMS:  # as many as the node's axiom takes, or a list after a word
+                holes = [h for h in note.parts if not isinstance(h, str)]
+                count = f"arity({args[[h.kind for h in holes].index(SCHEMA)]})" if part.arg == "," else None
+                out.append(f"{ind}{v} = p.terms({c(part.arg)}, {count})")
+            elif part.kind is FO_BINDERS:  # every identifier that follows
+                out.append(f"{ind}{v} = []")
+                out.append(f"{ind}while {c(IDENT)}.match(w[p.pos]): {v}.append(p.name({c(part.kind.value)}))")
+                v = f"tuple({v})"
+            elif part.kind in (TERM, FORMULA, PROOF):
+                self.site(ind, v, part.cat, part.arg)
+            else:  # a name
+                out.append(f"{ind}{v} = " + ("w[p.pos]; p.pos += 1" if lead else f"p.name({c(part.kind.value)})"))
+            args += [] if isinstance(part, str) else [v]
+            lead = False
+
+    def compile(self):
+        head = f"def make({', '.join(f'c{j}' for j in range(len(self.consts)))}):"
+        src = "\n".join([head, *self.out, " return h"])
+        if src not in _SHAPES:
+            space: dict = {}  # its own, for two threads that read a text each
+            exec(src, _NS, space)
+            _SHAPES[src] = space["make"]
+        return _SHAPES[src](*self.consts)
+
+
+def _handler(notes: list[Note], suffix: str = "", infix: bool = False):
+    """The handler of the notes that open with one token, or of one infix note."""
+    at = (*notes, suffix, infix)
+    if at not in _HANDLERS:
+        if len({n.right for n in notes}) > 1:
+            raise ValueError(f"notes that open alike must be seen alike from their right: {notes}")
+        gen = _Emit("p, w, k, x" if infix else "p, w, k")
+        gen.read("  ", [(n, n.parts[infix:]) for n in notes], ["x"] if infix else [], suffix, True)
+        _HANDLERS[at] = gen.compile()
+    return _HANDLERS[at]
+
+
+def _reference(p, w, k):
+    """A name in proof position: an earlier theorem of the file, inlined, or a hypothesis."""
+    name = w[p.pos]
+    p.pos += 1
+    m = p.table.get(name)
+    return _NAME["proof"].build(name) if m is None else m
+
+
+def _later(table: dict, keys, make) -> None:
+    """Put ``make()`` into ``table`` at each key before a text first has it."""
+    for key in keys:
+        _LATER.setdefault(key, []).append((table, make))
+
+
+def _make(keys) -> None:
+    """Make the table entries for the keys a text has and no text had before."""
+    for key in _LATER.keys() & keys:
+        for table, make in _LATER.get(key, ()):
+            table[key] = make()
+        _LATER.pop(key, None)  # after the tables are filled, for a parse in another thread
+
+
+_D["formula"] = (_handler(_VIA["formula"]), _VIA["formula"][0].right)
+for _suffix, _table in _A.items():
+    for _note in _PREFIX["axiom"]:
+        _later(_table, starts(_note, _suffix), lambda n=_note, x=_suffix: (_handler([n], x),))
+_opens: dict = {}  # (category, level) -> the keys that open a tree there
+for _cat in ("term", "formula", "proof"):
+    for _need, _table in enumerate(_P[_cat]):
+        _keyed: dict[str, list[Note]] = {}
+        for _note in _PREFIX[_cat]:
+            for _s in starts(_note) if _note.level >= _need else ():
+                _keyed.setdefault(_s, []).append(_note)
+        for _s, _ns in _keyed.items():
+            _later(_table, [_s], lambda ns=_ns: (_handler(ns), ns[0].right))
+        if _cat in _NAME:
+            _later(_table, NAMES, lambda c=_cat: (
+                _reference if c == "proof" else _handler([_NAME[c]]), _NAME[c].right))
+        _opens[_cat, _need] = [*_keyed, *(NAMES if _cat in _NAME else ())]
+    for _op, _note in _INFIX[_cat].items():
+        for _table in _I[_cat][: _note.level + 1]:
+            _keys = _opens[_cat, _note.parts[1].arg] if _op is None else [_op]
+            _later(_table, _keys, lambda n=_note: (_handler([n], infix=True), n.parts[0].arg, n.right))
+_READ = {c: _handler([Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), None)])
+         for c, kind in (("term", TERM), ("formula", FORMULA), ("axiom", SCHEMA), ("proof", PROOF))}  # whole trees
 
 
 class _Parser:
+    __slots__ = ("text", "w", "k", "pos", "table")
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text)
+        self.w, self.k = tokenize(text)
         self.pos = 0
         self.table: dict[str, Proof] = {}
 
-    def error(self, message: str, expected: tuple[str, ...] = (), pos: int | None = None):
-        tok = self.toks[self.pos if pos is None else pos]
-        return _diagnostic(self.text, tok[2], message, expected)
+    def miss(self, i: int, expected: tuple[str, ...]):
+        raise _diagnostic(self.text, i, f"found {self.w[i] or 'end of input'!r}", expected)
 
-    def fail(self, what: str):
-        raise self.error(f"found {self.toks[self.pos][1] or 'end of input'!r}", (what,))
+    def name(self, what: str) -> str:
+        i = self.pos
+        if self.k[i] not in NAMES:
+            if IDENT.match(self.w[i]):
+                raise _diagnostic(self.text, i, f"reserved word {self.w[i]!r} cannot be a name", (what,))
+            self.miss(i, (what,))
+        self.pos = i + 1
+        return self.w[i]
 
     def expect(self, word: str) -> None:
-        if self.toks[self.pos][1] != word:
-            self.fail(word if word[0].isalpha() else repr(word))
+        if self.w[self.pos] != word:
+            self.miss(self.pos, (word if word[0].isalpha() else repr(word),))
         self.pos += 1
 
-    def name(self, what: str = "name") -> str:
-        kind, text, _ = self.toks[self.pos]
-        if kind != "ident":
-            self.fail(what)
-        if reserved(text):
-            raise self.error(f"reserved word {text!r} cannot be a name", (what,))
-        self.pos += 1
-        return text
-
-    # -- precedence climbing
-
-    def parse(self, cat: str, need: int = 0, suffix: str = ""):
-        """Read one tree of the category that may stand at level ``need``.
-
-        With a suffix, the tree opens with a word glued to it (``pairRep``).
-        """
-        toks = self.toks
-        start = self.pos
-        kind, text, _ = toks[start]
-        word = text[: len(text) - len(suffix)]
-        note, vals = _NUD[cat][need].get(word), []
-        if note is None:
-            for p, n in _PATTERNS[cat]:
-                m = p.fullmatch(word) if n.level >= need else None
-                if m:  # an integer glued to the word, or an axiom's word glued to a suffix
-                    note, vals = n, [int(m.group(1))] if n.parts[0].kind is LITERAL else []
-                    break
-        if note is None:
-            if kind == "ident" and cat in _NAME and not reserved(text):
-                self.pos += 1
-                have = _NAME[cat].right
-                left = self.table[text] if cat == "proof" and text in self.table else _NAME[cat].build(text)
-            elif cat in _VIA:
-                note = _VIA[cat]
-            else:
-                self.fail(cat)
-        if note is not None:
-            parts = note.parts
-            if vals or parts[0].__class__ is str:  # the opening word is read here
-                self.pos += 1
-                parts = parts[1:]
-        leds, juxt = _LED[cat], _JUXT.get(cat)
-        while True:
-            while note is not None:
-                for part in parts:
-                    if part.__class__ is str:
-                        if toks[self.pos][1] != part:
-                            self.fail(part if part[0].isalpha() else repr(part))
-                        self.pos += 1
-                    elif part.kind is PROOF or part.kind is FORMULA or part.kind is TERM:
-                        vals.append(self.parse(part.cat, part.arg))
-                    elif part.kind is SCHEMA:
-                        vals.append(self.parse("axiom", 0, part.arg[0]))
-                    else:
-                        vals.append(self.hole(part, vals))
-                if note.__class__ is _Choice:
-                    choice, note = note, note.by_token.get(toks[self.pos][1], note.default)
-                    if note is None:
-                        raise self.error(f"found {toks[self.pos][1] or 'end of input'!r}",
-                                         tuple(map(repr, choice.by_token)))
-                    parts = note.parts[choice.k:]
-                    continue
-                try:
-                    left = note.build(*vals)
-                except ValueError as e:
-                    raise self.error(str(e), pos=start) from None
-                note, have = None, note.right
-            note = leds.get(toks[self.pos][1])
-            if note is None and juxt is not None and self.starts(cat, juxt.parts[1].arg):
-                note = juxt
-            if note is None or note.level < need or have < note.parts[0].arg:
-                return left
-            vals, parts = [left], note.parts[1:]
-
-    def starts(self, cat: str, level: int) -> bool:
-        kind, text, _ = self.toks[self.pos]
-        if text in _NUD[cat][level] or any(p.fullmatch(text) for p, _ in _PATTERNS[cat]):
-            return True
-        return kind == "ident" and cat in _NAME and not reserved(text)
-
-    def hole(self, part: Hole, vals: list):
-        """A field that is not a term, a formula, a proof or an axiom."""
-        if part.kind is FO_BINDERS:
-            names = []
-            while self.toks[self.pos][0] == "ident":
-                names.append(self.name(part.kind.value))
-            return tuple(names)
-        if part.kind is not TERMS:
-            return self.name(part.kind.value)
-        out = []
-        if part.arg == ",":  # as many as the node's axiom takes
-            for _ in range(arity(next(v for v in vals if isinstance(v, AxiomId)))):
-                self.expect(",")
-                out.append(self.parse("term"))
-        elif self.toks[self.pos][1] == part.arg:
-            self.pos += 1
-            out.append(self.parse("term"))
-            while self.toks[self.pos][1] == ",":
-                self.pos += 1
-                out.append(self.parse("term"))
+    def terms(self, lead: str, count: int | None) -> tuple[Term, ...]:
+        """``count`` terms after ``lead`` each; with no count, a comma list after an optional ``lead``."""
+        out: list[Term] = []
+        while len(out) != count and (count is not None or self.w[self.pos] == (lead if not out else ",")):
+            self.expect(lead if count is not None or not out else ",")
+            h, _ = _P["term"][0].get(self.k[self.pos], _D["term"])
+            out.append(h(self, self.w, self.k))
         return tuple(out)
 
     # -- declarations
 
-    def file(self) -> TheoremFile:
+    def file(self, w: list[str], k: list[str]) -> TheoremFile:
         mode = MODES[0]
-        if self.toks[self.pos][1] == MODE:
+        if w[self.pos] == MODE:
             self.pos += 1
-            if self.toks[self.pos][1] not in MODES:
-                self.fail(f"mode name ({' or '.join(MODES)})")
-            mode = self.toks[self.pos][1]
+            if w[self.pos] not in MODES:
+                self.miss(self.pos, (f"mode name ({' or '.join(MODES)})",))
+            mode = w[self.pos]
             self.pos += 1
             self.expect(".")
-        decls: list[Declaration] = []
-        directives: list[tuple[str, str]] = []
-        while self.toks[self.pos][0] != "eof":
-            word = self.toks[self.pos][1]
+        decls, directives = [], []
+        while k[self.pos] != EOF:
+            word = w[self.pos]
             if word not in (THEOREM, *DIRECTIVES):
-                self.fail(f"declaration ({THEOREM}, {', '.join(DIRECTIVES)}) or end of file")
+                self.miss(self.pos, (f"declaration ({THEOREM}, {', '.join(DIRECTIVES)}) or end of file",))
             self.pos += 1
             name = self.name("theorem name")
             if word == THEOREM:
                 if name in self.table:
-                    raise self.error(f"duplicate theorem name {name!r}")
-                self.expect(":")
-                phi = self.parse("formula")
-                self.expect(":=")
-                prf = self.parse("proof")
-                self.table[name] = prf
-                decls.append(Declaration(name, phi, prf))
+                    raise _diagnostic(self.text, self.pos, f"duplicate theorem name {name!r}")
+                trees = []
+                for lead, cat in ((":", "formula"), (":=", "proof")):  # read as _READ reads them, in this frame
+                    self.expect(lead)
+                    h, r = _P[cat][0].get(k[self.pos], _D[cat])
+                    trees.append(h(self, w, k))
+                    while (e := _I[cat][0].get(k[self.pos])) and r >= e[1]:
+                        trees[-1], r = e[0](self, w, k, trees[-1]), e[2]
+                self.table[name] = trees[1]
+                decls.append(Declaration(name, *trees))
             elif name in self.table:
                 directives.append((word, name))
             else:
-                raise self.error(f"directive names unknown theorem {name!r}")
+                raise _diagnostic(self.text, self.pos, f"directive names unknown theorem {name!r}")
             self.expect(".")
         return TheoremFile(mode, tuple(decls), tuple(directives))
 
 
 def _run(text: str, read):
-    """Apply one reader to the whole text.
-
-    Nesting deeper than the interpreter's stack comes back as a Diagnostic
-    at the token the parser had reached.
-    """
+    """Read the whole text; nesting too deep for the interpreter's stack is a Diagnostic."""
     p = _Parser(text)
     try:
-        out = read(p)
+        out = read(p, p.w, p.k)
     except RecursionError:
-        raise p.error("nesting too deep") from None
-    if p.toks[p.pos][0] != "eof":
-        p.fail("end of input")
+        raise _diagnostic(text, p.pos, "nesting too deep") from None
+    if p.k[p.pos] != EOF:
+        p.miss(p.pos, ("end of input",))
     return out
 
 
@@ -351,17 +351,17 @@ def parse(text: str) -> TheoremFile:
 
 
 def parse_formula(text: str) -> Formula:
-    return _run(text, lambda p: p.parse("formula"))
+    return _run(text, _READ["formula"])
 
 
 def parse_term(text: str) -> Term:
-    return _run(text, lambda p: p.parse("term"))
+    return _run(text, _READ["term"])
 
 
 def parse_proof(text: str) -> Proof:
-    return _run(text, lambda p: p.parse("proof"))
+    return _run(text, _READ["proof"])
 
 
 def parse_axiom(text: str) -> AxiomId:
     """An axiom identifier as ``izf axiom`` names it: ``pair``, ``inac2``, ``sep[z a | z in a]``."""
-    return _run(text, lambda p: p.parse("axiom"))
+    return _run(text, _READ["axiom"])

@@ -818,7 +818,12 @@ def succ_term(t: Term) -> Term:
     return UnionT(PairT(t, PairT(t, t)))
 
 
+NUMERAL_BOUND = 10**4  # far above any numeral the package writes; a numeral is n nested successors
+
+
 def numeral(n: int) -> Term:
+    if n > NUMERAL_BOUND:
+        raise ValueError(f"numeral {n} is above the bound {NUMERAL_BOUND}")
     t: Term = Empty()
     for _ in range(n):
         t = succ_term(t)

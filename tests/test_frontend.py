@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 from gens import rand_formula, rand_proof, rand_term
 from izf.corpus import corpus_files, render_corpus_file
-from izf.notation import NOTES, SYMBOLS
+from izf.notation import KEYWORDS, NOTES, NUMBERED, SYMBOLS
 from izf.parser import (
-    KEYWORDS,
-    RESERVED,
     Diagnostic,
     TheoremFile,
     parse,
@@ -28,7 +26,7 @@ from izf.parser import (
 from izf.printer import print_formula, print_proof, print_term
 from izf.proof_ops import alpha_eq_proof
 from izf.proofs import Proof
-from izf.syntax import Bottom, Eq, Forall, Formula, Imp, Term, Var, alpha_eq, substitute
+from izf.syntax import NUMERAL_BOUND, Bottom, Eq, Forall, Formula, Imp, Term, Var, alpha_eq, substitute
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -177,6 +175,100 @@ def test_nesting_too_deep_is_a_diagnostic(tmp_path):
     assert "nesting too deep" in r.stderr and "Traceback" not in r.stderr
 
 
+# A chain of each burn family, written as text as the benchmark writes it.
+# The parser takes one frame per construct on the path to the innermost
+# one, so these depths parse in a fresh interpreter under the default
+# recursion limit (494 for beta, proj and case, 488 for cancel and let).
+_CHAINS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import inputs
+from izf.parser import parse
+for family in inputs.BURN_CHAINS:
+    parse(inputs.burn_chain(family, 480).text)
+print("ok")
+"""
+
+
+def test_480_deep_burn_chains_parse_under_the_default_recursion_limit():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-c", _CHAINS, str(ROOT / "perfbench")]
+    r = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and r.stdout == "ok\n", r.stderr[-2000:]
+
+
+def test_a_numeral_literal_above_the_bound_is_a_diagnostic(tmp_path):
+    assert isinstance(parse_formula(f"{NUMERAL_BOUND} in omega"), Formula)
+    with pytest.raises(Diagnostic, match=f"numeral 1000000 is above the bound {NUMERAL_BOUND}") as e:
+        parse_term("{empty,\n  1000000}")
+    assert (e.value.line, e.value.col) == (2, 3)
+    src = tmp_path / "big.izf"
+    src.write_text("thm a : 99999999999999999999999 in omega := x .")
+    r = izf("check", str(src))
+    assert r.returncode == 1
+    assert f"{src}:1:9: numeral 99999999999999999999999 is above the bound {NUMERAL_BOUND}" in r.stderr
+    assert "Traceback" not in r.stderr
+    # An integer too long for int() (where the interpreter limits it) is a diagnostic too.
+    for parse_one, text in ((parse_term, "V" + "9" * 5000), (parse_proof, f"inac{'9' * 5000}Rep(empty, x)")):
+        try:
+            parse_one(text)
+        except Diagnostic:
+            pass
+
+
+def _container_sizes(module) -> dict:
+    """The number of entries in each module-level dict, set, list or tuple,
+    counting those nested in them."""
+    def size(x, seen) -> int:
+        if not isinstance(x, (dict, set, frozenset, list, tuple)) or id(x) in seen:
+            return 0
+        seen.add(id(x))
+        items = [*x.keys(), *x.values()] if isinstance(x, dict) else x
+        return len(x) + sum(size(y, seen) for y in items)
+
+    return {k: size(v, set()) for k, v in vars(module).items() if isinstance(v, (dict, set, frozenset, list))}
+
+
+def test_parsing_fresh_words_leaves_no_state_behind():
+    import izf.notation
+    import izf.parser
+
+    def text(i: int) -> str:
+        return (f"thm t{i} : V{i + 1} in V{i + 2} -> {i} in omega :=\n"
+                f"  fun (h{i} : V{i + 1} in V{i + 2}) => inac{i + 1}Rep(empty, q{i}_{i}) .")
+
+    parse(text(0))
+    before = [_container_sizes(m) for m in (izf.parser, izf.notation)]
+    for i in range(1000):
+        assert len(parse(text(i)).declarations) == 1
+    assert [_container_sizes(m) for m in (izf.parser, izf.notation)] == before
+
+
+# The parser makes its table entries when a text first needs them; threads
+# that read texts at once from cold tables must read what one thread reads.
+_THREADS = """
+import pathlib, sys, threading
+sys.setswitchinterval(1e-6)
+from izf.parser import parse
+texts = [p.read_text("utf-8") for p in sorted(pathlib.Path(sys.argv[1]).glob("*.izf"))] * 2
+got = {}
+threads = [threading.Thread(target=lambda i=i: got.update({i: repr(parse(texts[i]))})) for i in range(len(texts))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+print(all(got[i] == repr(parse(text)) for i, text in enumerate(texts)))
+"""
+
+
+def test_threads_reading_from_cold_tables_read_alike():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-c", _THREADS, str(CORPUS)]
+    r = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0 and r.stdout == "True\n", r.stderr[-2000:]
+
+
 def test_cli_runs_a_500_binder_chain(tmp_path):
     n = 500
     src = tmp_path / "deep.izf"
@@ -208,7 +300,7 @@ def test_cli_check_rejects_inaccessible_axiom_index_zero(tmp_path):
 # Every word and symbol the notation declares, the numbered words at a few
 # numbers, and a few names.
 _AXIOM_WORDS = {n.parts[0] for n in NOTES.values() if n.cat == "axiom" and isinstance(n.parts[0], str)}
-_NUMBERED = [alt.replace(r"(\d+)", n) for alt in RESERVED.pattern.split("|") for n in ("0", "1", "2", "17")]
+_NUMBERED = [family.replace("<n>", n) for family in NUMBERED for n in ("0", "1", "2", "17")]
 _WORDS = (*SYMBOLS, *sorted(KEYWORDS | _AXIOM_WORDS), *_NUMBERED, "a", "b", "x", "y")
 
 
