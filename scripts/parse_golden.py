@@ -14,7 +14,9 @@ table holds ``ok <sha256 of repr(tree)>`` for a text that parses and the exact
 * seeded token mutations of the corpus files: a token deleted, doubled,
   replaced or swapped with its neighbour, or a word inserted;
 * hand-written cases: bad characters, reserved words as binders, ``inac0Rep``,
-  unclosed brackets, an empty file, and the readers' own entry points.
+  unclosed brackets, an empty file, separations and replacements whose
+  parameters and arguments differ in number, and the readers' own entry
+  points.
 
 The mutations cut the text at tokens of this script's own regex, so the
 table does not depend on the tokenizer under test.  With ``--check`` the
@@ -111,6 +113,13 @@ _HAND = (
     ("parse_axiom", "sep[z a | z in a]"),
     ("parse_axiom", "sep[z | bot] junk"),
     ("parse_axiom", "pairRep"),
+    ("parse_term", "sep[z a | z in a](omega)"),
+    ("parse_term", "repl[y z a | y = z](omega)"),
+    ("parse_term", "{empty, sep[z a | z in a](omega)}"),
+    ("parse_formula", "empty in sep[z a b | bot](omega; empty) /\\ bot"),
+    ("parse", "thm t : sep[z g | z in g](a) = empty := x ."),
+    ("parse_proof", "f @repl[y z | y = z](omega; empty)"),
+    ("parse_proof", "fst(inac0Rep(empty, x))"),
 )
 
 

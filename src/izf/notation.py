@@ -245,10 +245,10 @@ NUMBERED = tuple(dict.fromkeys(  # in category order, as the parser's tests draw
 SUFFIXES = tuple(dict.fromkeys(  # the suffixes glued to axiom words, and none
     ("", *(h.arg[0] for n in NOTES.values() for h in n.parts if getattr(h, "kind", 0) is SCHEMA))
 ))
-_AXIOM_WORDS = {s for n in NOTES.values() if n.cat == "axiom" for x in SUFFIXES for s in starts(n, x)}
-NAMES = frozenset({NAME, *_AXIOM_WORDS.difference(KEYWORDS, NUMBERED)})  # the keys of a word that may be a name
-_FAMILIES = frozenset(s for s in {*NUMBERED, *_AXIOM_WORDS} if N in s)
-_OWN_KEYS = frozenset(w for w in (*SYMBOLS, *KEYWORDS, *_AXIOM_WORDS) if N not in w)
+_KEYS = {  # every word that is its own key and every numbered family -> whether its words may be names
+    **{s: True for n in NOTES.values() if n.cat == "axiom" for x in SUFFIXES for s in starts(n, x)},
+    **dict.fromkeys((*SYMBOLS, *KEYWORDS, *NUMBERED), False)}
+NAMES = frozenset({NAME, *(k for k, name in _KEYS.items() if name)})  # the keys of a word that may be a name
 _DIGITS = re.compile(r"\d+")
 
 
@@ -256,7 +256,7 @@ def key(word: str) -> str:
     """A token's key: a symbol, reserved word or axiom word is its own key,
     a numbered word has its family's (``V3`` is ``V<n>``), any other
     identifier is ``NAME`` and any other character ``BAD``."""
-    if word in _OWN_KEYS:
+    if word in _KEYS:
         return word
     family = _DIGITS.sub(N, word, 1)
-    return family if family in _FAMILIES else NAME if IDENT.match(word) else BAD
+    return family if family in _KEYS else NAME if IDENT.match(word) else BAD

@@ -91,7 +91,7 @@ _notes = list(NOTES.values())
 _OPEN, _CLOSE = GROUP.split("{x}")
 for _cat, _kind in (("term", TERM), ("formula", FORMULA), ("proof", PROOF)):
     _top = len(LEVELS[_cat]) - 1
-    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), None))
+    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), lambda x: x))
 _PREFIX: dict[str, list[Note]] = {c: [] for c in _CATS}  # opened by a token
 _INFIX: dict[str, dict] = {c: {} for c in _CATS}  # an operand, then this word (None: another operand)
 _NAME: dict[str, Note] = {}  # a bare name
@@ -111,7 +111,9 @@ for _note in _notes:
 # ---------------------------------------------------------------------------
 # The Pratt tables.  A handler is entered with ``p.pos`` at the token that chose
 # it (a prefix) or at the operator after the operand ``x`` (an infix); it
-# reads its template and leaves ``p.pos`` after it.
+# reads its template and leaves ``p.pos`` after it.  A ValueError of a build
+# (``inac0``, a numeral above the bound, a separation's parameters and
+# arguments apart) is a diagnostic at that token.
 
 _P = {c: [{} for _ in LEVELS[c]] for c in _CATS}  # key -> (handler, level seen from its right)
 _I = {c: [{} for _ in LEVELS[c]] for c in _CATS}  # key -> (handler, level on its left, on its right)
@@ -128,7 +130,7 @@ class _Emit:
     ``c1``, ..., so that the notes of one shape share one compilation."""
 
     def __init__(self, head: str):
-        self.out, self.consts = [f" def h({head}):"], []
+        self.out, self.consts = [f" def h({head}):", "  s = p.pos"], []
 
     def c(self, x) -> str:
         self.consts.append(x)
@@ -150,10 +152,7 @@ class _Emit:
         while True:
             note, parts = alts[0]
             if not parts:
-                built = f"{c(note.build)}({', '.join(args)})" if note.build else args[0]
-                if getattr(note.parts[0], "kind", None) is not LITERAL:
-                    return out.append(f"{ind}return {built}")
-                out.append(f"{ind}try: return {built}")  # the integer may be out of range (inac0, a huge numeral)
+                out.append(f"{ind}try: return {c(note.build)}({', '.join(args)})")
                 return out.append(f"{ind}except ValueError as x: raise {c(_diagnostic)}(p.text, s, str(x)) from None")
             if len({p[0] if isinstance(p[0], str) else p[0][1:] for _, p in alts}) > 1:  # a word decides
                 words = {p[0]: (n, p[1:]) for n, p in alts if isinstance(p[0], str)}
@@ -172,8 +171,8 @@ class _Emit:
                 out += [] if lead else [f"{ind}if w[p.pos] != {c(part)}: p.miss(p.pos, {c((label,))})"]
                 out.append(f"{ind}p.pos += 1")
             elif part.kind is LITERAL:  # the integer glued to the word
-                out.append(f"{ind}s = p.pos; p.pos += 1")
-                v = f"int(w[s][{len(part.glued)}:len(w[s]) - {len(suffix)}])"
+                out.append(f"{ind}{v} = p.pos; p.pos += 1")
+                v = f"int(w[{v}][{len(part.glued)}:len(w[{v}]) - {len(suffix)}])"
             elif part.kind is SCHEMA:
                 self.site(ind, v, "axiom", part.arg[0])
             elif part.kind is TERMS:  # as many as the node's axiom takes, or a list after a word
@@ -256,8 +255,8 @@ for _cat in ("term", "formula", "proof"):
         for _table in _I[_cat][: _note.level + 1]:
             _keys = _opens[_cat, _note.parts[1].arg] if _op is None else [_op]
             _later(_table, _keys, lambda n=_note: (_handler([n], infix=True), n.parts[0].arg, n.right))
-_READ = {c: _handler([Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), None)])
-         for c, kind in (("term", TERM), ("formula", FORMULA), ("axiom", SCHEMA), ("proof", PROOF))}  # whole trees
+_WHOLE = {c: [Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), lambda x: x)]
+          for c, kind in (("term", TERM), ("formula", FORMULA), ("axiom", SCHEMA), ("proof", PROOF))}  # whole trees
 
 
 class _Parser:
@@ -317,7 +316,7 @@ class _Parser:
                 if name in self.table:
                     raise _diagnostic(self.text, self.pos, f"duplicate theorem name {name!r}")
                 trees = []
-                for lead, cat in ((":", "formula"), (":=", "proof")):  # read as _READ reads them, in this frame
+                for lead, cat in ((":", "formula"), (":=", "proof")):  # as _WHOLE reads them, in this frame
                     self.expect(lead)
                     h, r = _P[cat][0].get(k[self.pos], _D[cat])
                     trees.append(h(self, w, k))
@@ -351,17 +350,17 @@ def parse(text: str) -> TheoremFile:
 
 
 def parse_formula(text: str) -> Formula:
-    return _run(text, _READ["formula"])
+    return _run(text, _handler(_WHOLE["formula"]))
 
 
 def parse_term(text: str) -> Term:
-    return _run(text, _READ["term"])
+    return _run(text, _handler(_WHOLE["term"]))
 
 
 def parse_proof(text: str) -> Proof:
-    return _run(text, _READ["proof"])
+    return _run(text, _handler(_WHOLE["proof"]))
 
 
 def parse_axiom(text: str) -> AxiomId:
     """An axiom identifier as ``izf axiom`` names it: ``pair``, ``inac2``, ``sep[z a | z in a]``."""
-    return _run(text, _READ["axiom"])
+    return _run(text, _handler(_WHOLE["axiom"]))

@@ -208,12 +208,20 @@ def test_a_numeral_literal_above_the_bound_is_a_diagnostic(tmp_path):
     assert r.returncode == 1
     assert f"{src}:1:9: numeral 99999999999999999999999 is above the bound {NUMERAL_BOUND}" in r.stderr
     assert "Traceback" not in r.stderr
-    # An integer too long for int() (where the interpreter limits it) is a diagnostic too.
-    for parse_one, text in ((parse_term, "V" + "9" * 5000), (parse_proof, f"inac{'9' * 5000}Rep(empty, x)")):
-        try:
-            parse_one(text)
-        except Diagnostic:
-            pass
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter reads any integer")
+def test_an_integer_past_the_interpreters_digit_limit_is_a_diagnostic():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for parse_one, text, col in ((parse_term, "{empty, V" + "9" * 5000 + "}", 9),
+                                     (parse_proof, f"f inac{'9' * 5000}Rep(empty, x)", 3)):
+            with pytest.raises(Diagnostic, match="Exceeds the limit") as e:
+                parse_one(text)
+            assert (e.value.line, e.value.col) == (1, col)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _container_sizes(module) -> dict:
@@ -294,6 +302,20 @@ def test_cli_check_rejects_inaccessible_axiom_index_zero(tmp_path):
     r = izf("check", str(src))
     assert r.returncode == 1
     assert f"{src}:1:26: inaccessible axiom index must be >= 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_check_rejects_separation_params_and_args_apart(tmp_path):
+    for parse_one, text, col in ((parse_term, "sep[z a | z in a](omega)", 1),
+                                 (parse_proof, "f @repl[y z | y = z](omega; empty)", 4)):
+        with pytest.raises(Diagnostic, match="params/args length mismatch") as e:
+            parse_one(text)
+        assert (e.value.line, e.value.col) == (1, col)
+    src = tmp_path / "sep.izf"
+    src.write_text("thm t : empty = empty := x .\nthm u : sep[z g | z in g](a) = empty := x .")
+    r = izf("check", str(src))
+    assert r.returncode == 1
+    assert f"{src}:2:9: separation term: params/args length mismatch" in r.stderr
     assert "Traceback" not in r.stderr
 
 
