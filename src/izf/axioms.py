@@ -410,11 +410,6 @@ def is_nwf_axiom(ax: AxiomId) -> bool:
     return _row(ax).nwf
 
 
-def func_formula(c: Term, a: Term, w: Term) -> Formula:
-    """"c is a function from a to w", spelled out with Kuratowski pairs."""
-    return substitute_many(_parsed(FUNC), {"c": c, "a": a, "w": w})
-
-
 def inac_phi1(i: int, c: str) -> Formula:
     """Membership conditions for V_i: the five-way disjunction."""
     return substitute_many(_parsed(INAC_PHI1), {"c": Var(c), **_inaccessibles(i)})

@@ -4,8 +4,9 @@ Subcommands: check (parse and type-check), normalize (fuel-bounded runs
 with optional trace export and cycle reports), extract (disjunct, witness
 or numeral), realize (verdicts over a finite name universe), axiom (print
 instantiated axiom statements).  Exit code 0 means every declaration
-succeeded, 1 means some failed, 2 means the invocation was malformed.
-IZF_FUEL overrides the default step budget when no --fuel is given.
+succeeded, 1 means some failed, 2 means the invocation was malformed, a
+number out of its range included.  IZF_FUEL overrides the default step
+budget of normalize and extract when no --fuel is given.
 """
 
 from __future__ import annotations
@@ -32,15 +33,27 @@ from .syntax import Forall, substitute
 from .typecheck import TypeCheckError, check
 
 
-def _fuel_default() -> int:
+def _at_least(least: int, value: int, what: str) -> int:
+    """value, or exit 2 with one line when it is below least."""
+    if value < least:
+        print(f"izf: {what} must be at least {least}, not {value}", file=sys.stderr)
+        raise SystemExit(2)
+    return value
+
+
+def _fuel(args, least: int) -> int:
+    """The step budget: --fuel, else IZF_FUEL, else the default."""
+    if args.fuel is not None:
+        return _at_least(least, args.fuel, "--fuel")
     env = os.environ.get("IZF_FUEL")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"izf: bad IZF_FUEL value {env!r}", file=sys.stderr)
-            raise SystemExit(2)
-    return DEFAULT_FUEL
+    if env is None:
+        return DEFAULT_FUEL
+    try:
+        fuel = int(env)
+    except ValueError:
+        print(f"izf: bad IZF_FUEL value {env!r}", file=sys.stderr)
+        raise SystemExit(2)
+    return _at_least(least, fuel, "IZF_FUEL")
 
 
 def _load(path: str) -> TheoremFile:
@@ -89,7 +102,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    fuel = args.fuel if args.fuel is not None else _fuel_default()
+    fuel = _fuel(args, 0)
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     failed = 0
     try:
@@ -136,7 +149,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    fuel = args.fuel if args.fuel is not None else _fuel_default()
+    fuel = _fuel(args, 1)
     cfg = ExtractionConfig(fuel=fuel, paranoid=args.paranoid)
     failed = 0
     for path in args.files:
@@ -162,8 +175,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    fuel = args.fuel if args.fuel is not None else 10**4
-    cfg = default_cfg(depth=args.depth, fuel=fuel, pool_size=args.pool)
+    fuel = _at_least(1, args.fuel, "--fuel") if args.fuel is not None else 10**4
+    depth, pool = _at_least(0, args.depth, "--depth"), _at_least(0, args.pool, "--pool")
+    cfg = default_cfg(depth=depth, fuel=fuel, pool_size=pool)
     failed = 0
     for path in args.files:
         tf = _load(path)

@@ -17,7 +17,9 @@ leaves open:
 An integer field is glued to the word before it (``V3``, ``inac2``, ``17``).
 A construct with a level says where it may stand; one that ends in an open
 operand is seen from its right at that operand's level, so it is bracketed
-before anything that follows it.  ``SUGAR`` is read but never printed.
+before anything that follows it.  ``SUGAR`` spells the abbreviations
+(numerals, ``S(t)``, ``<->``), each keyed by the function of ``syntax`` that
+builds the core syntax it stands for; they are read but never printed.
 ``printer`` fills the templates in and ``parser`` reads them back.
 
 The tokens are read off the same table: ``TOKEN`` finds them, skipping
@@ -109,16 +111,15 @@ NOTATION: dict = {
     pr.AxProp: "{ax:Prop}({term}{args:,}, {arg})",
 }
 
+# Abbreviations, read but never printed: each is built by its reader as the
+# core syntax it stands for, and spelled with its category, its template and
+# its fields' kinds.
 SUGAR: dict = {
-    sx.Numeral: "{value}",
-    sx.Succ: "S({arg})",
-    sx.Iff: ("iff", "{left:imp} <-> {right:imp}"),
+    sx.numeral: ("term", "{value}", {"value": LITERAL}),
+    sx.succ_term: ("term", "S({arg})", {"arg": TERM}),
+    sx.iff: ("formula", ("iff", "{left:imp} <-> {right:imp}"), {"left": FORMULA, "right": FORMULA}),
 }
-_SUGAR_KINDS = {sx.Numeral: {"value": LITERAL}, sx.Succ: {"arg": TERM}, sx.Iff: {"left": FORMULA, "right": FORMULA}}
-
-# How a node is built where that is not its constructor: V0 is omega, and
-# sugar is built as the core syntax it stands for.
-_READERS = {sx.Inac: sx.v_index, sx.Numeral: sx.numeral, sx.Succ: sx.succ_term, sx.Iff: sx.iff}
+_READERS = {sx.Inac: sx.v_index}  # V0 is omega
 
 
 class Hole(typing.NamedTuple):
@@ -152,10 +153,8 @@ def _category(cls: type) -> str:
 _HOLE_CAT = {TERM: "term", TERMS: "term", FORMULA: "formula", PROOF: "proof", SCHEMA: "axiom"}
 
 
-def _note(key, spec, build, kinds: dict) -> Note:
-    """Compile the template of a constructor (or constant) whose fields have these kinds."""
-    cls = key if isinstance(key, type) else type(key)
-    cat = _category(cls)
+def _note(key, spec, build, kinds: dict, cat: str) -> Note:
+    """Compile the template of a constructor, constant or reader whose fields have these kinds."""
     level, template = spec if isinstance(spec, tuple) else ("atom", spec)
     level = LEVELS[cat].index(level)
     parts, text = [], []
@@ -173,7 +172,7 @@ def _note(key, spec, build, kinds: dict) -> Note:
         if kind in (TERM, FORMULA, PROOF):
             arg = LEVELS[hcat].index(fspec) if fspec else 0
         elif kind is SCHEMA:
-            hint = typing.get_type_hints(cls)[field]
+            hint = typing.get_type_hints(key)[field]
             arg = (fspec, tuple(c for c in NOTATION if isinstance(c, type) and issubclass(c, hint)))
         else:
             arg = fspec
@@ -195,11 +194,11 @@ NOTES: dict = {}
 for _key, _spec in NOTATION.items():
     if isinstance(_key, type):
         _kinds = {f.name: f.kind for f in SHAPES[_key].fields}
-        NOTES[_key] = _note(_key, _spec, _READERS.get(_key, _key), _kinds)
+        NOTES[_key] = _note(_key, _spec, _READERS.get(_key, _key), _kinds, _category(_key))
     else:
-        NOTES[_key] = _note(_key, _spec, _constant(_key), {})
-for _key, _spec in SUGAR.items():
-    NOTES[_key] = _note(_key, _spec, _READERS[_key], _SUGAR_KINDS[_key])
+        NOTES[_key] = _note(_key, _spec, _constant(_key), {}, _category(type(_key)))
+for _key, (_cat, _spec, _kinds) in SUGAR.items():
+    NOTES[_key] = _note(_key, _spec, _key, _kinds, _cat)
 
 
 def family(x: ax.AxiomId) -> str:

@@ -19,7 +19,6 @@ partner share a tag, and the erased one keeps the same-named fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import syntax as sx
 from .axioms import AxiomId, IndAx
@@ -345,43 +344,14 @@ sx.declare(SHAPES)
 # Value classification
 
 
-class ValueTag(Enum):
-    LAMF = "lamf"
-    LAMP = "lamp"
-    INL = "inl"
-    INR = "inr"
-    EXINTRO = "exintro"
-    PAIRP = "pairp"
-    AXREP = "axrep"
-    NOT_VALUE = "not-value"
-
-
-# The value grammar, annotated and erased: each value constructor's tag.
-_VALUE_TAGS = {
-    LamF: ValueTag.LAMF,
-    ELamF: ValueTag.LAMF,
-    LamP: ValueTag.LAMP,
-    ELamP: ValueTag.LAMP,
-    Inl: ValueTag.INL,
-    EInl: ValueTag.INL,
-    Inr: ValueTag.INR,
-    EInr: ValueTag.INR,
-    ExIntro: ValueTag.EXINTRO,
-    EExIntro: ValueTag.EXINTRO,
-    PairP: ValueTag.PAIRP,
-    EPairP: ValueTag.PAIRP,
-    AxRep: ValueTag.AXREP,
-    EAxRep: ValueTag.AXREP,
-}
-
-
-def value_tag(m: Proof | ErasedProof) -> ValueTag:
-    """Classify per the value grammar; ind terms always reduce."""
-    return _VALUE_TAGS.get(type(m), ValueTag.NOT_VALUE)
+# The value grammar, annotated and erased; ind terms always reduce.
+_VALUES = frozenset(
+    {LamF, ELamF, LamP, ELamP, Inl, EInl, Inr, EInr, ExIntro, EExIntro, PairP, EPairP, AxRep, EAxRep}
+)
 
 
 def is_value(m: Proof | ErasedProof) -> bool:
-    return type(m) in _VALUE_TAGS
+    return type(m) in _VALUES
 
 
 # ---------------------------------------------------------------------------

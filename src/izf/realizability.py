@@ -235,6 +235,9 @@ def _v_implies(hyp: Verdict, conclusion) -> Verdict:
 # ---------------------------------------------------------------------------
 # Configuration
 
+OMEGA_DEPTH = 3  # omega's name holds this many numerals
+POWER_CAP = 6  # a power set's name holds the subsets of this many members
+
 
 @dataclass(frozen=True)
 class RealizCfg:
@@ -243,8 +246,6 @@ class RealizCfg:
     realizers: tuple[ErasedProof, ...] = ()
     terms: tuple[Term, ...] = (Empty(),)
     truncated: bool = False
-    omega_depth: int = 3
-    power_cap: int = 6
 
     def __post_init__(self) -> None:
         if self.fuel <= 0 or not self.universe or not self.terms:
@@ -691,7 +692,7 @@ class _Eval:
 
                 def power(env: tuple) -> int:
                     subsets = [()]
-                    for e in names[tu(env)].entries[: cfg.power_cap]:
+                    for e in names[tu(env)].entries[:POWER_CAP]:
                         subsets += [s + (e,) for s in subsets]
                     return self.name((EAxRep("power", witness), names[self.name(s)]) for s in subsets)
 
@@ -732,12 +733,12 @@ class _Eval:
         return self._succ((-1, n))
 
     def omega(self) -> int:
-        """The id of omega's name, approximated to ``omega_depth`` numerals."""
+        """The id of omega's name, approximated to ``OMEGA_DEPTH`` numerals."""
         if self._omega is None:
             rv = refl_value()
             label, n = EAxRep("inf", EInl(rv)), self._empty
             entries = [(label, self._names[n])]
-            for _ in range(self.cfg.omega_depth - 1):
+            for _ in range(OMEGA_DEPTH - 1):
                 n = self.succ(n)
                 label = EAxRep("inf", EInr(EExIntro(Empty(), EPairP(mem_wrap(label), rv))))
                 entries.append((label, self._names[n]))

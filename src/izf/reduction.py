@@ -18,8 +18,8 @@ from the contractum instead of re-descending from the root, on a loop
 rather than native recursion, so each step costs what changed, not the
 depth.  ``step``, ``normalize``, ``trace_states``, ``detect_cycle`` and
 ``simulate_erasure`` all drive it.  A state is plugged into a full term
-only when it is read: by ``on_step``, by ``detect_cycle``'s key, as a
-result, or in the kept trace tail, which is built once at return.
+only when it is read: by ``on_step``, by ``detect_cycle``'s key or as a
+result.
 
 ``_redex_at_root`` and ``_hole_child`` keep an independent, per-calculus
 statement of the same grammar for ``count_redexes`` and the determinism
@@ -28,7 +28,6 @@ check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
@@ -276,28 +275,8 @@ def step(m: AnyProof) -> StepResult:
     return Stuck(_path(ctx), out)
 
 
-step_erased = step
-
-
 # ---------------------------------------------------------------------------
 # Fuel-bounded driving
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    index: int
-    rule: str
-    path: Path
-    term: AnyProof  # the state after the step
-
-
-@dataclass
-class Trace:
-    """Ring-buffered suffix of a reduction run."""
-
-    steps: int
-    status: str  # "value" | "fuel" | "stuck"
-    tail: tuple[TraceEntry, ...]
 
 
 @dataclass
@@ -305,7 +284,6 @@ class NormalizeOutcome:
     status: str  # "value" | "fuel" | "stuck"
     result: AnyProof  # final value, or last state reached
     steps: int
-    trace: Trace
     stuck_path: Path = ()
     stuck_reason: str = ""
 
@@ -327,15 +305,9 @@ class StuckTerm(Exception):
 
 
 DEFAULT_FUEL = 10**6
-TRACE_TAIL = 64
 
 
-def normalize(
-    m: AnyProof,
-    fuel: int = DEFAULT_FUEL,
-    tail_size: int = TRACE_TAIL,
-    on_step=None,
-) -> NormalizeOutcome:
+def normalize(m: AnyProof, fuel: int = DEFAULT_FUEL, on_step=None) -> NormalizeOutcome:
     """Iterate the appropriate machine, counting steps exactly.
 
     ``on_step(index, rule, path, state)`` is invoked after every step, which
@@ -343,27 +315,17 @@ def normalize(
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    kept: deque[tuple] = deque(maxlen=tail_size)  # (index, rule, ctx, contractum)
     i = 0
     for rule, ctx, focus, out in _run(m):
         if rule is None:
             status = "value" if out is None else "stuck"
-            return _outcome(status, _plug(ctx, focus), i, kept, _path(ctx), out or "")
+            return NormalizeOutcome(status, _plug(ctx, focus), i, _path(ctx), out or "")
         if i == fuel:
-            return _outcome("fuel", _plug(ctx, focus), i, kept)
-        kept.append((i, rule, ctx, out))
+            return NormalizeOutcome("fuel", _plug(ctx, focus), i)
         if on_step is not None:
             on_step(i, rule, _path(ctx), _plug(ctx, out))
         i += 1
     raise AssertionError("unreachable")
-
-
-def _outcome(
-    status: str, result: AnyProof, steps: int, kept: deque, path: Path = (), reason: str = ""
-) -> NormalizeOutcome:
-    """A run's outcome, its kept steps plugged into the trace tail."""
-    tail = tuple(TraceEntry(i, rule, _path(ctx), _plug(ctx, out)) for i, rule, ctx, out in kept)
-    return NormalizeOutcome(status, result, steps, Trace(steps, status, tail), path, reason)
 
 
 def normalize_value(m: AnyProof, fuel: int = DEFAULT_FUEL) -> tuple[AnyProof, int]:
@@ -385,10 +347,8 @@ def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
         elif out is None:
             return states
         else:
-            raise StuckTerm(
-                NormalizeOutcome("stuck", states[-1], len(states) - 1, Trace(0, "stuck", ()), _path(ctx), out)
-            )
-    raise FuelExhausted(NormalizeOutcome("fuel", states[-1], fuel, Trace(fuel, "fuel", ())))
+            raise StuckTerm(NormalizeOutcome("stuck", states[-1], len(states) - 1, _path(ctx), out))
+    raise FuelExhausted(NormalizeOutcome("fuel", states[-1], fuel))
 
 
 def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:

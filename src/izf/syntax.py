@@ -13,7 +13,10 @@ formulas here, axiom identifiers in ``axioms`` and proof terms in
 ``proofs``.  A schema body is an ordinary scope under its binders.
 ``free_vars``, ``bound_names``, ``to_nameless``, ``substitute_many`` and the
 child map ``map_children`` are each one traversal read off that table; a
-sugar node has no shape, so every one of them rejects it.  Substitution
+node without a shape is rejected by every one of them.  There is no sugar
+node: the notation's abbreviations ``<->``, numerals and ``S(t)`` are built
+as the core syntax they stand for, by ``iff``, ``numeral`` and
+``succ_term`` below.  Substitution
 serves both namespaces: a term replaces a first-order variable and a proof
 a hypothesis variable, in terms, formulas and proofs of both calculi.
 ``to_nameless`` is the package's one binding-invariant key: ``alpha_eq``
@@ -295,7 +298,7 @@ SHAPES: dict[type, Shape] = {}
 
 class _Plans(dict):
     def __missing__(self, cls: type):
-        raise TypeError(f"{cls.__name__} has no binding shape (sugar must be desugared first)")
+        raise TypeError(f"{cls.__name__} has no binding shape")
 
 
 # Per constructor: (tag, fields as (name, kind, hypothesis binders over it,
@@ -413,96 +416,6 @@ declare(
         Exists: _shape("exists", binder=FO_BINDER, body=(FORMULA, "binder")),
     }
 )
-
-
-# ---------------------------------------------------------------------------
-# Sugar nodes.  These never survive into the kernel: desugar() eliminates
-# them, and having no shape, they are rejected by every traversal below.
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Zero(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Succ(Term):
-    arg: Term
-
-
-@dataclass(frozen=True)
-class Numeral(Term):
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("numerals are non-negative")
-
-
-@dataclass(frozen=True)
-class BoundedForall(Formula):
-    binder: str
-    bound: Term
-    body: Formula
-
-
-@dataclass(frozen=True)
-class BoundedExists(Formula):
-    binder: str
-    bound: Term
-    body: Formula
-
-
-@dataclass(frozen=True)
-class ExistsUnique(Formula):
-    binder: str
-    body: Formula
-
-
-def desugar(x: Tree) -> Tree:
-    """Expand every sugar node into core syntax.
-
-    Negation becomes implication into Bottom, Iff a conjunction of two
-    implications, Succ(t) the union of {t, {t, t}}, Numeral(n) the n-fold
-    Succ of Empty, bounded quantifiers guarded quantifiers, and unique
-    existence the usual fresh-variable expansion.
-    """
-    match x:
-        case Not(phi):
-            return Imp(desugar(phi), Bottom())
-        case Iff(l, r):
-            dl, dr = desugar(l), desugar(r)
-            return And(Imp(dl, dr), Imp(dr, dl))
-        case Zero():
-            return Empty()
-        case Succ(t):
-            dt = desugar(t)
-            return UnionT(PairT(dt, PairT(dt, dt)))
-        case Numeral(n):
-            t: Tree = Empty()
-            for _ in range(n):
-                t = UnionT(PairT(t, PairT(t, t)))
-            return t
-        case BoundedForall(a, bound, body):
-            return Forall(a, Imp(Mem(Var(a), desugar(bound)), desugar(body)))
-        case BoundedExists(a, bound, body):
-            return Exists(a, And(Mem(Var(a), desugar(bound)), desugar(body)))
-        case ExistsUnique(a, body):
-            db = desugar(body)
-            b = fresh_name(a, free_vars(db) | bound_names(db) | {a})
-            return Exists(a, And(db, Forall(b, Imp(substitute(db, a, Var(b)), Eq(Var(b), Var(a))))))
-    return map_children(x, desugar)
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +741,6 @@ def numeral(n: int) -> Term:
     for _ in range(n):
         t = succ_term(t)
     return t
-
-
-def kuratowski(x: Term, y: Term) -> Term:
-    """Ordered pair {{x, x}, {x, y}}."""
-    return PairT(PairT(x, x), PairT(x, y))
 
 
 def forall_many(names: Iterator[str] | tuple[str, ...] | list[str], body: Formula) -> Formula:

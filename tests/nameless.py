@@ -10,8 +10,7 @@ nameless tuples, independently of the named kernel operations, so the kernel's
 
 from __future__ import annotations
 
-from . import syntax as s
-from .syntax import to_nameless  # noqa: F401  (re-exported next to its oracles)
+from izf import syntax as s
 
 Nameless = tuple
 

@@ -375,6 +375,21 @@ def test_cli_usage_error_exit_code():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args, env", [
+    (("normalize", "--fuel", "-1"), {}),
+    (("normalize",), {"IZF_FUEL": "-5"}),
+    (("extract", "--goal", "numeral", "--fuel", "0"), {}),
+    (("realize", "--fuel", "0"), {}),
+    (("realize", "--pool", "-3"), {}),
+    (("realize", "--depth", "-2"), {}),
+])
+def test_cli_rejects_out_of_range_numeric_options(args, env):
+    r = izf(args[0], "corpus/equality.izf", *args[1:], env_extra=env)
+    assert r.returncode == 2
+    assert r.stderr.startswith("izf: ") and len(r.stderr.splitlines()) == 1
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 def test_cli_normalize_nwf_loop():
     r = izf("normalize", "corpus/nwf_loop.izf", "--fuel", "100000")
     assert r.returncode == 1

@@ -13,10 +13,10 @@ from izf.corpus import standard_entries
 from izf.proof_ops import erase
 from izf.proofs import App, AppT, Fst, Inl, Inr, PairP, Snd, is_value
 from izf.reduction import IsValue, Stepped, count_redexes, simulate_erasure, step, trace_states
-from izf.syntax import And, Empty, Forall, Imp, Numeral, Omega, Or, PowerT, UnionT, desugar, substitute
+from izf.syntax import And, Empty, Forall, Imp, Omega, Or, PowerT, UnionT, numeral, substitute
 from izf.typecheck import check, infer
 
-_TERMS = (Empty(), Omega(), PowerT(Empty()), UnionT(Omega()), desugar(Numeral(2)))
+_TERMS = (Empty(), Omega(), PowerT(Empty()), UnionT(Omega()), numeral(2))
 
 
 def _grow(rng: random.Random, pool):

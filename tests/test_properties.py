@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from izf.nameless import readback, to_nameless
+from nameless import readback
 from izf.printer import print_formula, print_term
 from izf.parser import parse_formula, parse_term
 from izf.syntax import (
@@ -25,6 +25,7 @@ from izf.syntax import (
     alpha_eq,
     free_vars,
     substitute,
+    to_nameless,
 )
 
 _names = st.sampled_from(("a", "b", "c", "d"))

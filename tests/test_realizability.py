@@ -117,10 +117,10 @@ def test_reduction_closure():
     nm = _sing(identity_value())
     term = mk_eqRefl()
     states = [term]
-    from izf.reduction import Stepped, step_erased
+    from izf.reduction import Stepped, step
 
     for _ in range(4):
-        r = step_erased(states[-1])
+        r = step(states[-1])
         if not isinstance(r, Stepped):
             break
         states.append(r.term)

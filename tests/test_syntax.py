@@ -6,45 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import rand_formula, rand_term
+from nameless import nameless_free_vars, nameless_subst, readback
 from izf.axioms import AxiomId
-from izf.nameless import nameless_free_vars, nameless_subst, readback, to_nameless
 from izf.proofs import SHAPES as PROOF_SHAPES
 from izf.syntax import (
     FO_BINDER,
     FO_BINDERS,
     SHAPES,
     And,
-    BoundedExists,
-    BoundedForall,
-    Bottom,
     Empty,
     Eq,
-    Exists,
-    ExistsUnique,
     Forall,
     Formula,
-    Iff,
     Imp,
     Mem,
     MemI,
-    Not,
-    Numeral,
     Omega,
     Or,
     PairT,
     Repl,
     Sep,
-    Succ,
     Term,
     UnionT,
     Var,
-    Zero,
     alpha_eq,
     bound_names,
-    desugar,
     free_vars,
     fresh_name,
+    numeral,
     substitute,
+    to_nameless,
 )
 
 a, b, c, f = Var("a"), Var("b"), Var("c"), Var("f")
@@ -128,11 +119,10 @@ def test_substitution_returns_untouched_subtrees_as_is():
 
 
 def test_every_constructor_declares_its_binding_shape():
-    sugar = {Not, Iff, Zero, Succ, Numeral, BoundedForall, BoundedExists, ExistsUnique}
     classes = {c for base in (Term, Formula) for c in base.__subclasses__()}
     axioms = set(AxiomId.__subclasses__())
-    assert len(classes) == 28 and sugar <= classes and len(axioms) == 13
-    assert set(SHAPES) == (classes - sugar) | axioms | set(PROOF_SHAPES)
+    assert len(classes) == 20 and len(axioms) == 13
+    assert set(SHAPES) == classes | axioms | set(PROOF_SHAPES)
     for cls, shape in SHAPES.items():
         assert [f.name for f in shape.fields] == [f.name for f in dataclasses.fields(cls)]
         binders = [f.name for f in shape.fields if f.kind in (FO_BINDER, FO_BINDERS)]
@@ -149,28 +139,12 @@ def test_alpha_eq_examples():
     assert alpha_eq(s1, s2)
 
 
-def test_desugar_examples():
-    assert desugar(Numeral(0)) == Empty()
-    assert desugar(Succ(Empty())) == UnionT(PairT(Empty(), PairT(Empty(), Empty())))
-    assert desugar(Not(Bottom())) == Imp(Bottom(), Bottom())
+def test_a_node_without_a_shape_is_rejected_by_kernel_ops():
+    class Shapeless(Formula):
+        pass
 
-
-def test_desugar_iff_and_bounded():
-    got = desugar(Iff(Bottom(), Bottom()))
-    assert got == And(Imp(Bottom(), Bottom()), Imp(Bottom(), Bottom()))
-    got = desugar(BoundedForall("a", Omega(), Eq(a, a)))
-    assert got == Forall("a", Imp(Mem(a, Omega()), Eq(a, a)))
-
-
-def test_desugar_exists_unique():
-    got = desugar(ExistsUnique("a", Eq(a, a)))
-    want = Exists("a", And(Eq(a, a), Forall("b", Imp(Eq(b, b), Eq(b, a)))))
-    assert alpha_eq(got, want)
-
-
-def test_desugar_rejected_by_kernel_ops():
     with pytest.raises(TypeError):
-        free_vars(Not(Bottom()))
+        free_vars(Shapeless())
 
 
 def test_fresh_name_deterministic():
@@ -235,7 +209,7 @@ def test_alpha_eq_matches_nameless_oracle(seed):
 @given(st.integers(0, 10))
 @settings(max_examples=11)
 def test_numeral_expansion_is_iterated_succ(n):
-    expanded = desugar(Numeral(n))
+    expanded = numeral(n)
     expect = Empty()
     for _ in range(n):
         expect = UnionT(PairT(expect, PairT(expect, expect)))
