@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -248,3 +252,28 @@ def test_repr_of_a_deep_legal_term_takes_no_native_recursion(burn):
 
     entry = getattr(corpus, burn)(10**4)
     assert repr(entry).startswith(f"CorpusEntry(name={entry.name!r}, formula={entry.formula!r}, proof=")
+
+
+# Substitution takes one frame per nesting level.  A rename of each level's
+# binder makes ``subst_proof`` descend the whole chain; from a fresh
+# interpreter at the default recursion limit it reaches 994 levels of
+# ``_burn_beta`` (one node a level) and 496 of ``_burn_case`` (two nodes a
+# level).  The test stays ten levels below, as interpreter versions differ by
+# a few frames; one more frame per node would halve both.
+_DEEP_SUBST = """
+import sys
+from izf import corpus
+from izf.proof_ops import subst_proof
+from izf.proofs import PropVar
+m = getattr(corpus, sys.argv[1])(int(sys.argv[2])).proof
+assert subst_proof(m, "w", PropVar(sys.argv[3])) is not m
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("burn, depth, name", [("_burn_beta", 984, "x"), ("_burn_case", 486, "y")])
+def test_substitution_takes_one_frame_per_level_of_a_deep_chain(burn, depth, name):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-c", _DEEP_SUBST, burn, str(depth), name],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and r.stdout == "ok\n", r.stderr[-2000:]
