@@ -269,7 +269,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``izf check f | head -1``): a failure
+        # like any other, without a traceback.  Python flushes stdout again at
+        # exit, so it is pointed at the null device first.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -5,21 +5,22 @@ The evaluation contexts descend into exactly one position per constructor
 axiom elimination and magic), so decomposition is unique; induction terms
 fire in place.  Everything reduction-based is fuel-bounded and total.
 
-One rule function, ``_contract``, serves both machines: annotated and
-erased nodes share the field names it reads.  For one node it gives the
-rule that fires there with its contractum, the evaluation-context child to
-look into, or why the node is stuck.
+The rules are a table keyed by class, ``_RULES``: one function per
+construct serves both machines, as a construct's annotated and erased
+classes share the field names it reads.  For one node it gives the rule
+that fires there with its contractum, the evaluation-context child to look
+into, or why the node is stuck; a class with no entry has no rule.
 
 One loop, ``_run``, is a focused machine whose transitions are those
 outcomes (Accattoli, Barenbaum & Mazza, *Distilling Abstract Machines*,
 ICFP 2014).  Its state is a focus and a persistent context of
-``(parent, attr)`` frames, the redex path.  After a contraction it goes on
-from the contractum instead of re-descending from the root, on a loop
-rather than native recursion, so each step costs what changed, not the
-depth.  ``step``, ``normalize``, ``trace_states``, ``detect_cycle`` and
-``simulate_erasure`` all drive it.  A state is plugged into a full term
-only when it is read: by ``on_step``, by ``detect_cycle``'s key or as a
-result.
+``(parent, attr)`` frames, the redex path, and each focus costs one lookup
+in the rule table.  After a contraction it goes on from the contractum
+instead of re-descending from the root, on a loop rather than native
+recursion, so each step costs what changed, not the depth.  ``step``,
+``normalize``, ``trace_states``, ``detect_cycle`` and ``simulate_erasure``
+all drive it.  A state is plugged into a full term only when it is read:
+by ``on_step``, by ``detect_cycle``'s key or as a result.
 
 ``_redex_at_root`` and ``_hole_child`` keep an independent, per-calculus
 statement of the same grammar for ``count_redexes`` and the determinism
@@ -114,61 +115,95 @@ def _ind_unfold(m: Ind | EInd) -> AnyProof:
     return ELamF(c, EApp(EAppT(m.arg, Var(c)), step_fn))
 
 
-def _contract(m: AnyProof) -> tuple[Optional[str], object, Optional[str]]:
-    """The rules of both machines at one node; annotated and erased nodes
-    share the field names read here.
+# The rules of both machines, one function per construct, shared by its
+# annotated and erased classes, which have the same field names.  A rule
+# function gives, for one node m, ``(rule, contractum, None)`` when a rule
+# fires at m, ``(None, attr, reason)`` when m waits on its
+# evaluation-context child ``attr`` (and is stuck for ``reason`` if that
+# child is a value), and ``(None, None, reason)`` when no rule can ever fire
+# at m.
 
-    Returns ``(rule, contractum, None)`` when a rule fires at m,
-    ``(None, attr, reason)`` when m waits on its evaluation-context child
-    ``attr`` (and is stuck for ``reason`` if that child is a value), and
-    ``(None, None, reason)`` when no rule can ever fire at m.
-    """
-    match m:
-        case PropVar(x) | EPropVar(x):
-            return None, None, f"free hypothesis {x}"
-        case App() | EApp():
-            f = m.fn
-            if isinstance(f, (LamP, ELamP)):
-                return "beta", subst_proof(f.body, f.var, m.arg), None
-            return None, "fn", "application of a non-lambda value"
-        case AppT() | EAppT():
-            f = m.fn
-            if isinstance(f, (LamF, ELamF)):
-                return "beta-fo", subst_proof_term(f.body, f.var, m.arg), None
-            return None, "fn", "term application of a non-term-lambda value"
-        case Fst() | EFst():
-            if isinstance(m.arg, (PairP, EPairP)):
-                return "fst", m.arg.left, None
-            return None, "arg", "fst of a non-pair value"
-        case Snd() | ESnd():
-            if isinstance(m.arg, (PairP, EPairP)):
-                return "snd", m.arg.right, None
-            return None, "arg", "snd of a non-pair value"
-        case Case() | ECase():
-            s = m.scrut
-            if isinstance(s, (Inl, EInl)):
-                return "case-inl", subst_proof(m.lbody, m.lvar, s.body), None
-            if isinstance(s, (Inr, EInr)):
-                return "case-inr", subst_proof(m.rbody, m.rvar, s.body), None
-            return None, "scrut", "case subject is not an injection"
-        case Let() | ELet():
-            subj = m.subject
-            if isinstance(subj, (ExIntro, EExIntro)):
-                out = subst_proof(subst_proof_term(m.body, m.fvar, subj.witness), m.pvar, subj.body)
-                return "let-ex", out, None
-            return None, "subject", "let subject is not a witness pair"
-        case Magic() | EMagic():
-            return None, "arg", "magic of a value"
-        case AxProp() | EAxProp():
-            arg = m.arg
-            if isinstance(arg, (AxRep, EAxRep)):
-                if _cancels(m, arg):
-                    return "ax-cancel", arg.arg, None
-                return None, None, "mismatched elimination/introduction pair"
-            return None, "arg", "axiom elimination of a non-introduction value"
-        case Ind() | EInd():
-            return "ind-unfold", _ind_unfold(m), None
+
+def _free_hypothesis(m: PropVar | EPropVar):
+    return None, None, f"free hypothesis {m.name}"
+
+
+def _app(m: App | EApp):
+    f = m.fn
+    if isinstance(f, (LamP, ELamP)):
+        return "beta", subst_proof(f.body, f.var, m.arg), None
+    return None, "fn", "application of a non-lambda value"
+
+
+def _app_term(m: AppT | EAppT):
+    f = m.fn
+    if isinstance(f, (LamF, ELamF)):
+        return "beta-fo", subst_proof_term(f.body, f.var, m.arg), None
+    return None, "fn", "term application of a non-term-lambda value"
+
+
+def _fst(m: Fst | EFst):
+    if isinstance(m.arg, (PairP, EPairP)):
+        return "fst", m.arg.left, None
+    return None, "arg", "fst of a non-pair value"
+
+
+def _snd(m: Snd | ESnd):
+    if isinstance(m.arg, (PairP, EPairP)):
+        return "snd", m.arg.right, None
+    return None, "arg", "snd of a non-pair value"
+
+
+def _case(m: Case | ECase):
+    s = m.scrut
+    if isinstance(s, (Inl, EInl)):
+        return "case-inl", subst_proof(m.lbody, m.lvar, s.body), None
+    if isinstance(s, (Inr, EInr)):
+        return "case-inr", subst_proof(m.rbody, m.rvar, s.body), None
+    return None, "scrut", "case subject is not an injection"
+
+
+def _let(m: Let | ELet):
+    subj = m.subject
+    if isinstance(subj, (ExIntro, EExIntro)):
+        out = subst_proof(subst_proof_term(m.body, m.fvar, subj.witness), m.pvar, subj.body)
+        return "let-ex", out, None
+    return None, "subject", "let subject is not a witness pair"
+
+
+def _magic(m: Magic | EMagic):
+    return None, "arg", "magic of a value"
+
+
+def _ax_prop(m: AxProp | EAxProp):
+    arg = m.arg
+    if isinstance(arg, (AxRep, EAxRep)):
+        if _cancels(m, arg):
+            return "ax-cancel", arg.arg, None
+        return None, None, "mismatched elimination/introduction pair"
+    return None, "arg", "axiom elimination of a non-introduction value"
+
+
+def _ind(m: Ind | EInd):
+    return "ind-unfold", _ind_unfold(m), None
+
+
+def _no_rule(m: AnyProof):
     return None, None, f"no rule for {type(m).__name__}"
+
+
+_RULES = {
+    **dict.fromkeys((PropVar, EPropVar), _free_hypothesis),
+    **dict.fromkeys((App, EApp), _app),
+    **dict.fromkeys((AppT, EAppT), _app_term),
+    **dict.fromkeys((Fst, EFst), _fst),
+    **dict.fromkeys((Snd, ESnd), _snd),
+    **dict.fromkeys((Case, ECase), _case),
+    **dict.fromkeys((Let, ELet), _let),
+    **dict.fromkeys((Magic, EMagic), _magic),
+    **dict.fromkeys((AxProp, EAxProp), _ax_prop),
+    **dict.fromkeys((Ind, EInd), _ind),
+}
 
 
 def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
@@ -253,7 +288,7 @@ def _run(m: AnyProof):
                 return
             parent, _, ctx = ctx
             focus = _FILL[type(parent)](parent, focus)
-        rule, out, reason = _contract(focus)
+        rule, out, reason = _RULES.get(type(focus), _no_rule)(focus)
         if rule is not None:
             yield rule, ctx, focus, out
             focus = out

@@ -11,9 +11,13 @@ has nothing to change in it.
 ``SHAPES`` holds each constructor's binding shape, declared once: terms and
 formulas here, axiom identifiers in ``axioms`` and proof terms in
 ``proofs``.  A schema body is an ordinary scope under its binders.
-``free_vars``, ``bound_names``, ``to_nameless``, ``substitute_many`` and the
-child map ``map_children`` are each one traversal read off that table; a
-node without a shape is rejected by every one of them.  There is no sugar
+``free_vars``, ``bound_names``, ``to_nameless`` and the child map
+``map_children`` are each one traversal read off that table.  Substitution
+is generated per shape: each class gets its own straight-line function, made
+from its shape the first time a node of the class is substituted into, that
+enters each child through the table of these functions and renames binders
+only if the shape has any; a variable is one dictionary lookup.  A node
+without a shape is rejected by every one of them.  There is no sugar
 node: the notation's abbreviations ``<->``, numerals and ``S(t)`` are built
 as the core syntax they stand for, by ``iff``, ``numeral`` and
 ``succ_term`` below.  Substitution
@@ -39,6 +43,7 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_not
 from typing import Callable, Iterator, Union
 
 
@@ -601,8 +606,8 @@ def substitute(x: Tree, a: str, s: Tree) -> Tree:
     """Capture-avoiding substitution of s for the variable a: a term for a
     first-order variable, a proof for a hypothesis variable."""
     if isinstance(s, Term):
-        return _subst(x, {a: s}, {}, {}) if s != Var(a) else x
-    return _subst(x, {}, {a: s}, {})
+        return _SUBST[type(x)](x, {a: s}, {}, {}) if s != Var(a) else x
+    return _SUBST[type(x)](x, {}, {a: s}, {})
 
 
 def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
@@ -620,7 +625,7 @@ def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
     """
     fo = {a: s for a, s in env.items() if isinstance(s, Term) and s != Var(a)}
     hyp = {a: s for a, s in env.items() if not isinstance(s, Term)}
-    return _subst(x, fo, hyp, {}) if fo or hyp else x
+    return _SUBST[type(x)](x, fo, hyp, {}) if fo or hyp else x
 
 
 def _known(free: dict[str, tuple], *envs: dict[str, Tree]) -> list[tuple]:
@@ -632,78 +637,125 @@ def _known(free: dict[str, tuple], *envs: dict[str, Tree]) -> list[tuple]:
     return [free[a] for env in envs for a in env]
 
 
-def _subst(x: Tree, env: dict[str, Term], henv: dict[str, Tree], free: dict[str, tuple]) -> Tree:
-    """``env`` maps first-order variables to terms and ``henv`` hypothesis
-    variables to proofs; only sub-proofs can hold hypotheses, so the other
-    children are entered with ``env`` alone.  ``free`` holds the ``_names``
-    of each replacement, looked up when first needed and then kept for the
-    whole call.
+class _Substs(dict):
+    """Each class's substitution function, generated from its plan when a
+    node of the class is first substituted into."""
 
-    x comes back as is when no substituted variable is free in it and none
-    of its binders is named like a free name of a replacement, as no binder
-    in it can then be renamed."""
-    hfree, ffree, fbound, hbound, _ = x._facts or _names(x)
-    if (
-        ffree.isdisjoint(env)
-        and hfree.isdisjoint(henv)
-        and not (fbound and any(not fbound.isdisjoint(f[1]) for f in _known(free, env, henv)))
-        and not (hbound and any(not hbound.isdisjoint(f[0]) for f in _known(free, henv)))
-    ):
-        return x
-    _, fields, binders, scope, hyp_binders, hyp_var = _PLANS[type(x)]
-    vals = [getattr(x, f[0]) for f in fields]
-    inner, sealed, changed = env, None, False
+    def __missing__(self, cls: type):
+        plan = _PLANS[cls]
+        src = _subst_source(plan)
+        make = _SUBST_MAKERS.get(src)
+        if make is None:
+            space: dict = {}
+            exec(src, _SUBST_NS, space)
+            make = _SUBST_MAKERS[src] = space["make"]
+        f = self[cls] = make(cls, plan[5])
+        return f
+
+
+# A substitution function ``f(x, env, henv, free)``: ``env`` maps first-order
+# variables to terms and ``henv`` hypothesis variables to proofs; only
+# sub-proofs can hold hypotheses, so the other children are entered with
+# ``env`` alone.  ``free`` holds the ``_names`` of each replacement, looked up
+# when first needed and then kept for the whole call.  Each child is entered
+# through this table, so a nesting level costs one frame.
+_SUBST: dict[type, Callable] = _Substs()
+_SUBST_MAKERS: dict[str, Callable] = {}  # generated source -> its compiled factory, shared by equal shapes
+_SUBST_NS = dict(  # the generated code's globals
+    _SUBST=_SUBST, _known=_known, _names=_names, free_vars=free_vars, fresh_name=fresh_name, Var=Var, is_not=is_not
+)
+
+# x comes back as is when no substituted variable is free in it and none of
+# its binders is named like a free name of a replacement, as no binder in it
+# can then be renamed.
+_GUARD = """\
+  hfree, ffree, fbound, hbound, _ = x._facts or _names(x)
+  if (
+      ffree.isdisjoint(env)
+      and hfree.isdisjoint(henv)
+      and not (fbound and any(not fbound.isdisjoint(f[1]) for f in _known(free, env, henv)))
+      and not (hbound and any(not hbound.isdisjoint(f[0]) for f in _known(free, henv)))
+  ):
+   return x"""
+
+
+def _subst_source(plan: tuple) -> str:
+    """The source of ``make(C, H)``, which gives the substitution function
+    of a class ``C`` with this plan, ``H`` being its hypothesis variable.
+
+    The function is straight-line code over the node's fields ``v0``,
+    ``v1``, ...: the guard, the renaming of binders free in a replacement
+    (only for a shape with binders), one call per child, and a rebuild only
+    when something changed.  A variable is one dictionary lookup."""
+    _, fields, binders, scope, hyp_binders, _ = plan
+    kinds = [f[1] for f in fields]
+    out = ["def make(C, H):", " def s(x, env, henv, free):"]
+    for name, kind, _, _ in fields:
+        if kind in (FO_VAR, HYP):  # the node is the occurrence
+            return "\n".join([*out, f"  return {'env' if kind is FO_VAR else 'henv'}.get(x.{name}, x)", " return s"])
+    if all(k not in _CHILD and k is not TERMS for k in kinds):
+        return "\n".join([*out, "  return x", " return s"])
+    out += [_GUARD, *(f"  v{j} = x.{f[0]}" for j, f in enumerate(fields))]
+    index = {f[0]: j for j, f in enumerate(fields)}
+    if binders or hyp_binders:
+        out.append("  changed = False")
     if binders:
-        names = list(_binder_names(x, binders))
-        inner = {a: s for a, s in env.items() if a not in names}
-        clashes = frozenset().union(*(f[1] for f in _known(free, inner, henv)))
-        for k in range(len(names) - 1, -1, -1):
-            b = names[k]
-            if b in clashes:
-                avoid = clashes.union(inner, names, *(free_vars(vals[j]) for j in scope))
-                names[k] = fresh_name(b, avoid)
-                for j in scope:
-                    vals[j] = _subst(vals[j], {b: Var(names[k])}, {}, {})
-                changed = True
-        if changed:
-            it = iter(names)
-            for i, (_, kind, _, _) in enumerate(fields):
-                if kind is FO_BINDER:
-                    vals[i] = next(it)
-                elif kind is FO_BINDERS:
-                    vals[i] = tuple(next(it) for _ in vals[i])
-    if hyp_binders and henv:
-        clashes = frozenset().union(*(f[0] for f in _known(free, henv)))
+        out += [
+            f"  names = [{', '.join(('*' if many else '') + f'v{index[b]}' for b, many in binders)}]",
+            "  inner = {a: t for a, t in env.items() if a not in names}",
+            "  clashes = frozenset().union(*[f[1] for f in _known(free, inner, henv)])",
+            "  for k in range(len(names) - 1, -1, -1):",
+            "   b = names[k]",
+            "   if b in clashes:",
+            f"    names[k] = fresh_name(b, clashes.union(inner, names, {', '.join(f'free_vars(v{j})' for j in scope)}))",
+            *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{b: Var(names[k])}}, {{}}, {{}})" for j in scope),
+            "    changed = True",
+            "  if changed:",
+        ]
+        start = "0"  # where the next binder's names start in ``names``
+        for b, many in binders:
+            j = index[b]
+            end = f"{start} + len(v{j})" if many else f"{start} + 1"
+            out.append(f"   v{j} = tuple(names[{start}:{end}])" if many else f"   v{j} = names[{start}]")
+            start = end
+    sealed = {j for _, over in hyp_binders for j in over if kinds[j] is PROOF}
+    if hyp_binders:
+        out += [*(f"  h{j} = henv" for j in sorted(sealed)), "  if henv:",
+                "   hclashes = frozenset().union(*[f[0] for f in _known(free, henv)])"]
         for i, over in hyp_binders:
-            b = vals[i]
-            if b in henv:
-                sealed = sealed or {}
-                for j in over:
-                    sealed[j] = {a: s for a, s in sealed.get(j, henv).items() if a != b}
-            elif b in clashes:
-                avoid = clashes.union(henv, *(_names(vals[j])[0] for j in over))
-                vals[i] = fresh_name(b, avoid)
-                for j in over:
-                    vals[j] = _subst(vals[j], {}, {b: hyp_var(vals[i])}, {})
-                changed = True
+            out += [f"   if v{i} in henv:"]
+            out += [f"    h{j} = {{a: t for a, t in h{j}.items() if a != v{i}}}" for j in over if j in sealed]
+            out += [
+                f"   elif v{i} in hclashes:",
+                f"    b = fresh_name(v{i}, hclashes.union(henv, {', '.join(f'_names(v{j})[0]' for j in over)}))",
+                *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{}}, {{v{i}: H(b)}}, {{}})" for j in over),
+                f"    v{i} = b",
+                "    changed = True",
+            ]
+    same, args = ["not changed"] if binders or hyp_binders else [], []
     for j, (_, kind, _, fo_under) in enumerate(fields):
-        e = inner if fo_under else env
-        if kind is PROOF:
-            h = henv if sealed is None else sealed.get(j, henv)
-            if e or h:
-                v, vals[j] = vals[j], _subst(vals[j], e, h, free)
-                changed = changed or vals[j] is not v
-        elif kind in _TREES and e:
-            v, vals[j] = vals[j], _subst(vals[j], e, {}, free)
-            changed = changed or vals[j] is not v
-        elif kind is FO_VAR:
-            return env.get(vals[j], x)
-        elif kind is HYP:
-            return henv.get(vals[j], x)
-        elif kind is TERMS and e and vals[j]:
-            v, vals[j] = vals[j], tuple(_subst(u, e, {}, free) for u in vals[j])
-            changed = changed or any(p is not q for p, q in zip(v, vals[j]))
-    return type(x)(*vals) if changed else x
+        e, h = ("inner" if fo_under else "env"), (f"h{j}" if j in sealed else "henv")
+        if kind is PROOF and (e, h) == ("env", "henv"):  # past the guard, env or henv is not empty
+            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, env, henv, free)")
+        elif kind is PROOF:
+            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, {e}, {h}, free) if {e} or {h} else v{j}")
+        elif kind in _TREES:
+            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, {e}, {{}}, free) if {e} else v{j}")
+        elif kind is TERMS:
+            out += [
+                f"  w{j} = v{j}",
+                f"  if {e} and v{j}:",
+                f"   t = [_SUBST[type(u)](u, {e}, {{}}, free) for u in v{j}]",
+                f"   if any(map(is_not, t, v{j})):",
+                f"    w{j} = tuple(t)",
+            ]
+        else:
+            args.append(f"v{j}")
+            continue
+        same.append(f"w{j} is v{j}")
+        args.append(f"w{j}")
+    out += [f"  if {' and '.join(same)}:", "   return x", f"  return C({', '.join(args)})", " return s"]
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

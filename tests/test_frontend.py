@@ -375,6 +375,22 @@ def test_cli_usage_error_exit_code():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args", [("check", "corpus/axioms.izf"), ("axiom", "pair")])
+def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(args):
+    # stdout is a pipe whose read end is closed before the run, so the first
+    # write fails, whether the command prints much (check) or little (axiom).
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        r = subprocess.run([sys.executable, "-m", "izf.cli", *args], stdout=write, stderr=subprocess.PIPE,
+                           text=True, env=env, cwd=ROOT)
+    finally:
+        os.close(write)
+    assert r.returncode == 1
+    assert r.stderr == ""
+
+
 @pytest.mark.parametrize("args, env", [
     (("normalize", "--fuel", "-1"), {}),
     (("normalize",), {"IZF_FUEL": "-5"}),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gens import rand_formula, rand_term
 from nameless import nameless_free_vars, nameless_subst, readback
 from izf.axioms import AxiomId
-from izf.proofs import SHAPES as PROOF_SHAPES
+from izf.proofs import SHAPES as PROOF_SHAPES, PropVar
 from izf.syntax import (
     FO_BINDER,
     FO_BINDERS,
@@ -39,6 +39,7 @@ from izf.syntax import (
     fresh_name,
     numeral,
     substitute,
+    substitute_many,
     to_nameless,
 )
 
@@ -149,6 +150,10 @@ def test_a_node_without_a_shape_is_rejected_by_kernel_ops():
 
     with pytest.raises(TypeError):
         free_vars(Shapeless())
+    with pytest.raises(TypeError, match="Shapeless has no binding shape"):
+        substitute(Shapeless(), "a", Empty())
+    with pytest.raises(TypeError, match="Shapeless has no binding shape"):
+        substitute_many(Shapeless(), {"a": Empty(), "x": PropVar("y")})
 
 
 def test_fresh_name_deterministic():
