@@ -537,8 +537,20 @@ def test_print_tree_dispatch():
     assert print_tree(Var("a")) == "a"
     assert print_tree(Eq(Var("a"), Var("a"))) == "a = a"
     assert print_tree(PV("x")) == "x"
-    with pytest.raises(TypeError):
-        print_tree(42)
+    from izf.proofs import App as A, EApp, EPropVar
+    from izf.syntax import NameRef
+
+    erased = EApp(EPropVar("f"), EPropVar("x"))
+    for bad, shown in (
+        (42, "42"),
+        (erased, repr(erased)),
+        (NameRef(3), "NameRef(payload=3)"),
+        (Eq(NameRef("n"), Var("a")), "NameRef(payload='n')"),
+        (A(PV("f"), EPropVar("x")), "EPropVar(name='x')"),
+    ):
+        with pytest.raises(TypeError) as e:
+            print_tree(bad)
+        assert str(e.value) == f"cannot print: {shown}"
 
 
 _FUZZ_FILES = ("axioms.izf", "equality.izf", "nwf_loop.izf", "reduction.izf", "two_in_omega.izf")

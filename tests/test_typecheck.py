@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from izf.axioms import EqAx, InAx, PairAx, phi_A
@@ -232,3 +237,37 @@ def test_error_paths_point_into_terms():
     with pytest.raises(TypeCheckError) as e:
         infer((), bad)
     assert e.value.path == ("arg",)
+
+
+def test_infer_rejects_an_erased_proof_as_not_a_proof_term():
+    from izf.proofs import EApp, EPropVar
+
+    with pytest.raises(TypeCheckError) as e:
+        infer((), EApp(EPropVar("f"), EPropVar("x")))
+    assert e.value.kind == "AxiomShape" and e.value.path == ()
+    assert e.value.message.startswith("not a proof term: EApp(")
+
+
+# Checking and printing take one frame per nesting level.  From a fresh
+# interpreter at the default recursion limit both handle 993 levels of
+# ``_burn_beta`` (one node a level) and 496 of ``_burn_case`` (two nodes a
+# level), and raise ``RecursionError`` at 1500.  The test stays ten levels
+# below, as interpreter versions differ by a few frames; one more frame per
+# node would halve both.
+_DEEP_CHECK = """
+import sys
+from izf import corpus
+from izf.printer import print_proof
+from izf.typecheck import check
+e = getattr(corpus, sys.argv[1])(int(sys.argv[2]))
+check((), e.proof, e.formula)
+assert print_proof(e.proof).count("(") > int(sys.argv[2])
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("burn, depth", [("_burn_beta", 983), ("_burn_case", 486)])
+def test_checking_and_printing_take_one_frame_per_level_of_a_deep_chain(burn, depth):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-c", _DEEP_CHECK, burn, str(depth)], capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and r.stdout == "ok\n", r.stderr[-2000:]
