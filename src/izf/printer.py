@@ -1,65 +1,86 @@
-"""Deterministic pretty-printer read off the notation table.
+"""Deterministic pretty-printer generated from the notation table.
 
-A node prints as its template in ``notation`` with every field filled in.
-An operand is bracketed exactly when the level it is seen at from its right
-is below the level its position asks for, which gives the fewest brackets
-that the parser reads back to an alpha-equal tree.
+A node prints as its template in ``notation`` with every field filled in,
+and is bracketed exactly when the level it is seen at from its right is
+below the level its position asks for: the fewest brackets that the parser
+reads back to an alpha-equal tree.  Each class the notation spells gets one
+function ``show(x, need)``, generated on first use: straight-line code that
+joins the template's text and fields with ``+`` and enters each child
+through the table ``_SHOW``, one frame per nesting level.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .notation import GROUP, NOTATION, NOTES
 from .proofs import Proof
-from .syntax import FO_BINDERS, FORMULA, PROOF, SCHEMA, TERM, TERMS, Formula, Term, Tree
+from .syntax import FO_BINDERS, FORMULA, LITERAL, PROOF, SCHEMA, TERM, TERMS, Formula, Term, Tree
 
 _OPEN, _CLOSE = GROUP.split("{x}")
 _WORD = re.compile(r"\w*")
+_BY_VALUE = {key: (note.right, "".join(note.text)) for key, note in NOTES.items() if key in NOTATION and not isinstance(key, type)}
+_PIECES = {  # how the value v of a field prints, by the field's kind; a name prints as itself
+    **dict.fromkeys((TERM, FORMULA, PROOF), "_SHOW[{v}.__class__]({v}, {arg})"),
+    FO_BINDERS: '(" " + " ".join({v}) if {v} else "")',
+    TERMS: '({arg!r} + " " + ", ".join([_SHOW[u.__class__](u, 0) for u in {v}]) if {v} else "")',
+    SCHEMA: "_WORD.sub(" + repr(r"\g<0>") + " + {arg[0]!r}, _SHOW[{v}.__class__]({v}, 0), 1)",  # a suffix glued on
+    LITERAL: "str({v})",
+}
 
 
-def _piece(h):
-    """How one field prints: (field, level, None) for a tree, read by ``_show``,
-    or (field, 0, function of the value)."""
-    if h.kind in (TERM, FORMULA, PROOF):
-        return h.field, h.arg, None
-    if h.kind is FO_BINDERS:
-        return h.field, 0, lambda v: "".join(" " + b for b in v)
-    if h.kind is TERMS:
-        return h.field, 0, lambda v: f"{h.arg} " + ", ".join(map(_show, v)) if v else ""
-    if h.kind is SCHEMA:
-        return h.field, 0, lambda v: _WORD.sub(r"\g<0>" + h.arg[0], _show(v), 1)  # pairRep
-    return h.field, 0, str  # a name or an integer
+def _cannot(x, need: int) -> str:
+    raise TypeError(f"cannot print: {x!r}")
 
 
-def _show(x, need: int = 0) -> str:
-    entry = _PIECES.get(type(x)) or _PIECES.get(x)  # constants are spelled by value
-    if entry is None:
-        raise TypeError(f"cannot print: {x!r}")
-    right, pieces = entry
-    out = []
-    for p in pieces:  # a loop, not a comprehension: one frame per level of nesting
-        if p.__class__ is str:
-            out.append(p)
-        elif p[2] is None:
-            out.append(_show(getattr(x, p[0]), p[1]))
-        else:
-            out.append(p[2](getattr(x, p[0])))
-    s = "".join(out)
+def _by_value(x, need: int) -> str:
+    right, s = _BY_VALUE.get(x) or _cannot(x, need)
     return _OPEN + s + _CLOSE if right < need else s
 
 
-_PIECES = {
-    key: (note.right, tuple(p if isinstance(p, str) else _piece(p) for p in note.text))
-    for key, note in NOTES.items()
-    if key in NOTATION
-}
+def _source(note) -> str:
+    """The source of the show function of a class with this note."""
+    reads, parts, text = [], [], ""
+    for j, p in enumerate(note.text):
+        if isinstance(p, str):
+            text += p
+            continue
+        parts += [repr(text)] if text else []
+        text = ""
+        reads.append(f"  v{j} = x.{p.field}")
+        parts.append(_PIECES.get(p.kind, "{v}").format(v=f"v{j}", arg=p.arg))
+    parts += [repr(text)] if text else []
+    return "\n".join(["def show(x, need):", *reads, f"  s = {' + '.join(parts)}",
+                      f"  return {_OPEN!r} + s + {_CLOSE!r} if {note.right} < need else s"])
+
+
+class _Shows(dict):
+    """Each class's show function, generated when a node of the class is
+    first printed; a class the notation does not spell has no template."""
+
+    def __missing__(self, cls: type):
+        if cls not in NOTATION:
+            f = _by_value if any(type(k) is cls for k in _BY_VALUE) else _cannot
+        else:
+            src = _source(NOTES[cls])
+            f = _SHOW_SOURCES.get(src)
+            if f is None:
+                space: dict = {}
+                exec(src, {"_SHOW": self, "_WORD": _WORD}, space)
+                f = _SHOW_SOURCES[src] = space["show"]
+        self[cls] = f
+        return f
+
+
+_SHOW: dict[type, Callable] = _Shows()
+_SHOW_SOURCES: dict[str, Callable] = {}  # generated source -> its compiled function, shared by equal templates
 
 
 def _print(x, base) -> str:
     if not isinstance(x, base):
         raise TypeError(f"cannot print: {x!r}")
-    return _show(x)
+    return _SHOW[x.__class__](x, 0)
 
 
 def print_term(t: Term) -> str:

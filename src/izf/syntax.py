@@ -621,7 +621,9 @@ def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
     names of its scope and the substituted variables of its namespace; a
     first-order binder also avoids the node's other binders, and of two
     equal first-order binder names the inner one (the one the scope's
-    occurrences refer to) is renamed first.
+    occurrences refer to) is renamed first.  A sealed hypothesis binder is
+    renamed too when it is free in the replacement of another variable
+    free in its scope.
     """
     fo = {a: s for a, s in env.items() if isinstance(s, Term) and s != Var(a)}
     hyp = {a: s for a, s in env.items() if not isinstance(s, Term)}
@@ -725,8 +727,12 @@ def _subst_source(plan: tuple) -> str:
         for i, over in hyp_binders:
             out += [f"   if v{i} in henv:"]
             out += [f"    h{j} = {{a: t for a, t in h{j}.items() if a != v{i}}}" for j in over if j in sealed]
+            # A sealed binder is renamed only if free in the replacement of
+            # another variable that is free in its scope.
+            in_scope = " or ".join(f"a in _names(v{j})[0]" for j in over)
+            capture = f"any(v{i} in f[0] and ({in_scope}) for a, f in zip(henv, _known(free, henv)) if a != v{i})"
             out += [
-                f"   elif v{i} in hclashes:",
+                f"   if v{i} in hclashes and (v{i} not in henv or {capture}):",
                 f"    b = fresh_name(v{i}, hclashes.union(henv, {', '.join(f'_names(v{j})[0]' for j in over)}))",
                 *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{}}, {{v{i}: H(b)}}, {{}})" for j in over),
                 f"    v{i} = b",

@@ -4,12 +4,16 @@ Types are formulas.  Inference synthesizes the unique type of an annotated
 proof term, renaming binders on the fly so that alpha-equivalent inputs
 yield alpha-equivalent types and contexts never bind a name twice.  The
 checker never unifies and never reduces: axiom elimination demands its term
-arguments match the subject's type up to alpha.
+arguments match the subject's type up to alpha.  Inference is a table keyed
+by class, ``_INFER``: one rule per constructor, entering each sub-proof
+through the table, one frame per nesting level, with its path a persistent
+``(attr, parent)`` link that becomes ``TypeCheckError.path`` only on error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .axioms import (
     AxiomId,
@@ -65,6 +69,7 @@ from .syntax import (
 Context = tuple[tuple[str, Formula], ...]
 
 Path = tuple[str, ...]
+Link = tuple[str, "Link"] | None  # a path as a persistent link: (last attribute, link to the parent)
 
 
 @dataclass
@@ -103,22 +108,26 @@ def ctx_fo_vars(ctx: Context) -> frozenset[str]:
     return out
 
 
-def _err(kind: str, path: Path, msg: str, expected=None, found=None) -> TypeCheckError:
+def _err(kind: str, at: Link, msg: str, expected=None, found=None) -> TypeCheckError:
+    """The error at ``at``, its path read out root first."""
+    path: Path = ()
+    while at is not None:
+        at, path = at[1], (at[0], *path)
     return TypeCheckError(kind, path, msg, expected, found)
 
 
 def infer(ctx: Context, m: Proof, nwf: bool = False) -> Formula:
     """Synthesize the type of m in ctx, or raise TypeCheckError."""
     if not context_well_formed(ctx):
-        raise _err("SideCondition", (), "context binds a variable twice")
-    return _infer(ctx, m, nwf, ())
+        raise _err("SideCondition", None, "context binds a variable twice")
+    return _INFER[type(m)](ctx, m, nwf, None)
 
 
 def check(ctx: Context, m: Proof, phi: Formula, nwf: bool = False) -> None:
     """Raise Mismatch unless the synthesized type is alpha-equal to phi."""
     got = infer(ctx, m, nwf)
     if not alpha_eq(got, phi):
-        raise _err("Mismatch", (), "declared and synthesized types differ", phi, got)
+        raise _err("Mismatch", None, "declared and synthesized types differ", phi, got)
 
 
 def checks(ctx: Context, m: Proof, phi: Formula, nwf: bool = False) -> bool:
@@ -129,188 +138,197 @@ def checks(ctx: Context, m: Proof, phi: Formula, nwf: bool = False) -> bool:
         return False
 
 
-def _bind_prop(ctx: Context, x: str, phi: Formula, body: Proof) -> tuple[Context, str, Proof]:
+def _bind_prop(ctx: Context, x: str, phi: Formula, body: Proof) -> tuple[Context, Proof]:
     """Extend ctx, renaming the proposed binder if it is already bound."""
     if ctx_lookup(ctx, x) is None:
-        return ctx + ((x, phi),), x, body
+        return ctx + ((x, phi),), body
     pv, fv = proof_free_vars(body)
     x2 = fresh_name(x, {n for n, _ in ctx} | pv)
-    return ctx + ((x2, phi),), x2, subst_proof(body, x, PropVar(x2))
+    return ctx + ((x2, phi),), subst_proof(body, x, PropVar(x2))
 
 
-def _infer(ctx: Context, m: Proof, nwf: bool, path: Path) -> Formula:
-    match m:
-        case PropVar(x):
-            phi = ctx_lookup(ctx, x)
-            if phi is None:
-                raise _err("UnboundVar", path, f"unbound hypothesis {x}")
-            return phi
+def _fresh_witness(ctx: Context, a: str, body: Proof, avoid: frozenset[str]) -> tuple[str, Proof]:
+    """Rename the first-order binder a of body if the context mentions it."""
+    taken = ctx_fo_vars(ctx)
+    if a not in taken:
+        return a, body
+    pv, fv = proof_free_vars(body)
+    a2 = fresh_name(a, taken | fv | pv | avoid)
+    return a2, subst_proof_term(body, a, Var(a2))
 
-        case App(f, a):
-            tf = _infer(ctx, f, nwf, path + ("fn",))
-            if not isinstance(tf, Imp):
-                raise _err("NotAFunction", path, "application head is not an implication", found=tf)
-            ta = _infer(ctx, a, nwf, path + ("arg",))
-            if not alpha_eq(ta, tf.left):
-                raise _err("Mismatch", path + ("arg",), "argument type mismatch", tf.left, ta)
-            return tf.right
 
-        case LamP(x, dom, body):
-            ctx2, _, body2 = _bind_prop(ctx, x, dom, body)
-            return Imp(dom, _infer(ctx2, body2, nwf, path + ("body",)))
+def _prop_var(ctx: Context, m: PropVar, nwf: bool, path: Link) -> Formula:
+    phi = ctx_lookup(ctx, m.name)
+    if phi is None:
+        raise _err("UnboundVar", path, f"unbound hypothesis {m.name}")
+    return phi
 
-        case LamF(a, body):
-            taken = ctx_fo_vars(ctx)
-            if a in taken:
-                pv, fv = proof_free_vars(body)
-                a2 = fresh_name(a, taken | fv | pv)
-                body = subst_proof_term(body, a, Var(a2))
-                a = a2
-            return Forall(a, _infer(ctx, body, nwf, path + ("body",)))
 
-        case AppT(f, t):
-            tf = _infer(ctx, f, nwf, path + ("fn",))
-            if not isinstance(tf, Forall):
-                raise _err("NotUniversal", path, "term application to a non-universal", found=tf)
-            return substitute(tf.body, tf.binder, t)
+def _app(ctx: Context, m: App, nwf: bool, path: Link) -> Formula:
+    f, a = m.fn, m.arg
+    tf = _INFER[type(f)](ctx, f, nwf, ("fn", path))
+    if not isinstance(tf, Imp):
+        raise _err("NotAFunction", path, "application head is not an implication", found=tf)
+    ta = _INFER[type(a)](ctx, a, nwf, ("arg", path))
+    if not alpha_eq(ta, tf.left):
+        raise _err("Mismatch", ("arg", path), "argument type mismatch", tf.left, ta)
+    return tf.right
 
-        case PairP(l, r):
-            return And(
-                _infer(ctx, l, nwf, path + ("left",)), _infer(ctx, r, nwf, path + ("right",))
-            )
 
-        case Fst(a):
-            ta = _infer(ctx, a, nwf, path + ("arg",))
-            if not isinstance(ta, And):
-                raise _err("NotAConjunction", path, "fst of a non-conjunction", found=ta)
-            return ta.left
+def _lam_p(ctx: Context, m: LamP, nwf: bool, path: Link) -> Formula:
+    ctx2, body = _bind_prop(ctx, m.var, m.dom, m.body)
+    return Imp(m.dom, _INFER[type(body)](ctx2, body, nwf, ("body", path)))
 
-        case Snd(a):
-            ta = _infer(ctx, a, nwf, path + ("arg",))
-            if not isinstance(ta, And):
-                raise _err("NotAConjunction", path, "snd of a non-conjunction", found=ta)
-            return ta.right
 
-        case Inl(body, ann):
-            if not isinstance(ann, Or):
-                raise _err("NotADisjunction", path, "inl annotation must be a disjunction", found=ann)
-            tb = _infer(ctx, body, nwf, path + ("body",))
-            if not alpha_eq(tb, ann.left):
-                raise _err("Mismatch", path, "inl body does not match left disjunct", ann.left, tb)
-            return ann
+def _lam_f(ctx: Context, m: LamF, nwf: bool, path: Link) -> Formula:
+    a, body = _fresh_witness(ctx, m.var, m.body, frozenset())
+    return Forall(a, _INFER[type(body)](ctx, body, nwf, ("body", path)))
 
-        case Inr(body, ann):
-            if not isinstance(ann, Or):
-                raise _err("NotADisjunction", path, "inr annotation must be a disjunction", found=ann)
-            tb = _infer(ctx, body, nwf, path + ("body",))
-            if not alpha_eq(tb, ann.right):
-                raise _err("Mismatch", path, "inr body does not match right disjunct", ann.right, tb)
-            return ann
 
-        case Case(s, lx, la, lb, rx, ra, rb):
-            ts = _infer(ctx, s, nwf, path + ("scrut",))
-            if not isinstance(ts, Or):
-                raise _err("NotADisjunction", path, "case subject is not a disjunction", found=ts)
-            if not alpha_eq(ts.left, la) or not alpha_eq(ts.right, ra):
-                raise _err("Mismatch", path, "case branch annotations do not match subject", ts, Or(la, ra))
-            lctx, _, lb2 = _bind_prop(ctx, lx, la, lb)
-            tl = _infer(lctx, lb2, nwf, path + ("left",))
-            rctx, _, rb2 = _bind_prop(ctx, rx, ra, rb)
-            tr = _infer(rctx, rb2, nwf, path + ("right",))
-            if not alpha_eq(tl, tr):
-                raise _err("Mismatch", path, "case branches disagree", tl, tr)
-            return tl
+def _app_t(ctx: Context, m: AppT, nwf: bool, path: Link) -> Formula:
+    tf = _INFER[type(m.fn)](ctx, m.fn, nwf, ("fn", path))
+    if not isinstance(tf, Forall):
+        raise _err("NotUniversal", path, "term application to a non-universal", found=tf)
+    return substitute(tf.body, tf.binder, m.arg)
 
-        case ExIntro(t, body, ann):
-            if not isinstance(ann, Exists):
-                raise _err("NotExistential", path, "witness annotation must be existential", found=ann)
-            tb = _infer(ctx, body, nwf, path + ("body",))
-            want = substitute(ann.body, ann.binder, t)
-            if not alpha_eq(tb, want):
-                raise _err("Mismatch", path, "witness body type mismatch", want, tb)
-            return ann
 
-        case Let(a, x, ann, subj, body):
-            tsubj = _infer(ctx, subj, nwf, path + ("subject",))
-            if not isinstance(tsubj, Exists):
-                raise _err("NotExistential", path, "let subject is not existential", found=tsubj)
-            if not alpha_eq(tsubj, Exists(a, ann)):
-                raise _err("Mismatch", path, "let annotation does not match subject", tsubj, Exists(a, ann))
-            # Freshen the witness variable against the context, then enforce
-            # that it does not escape into the body's type.
-            taken = ctx_fo_vars(ctx)
-            if a in taken:
-                pv, fv = proof_free_vars(body)
-                a2 = fresh_name(a, taken | fv | pv | free_vars(ann))
-                body = subst_proof_term(body, a, Var(a2))
-                ann = substitute(ann, a, Var(a2))
-                a = a2
-            ctx2, _, body2 = _bind_prop(ctx, x, ann, body)
-            tbody = _infer(ctx2, body2, nwf, path + ("body",))
-            if a in free_vars(tbody):
-                raise _err(
-                    "SideCondition",
-                    path,
-                    f"witness variable {a} escapes into the let body's type",
-                    found=tbody,
-                )
-            return tbody
+def _pair(ctx: Context, m: PairP, nwf: bool, path: Link) -> Formula:
+    l, r = m.left, m.right
+    return And(_INFER[type(l)](ctx, l, nwf, ("left", path)), _INFER[type(r)](ctx, r, nwf, ("right", path)))
 
-        case Magic(arg, ann):
-            ta = _infer(ctx, arg, nwf, path + ("arg",))
-            if not isinstance(ta, Bottom):
-                raise _err("Mismatch", path, "magic argument must prove absurdity", Bottom(), ta)
-            return ann
 
-        case Ind(schema, arg, ts):
-            if not isinstance(schema, IndAx):
-                raise _err("AxiomShape", path, "ind carries a non-induction schema")
-            if free_vars(schema):
-                raise _err("AxiomShape", path, "schema body has stray free variables")
-            if len(ts) != len(schema.params):
-                raise _err("ArityMismatch", path, f"ind expects {len(schema.params)} terms, got {len(ts)}")
-            term_fv = frozenset().union(frozenset(), *(free_vars(t) for t in ts))
-            c = fresh_name("c", term_fv | free_vars(schema.body) | {schema.binder})
-            premise = Forall(c, phi_A(schema, Var(c), ts))
-            targ = _infer(ctx, arg, nwf, path + ("arg",))
-            if not alpha_eq(targ, premise):
-                raise _err("Mismatch", path, "ind argument type mismatch", premise, targ)
-            binder = schema.binder
-            body = schema.body
-            if binder in term_fv:
-                binder2 = fresh_name(binder, term_fv | free_vars(body))
-                body = substitute(body, binder, Var(binder2))
-                binder = binder2
-            return Forall(binder, substitute_many(body, dict(zip(schema.params, ts))))
+def _projection(word: str, side: str) -> Callable:
+    def rule(ctx: Context, m: Fst | Snd, nwf: bool, path: Link) -> Formula:
+        ta = _INFER[type(m.arg)](ctx, m.arg, nwf, ("arg", path))
+        if not isinstance(ta, And):
+            raise _err("NotAConjunction", path, f"{word} of a non-conjunction", found=ta)
+        return getattr(ta, side)
+    return rule
 
-        case AxRep(ax, t, args, arg):
-            _axiom_common(ax, args, nwf, path)
-            expected = phi_A(ax, t, args)
-            got = _infer(ctx, arg, nwf, path + ("arg",))
-            if not alpha_eq(got, expected):
-                raise _err("Mismatch", path, "axiom introduction premise mismatch", expected, got)
-            return head_formula(ax, t, args)
 
-        case AxProp(ax, t, args, arg):
-            _axiom_common(ax, args, nwf, path)
-            expected = head_formula(ax, t, args)
-            got = _infer(ctx, arg, nwf, path + ("arg",))
-            if not alpha_eq(got, expected):
-                raise _err("Mismatch", path, "axiom elimination subject mismatch", expected, got)
-            return phi_A(ax, t, args)
+def _injection(word: str, side: str) -> Callable:
+    def rule(ctx: Context, m: Inl | Inr, nwf: bool, path: Link) -> Formula:
+        ann, b = m.ann, m.body
+        if not isinstance(ann, Or):
+            raise _err("NotADisjunction", path, f"{word} annotation must be a disjunction", found=ann)
+        tb = _INFER[type(b)](ctx, b, nwf, ("body", path))
+        if not alpha_eq(tb, getattr(ann, side)):
+            raise _err("Mismatch", path, f"{word} body does not match {side} disjunct", getattr(ann, side), tb)
+        return ann
+    return rule
 
+
+def _case(ctx: Context, m: Case, nwf: bool, path: Link) -> Formula:
+    s, la, ra = m.scrut, m.lann, m.rann
+    ts = _INFER[type(s)](ctx, s, nwf, ("scrut", path))
+    if not isinstance(ts, Or):
+        raise _err("NotADisjunction", path, "case subject is not a disjunction", found=ts)
+    if not alpha_eq(ts.left, la) or not alpha_eq(ts.right, ra):
+        raise _err("Mismatch", path, "case branch annotations do not match subject", ts, Or(la, ra))
+    lctx, lb = _bind_prop(ctx, m.lvar, la, m.lbody)
+    tl = _INFER[type(lb)](lctx, lb, nwf, ("left", path))
+    rctx, rb = _bind_prop(ctx, m.rvar, ra, m.rbody)
+    tr = _INFER[type(rb)](rctx, rb, nwf, ("right", path))
+    if not alpha_eq(tl, tr):
+        raise _err("Mismatch", path, "case branches disagree", tl, tr)
+    return tl
+
+
+def _ex_intro(ctx: Context, m: ExIntro, nwf: bool, path: Link) -> Formula:
+    ann, b = m.ann, m.body
+    if not isinstance(ann, Exists):
+        raise _err("NotExistential", path, "witness annotation must be existential", found=ann)
+    tb = _INFER[type(b)](ctx, b, nwf, ("body", path))
+    want = substitute(ann.body, ann.binder, m.witness)
+    if not alpha_eq(tb, want):
+        raise _err("Mismatch", path, "witness body type mismatch", want, tb)
+    return ann
+
+
+def _let(ctx: Context, m: Let, nwf: bool, path: Link) -> Formula:
+    a, ann, subj = m.fvar, m.ann, m.subject
+    tsubj = _INFER[type(subj)](ctx, subj, nwf, ("subject", path))
+    if not isinstance(tsubj, Exists):
+        raise _err("NotExistential", path, "let subject is not existential", found=tsubj)
+    if not alpha_eq(tsubj, Exists(a, ann)):
+        raise _err("Mismatch", path, "let annotation does not match subject", tsubj, Exists(a, ann))
+    # Freshen the witness variable against the context, then enforce that
+    # it does not escape into the body's type.
+    a2, body = _fresh_witness(ctx, a, m.body, free_vars(ann))
+    if a2 != a:
+        ann = substitute(ann, a, Var(a2))
+    ctx2, body = _bind_prop(ctx, m.pvar, ann, body)
+    tbody = _INFER[type(body)](ctx2, body, nwf, ("body", path))
+    if a2 in free_vars(tbody):
+        raise _err("SideCondition", path, f"witness variable {a2} escapes into the let body's type", found=tbody)
+    return tbody
+
+
+def _magic(ctx: Context, m: Magic, nwf: bool, path: Link) -> Formula:
+    ta = _INFER[type(m.arg)](ctx, m.arg, nwf, ("arg", path))
+    if not isinstance(ta, Bottom):
+        raise _err("Mismatch", path, "magic argument must prove absurdity", Bottom(), ta)
+    return m.ann
+
+
+def _ind(ctx: Context, m: Ind, nwf: bool, path: Link) -> Formula:
+    schema, ts = m.schema, m.terms
+    if not isinstance(schema, IndAx):
+        raise _err("AxiomShape", path, "ind carries a non-induction schema")
+    if free_vars(schema):
+        raise _err("AxiomShape", path, "schema body has stray free variables")
+    if len(ts) != len(schema.params):
+        raise _err("ArityMismatch", path, f"ind expects {len(schema.params)} terms, got {len(ts)}")
+    term_fv = frozenset().union(frozenset(), *(free_vars(t) for t in ts))
+    c = fresh_name("c", term_fv | free_vars(schema.body) | {schema.binder})
+    premise = Forall(c, phi_A(schema, Var(c), ts))
+    targ = _INFER[type(m.arg)](ctx, m.arg, nwf, ("arg", path))
+    if not alpha_eq(targ, premise):
+        raise _err("Mismatch", path, "ind argument type mismatch", premise, targ)
+    binder, body = schema.binder, schema.body
+    if binder in term_fv:
+        binder2 = fresh_name(binder, term_fv | free_vars(body))
+        body = substitute(body, binder, Var(binder2))
+        binder = binder2
+    return Forall(binder, substitute_many(body, dict(zip(schema.params, ts))))
+
+
+def _axiom(intro: bool) -> Callable:
+    """The rule of an axiom's introduction (rep) or elimination (prop)."""
+    def rule(ctx: Context, m: AxRep | AxProp, nwf: bool, path: Link) -> Formula:
+        ax, t, args, a = m.ax, m.term, m.args, m.arg
+        if isinstance(ax, IndAx):
+            raise _err("AxiomShape", path, "induction has no rep/prop form")
+        if is_nwf_axiom(ax) and not nwf:
+            raise _err("AxiomShape", path, "nwf axiom used outside nwf mode")
+        if free_vars(ax):
+            raise _err("AxiomShape", path, "schema body has stray free variables")
+        if len(args) != arity(ax):
+            raise _err("ArityMismatch", path, f"axiom expects {arity(ax)} argument(s), got {len(args)}")
+        expected = phi_A(ax, t, args) if intro else head_formula(ax, t, args)
+        got = _INFER[type(a)](ctx, a, nwf, ("arg", path))
+        if not alpha_eq(got, expected):
+            what = "introduction premise" if intro else "elimination subject"
+            raise _err("Mismatch", path, f"axiom {what} mismatch", expected, got)
+        return head_formula(ax, t, args) if intro else phi_A(ax, t, args)
+    return rule
+
+
+class _Rules(dict):
+    def __missing__(self, cls: type):
+        return _not_a_proof
+
+
+def _not_a_proof(ctx: Context, m: object, nwf: bool, path: Link) -> Formula:
     raise _err("AxiomShape", path, f"not a proof term: {m!r}")
 
 
-def _axiom_common(ax: AxiomId, args: tuple[Term, ...], nwf: bool, path: Path) -> None:
-    if isinstance(ax, IndAx):
-        raise _err("AxiomShape", path, "induction has no rep/prop form")
-    if is_nwf_axiom(ax) and not nwf:
-        raise _err("AxiomShape", path, "nwf axiom used outside nwf mode")
-    if free_vars(ax):
-        raise _err("AxiomShape", path, "schema body has stray free variables")
-    if len(args) != arity(ax):
-        raise _err("ArityMismatch", path, f"axiom expects {arity(ax)} argument(s), got {len(args)}")
+_INFER: dict[type, Callable] = _Rules({
+    PropVar: _prop_var, App: _app, LamP: _lam_p, LamF: _lam_f, AppT: _app_t, PairP: _pair,
+    Fst: _projection("fst", "left"), Snd: _projection("snd", "right"),
+    Inl: _injection("inl", "left"), Inr: _injection("inr", "right"), Case: _case, ExIntro: _ex_intro,
+    Let: _let, Magic: _magic, Ind: _ind, AxRep: _axiom(True), AxProp: _axiom(False),
+})
 
 
 # ---------------------------------------------------------------------------

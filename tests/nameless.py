@@ -60,6 +60,30 @@ def nameless_subst(n: Nameless, a: str, sub: Nameless) -> Nameless:
     return tuple(head)
 
 
+def nameless_subst_many(n: Nameless, fo: dict[str, Nameless], hyp: dict[str, Nameless]) -> Nameless:
+    """Simultaneous substitution on the nameless view of a term, formula or
+    proof of either calculus: ``fo`` maps free first-order names and ``hyp``
+    free hypothesis names to the views of standalone replacements.
+
+    A bound occurrence is an index, so no binder can capture a replacement
+    or needs renaming; a replacement's own indices count only its own
+    binders, so nothing needs shifting either.
+    """
+    tag = n[0]
+    if tag == "free":
+        return fo.get(n[1], n)
+    if tag == "pf":
+        return hyp.get(n[1], n)
+    out = [tag]
+    for v in n[1:]:
+        if isinstance(v, tuple) and v and isinstance(v[0], str):  # a child
+            v = nameless_subst_many(v, fo, hyp)
+        elif isinstance(v, tuple):  # a term tuple
+            v = tuple(nameless_subst_many(u, fo, hyp) for u in v)
+        out.append(v)  # else a binder count or a literal
+    return tuple(out)
+
+
 def readback(n: Nameless, stack: tuple[str, ...] = ()) -> s.Tree:
     """Rebuild a named tree with canonical binder names x0, x1, ..."""
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import rand_formula, rand_term
-from nameless import nameless_free_vars, nameless_subst, readback
+from nameless import nameless_free_vars, nameless_subst, nameless_subst_many, readback
 from izf.axioms import AxiomId
 from izf.proofs import SHAPES as PROOF_SHAPES, PropVar
 from izf.syntax import (
     FO_BINDER,
+    Bottom,
     FO_BINDERS,
     SHAPES,
     And,
@@ -92,6 +93,36 @@ def test_substitute_capture_avoiding():
         oracle = readback(nameless_subst(to_nameless(x), v, to_nameless(t)))
         assert alpha_eq(got, oracle)
         assert free_vars(got) == nameless_free_vars(to_nameless(oracle))
+
+
+_VARS, _PVARS = ("a", "b", "c", "d", "e"), ("x", "y", "z")  # the binder names gens draws
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_simultaneous_substitution_matches_the_nameless_oracle(seed):
+    """``substitute_many`` over both namespaces at once, with two or more
+    replacements named like the trees' own binders, agrees with the
+    capture-free substitution on the nameless view."""
+    from gens import rand_proof
+    from izf.proof_ops import erase
+
+    rng = random.Random(seed)
+    proof = rand_proof(rng, 4)
+    for tree, erased in ((rand_term(rng, 3), False), (rand_formula(rng, 3), False), (proof, False), (erase(proof), True)):
+        env = {a: rng.choice((rand_term(rng, 2), Var(rng.choice(_VARS)))) for a in rng.sample(_VARS, rng.randint(1, 3))}
+        for h in rng.sample(_PVARS, rng.randint(1, 2)):
+            q = rng.choice((PropVar(rng.choice(_PVARS)), rand_proof(rng, 2)))
+            env[h] = erase(q) if erased else q
+        fo = {a: to_nameless(t) for a, t in env.items() if isinstance(t, Term)}
+        hyp = {h: to_nameless(q) for h, q in env.items() if not isinstance(q, Term)}
+        assert to_nameless(substitute_many(tree, env)) == nameless_subst_many(to_nameless(tree), fo, hyp), env
+
+
+def test_a_sealed_hypothesis_binder_free_in_another_replacement_is_renamed():
+    from izf.proofs import App, LamP
+
+    got = substitute_many(LamP("x", Bottom(), App(PropVar("x"), PropVar("y"))), {"x": PropVar("q"), "y": PropVar("x")})
+    assert got == LamP("x1", Bottom(), App(PropVar("x1"), PropVar("x")))
 
 
 def test_cached_free_vars_agree_with_the_nameless_scan():
