@@ -545,6 +545,7 @@ def test_print_tree_dispatch():
         (42, "42"),
         (erased, repr(erased)),
         (NameRef(3), "NameRef(payload=3)"),
+        (NameRef([1]), "NameRef(payload=[1])"),  # unhashable: never looked up by value
         (Eq(NameRef("n"), Var("a")), "NameRef(payload='n')"),
         (A(PV("f"), EPropVar("x")), "EPropVar(name='x')"),
     ):
