@@ -27,7 +27,6 @@ exits 1 on any difference.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -69,10 +68,15 @@ def _sites(proof) -> list[tuple[tuple[str, ...], object, object]]:
     return out
 
 
+def _replace(x, **changes):
+    """The node x with the given fields changed."""
+    return type(x)(*(changes.get(name, getattr(x, name)) for name in x.__match_args__))
+
+
 def _put(x, path: tuple[str, ...], new):
     if not path:
         return new
-    return dataclasses.replace(x, **{path[0]: _put(getattr(x, path[0]), path[1:], new)})
+    return _replace(x, **{path[0]: _put(getattr(x, path[0]), path[1:], new)})
 
 
 def _mutate(rng: random.Random, proof):
@@ -87,7 +91,7 @@ def _mutate(rng: random.Random, proof):
         if pairs:
             p, n = rng.choice(pairs)
             a, b = rng.sample([f.name for f in SHAPES[type(n)].fields if f.kind is PROOF], 2)
-            return _put(proof, p, dataclasses.replace(n, **{a: getattr(n, b), b: getattr(n, a)}))
+            return _put(proof, p, _replace(n, **{a: getattr(n, b), b: getattr(n, a)}))
     if op <= 1 and len(proofs) > 1:
         (p, _), (_, n) = rng.sample(proofs, 2)
         return _put(proof, p, n)

@@ -22,7 +22,6 @@ carry a formula; their rows are small functions of the identifier.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .syntax import (
@@ -46,17 +45,16 @@ from .syntax import (
     Sep,
     Term,
     Var,
-    _shape,
     bound_names,
     declare,
     forall_many,
     free_vars,
     fresh_name,
     iff,
+    node,
     substitute_many,
     v_index,
 )
-
 
 
 class AxiomError(Exception):
@@ -77,123 +75,28 @@ class AxiomId(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmptyAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class PairAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class InfAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class UnionAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class PowerAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class SepAx(AxiomId):
-    """Separation instance for the schema body phi(binder, params)."""
-
-    binder: str
-    params: tuple[str, ...]
-    body: Formula
-
-
-@dataclass(frozen=True)
-class ReplAx(AxiomId):
-    """Replacement instance for the schema body phi(binder1, binder2, params)."""
-
-    binder1: str
-    binder2: str
-    params: tuple[str, ...]
-    body: Formula
-
-
-@dataclass(frozen=True)
-class InacAx(AxiomId):
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("inaccessible axiom index must be >= 1")
-
-
-@dataclass(frozen=True)
-class InAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class EqAx(AxiomId):
-    pass
-
-
-@dataclass(frozen=True)
-class IndAx(AxiomId):
-    """Set-induction instance for the schema body phi(binder, params)."""
-
-    binder: str
-    params: tuple[str, ...]
-    body: Formula
-
-
-@dataclass(frozen=True)
-class NwfAx(AxiomId):
-    """a in C iff a "equals" C, with equality spelled out membershipwise."""
-
-    pass
-
-
-@dataclass(frozen=True)
-class Sep0Ax(AxiomId):
-    """The separation instance defining D in the nwf counterexample."""
-
-    pass
-
-
 # The schema-carrying identifiers bind their bodies like the set terms do;
 # every other identifier is a constant tagged with its family name.
-declare(
-    {
-        EmptyAx: _shape("empty"),
-        PairAx: _shape("pair"),
-        InfAx: _shape("inf"),
-        UnionAx: _shape("union"),
-        PowerAx: _shape("power"),
-        SepAx: _shape(
-            "sepax", binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params")
-        ),
-        ReplAx: _shape(
-            "replax",
-            binder1=FO_BINDER,
-            binder2=FO_BINDER,
-            params=FO_BINDERS,
-            body=(FORMULA, "binder1", "binder2", "params"),
-        ),
-        InacAx: _shape("inac", index=LITERAL),
-        InAx: _shape("in"),
-        EqAx: _shape("eq"),
-        IndAx: _shape(
-            "indax", binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params")
-        ),
-        NwfAx: _shape("n"),
-        Sep0Ax: _shape("s"),
-    }
+EmptyAx = node(AxiomId, "EmptyAx", "empty")
+PairAx = node(AxiomId, "PairAx", "pair")
+InfAx = node(AxiomId, "InfAx", "inf")
+UnionAx = node(AxiomId, "UnionAx", "union")
+PowerAx = node(AxiomId, "PowerAx", "power")
+# Separation instance for the schema body phi(binder, params).
+SepAx = node(AxiomId, "SepAx", "sepax", binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params"))
+# Replacement instance for the schema body phi(binder1, binder2, params).
+ReplAx = node(
+    AxiomId, "ReplAx", "replax",
+    binder1=FO_BINDER, binder2=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder1", "binder2", "params"),
 )
-
-
+InacAx = node(AxiomId, "InacAx", "inac", index=LITERAL, reject=("index < 1", "inaccessible axiom index must be >= 1"))
+InAx = node(AxiomId, "InAx", "in")
+EqAx = node(AxiomId, "EqAx", "eq")
+# Set-induction instance for the schema body phi(binder, params).
+IndAx = node(AxiomId, "IndAx", "indax", binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params"))
+NwfAx = node(AxiomId, "NwfAx", "n")  # a in C iff a "equals" C, with equality spelled out membershipwise
+Sep0Ax = node(AxiomId, "Sep0Ax", "s")  # the separation instance defining D in the nwf counterexample
+declare()
 
 
 # ---------------------------------------------------------------------------

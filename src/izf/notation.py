@@ -12,7 +12,7 @@ leaves open:
   comma-separated list, ``,`` for exactly as many terms as the node's axiom
   takes (``axioms.arity``);
 * an axiom identifier names the suffix glued to its word (``pairRep``); it
-  reads the identifiers its field's annotation admits.
+  reads every identifier, or only the class ``_ADMITS`` names for it.
 
 An integer field is glued to the word before it (``V3``, ``inac2``, ``17``).
 A construct with a level says where it may stand; one that ends in an open
@@ -120,6 +120,7 @@ SUGAR: dict = {
     sx.iff: ("formula", ("iff", "{left:imp} <-> {right:imp}"), {"left": FORMULA, "right": FORMULA}),
 }
 _READERS = {sx.Inac: sx.v_index}  # V0 is omega
+_ADMITS = {pr.Ind: ax.IndAx}  # the identifiers an axiom field reads, where not every one
 
 
 class Hole(typing.NamedTuple):
@@ -172,8 +173,8 @@ def _note(key, spec, build, kinds: dict, cat: str) -> Note:
         if kind in (TERM, FORMULA, PROOF):
             arg = LEVELS[hcat].index(fspec) if fspec else 0
         elif kind is SCHEMA:
-            hint = typing.get_type_hints(key)[field]
-            arg = (fspec, tuple(c for c in NOTATION if isinstance(c, type) and issubclass(c, hint)))
+            admits = _ADMITS.get(key, ax.AxiomId)
+            arg = (fspec, tuple(c for c in NOTATION if isinstance(c, type) and issubclass(c, admits)))
         else:
             arg = fspec
         hole = Hole(field, kind, hcat, arg, glued)

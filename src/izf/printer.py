@@ -49,7 +49,10 @@ def _source(note) -> str:
         parts += [repr(text)] if text else []
         text = ""
         reads.append(f"  v{j} = x.{p.field}")
-        parts.append(_PIECES.get(p.kind, "{v}").format(v=f"v{j}", arg=p.arg))
+        if p.kind is SCHEMA and not p.arg[0]:  # no suffix to glue on
+            parts.append(_PIECES[TERM].format(v=f"v{j}", arg=0))
+        else:
+            parts.append(_PIECES.get(p.kind, "{v}").format(v=f"v{j}", arg=p.arg))
     parts += [repr(text)] if text else []
     return "\n".join(["def show(x, need):", *reads, f"  s = {' + '.join(parts)}",
                       f"  return {_OPEN!r} + s + {_CLOSE!r} if {note.right} < need else s"])

@@ -1,7 +1,7 @@
 """Substitution, erasure and the nameless key for proof terms.
 
 Nothing here is written per constructor: each operation is read off the
-binding shapes in ``proofs.SHAPES``.  Substitution, in both namespaces and
+binding shapes in ``syntax.SHAPES``.  Substitution, in both namespaces and
 both calculi, is ``syntax.substitute``: a term replaces a first-order
 variable and a proof a hypothesis variable, in one capture-avoiding
 traversal that dodges propositional and first-order binders alike.  Erasure
@@ -22,8 +22,8 @@ walking them.  This module holds no cache.
 from __future__ import annotations
 
 from .notation import family
-from .proofs import SHAPES, ErasedProof, Proof
-from .syntax import PROOF, alpha_eq, substitute, to_nameless
+from .proofs import ErasedProof, Proof
+from .syntax import PROOF, SHAPES, alpha_eq, substitute, to_nameless
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ membership (MemI), extensional membership (Mem) and equality (Eq).
 All nodes are immutable; an operation returns a node unchanged when it
 has nothing to change in it.
 
-``SHAPES`` holds each constructor's binding shape, declared once: terms and
-formulas here, axiom identifiers in ``axioms`` and proof terms in
-``proofs``.  A schema body is an ordinary scope under its binders.
+Each constructor is one ``node`` declaration, which makes its class and its
+binding shape in ``SHAPES`` together: terms and formulas here, axiom
+identifiers in ``axioms`` and proof terms in ``proofs``.  The classes are
+built at import, cheaply: slots, no instance dictionary, and the
+``__init__``s of a module compiled from one source.  A schema body is an
+ordinary scope under its binders.
 ``free_vars``, ``bound_names``, ``to_nameless`` and the child map
 ``map_children`` are each one traversal read off that table.  Substitution
 is generated per shape: each class gets its own straight-line function, made
@@ -39,11 +42,11 @@ with their nodes.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from operator import is_not
+from operator import attrgetter, is_not
 from typing import Callable, Iterator, Union
 
 
@@ -53,11 +56,19 @@ class Node:
 
     ``_facts`` is the node's binding facts (see ``_names``), stored on the
     node the first time a traversal needs them.  It is the one attribute a
-    node gains after construction, so the cache lives and dies with it.
+    node gains after construction, so the cache lives and dies with it.  A
+    node refuses any other assignment or deletion, as a frozen dataclass
+    does.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
     _facts = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Term(Node):
@@ -76,183 +87,11 @@ Tree = Union[Term, Formula]
 
 
 # ---------------------------------------------------------------------------
-# Core terms
-
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("variable name must be non-empty")
-
-
-@dataclass(frozen=True)
-class Empty(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Omega(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Inac(Term):
-    """The i-th inaccessible-set constant, i >= 1 (index 0 is just omega)."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("inaccessible index must be >= 1")
-
-
-@dataclass(frozen=True)
-class NwfConst(Term):
-    """One of the two extra constants of the non-well-founded mode."""
-
-    name: str  # "C" or "D"
-
-    def __post_init__(self) -> None:
-        if self.name not in ("C", "D"):
-            raise ValueError("nwf constant must be C or D")
-
-
-@dataclass(frozen=True)
-class NameRef(Term):
-    """Constant referring to a model element.
-
-    The realizability language extends the signature with one constant per
-    name in the model universe; the payload is opaque here and only needs
-    equality and hashing.
-    """
-
-    payload: object
-
-
-@dataclass(frozen=True)
-class PairT(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class UnionT(Term):
-    arg: Term
-
-
-@dataclass(frozen=True)
-class PowerT(Term):
-    arg: Term
-
-
-@dataclass(frozen=True)
-class Sep(Term):
-    """Separation set term: carries its schema formula explicitly.
-
-    ``binder`` is the member variable of the schema body, ``params`` the
-    parameter variables, instantiated positionally by ``args``.  ``body`` is
-    a scope under ``binder`` and ``params`` (a later name shadows an earlier
-    equal one); its other free variables are free variables of the term.
-    Unused params are permitted.
-    """
-
-    binder: str
-    params: tuple[str, ...]
-    body: Formula
-    carrier: Term
-    args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.params) != len(self.args):
-            raise ValueError("separation term: params/args length mismatch")
-
-
-@dataclass(frozen=True)
-class Repl(Term):
-    """Replacement set term; binder1/binder2 are the input/output variables."""
-
-    binder1: str
-    binder2: str
-    params: tuple[str, ...]
-    body: Formula
-    carrier: Term
-    args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.params) != len(self.args):
-            raise ValueError("replacement term: params/args length mismatch")
-
-
-# ---------------------------------------------------------------------------
-# Core formulas
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class MemI(Formula):
-    """Intensional membership, the primitive relation."""
-
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Mem(Formula):
-    """Extensional membership, defined from MemI by the (IN) axiom."""
-
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Forall(Formula):
-    binder: str
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Exists(Formula):
-    binder: str
-    body: Formula
-
-
-# ---------------------------------------------------------------------------
 # Binding shapes
 #
-# One declaration per constructor: its fields in dataclass order, each with a
-# kind, and for each field under a binder the binder fields whose scope covers
-# it.  The tag names the constructor inside nameless keys.
+# One declaration per constructor: its fields in order, each with a kind, and
+# for each field under a binder the binder fields whose scope covers it.  The
+# tag names the constructor inside nameless keys.
 
 
 class Kind(Enum):
@@ -287,17 +126,6 @@ class Shape:
     fields: tuple[FieldShape, ...]
 
 
-def _shape(tag: str, **fields: Kind | tuple) -> Shape:
-    """``name=KIND`` or ``name=(KIND, binder, ...)`` for each field, in order."""
-    specs = {n: (s,) if isinstance(s, Kind) else s for n, s in fields.items()}
-    out = []
-    for name, (kind, *under) in specs.items():
-        hyp = tuple(b for b in under if specs[b][0] is HYP_BINDER)
-        fo = tuple(b for b in under if specs[b][0] in (FO_BINDER, FO_BINDERS))
-        out.append(FieldShape(name, kind, tuple(under), hyp, fo))
-    return Shape(tag, tuple(out))
-
-
 SHAPES: dict[type, Shape] = {}
 
 
@@ -315,17 +143,105 @@ class _Plans(dict):
 _PLANS: dict[type, tuple] = _Plans()
 
 
-def declare(shapes: dict[type, Shape]) -> None:
-    """Add constructors to ``SHAPES`` and plan the traversals over them.
+# ---------------------------------------------------------------------------
+# Node classes
+#
+# ``node`` makes a constructor's class and its shape from one declaration.
+# The class keeps its fields and ``_facts`` in slots, and has a frozen
+# dataclass's equality, hash, match arguments and repr; ``declare`` gives it
+# its ``__init__``.
 
-    A hypothesis binder is renamed to a variable of its node's calculus: the
+_IDENTITY: dict[tuple[str, ...], tuple[Callable, Callable]] = {}  # field names -> (__eq__, __hash__)
+
+
+def _identity(names: tuple[str, ...]) -> tuple[Callable, Callable]:
+    """A frozen dataclass's ``__eq__`` and ``__hash__`` over these fields,
+    shared by every class with them: two nodes are equal when they are of
+    one class and their field tuples are equal, and a node hashes as its
+    field tuple."""
+    if names not in _IDENTITY:
+        values = attrgetter(*names) if names else None
+
+        if len(names) > 1:  # attrgetter gives the field tuple
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return values(self) == values(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(values(self))
+
+        else:  # attrgetter gives the one field, or there is none
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return not names or (values(self),) == (values(other),)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash((values(self),) if names else ())
+
+        _IDENTITY[names] = __eq__, __hash__
+    return _IDENTITY[names]
+
+
+_PENDING: dict[type, tuple[str, str] | None] = {}  # declared classes without an __init__ -> their reject clause
+
+
+def node(base: type, name: str, tag: str, /, *, reject: tuple[str, str] | None = None, **fields: Kind | tuple) -> type:
+    """Declare a constructor: its class ``name`` under ``base``, and its
+    shape in ``SHAPES``.  Each field, in order, is ``field=KIND`` or
+    ``field=(KIND, binder, ...)``, naming the binder fields whose scope
+    covers it.  ``reject`` is a condition on the fields, as source, and the
+    message of the ``ValueError`` construction raises when it holds."""
+    specs = {n: (s,) if isinstance(s, Kind) else s for n, s in fields.items()}
+    out = []
+    for field, (kind, *under) in specs.items():
+        hyp = tuple(b for b in under if specs[b][0] is HYP_BINDER)
+        fo = tuple(b for b in under if specs[b][0] in (FO_BINDER, FO_BINDERS))
+        out.append(FieldShape(field, kind, tuple(under), hyp, fo))
+    names = tuple(specs)
+    eq, hash_ = _identity(names)
+    cls = type(name, (base,), {
+        "__slots__": (*names, "_facts"),
+        "__match_args__": names,
+        "__eq__": eq,
+        "__hash__": hash_,
+        "__repr__": _node_repr,
+        "__module__": sys._getframe(1).f_globals["__name__"],
+    })
+    SHAPES[cls] = Shape(tag, tuple(out))
+    _PENDING[cls] = reject
+    return cls
+
+
+def declare() -> None:
+    """Finish the classes declared since the last call: each module calls it
+    once, after its declarations.
+
+    Their ``__init__``s are compiled from one source, in one ``exec``: each
+    tests its reject clause, then writes its fields through their slots and
+    ``_facts`` empty.  Then the traversals over them are planned.  A
+    hypothesis binder is renamed to a variable of its node's calculus: the
     declared hypothesis-variable class that shares the node's base class.
     """
-    SHAPES.update(shapes)
-    for cls in shapes:
-        cls.__repr__ = _node_repr
+    src, space = [], {"inits": []}
+    for i, (cls, reject) in enumerate(_PENDING.items()):
+        src.append(f"def __init__(self{''.join(', ' + n for n in cls.__match_args__)}):")
+        if reject:
+            src += [f" if {reject[0]}:", f"  raise ValueError({reject[1]!r})"]
+        for j, slot in enumerate(cls.__slots__):
+            space[f"set{i}_{j}"] = cls.__dict__[slot].__set__
+            src.append(f" set{i}_{j}(self, {'None' if slot == '_facts' else slot})")
+        src.append("inits.append(__init__)")
+    exec("\n".join(src), space)
+    for cls, init in zip(_PENDING, space["inits"]):
+        cls.__init__ = init
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
     hyp_vars = {c.__mro__[1]: c for c, s in SHAPES.items() if s.fields and s.fields[0].kind is HYP}
-    for cls, shape in shapes.items():
+    for cls in _PENDING:
+        shape = SHAPES[cls]
         many = {f.name: f.kind is FO_BINDERS for f in shape.fields}
         pairs = lambda names: tuple((b, many[b]) for b in names)
         fields = tuple(
@@ -340,20 +256,18 @@ def declare(shapes: dict[type, Shape]) -> None:
         )
         hyp_var = hyp_vars.get(cls.__mro__[1]) if hyp_binders else None
         _PLANS[cls] = (shape.tag, fields, binders, scope, hyp_binders, hyp_var)
+    _PENDING.clear()
 
 
 class _Text(str):
     """A piece of repr text, as opposed to a value still to be shown."""
 
 
-_REPR_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
 def _node_repr(x: Node) -> str:
     """The dataclass repr of a declared node, built on an explicit stack, so
     that a deep tree takes no native recursion: ``Cls(field=value, ...)``
-    over the fields the dataclass shows, a tuple as Python shows it, and
-    any other value by its own repr."""
+    over the node's fields, a tuple as Python shows it, and any other value
+    by its own repr."""
     out: list[str] = []
     todo: list[object] = [x]
     while todo:
@@ -363,12 +277,9 @@ def _node_repr(x: Node) -> str:
             out.append(item)
             continue
         if cls.__repr__ is _node_repr:
-            names = _REPR_FIELDS.get(cls)
-            if names is None:
-                names = _REPR_FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls) if f.repr)
             pieces: list[object] = [_Text(f"{cls.__qualname__}(")]
-            for i, name in enumerate(names):
-                pieces += (_Text(f"{', ' if i else ''}{name}="), getattr(item, name))
+            for i, f in enumerate(SHAPES[cls].fields):
+                pieces += (_Text(f"{', ' if i else ''}{f.name}="), getattr(item, f.name))
         elif cls is tuple:
             pieces = [_Text("(")]
             for i, y in enumerate(item):
@@ -382,45 +293,55 @@ def _node_repr(x: Node) -> str:
     return "".join(out)
 
 
-declare(
-    {
-        Var: _shape("free", name=FO_VAR),
-        Empty: _shape("empty"),
-        Omega: _shape("omega"),
-        Inac: _shape("inac", index=LITERAL),
-        NwfConst: _shape("nwf", name=LITERAL),
-        NameRef: _shape("nameref", payload=LITERAL),
-        PairT: _shape("pair", left=TERM, right=TERM),
-        UnionT: _shape("union", arg=TERM),
-        PowerT: _shape("power", arg=TERM),
-        Sep: _shape(
-            "sep",
-            binder=FO_BINDER,
-            params=FO_BINDERS,
-            body=(FORMULA, "binder", "params"),
-            carrier=TERM,
-            args=TERMS,
-        ),
-        Repl: _shape(
-            "repl",
-            binder1=FO_BINDER,
-            binder2=FO_BINDER,
-            params=FO_BINDERS,
-            body=(FORMULA, "binder1", "binder2", "params"),
-            carrier=TERM,
-            args=TERMS,
-        ),
-        Bottom: _shape("bot"),
-        MemI: _shape("memi", left=TERM, right=TERM),
-        Mem: _shape("mem", left=TERM, right=TERM),
-        Eq: _shape("eq", left=TERM, right=TERM),
-        And: _shape("and", left=FORMULA, right=FORMULA),
-        Or: _shape("or", left=FORMULA, right=FORMULA),
-        Imp: _shape("imp", left=FORMULA, right=FORMULA),
-        Forall: _shape("forall", binder=FO_BINDER, body=(FORMULA, "binder")),
-        Exists: _shape("exists", binder=FO_BINDER, body=(FORMULA, "binder")),
-    }
+# ---------------------------------------------------------------------------
+# Core terms
+
+Var = node(Term, "Var", "free", name=FO_VAR, reject=("not name", "variable name must be non-empty"))
+Empty = node(Term, "Empty", "empty")
+Omega = node(Term, "Omega", "omega")
+# The i-th inaccessible-set constant, i >= 1 (index 0 is just omega).
+Inac = node(Term, "Inac", "inac", index=LITERAL, reject=("index < 1", "inaccessible index must be >= 1"))
+# One of the two extra constants of the non-well-founded mode, "C" or "D".
+NwfConst = node(Term, "NwfConst", "nwf", name=LITERAL, reject=("name not in ('C', 'D')", "nwf constant must be C or D"))
+# A constant referring to a model element.  The realizability language extends
+# the signature with one constant per name in the model universe; the payload
+# is opaque here and only needs equality and hashing.
+NameRef = node(Term, "NameRef", "nameref", payload=LITERAL)
+PairT = node(Term, "PairT", "pair", left=TERM, right=TERM)
+UnionT = node(Term, "UnionT", "union", arg=TERM)
+PowerT = node(Term, "PowerT", "power", arg=TERM)
+# Separation set term: carries its schema formula explicitly.  ``binder`` is
+# the member variable of the schema body, ``params`` the parameter variables,
+# instantiated positionally by ``args``.  ``body`` is a scope under ``binder``
+# and ``params`` (a later name shadows an earlier equal one); its other free
+# variables are free variables of the term.  Unused params are permitted.
+Sep = node(
+    Term, "Sep", "sep",
+    binder=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder", "params"), carrier=TERM, args=TERMS,
+    reject=("len(params) != len(args)", "separation term: params/args length mismatch"),
 )
+# Replacement set term; binder1/binder2 are the input/output variables.
+Repl = node(
+    Term, "Repl", "repl",
+    binder1=FO_BINDER, binder2=FO_BINDER, params=FO_BINDERS, body=(FORMULA, "binder1", "binder2", "params"),
+    carrier=TERM, args=TERMS,
+    reject=("len(params) != len(args)", "replacement term: params/args length mismatch"),
+)
+
+
+# ---------------------------------------------------------------------------
+# Core formulas
+
+Bottom = node(Formula, "Bottom", "bot")
+MemI = node(Formula, "MemI", "memi", left=TERM, right=TERM)  # intensional membership, the primitive relation
+Mem = node(Formula, "Mem", "mem", left=TERM, right=TERM)  # extensional membership, defined from MemI by (IN)
+Eq = node(Formula, "Eq", "eq", left=TERM, right=TERM)
+And = node(Formula, "And", "and", left=FORMULA, right=FORMULA)
+Or = node(Formula, "Or", "or", left=FORMULA, right=FORMULA)
+Imp = node(Formula, "Imp", "imp", left=FORMULA, right=FORMULA)
+Forall = node(Formula, "Forall", "forall", binder=FO_BINDER, body=(FORMULA, "binder"))
+Exists = node(Formula, "Exists", "exists", binder=FO_BINDER, body=(FORMULA, "binder"))
+declare()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gens import rand_formula, rand_term
 from nameless import nameless_free_vars, nameless_subst, nameless_subst_many, readback
 from izf.axioms import AxiomId
-from izf.proofs import SHAPES as PROOF_SHAPES, PropVar
+from izf.proofs import ErasedProof, Proof, PropVar
 from izf.syntax import (
     FO_BINDER,
     Bottom,
@@ -24,8 +24,10 @@ from izf.syntax import (
     Forall,
     Formula,
     Imp,
+    Inac,
     Mem,
     MemI,
+    NwfConst,
     Omega,
     Or,
     PairT,
@@ -157,10 +159,12 @@ def test_substitution_returns_untouched_subtrees_as_is():
 def test_every_constructor_declares_its_binding_shape():
     classes = {c for base in (Term, Formula) for c in base.__subclasses__()}
     axioms = set(AxiomId.__subclasses__())
-    assert len(classes) == 20 and len(axioms) == 13
-    assert set(SHAPES) == classes | axioms | set(PROOF_SHAPES)
+    proofs = {c for base in (Proof, ErasedProof) for c in base.__subclasses__()}
+    assert len(classes) == 20 and len(axioms) == 13 and len(proofs) == 34
+    assert set(SHAPES) == classes | axioms | proofs
     for cls, shape in SHAPES.items():
-        assert [f.name for f in shape.fields] == [f.name for f in dataclasses.fields(cls)]
+        assert tuple(f.name for f in shape.fields) == cls.__match_args__
+        assert not dataclasses.is_dataclass(cls)
         binders = [f.name for f in shape.fields if f.kind in (FO_BINDER, FO_BINDERS)]
         for f in shape.fields:
             # a node's first-order binders all cover the same fields
@@ -185,6 +189,26 @@ def test_a_node_without_a_shape_is_rejected_by_kernel_ops():
         substitute(Shapeless(), "a", Empty())
     with pytest.raises(TypeError, match="Shapeless has no binding shape"):
         substitute_many(Shapeless(), {"a": Empty(), "x": PropVar("y")})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Var(""), "variable name must be non-empty"),
+    (lambda: Inac(0), "inaccessible index must be >= 1"),
+    (lambda: NwfConst("E"), "nwf constant must be C or D"),
+])
+def test_construction_rejects_a_bad_field(build, message):
+    # the separation, replacement and inaccessible-axiom checks reach the
+    # parser's diagnostics, which the frontend tests and the parse golden pin
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_a_node_refuses_assignment_and_deletion():
+    x = Forall("a", Eq(a, a))
+    for change in (lambda: setattr(x, "binder", "b"), lambda: setattr(x, "extra", 1), lambda: delattr(x, "body")):
+        with pytest.raises(AttributeError):
+            change()
+    assert x == Forall("a", Eq(a, a))
 
 
 def test_fresh_name_deterministic():
@@ -261,11 +285,10 @@ def _dataclass_twin(x, twins={}):
     generated ``__repr__`` is the reference for the declared nodes' own."""
     cls = type(x)
     if cls in SHAPES:
-        fields = dataclasses.fields(cls)
+        names = [f.name for f in SHAPES[cls].fields]
         if cls not in twins:
-            spec = [(f.name, object, dataclasses.field(repr=f.repr)) for f in fields]
-            twins[cls] = dataclasses.make_dataclass(cls.__qualname__, spec, frozen=True)
-        return twins[cls](*(_dataclass_twin(getattr(x, f.name)) for f in fields))
+            twins[cls] = dataclasses.make_dataclass(cls.__qualname__, names, frozen=True)
+        return twins[cls](*(_dataclass_twin(getattr(x, name)) for name in names))
     if cls is tuple:
         return tuple(_dataclass_twin(y) for y in x)
     return x
@@ -280,6 +303,41 @@ def test_node_repr_is_the_dataclass_repr(seed):
     proof = rand_proof(rng, 4)
     for x in (rand_term(rng, 3), rand_formula(rng, 3), proof, erase(proof)):
         assert repr(x) == repr(_dataclass_twin(x))
+
+
+def _fields(x) -> tuple:
+    return tuple(getattr(x, f.name) for f in SHAPES[type(x)].fields)
+
+
+def _nodes(x) -> list:
+    """x and every node under it, tuples entered."""
+    out, todo = [], [x]
+    while todo:
+        y = todo.pop()
+        if type(y) is tuple:
+            todo.extend(y)
+        elif type(y) in SHAPES:
+            out.append(y)
+            todo.extend(_fields(y))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nodes_compare_and_hash_as_their_field_tuples(seed):
+    from gens import rand_proof
+    from izf.proof_ops import erase
+
+    rng = random.Random(50_000 + seed)
+    proof = rand_proof(rng, 4)
+    nodes = [y for x in (rand_term(rng, 3), rand_formula(rng, 3), proof, erase(proof)) for y in _nodes(x)]
+    for x in nodes:
+        assert not hasattr(x, "__dict__")
+        assert hash(x) == hash(_fields(x))
+        copy = type(x)(*_fields(x))
+        assert copy == x and copy is not x and not copy != x
+        for y in rng.sample(nodes, 10):
+            assert (x == y) == (type(x) is type(y) and _fields(x) == _fields(y))
+            assert (x != y) == (not x == y)
 
 
 @pytest.mark.parametrize("burn", ["_burn_beta", "_burn_proj", "_burn_case", "_burn_cancel", "_burn_let"])
