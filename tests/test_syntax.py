@@ -371,3 +371,26 @@ def test_substitution_takes_one_frame_per_level_of_a_deep_chain(burn, depth, nam
     r = subprocess.run([sys.executable, "-c", _DEEP_SUBST, burn, str(depth), name],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0 and r.stdout == "ok\n", r.stderr[-2000:]
+
+
+# Binding facts and keys take one frame per nesting level too.  From a fresh
+# interpreter at the default recursion limit, ``free_vars``, ``to_nameless``
+# and ``alpha_eq`` each handle a fresh (unkeyed) ``_burn_beta`` of 983 levels
+# and ``_burn_case`` of 486, and raise ``RecursionError`` at 995 beta levels.
+_DEEP_KEYS = """
+import sys
+from izf import corpus
+from izf.syntax import alpha_eq, free_vars, to_nameless
+fresh = lambda: getattr(corpus, sys.argv[1])(int(sys.argv[2])).proof
+assert free_vars(fresh()) == frozenset()
+assert to_nameless(fresh())[0] in ("app", "case")
+assert alpha_eq(fresh(), fresh())
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("burn, depth", [("_burn_beta", 983), ("_burn_case", 486)])
+def test_facts_and_keys_take_one_frame_per_level_of_a_deep_chain(burn, depth):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-c", _DEEP_KEYS, burn, str(depth)], capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and r.stdout == "ok\n", r.stderr[-2000:]
