@@ -25,9 +25,15 @@ _PIECES = {  # how the value v of a field prints, by the field's kind; a name pr
     **dict.fromkeys((TERM, FORMULA, PROOF), "_SHOW[{v}.__class__]({v}, {arg})"),
     FO_BINDERS: '(" " + " ".join({v}) if {v} else "")',
     TERMS: '({arg!r} + " " + ", ".join([_SHOW[u.__class__](u, 0) for u in {v}]) if {v} else "")',
-    SCHEMA: "_WORD.sub(" + repr(r"\g<0>") + " + {arg[0]!r}, _SHOW[{v}.__class__]({v}, 0), 1)",  # a suffix glued on
+    SCHEMA: "_glue(_SHOW[{v}.__class__]({v}, 0), {arg[0]!r})",
     LITERAL: "str({v})",
 }
+
+
+def _glue(s: str, suffix: str) -> str:
+    """s with the suffix glued onto its leading word: ``pair`` + ``Rep``."""
+    n = _WORD.match(s).end()
+    return s[:n] + suffix + s[n:]
 
 
 def _cannot(x, need: int) -> str:
@@ -70,7 +76,7 @@ class _Shows(dict):
             f = _SHOW_SOURCES.get(src)
             if f is None:
                 space: dict = {}
-                exec(src, {"_SHOW": self, "_WORD": _WORD}, space)
+                exec(src, {"_SHOW": self, "_glue": _glue}, space)
                 f = _SHOW_SOURCES[src] = space["show"]
         self[cls] = f
         return f

@@ -4,7 +4,8 @@ Nothing here is written per constructor: each operation is read off the
 binding shapes in ``syntax.SHAPES``.  Substitution, in both namespaces and
 both calculi, is ``syntax.substitute``: a term replaces a first-order
 variable and a proof a hypothesis variable, in one capture-avoiding
-traversal that dodges propositional and first-order binders alike.  Erasure
+traversal that dodges propositional and first-order binders alike; like the
+key, it is generated per constructor.  Erasure, interpreted from the shapes,
 maps each annotated constructor to the erased one with the same tag, which
 takes the same-named fields.
 

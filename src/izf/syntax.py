@@ -13,22 +13,23 @@ binding shape in ``SHAPES`` together: terms and formulas here, axiom
 identifiers in ``axioms`` and proof terms in ``proofs``.  The classes are
 built at import, cheaply: slots, no instance dictionary, and the
 ``__init__``s of a module compiled from one source.  A schema body is an
-ordinary scope under its binders.
-``free_vars``, ``bound_names``, ``to_nameless`` and the child map
-``map_children`` are each one traversal read off that table.  Substitution
-is generated per shape: each class gets its own straight-line function, made
-from its shape the first time a node of the class is substituted into, that
-enters each child through the table of these functions and renames binders
-only if the shape has any; a variable is one dictionary lookup.  A node
-without a shape is rejected by every one of them.  There is no sugar
-node: the notation's abbreviations ``<->``, numerals and ``S(t)`` are built
-as the core syntax they stand for, by ``iff``, ``numeral`` and
-``succ_term`` below.  Substitution
-serves both namespaces: a term replaces a first-order variable and a proof
-a hypothesis variable, in terms, formulas and proofs of both calculi.
-``to_nameless`` is the package's one binding-invariant key: ``alpha_eq``
-compares it, proofs are keyed by it, and the realizability memo keys are
-built on it.
+ordinary scope under its binders.  There is no sugar node: the notation's
+abbreviations ``<->``, numerals and ``S(t)`` are built as the core syntax
+they stand for, by ``iff``, ``numeral`` and ``succ_term`` below.
+
+The binding facts (behind ``free_vars`` and ``bound_names``), the nameless
+key ``to_nameless`` and substitution are generated per shape: for each job,
+each class gets its own straight-line function, made from its shape the
+first time the job meets a node of the class, that enters each child through
+the job's table of these functions, one frame per level.  The child map
+``map_children`` (and ``proof_ops.erase``) still interpret the shapes.  A
+node without a shape is rejected by every one of them.  Substitution serves
+both namespaces: a term replaces a first-order variable and a proof a
+hypothesis variable, in terms, formulas and proofs of both calculi; it
+renames binders only if the shape has any, and a variable is one dictionary
+lookup.  ``to_nameless`` is the package's one binding-invariant key:
+``alpha_eq`` compares it, proofs are keyed by it, and the realizability memo
+keys are built on it.
 
 Keys and free names live on the node.  Each node computes its binding
 facts once, when a traversal first needs them, and keeps them: its free
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import reduce
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import attrgetter, is_not
@@ -354,15 +356,6 @@ _TREES = (TERM, FORMULA, SCHEMA)
 _CHILD = (*_TREES, PROOF)
 
 
-def _binder_names(x: Tree, binders: tuple) -> tuple[str, ...]:
-    """The names bound by the given binder fields of a node, innermost last."""
-    out: tuple[str, ...] = ()
-    for name, many in binders:
-        v = getattr(x, name)
-        out += v if many else (v,)
-    return out
-
-
 def map_children(x: Tree, f: Callable[[Tree], Tree]) -> Tree:
     """x with ``f`` applied to each child node and each term of a tuple.
 
@@ -407,37 +400,7 @@ def _names(x: Tree) -> tuple:
     first-order names, first-order binder names and hypothesis binder names,
     then its closed nameless key or None.  Each set is built from the
     children's, so a node shares them wherever it adds nothing."""
-    facts = x._facts
-    if facts is not None:
-        return facts
-    hfree = ffree = fbound = hbound = _NONE
-    for name, kind, hyp_under, fo_under in _PLANS[type(x)][1]:
-        v = getattr(x, name)
-        if kind in _CHILD:
-            h, f, b, hb, _ = _names(v)
-            if hyp_under and h:
-                h = h.difference(_binder_names(x, hyp_under))
-            if fo_under and f:
-                f = f.difference(_binder_names(x, fo_under))
-            hfree, ffree = _join(hfree, h), _join(ffree, f)
-            fbound, hbound = _join(fbound, b), _join(hbound, hb)
-        elif kind is TERMS:
-            for u in v:
-                _, f, b, _, _ = _names(u)
-                ffree, fbound = _join(ffree, f), _join(fbound, b)
-        elif kind is FO_VAR:
-            ffree = frozenset((v,))
-        elif kind is HYP:
-            hfree = frozenset((v,))
-        elif kind is FO_BINDER:
-            fbound = _join(fbound, frozenset((v,)))
-        elif kind is FO_BINDERS:
-            fbound = _join(fbound, frozenset(v))
-        elif kind is HYP_BINDER:
-            hbound = _join(hbound, frozenset((v,)))
-    facts = (hfree, ffree, fbound, hbound, None) if hfree or ffree or fbound or hbound else _CLOSED
-    object.__setattr__(x, "_facts", facts)
-    return facts
+    return x._facts or _FACTS[type(x)](x)
 
 
 def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = ()) -> tuple:
@@ -455,48 +418,87 @@ def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = 
     stacks, so keying a tree again, or a new tree built around keyed
     subtrees, walks only what is new.
     """
-    return _nameless(x, stack, hstack, True)
+    return _KEY[type(x)](x, stack, hstack, True)
 
 
-def _nameless(x: Tree, stack: tuple[str, ...], hstack: tuple[str, ...], keep: bool) -> tuple:
-    """``to_nameless``; with ``keep``, each node whose key does not depend on
-    the stacks keeps it.  One frame per level."""
-    facts = x._facts
-    if (
-        facts is not None
-        and facts[4] is not None
-        and facts[1].isdisjoint(stack)
-        and facts[0].isdisjoint(hstack)
-    ):
-        return facts[4]
-    plan = _PLANS[type(x)]
-    out = [plan[0]]
-    for name, kind, hyp_under, fo_under in plan[1]:
-        v = getattr(x, name)
+def _binders(names: tuple, index: dict[str, int]) -> str:
+    """The source of the tuple of names these binder fields bind, in order."""
+    return f"({', '.join(('*' if many else '') + f'v{index[b]}' for b, many in names)},)"
+
+
+def _facts_source(plan: tuple) -> str:
+    """The source of ``make(C, tag, H)``, which gives the facts function
+    ``f(x)`` of a class ``C`` with this plan: it joins the facts of the
+    children, each entered through ``_FACTS``, drops the names each child's
+    binders bind, adds the node's own binders and keeps the result on x."""
+    fields = plan[1]
+    index = {f[0]: j for j, f in enumerate(fields)}
+    out = ["def make(C, tag, H):", ' S = C.__dict__["_facts"].__set__', " def f(x):"]
+    out += [f"  v{j} = x.{f[0]}" for j, f in enumerate(fields) if f[1] is not LITERAL]
+    sets: list[list[str]] = [[], [], [], []]  # hypothesis free, first-order free, first-order bound, hypothesis bound
+    for j, (_, kind, hyp_under, fo_under) in enumerate(fields):
         if kind in _CHILD:
-            fs = stack + _binder_names(x, fo_under) if fo_under else stack
-            hs = hstack + _binder_names(x, hyp_under) if hyp_under else hstack
-            out.append(_nameless(v, fs, hs, keep))
-        elif kind is FO_VAR:
-            if v in stack:
-                return ("bound", stack[::-1].index(v))
-            out.append(v)
-        elif kind is HYP:
-            if v in hstack:
-                return ("pb", hstack[::-1].index(v))
-            out.append(v)
+            out.append(f"  h{j}, f{j}, b{j}, k{j}, _ = v{j}._facts or _FACTS[type(v{j})](v{j})")
+            for own, under in ((f"h{j}", hyp_under), (f"f{j}", fo_under)):
+                if under:
+                    out.append(f"  if {own}: {own} = {own}.difference({_binders(under, index)})")
+            for parts, own in zip(sets, (f"h{j}", f"f{j}", f"b{j}", f"k{j}")):
+                parts.append(own)
         elif kind is TERMS:
-            out.append(tuple(_nameless(u, stack, (), keep) for u in v))
+            out += [f"  f{j} = b{j} = _NONE", f"  for u in v{j}:",
+                    "   _, tf, tb, _, _ = u._facts or _FACTS[type(u)](u)",
+                    f"   f{j}, b{j} = _join(f{j}, tf), _join(b{j}, tb)"]
+            sets[1].append(f"f{j}")
+            sets[2].append(f"b{j}")
+        elif kind in (FO_VAR, HYP):
+            sets[kind is FO_VAR].append(f"frozenset((v{j},))")
+        elif kind in (FO_BINDER, FO_BINDERS, HYP_BINDER):
+            sets[2 if kind is not HYP_BINDER else 3].append(f"frozenset(v{j})" if kind is FO_BINDERS else f"frozenset((v{j},))")
+    joined = (reduce(lambda a, b: f"_join({a}, {b})", parts) if parts else "_NONE" for parts in sets)
+    out += [f"  hfree, ffree, fbound, hbound = {', '.join(joined)}",
+            "  facts = (hfree, ffree, fbound, hbound, None) if hfree or ffree or fbound or hbound else _CLOSED"]
+    return "\n".join([*out, "  S(x, facts)", "  return facts", " return f"])
+
+
+def _key_source(plan: tuple) -> str:
+    """The source of ``make(C, tag, H)``, which gives the key function
+    ``k(x, stack, hstack, keep)`` of a class ``C`` with this plan: the kept
+    key when the stacks bind none of x's free names, else the tag and one
+    entry per field, each child keyed through ``_KEY`` under the stacks its
+    binders extend; a bound variable is its index.  With ``keep``, x keeps
+    its key when the key does not depend on the stacks.  One frame per
+    level."""
+    _, fields, binders, _, _, _ = plan
+    index = {f[0]: j for j, f in enumerate(fields)}
+    out = [
+        "def make(C, tag, H):", ' S = C.__dict__["_facts"].__set__', " def k(x, stack, hstack, keep):",
+        "  facts = x._facts",
+        "  if facts is not None and facts[4] is not None and facts[1].isdisjoint(stack) and facts[0].isdisjoint(hstack):",
+        "   return facts[4]",
+        *(f"  v{j} = x.{f[0]}" for j, f in enumerate(fields)),
+    ]
+    if binders:
+        out.append(f"  fs = stack + {_binders(binders, index)}")
+    entries = ["tag"]
+    for j, (_, kind, hyp_under, fo_under) in enumerate(fields):
+        if kind in _CHILD:
+            hs = f"hstack + {_binders(hyp_under, index)}" if hyp_under else "hstack"
+            entries.append(f"_KEY[type(v{j})](v{j}, {'fs' if fo_under else 'stack'}, {hs}, keep)")
+        elif kind is TERMS:
+            entries.append(f"tuple([_KEY[type(u)](u, stack, (), keep) for u in v{j}])")
+        elif kind in (FO_VAR, HYP):
+            names, bound = ("stack", "bound") if kind is FO_VAR else ("hstack", "pb")
+            out += [f"  if v{j} in {names}:", f"   return ({bound!r}, {names}[::-1].index(v{j}))"]
+            entries.append(f"v{j}")
         elif kind is FO_BINDERS:
-            out.append(len(v))
+            entries.append(f"len(v{j})")
         elif kind is LITERAL:
-            out.append(v)
-    key = tuple(out)
-    if keep:
-        facts = _names(x)
-        if facts[1].isdisjoint(stack) and facts[0].isdisjoint(hstack):
-            object.__setattr__(x, "_facts", facts[:4] + (key,))
-    return key
+            entries.append(f"v{j}")
+    return "\n".join([
+        *out, f"  key = ({', '.join(entries)}{',' * (len(entries) == 1)})", "  if keep:", "   facts = facts or _FACTS[C](x)",
+        "   if facts[1].isdisjoint(stack) and facts[0].isdisjoint(hstack):", "    S(x, facts[:4] + (key,))",
+        "  return key", " return k",
+    ])
 
 
 _SUFFIX = re.compile(r"^(.*?)(\d*)$")
@@ -527,7 +529,7 @@ def substitute(x: Tree, a: str, s: Tree) -> Tree:
     """Capture-avoiding substitution of s for the variable a: a term for a
     first-order variable, a proof for a hypothesis variable."""
     if isinstance(s, Term):
-        return _SUBST[type(x)](x, {a: s}, {}, {}) if s != Var(a) else x
+        return x if type(s) is Var and s.name == a else _SUBST[type(x)](x, {a: s}, {}, {})
     return _SUBST[type(x)](x, {}, {a: s}, {})
 
 
@@ -546,7 +548,7 @@ def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
     renamed too when it is free in the replacement of another variable
     free in its scope.
     """
-    fo = {a: s for a, s in env.items() if isinstance(s, Term) and s != Var(a)}
+    fo = {a: s for a, s in env.items() if isinstance(s, Term) and not (type(s) is Var and s.name == a)}
     hyp = {a: s for a, s in env.items() if not isinstance(s, Term)}
     return _SUBST[type(x)](x, fo, hyp, {}) if fo or hyp else x
 
@@ -559,34 +561,6 @@ def _known(free: dict[str, tuple], *envs: dict[str, Tree]) -> list[tuple]:
                 free[a] = _names(s)
     return [free[a] for env in envs for a in env]
 
-
-class _Substs(dict):
-    """Each class's substitution function, generated from its plan when a
-    node of the class is first substituted into."""
-
-    def __missing__(self, cls: type):
-        plan = _PLANS[cls]
-        src = _subst_source(plan)
-        make = _SUBST_MAKERS.get(src)
-        if make is None:
-            space: dict = {}
-            exec(src, _SUBST_NS, space)
-            make = _SUBST_MAKERS[src] = space["make"]
-        f = self[cls] = make(cls, plan[5])
-        return f
-
-
-# A substitution function ``f(x, env, henv, free)``: ``env`` maps first-order
-# variables to terms and ``henv`` hypothesis variables to proofs; only
-# sub-proofs can hold hypotheses, so the other children are entered with
-# ``env`` alone.  ``free`` holds the ``_names`` of each replacement, looked up
-# when first needed and then kept for the whole call.  Each child is entered
-# through this table, so a nesting level costs one frame.
-_SUBST: dict[type, Callable] = _Substs()
-_SUBST_MAKERS: dict[str, Callable] = {}  # generated source -> its compiled factory, shared by equal shapes
-_SUBST_NS = dict(  # the generated code's globals
-    _SUBST=_SUBST, _known=_known, _names=_names, free_vars=free_vars, fresh_name=fresh_name, Var=Var, is_not=is_not
-)
 
 # x comes back as is when no substituted variable is free in it and none of
 # its binders is named like a free name of a replacement, as no binder in it
@@ -603,8 +577,8 @@ _GUARD = """\
 
 
 def _subst_source(plan: tuple) -> str:
-    """The source of ``make(C, H)``, which gives the substitution function
-    of a class ``C`` with this plan, ``H`` being its hypothesis variable.
+    """The source of ``make(C, tag, H)``: the substitution function of a
+    class ``C`` with this plan, ``H`` being its hypothesis variable.
 
     The function is straight-line code over the node's fields ``v0``,
     ``v1``, ...: the guard, the renaming of binders free in a replacement
@@ -612,7 +586,7 @@ def _subst_source(plan: tuple) -> str:
     when something changed.  A variable is one dictionary lookup."""
     _, fields, binders, scope, hyp_binders, _ = plan
     kinds = [f[1] for f in fields]
-    out = ["def make(C, H):", " def s(x, env, henv, free):"]
+    out = ["def make(C, tag, H):", " def s(x, env, henv, free):"]
     for name, kind, _, _ in fields:
         if kind in (FO_VAR, HYP):  # the node is the occurrence
             return "\n".join([*out, f"  return {'env' if kind is FO_VAR else 'henv'}.get(x.{name}, x)", " return s"])
@@ -685,6 +659,48 @@ def _subst_source(plan: tuple) -> str:
     return "\n".join(out)
 
 
+class _Generated(dict):
+    """A class-keyed table of generated functions, each made from its
+    class's plan the first time the table is asked for the class.
+    ``source(plan)`` gives the source of a factory ``make(C, tag, H)``: the
+    function of class ``C`` with its tag and hypothesis variable.  Classes
+    whose source is the same share one compiled factory."""
+
+    def __init__(self, source: Callable[[tuple], str]):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, cls: type):
+        plan = _PLANS[cls]
+        src = self.source(plan)
+        if src not in _MAKERS:
+            space: dict = {}
+            exec(src, _GENERATED_NS, space)
+            _MAKERS[src] = space["make"]
+        f = self[cls] = _MAKERS[src](cls, plan[0], plan[5])
+        return f
+
+
+_MAKERS: dict[str, Callable] = {}  # generated source -> its compiled factory
+# The facts function ``f(x)`` and the key function ``k(x, stack, hstack,
+# keep)`` of each class (see ``_names`` and ``to_nameless``).
+_FACTS: dict[type, Callable] = _Generated(_facts_source)
+_KEY: dict[type, Callable] = _Generated(_key_source)
+
+
+# A substitution function ``f(x, env, henv, free)``: ``env`` maps first-order
+# variables to terms and ``henv`` hypothesis variables to proofs; only
+# sub-proofs can hold hypotheses, so the other children are entered with
+# ``env`` alone.  ``free`` holds the ``_names`` of each replacement, looked up
+# when first needed and then kept for the whole call.  Each child is entered
+# through this table, so a nesting level costs one frame.
+_SUBST: dict[type, Callable] = _Generated(_subst_source)
+_GENERATED_NS = dict(  # the generated code's globals
+    _SUBST=_SUBST, _FACTS=_FACTS, _KEY=_KEY, _known=_known, _names=_names, _join=_join, _NONE=_NONE,
+    _CLOSED=_CLOSED, free_vars=free_vars, fresh_name=fresh_name, Var=Var, is_not=is_not,
+)
+
+
 # ---------------------------------------------------------------------------
 # Alpha equivalence
 
@@ -695,7 +711,7 @@ def alpha_eq(x: Tree, y: Tree) -> bool:
     Kept keys are read but the keys compared are not kept: keeping them
     means building the binding facts of every compared node, which costs
     type checking more than the repeated comparisons save."""
-    return x is y or _nameless(x, (), (), False) == _nameless(y, (), (), False)
+    return x is y or _KEY[type(x)](x, (), (), False) == _KEY[type(y)](y, (), (), False)
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,9 @@ def test_substitution_takes_one_frame_per_level_of_a_deep_chain(burn, depth, nam
 
 # Binding facts and keys take one frame per nesting level too.  From a fresh
 # interpreter at the default recursion limit, ``free_vars``, ``to_nameless``
-# and ``alpha_eq`` each handle a fresh (unkeyed) ``_burn_beta`` of 983 levels
-# and ``_burn_case`` of 486, and raise ``RecursionError`` at 995 beta levels.
+# and ``alpha_eq`` each reach about 993 levels of a fresh (unkeyed)
+# ``_burn_beta`` and 496 of ``_burn_case``, give or take one.  The test stays
+# ten levels below; one more frame per node would halve both.
 _DEEP_KEYS = """
 import sys
 from izf import corpus
