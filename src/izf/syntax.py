@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import reduce
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from functools import reduce
 from operator import attrgetter, is_not
 from typing import Callable, Iterator, Union
 
@@ -566,7 +566,7 @@ def _known(free: dict[str, tuple], *envs: dict[str, Tree]) -> list[tuple]:
 # its binders is named like a free name of a replacement, as no binder in it
 # can then be renamed.
 _GUARD = """\
-  hfree, ffree, fbound, hbound, _ = x._facts or _names(x)
+  hfree, ffree, fbound, hbound, _ = x._facts or _FACTS[type(x)](x)
   if (
       ffree.isdisjoint(env)
       and hfree.isdisjoint(henv)
