@@ -221,17 +221,17 @@ def _mutant(x, k: int):
     return go(x)
 
 
-def _size(x) -> int:
-    n = [1]
-    map_children(x, lambda c: n.__setitem__(0, n[0] + _size(c)) or c)
-    return n[0]
+def _nodes(x) -> list:
+    out = [x]
+    map_children(x, lambda c: out.extend(_nodes(c)) or c)
+    return out
 
 
 def record(cid: str, tree) -> dict:
     rng = random.Random(cid)
     stack = tuple(rng.choice(_VARS) for _ in range(rng.randrange(4)))
     hstack = tuple(rng.choice(_PVARS) for _ in range(rng.randrange(3)))
-    others = (_copy(tree), _variant(tree, {}, {}, [0]), _mutant(tree, rng.randrange(_size(tree))))
+    others = (_copy(tree), _variant(tree, {}, {}, [0]), _mutant(tree, rng.randrange(len(_nodes(tree)))))
     out = {"names": [sorted(s) for s in _names(_copy(tree))[:4]]}
     before = [alpha_eq(tree, y) for y in others]
     keys = [repr(to_nameless(tree, stack, hstack)), repr(to_nameless(tree)), repr(to_nameless(tree, stack, hstack))]
