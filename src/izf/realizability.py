@@ -11,11 +11,13 @@ treated as exhaustive and every verdict is decisive; with ``truncated=True``
 a universally quantified pool position that merely survives its pool
 reports Unknown instead.  Fuel exhaustion always reports Unknown.
 
-Each query runs one evaluator, ``_Eval``, whose tables die with the query.
-It first compiles the query's formula, separation bodies included, into one
-node per subformula: the node's int key, the slots of its free variables in
-the environment, and a closure for its clause (one per paper clause: ⊥, ∈ᵢ,
-∈, =, ∧, ∨, →, ∀, ∃) over its compiled children; terms compile likewise.
+Each query runs one evaluator, ``_Eval``, whose tables die with the query;
+omega's name, a constant of the model, is built once per process.  The
+evaluator first compiles the query's formula, separation bodies included,
+into one node per subformula: the node's int key, the slots of its free
+variables in the environment, and a closure for its clause (one per paper
+clause: ⊥, ∈ᵢ, ∈, =, ∧, ∨, →, ∀, ∃) over its compiled children; terms
+compile likewise.
 An environment is a tuple of per-query name ids, so a relation instance is
 keyed by ints alone, and each piece of work is done once per query: each
 key, name id, normal form, instantiation, label, verdict, meaning and pool.
@@ -377,7 +379,8 @@ class _Node:
 
 
 class _Eval:
-    """One query's evaluator.  Its tables die with it:
+    """One query's evaluator.  Its tables die with it (omega's name, which
+    ``omega`` interns once, is the process constant ``omega_name()``):
 
     * ``_ids``: the int standing for each nameless key; ``_nodes``: each
       keyed node's int, by identity (an entry holds its node, so no other
@@ -733,16 +736,9 @@ class _Eval:
         return self._succ((-1, n))
 
     def omega(self) -> int:
-        """The id of omega's name, approximated to ``OMEGA_DEPTH`` numerals."""
+        """The id of omega's name, ``omega_name()``."""
         if self._omega is None:
-            rv = refl_value()
-            label, n = EAxRep("inf", EInl(rv)), self._empty
-            entries = [(label, self._names[n])]
-            for _ in range(OMEGA_DEPTH - 1):
-                n = self.succ(n)
-                label = EAxRep("inf", EInr(EExIntro(Empty(), EPairP(mem_wrap(label), rv))))
-                entries.append((label, self._names[n]))
-            self._omega = self.name(entries)
+            self._omega = self.nid(omega_name())
         return self._omega
 
     # -- the realizability relation proper
@@ -824,6 +820,20 @@ class _Eval:
             raise UnsupportedFormulaError(f"no clause for {phi!r}")
 
         return fail
+
+
+@lru_cache(maxsize=None)
+def omega_name() -> LambdaName:
+    """omega's name, approximated to ``OMEGA_DEPTH`` numerals: a constant of
+    the model, built once per process by an evaluator's ``succ`` and ``name``."""
+    ev, rv = _Eval(RealizCfg()), refl_value()
+    label, n = EAxRep("inf", EInl(rv)), ev._empty
+    entries = [(label, EMPTY_NAME)]
+    for _ in range(OMEGA_DEPTH - 1):
+        n = ev.succ(n)
+        label = EAxRep("inf", EInr(EExIntro(Empty(), EPairP(mem_wrap(label), rv))))
+        entries.append((label, ev._names[n]))
+    return ev._names[ev.name(entries)]
 
 
 def _reject_inac(phi: Formula) -> None:

@@ -30,7 +30,7 @@ from izf.realizability import (
 )
 from izf.realizers import mk_eqRefl, mk_eqSymm, mk_eqTrans, mk_lei
 from izf.reduction import normalize
-from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Sep, Var, alpha_eq, succ_term
+from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Omega, Sep, Var, alpha_eq, succ_term
 from izf.typecheck import check
 from izf.corpus import nwf_suite
 from test_metatheory_random import grown_theorems
@@ -420,3 +420,42 @@ def test_erasures_of_grown_theorems_realize(seed):
         except UnsupportedFormulaError:
             continue
         assert verdict.realizes, (phi, verdict)
+
+
+def _omega_built_per_evaluator(ev: _Eval):
+    """omega's name as each evaluator built it before it became a process
+    constant: the base entry, then successor entries, through ev's clauses."""
+    from izf.proofs import EExIntro
+    from izf.syntax import Empty
+
+    label, n = EAxRep("inf", EInl(refl_value())), ev._empty
+    entries = [(label, ev._names[n])]
+    for _ in range(rz.OMEGA_DEPTH - 1):
+        n = ev.succ(n)
+        label = EAxRep("inf", EInr(EExIntro(Empty(), EPairP(mem_wrap(label), refl_value()))))
+        entries.append((label, ev._names[n]))
+    return ev._names[ev.name(entries)]
+
+
+def test_evaluators_intern_the_one_omega_name():
+    first, second = _Eval(SMALL), _Eval(default_cfg(depth=1, universe_size=4))
+    assert first._names[first.omega()] is second._names[second.omega()] is rz.omega_name()
+    assert first.meaning(Omega(), {}) is rz.omega_name()
+
+
+def test_omega_name_is_the_name_each_evaluator_built():
+    for cfg in (SMALL, RealizCfg()):
+        old = _omega_built_per_evaluator(_Eval(cfg))
+        assert old.key == rz.omega_name().key and old == rz.omega_name()
+        assert len(old.entries) == rz.OMEGA_DEPTH and old.rank() == rz.OMEGA_DEPTH + 1
+
+
+def test_omega_name_is_built_once_across_queries():
+    from izf.corpus import numeral_theorems
+
+    rz.omega_name.cache_clear()
+    cfg = default_cfg(depth=1, fuel=10**4, universe_size=10)
+    for e in numeral_theorems(3):
+        assert reals(erase(e.proof), e.formula, {}, cfg).realizes
+    info = rz.omega_name.cache_info()
+    assert info.misses == 1 and info.hits >= 2, info
