@@ -22,11 +22,11 @@ before anything that follows it.  ``SUGAR`` spells the abbreviations
 builds the core syntax it stands for; they are read but never printed.
 ``printer`` fills the templates in and ``parser`` reads them back.
 
-The tokens are read off the same table: ``TOKEN`` finds them, skipping
-blanks and comments, and ``key`` gives each word the class the parser looks
-it up by -- the word itself for a symbol, a reserved word or an axiom word,
-its family's key for a numbered word (``V3`` is ``V<n>``), ``NAME`` for any
-other identifier and ``BAD`` for a character no token has.
+The tokens are read off the same table: ``TOKEN`` finds them and the
+comments, skipping blanks, and ``key`` gives each word the class the parser
+looks it up by -- the word itself for a symbol, a reserved word or an axiom
+word, its family's key for a numbered word (``V3`` is ``V<n>``), ``NAME`` for
+any other identifier and ``BAD`` for a character no token has.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from .syntax import FORMULA, LITERAL, PROOF, SCHEMA, SHAPES, TERM, TERMS
 
 # Longer symbols first: the tokenizer tries them in this order.
 SYMBOLS = (":=", "<->", "->", "/\\", "\\/", "=>", "{", "}", "(", ")", "[", "]", ",", ";", ".", ":", "|", "=", "@")
-# A blank or a comment, which leaves the group empty, or a token in the
-# group: an identifier, an integer, a symbol or any other character.
-TOKEN = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|" + "|".join(map(re.escape, SYMBOLS)) + "|.)")
+# An identifier, an integer, a comment, a symbol or any other non-blank
+# character; blanks match nothing, and a comment is the only match that
+# starts with "--".
+TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\d+|--[^\n]*|" + "|".join(map(re.escape, SYMBOLS)) + r"|\S")
 GROUP = "({x})"  # any term, formula or proof, bracketed
 # The words of the file format: its header and modes, theorems and directives.
 MODE, MODES, THEOREM, DIRECTIVES = "mode", ("standard", "nwf"), "thm", ("eval", "realize")
@@ -160,7 +161,7 @@ def _note(key, spec, build, kinds: dict, cat: str) -> Note:
     level = LEVELS[cat].index(level)
     parts, text = [], []
     for lit, field, fspec, _ in Formatter().parse(template):
-        toks = [t for t in TOKEN.findall(lit) if t]
+        toks = TOKEN.findall(lit)
         text += [lit] if lit else []
         if field is None:
             parts += toks

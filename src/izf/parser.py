@@ -46,7 +46,8 @@ class Diagnostic(Exception):
 
 def _diagnostic(text: str, i: int, message: str, expected: tuple[str, ...] = ()) -> Diagnostic:
     """A diagnostic at the i-th token of a text (its end, past the last)."""
-    offset = next(islice((m.start(1) for m in TOKEN.finditer(text) if m.group(1)), i, None), len(text))
+    offsets = (m.start() for m in TOKEN.finditer(text) if not m[0].startswith("--"))
+    offset = next(islice(offsets, i, None), len(text))
     line = text.count("\n", 0, offset) + 1
     return Diagnostic(line, offset - text.rfind("\n", 0, offset), message, expected)
 
@@ -77,7 +78,9 @@ _CATS = ("term", "formula", "axiom", "proof")
 
 def tokenize(text: str) -> tuple[list[str], list[str]]:
     """The words of a text and their keys, each list ending with the end of input."""
-    words = [*filter(None, TOKEN.findall(text))]
+    words = TOKEN.findall(text)
+    if "--" in text:  # drop the comments
+        words = [w for w in words if not w.startswith("--")]
     kinds = {w: key(w) for w in {*words}}  # each distinct word classified once
     keys = [*map(kinds.__getitem__, words)]
     _make(kinds.values())  # the table entries of classes that no text has had before
