@@ -9,8 +9,6 @@ and then loops forever with period three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .axioms import (
     AxiomId,
     EmptyAx,
@@ -77,10 +75,11 @@ from .syntax import (
     Or,
     Var,
     numeral,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record()
 class CorpusEntry:
     name: str
     formula: Formula

@@ -11,7 +11,6 @@ and characterizing memberships by the matching axiom right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import syntax as sx
@@ -54,6 +53,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     map_children,
+    record,
     substitute,
 )
 from .typecheck import check, infer
@@ -71,7 +71,7 @@ class DepthExceeded(ExtractionError):
     pass
 
 
-@dataclass(frozen=True)
+@record()
 class ExtractionConfig:
     fuel: int = DEFAULT_FUEL
     depth_cap: int = 2**16

@@ -22,17 +22,16 @@ accept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .axioms import AxiomId, arity
 from .notation import BAD, DIRECTIVES, EOF, GROUP, IDENT, LEVELS, MODE, MODES, NAMES, NOTES, SUFFIXES
 from .notation import THEOREM, TOKEN, Hole, Note, key, starts
 from .proofs import Proof
-from .syntax import FO_BINDERS, FORMULA, LITERAL, PROOF, SCHEMA, TERM, TERMS, Formula, Term
+from .syntax import FO_BINDERS, FORMULA, LITERAL, PROOF, SCHEMA, TERM, TERMS, Formula, Term, record
 
 
-@dataclass
+@record(frozen=False)
 class Diagnostic(Exception):
     line: int
     col: int
@@ -52,14 +51,14 @@ def _diagnostic(text: str, i: int, message: str, expected: tuple[str, ...] = ())
     return Diagnostic(line, offset - text.rfind("\n", 0, offset), message, expected)
 
 
-@dataclass(frozen=True)
+@record()
 class Declaration:
     name: str
     formula: Formula
     proof: Proof
 
 
-@dataclass(frozen=True)
+@record()
 class TheoremFile:
     mode: str  # "standard" | "nwf"
     declarations: tuple[Declaration, ...]

@@ -25,7 +25,6 @@ key, name id, normal form, instantiation, label, verdict, meaning and pool.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -71,6 +70,7 @@ from .syntax import (
     Var,
     free_vars,
     map_children,
+    record,
     succ_term,
 )
 
@@ -107,7 +107,7 @@ def _label(v: ErasedProof) -> str:
     return label_key(canon(v))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record()
 class LambdaName:
     """A finite set of (erased value, name) pairs, compared up to alpha.
 
@@ -116,11 +116,11 @@ class LambdaName:
     """
 
     entries: tuple[tuple[ErasedProof, "LambdaName"], ...]
-    key: tuple = field(default=(), compare=False)
-    label: InitVar[Callable[[ErasedProof], str] | None] = None
+    key: tuple = ()  # computed from the entries, whatever is passed
+    label: Callable[[ErasedProof], str] | None = None  # read by __init__ only
 
-    def __post_init__(self, label) -> None:
-        for v, member in self.entries:
+    def __init__(self, entries, key=(), label=None) -> None:
+        for v, member in entries:
             if not is_value(v):
                 raise ValueError("name labels must be erased values")
             if not isinstance(member, LambdaName):
@@ -128,7 +128,7 @@ class LambdaName:
         # Each label is keyed once, here; entries are stored in the sorted
         # order of their keys.
         label = label or _label
-        seen = {(label(v), member.key): (v, member) for v, member in self.entries}
+        seen = {(label(v), member.key): (v, member) for v, member in entries}
         keys = tuple(sorted(seen))
         object.__setattr__(self, "entries", tuple(seen[k] for k in keys))
         object.__setattr__(self, "key", ("name", keys))
@@ -168,7 +168,7 @@ def name_of(pairs) -> LambdaName:
 # Verdicts
 
 
-@dataclass(frozen=True)
+@record()
 class Verdict:
     status: str  # "realizes" | "fails" | "unknown"
     reason: str = ""
@@ -241,7 +241,7 @@ OMEGA_DEPTH = 3  # omega's name holds this many numerals
 POWER_CAP = 6  # a power set's name holds the subsets of this many members
 
 
-@dataclass(frozen=True)
+@record()
 class RealizCfg:
     fuel: int = 10**4
     universe: tuple[LambdaName, ...] = (EMPTY_NAME,)

@@ -29,7 +29,6 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
@@ -74,26 +73,26 @@ from .proofs import (
     is_value,
     proof_free_vars,
 )
-from .syntax import MemI, Var, alpha_eq, fresh_name
+from .syntax import MemI, Var, alpha_eq, fresh_name, record
 
 AnyProof = Union[Proof, ErasedProof]
 
 Path = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record()
 class Stepped:
     term: AnyProof
     rule: str
     path: Path
 
 
-@dataclass(frozen=True)
+@record()
 class IsValue:
     pass
 
 
-@dataclass(frozen=True)
+@record()
 class Stuck:
     path: Path
     reason: str
@@ -314,7 +313,7 @@ def step(m: AnyProof) -> StepResult:
 # Fuel-bounded driving
 
 
-@dataclass
+@record(frozen=False)
 class NormalizeOutcome:
     status: str  # "value" | "fuel" | "stuck"
     result: AnyProof  # final value, or last state reached
@@ -403,7 +402,7 @@ def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:
     return None
 
 
-@dataclass
+@record(frozen=False)
 class ErasureReport:
     ok: bool
     steps: int

@@ -45,11 +45,14 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import reduce
 from operator import attrgetter, is_not
 from typing import Callable, Iterator, Union
+
+
+class FrozenError(AttributeError):
+    """An assignment to, or deletion of, a field of a node or a frozen record."""
 
 
 class Node:
@@ -67,10 +70,10 @@ class Node:
     _facts = None
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise FrozenError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise FrozenError(f"cannot delete field {name!r}")
 
 
 class Term(Node):
@@ -86,6 +89,77 @@ class Formula(Node):
 
 
 Tree = Union[Term, Formula]
+
+
+# ---------------------------------------------------------------------------
+# Equality of nodes and records
+
+_IDENTITY: dict[tuple[str, ...], tuple[Callable, Callable]] = {}  # field names -> (__eq__, __hash__)
+
+
+def _identity(names: tuple[str, ...]) -> tuple[Callable, Callable]:
+    """A frozen dataclass's ``__eq__`` and ``__hash__`` over these fields,
+    shared by every node and record class with them: two are equal when they
+    are of one class and their field tuples are equal, and one hashes as its
+    field tuple."""
+    if names not in _IDENTITY:
+        values = attrgetter(*names) if names else None
+
+        if len(names) > 1:  # attrgetter gives the field tuple
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return values(self) == values(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(values(self))
+
+        else:  # attrgetter gives the one field, or there is none
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return not names or (values(self),) == (values(other),)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash((values(self),) if names else ())
+
+        _IDENTITY[names] = __eq__, __hash__
+    return _IDENTITY[names]
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def record(frozen: bool = True) -> Callable[[type], type]:
+    """A class decorator that makes a record, as ``dataclass(frozen=...)``
+    would.  The fields are the class's annotated names, in order, and a
+    class-level value is a field's default.  The class gets an ``__init__``
+    that takes them (and then calls ``__post_init__``, if the class has one),
+    their ``__match_args__``, a dataclass's repr and ``_identity``'s
+    equality; a frozen record also gets its hash and refuses assignment, as
+    a node does, and a mutable one is unhashable.  Whatever the class defines
+    itself it keeps."""
+
+    def make(cls: type) -> type:
+        names, own = tuple(cls.__dict__.get("__annotations__", {})), cls.__dict__
+        space = {"setattr": object.__setattr__, **{f"d_{n}": own[n] for n in names if n in own}}
+        params = "".join(f", {n}=d_{n}" if f"d_{n}" in space else f", {n}" for n in names)
+        sets = [f"setattr(self, {n!r}, {n})" if frozen else f"self.{n} = {n}" for n in names]
+        sets += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        exec(f"def __init__(self{params}):\n " + "\n ".join(sets or ["pass"]), space)
+        space["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        eq, hash_ = _identity(names)
+        made = dict(__init__=space["__init__"], __match_args__=names, __repr__=_record_repr, __eq__=eq, __hash__=None)
+        made.update(dict(__hash__=hash_, __setattr__=Node.__setattr__, __delattr__=Node.__delattr__) if frozen else {})
+        for attr, value in made.items():
+            setattr(cls, attr, own.get(attr, value))
+        return cls
+
+    return make
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +187,7 @@ class Kind(Enum):
 TERM, FORMULA, TERMS, LITERAL, FO_VAR, FO_BINDER, FO_BINDERS, PROOF, SCHEMA, HYP, HYP_BINDER = Kind
 
 
-@dataclass(frozen=True)
+@record()
 class FieldShape:
     name: str
     kind: Kind
@@ -122,7 +196,7 @@ class FieldShape:
     fo_under: tuple[str, ...]  # the first-order binders among them
 
 
-@dataclass(frozen=True)
+@record()
 class Shape:
     tag: str
     fields: tuple[FieldShape, ...]
@@ -152,41 +226,6 @@ _PLANS: dict[type, tuple] = _Plans()
 # The class keeps its fields and ``_facts`` in slots, and has a frozen
 # dataclass's equality, hash, match arguments and repr; ``declare`` gives it
 # its ``__init__``.
-
-_IDENTITY: dict[tuple[str, ...], tuple[Callable, Callable]] = {}  # field names -> (__eq__, __hash__)
-
-
-def _identity(names: tuple[str, ...]) -> tuple[Callable, Callable]:
-    """A frozen dataclass's ``__eq__`` and ``__hash__`` over these fields,
-    shared by every class with them: two nodes are equal when they are of
-    one class and their field tuples are equal, and a node hashes as its
-    field tuple."""
-    if names not in _IDENTITY:
-        values = attrgetter(*names) if names else None
-
-        if len(names) > 1:  # attrgetter gives the field tuple
-
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return values(self) == values(other)
-                return NotImplemented
-
-            def __hash__(self):
-                return hash(values(self))
-
-        else:  # attrgetter gives the one field, or there is none
-
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return not names or (values(self),) == (values(other),)
-                return NotImplemented
-
-            def __hash__(self):
-                return hash((values(self),) if names else ())
-
-        _IDENTITY[names] = __eq__, __hash__
-    return _IDENTITY[names]
-
 
 _PENDING: dict[type, tuple[str, str] | None] = {}  # declared classes without an __init__ -> their reject clause
 

@@ -12,7 +12,6 @@ through the table, one frame per nesting level, with its path a persistent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .axioms import (
@@ -62,6 +61,7 @@ from .syntax import (
     alpha_eq,
     free_vars,
     fresh_name,
+    record,
     substitute,
     substitute_many,
 )
@@ -72,7 +72,7 @@ Path = tuple[str, ...]
 Link = tuple[str, "Link"] | None  # a path as a persistent link: (last attribute, link to the parent)
 
 
-@dataclass
+@record(frozen=False)
 class TypeCheckError(Exception):
     kind: str  # UnboundVar | Mismatch | NotAFunction | ... | ArityMismatch
     path: Path
@@ -335,7 +335,7 @@ _INFER: dict[type, Callable] = _Rules({
 # Canonical forms
 
 
-@dataclass(frozen=True)
+@record()
 class CFAxiom:
     ax: AxiomId
     term: Term
@@ -344,19 +344,19 @@ class CFAxiom:
     inner_type: Formula
 
 
-@dataclass(frozen=True)
+@record()
 class CFLeft:
     inner: Proof
     inner_type: Formula
 
 
-@dataclass(frozen=True)
+@record()
 class CFRight:
     inner: Proof
     inner_type: Formula
 
 
-@dataclass(frozen=True)
+@record()
 class CFPair:
     left: Proof
     right: Proof
@@ -364,20 +364,20 @@ class CFPair:
     right_type: Formula
 
 
-@dataclass(frozen=True)
+@record()
 class CFLam:
     var: str
     dom: Formula
     body: Proof
 
 
-@dataclass(frozen=True)
+@record()
 class CFLamF:
     var: str
     body: Proof
 
 
-@dataclass(frozen=True)
+@record()
 class CFWitness:
     term: Term
     inner: Proof

@@ -9,6 +9,10 @@ name and fields: its constructor's parameters and defaults, ``repr``, ``==``,
 import dataclasses
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +128,12 @@ def test_lambda_name_keeps_its_own_identity_and_label_parameter():
         one.entries = ()
     with pytest.raises(ValueError):
         LambdaName(((Empty(), EMPTY_NAME),))
+
+
+def test_the_package_imports_no_dataclasses():
+    """The records are built without ``dataclasses``, so a process that
+    imports the kernel does not pay for it."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, izf.cli, izf.realizability; sys.exit('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
