@@ -92,7 +92,7 @@ Tree = Union[Term, Formula]
 
 
 # ---------------------------------------------------------------------------
-# Equality of nodes and records
+# Equality of nodes and records, and the records themselves
 
 _IDENTITY: dict[tuple[str, ...], tuple[Callable, Callable]] = {}  # field names -> (__eq__, __hash__)
 
