@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped theorem files from the corpus builders.
+"""Regenerate the shipped theorem files from the theorem library in izf.corpus.
 
 Run from the repository root: python scripts/gen_corpus.py
 """

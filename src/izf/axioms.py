@@ -144,22 +144,23 @@ def _inaccessibles(i: int) -> dict[str, Term]:
     return {"Vi": Inac(i), "Vh": v_index(i - 1)}
 
 
-_PARSED: dict[str, Formula] = {}
+_PARSED: dict[str, object] = {}  # keyed by the package's text constants only
 
 
-def _parsed(text: str) -> Formula:
-    """A template of this module, parsed on first use."""
+def parsed(text: str, read: str = "parse_formula"):
+    """A text constant of the package, read by the parser's function ``read``
+    on first use and kept."""
     if text not in _PARSED:
-        from .parser import parse_formula
+        from . import parser
 
-        _PARSED[text] = parse_formula(text)
+        _PARSED[text] = getattr(parser, read)(text)
     return _PARSED[text]
 
 
 def _template_row(text: str, consts: Callable = lambda ax: {}) -> Row:
     """The row of a family written as its statement; ``consts`` gives the
     identifier's values of the statement's free names."""
-    stmt = body = _parsed(text)
+    stmt = body = parsed(text)
     names = []
     while isinstance(body, Forall):
         names.append(body.binder)
@@ -315,12 +316,12 @@ def is_nwf_axiom(ax: AxiomId) -> bool:
 
 def inac_phi1(i: int, c: str) -> Formula:
     """Membership conditions for V_i: the five-way disjunction."""
-    return substitute_many(_parsed(INAC_PHI1), {"c": Var(c), **_inaccessibles(i)})
+    return substitute_many(parsed(INAC_PHI1), {"c": Var(c), **_inaccessibles(i)})
 
 
 def inac_phi2(i: int, d: str) -> Formula:
     """Inaccessibility conditions for d: the five-way conjunction."""
-    return substitute_many(_parsed(INAC_PHI2), {"d": Var(d), **_inaccessibles(i)})
+    return substitute_many(parsed(INAC_PHI2), {"d": Var(d), **_inaccessibles(i)})
 
 
 def disjuncts(phi: Formula) -> list[Formula]:

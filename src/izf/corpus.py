@@ -4,7 +4,9 @@ One entry per axiom family proved from its own introduction/elimination
 pair, the five derived equality lemmas, numeral membership proofs, a set of
 deliberately compute-heavy theorems that exercise every reduction rule on
 long traces, and the non-well-founded suite whose last entry type-checks
-and then loops forever with period three.
+and then loops forever with period three.  Theorems written by hand are
+texts in the notation, parsed on first use, as the lemmas are; only the
+generic axiom theorem and the long reduction chains are built in Python.
 """
 
 from __future__ import annotations
@@ -15,20 +17,18 @@ from .axioms import (
     EqAx,
     InacAx,
     InAx,
-    IndAx,
     InfAx,
-    NwfAx,
     PairAx,
     PowerAx,
-    ReplAx,
-    Sep0Ax,
-    SepAx,
     UnionAx,
     axiom_statement,
     head_formula,
+    parsed,
     phi_A,
 )
 from .lemmas import (
+    LEI,
+    NUM_ZERO,
     build_numeral_proof,
     eq_refl_formula,
     eq_symm_formula,
@@ -50,12 +50,10 @@ from .proofs import (
     Case,
     ExIntro,
     Fst,
-    Ind,
     Inl,
     LamF,
     LamP,
     Let,
-    Magic,
     PairP,
     Proof,
     PropVar,
@@ -66,15 +64,11 @@ from .syntax import (
     Empty,
     Eq,
     Exists,
-    Forall,
     Formula,
     Imp,
-    Mem,
-    NwfConst,
     Omega,
     Or,
     Var,
-    numeral,
     record,
 )
 
@@ -106,44 +100,50 @@ def _ax_entry(name: str, ax: AxiomId, quant: tuple[str, ...], subject: str) -> C
     return CorpusEntry(name, axiom_statement(ax), proof, "checks", 0)
 
 
+# Induction is proved from its premise, as its statement has no (intro, elim) pair.
+AX_IND = r"""
+thm ax_ind : (forall a1, (forall b, b ini a1 -> b = b) -> a1 = a1) -> (forall a1, a1 = a1) :=
+  fun (x : forall a, (forall b, b ini a -> b = b) -> a = a) => ind[a | a = a](x) .
+"""
+
+
+def _theorems(text: str, bounds: tuple[int, ...], **fields) -> tuple[CorpusEntry, ...]:
+    """The last theorems of a text, one per step bound, parsed on first use;
+    the lemma texts it starts with are the ones they cite."""
+    decls = parsed(text, "parse").declarations[-len(bounds):]
+    return tuple(CorpusEntry(d.name, d.formula, d.proof, "checks", bound, **fields) for d, bound in zip(decls, bounds))
+
+
 def axiom_theorems() -> tuple[CorpusEntry, ...]:
     """One theorem per axiom family, each at its closed axiom statement."""
-    sep = SepAx("z", ("g",), Mem(Var("z"), Var("g")))
-    repl = ReplAx("z", "y", (), Eq(Var("y"), Var("z")))
-    ind = IndAx("a", (), Eq(Var("a"), Var("a")))
-    entries = [
+    return (
         _ax_entry("ax_empty", EmptyAx(), ("c",), "c"),
         _ax_entry("ax_pair", PairAx(), ("a", "b", "c"), "c"),
         _ax_entry("ax_inf", InfAx(), ("c",), "c"),
         _ax_entry("ax_union", UnionAx(), ("a", "c"), "c"),
         _ax_entry("ax_power", PowerAx(), ("a", "c"), "c"),
-        _ax_entry("ax_sep", sep, ("a", "b", "c"), "c"),
-        _ax_entry("ax_repl", repl, ("a", "c"), "c"),
+        _ax_entry("ax_sep", parsed("sep[z g | z in g]", "parse_axiom"), ("a", "b", "c"), "c"),
+        _ax_entry("ax_repl", parsed("repl[z y | y = z]", "parse_axiom"), ("a", "c"), "c"),
         _ax_entry("ax_inac1", InacAx(1), ("c",), "c"),
         _ax_entry("ax_in", InAx(), ("a", "b"), "a"),
         _ax_entry("ax_eq", EqAx(), ("a", "b"), "a"),
-    ]
-    premise = Forall("a", phi_A(ind, Var("a"), ()))
-    ind_proof = LamP("x", premise, Ind(ind, PropVar("x"), ()))
-    entries.append(CorpusEntry("ax_ind", axiom_statement(ind), ind_proof, "checks", 0))
-    return tuple(entries)
+        *_theorems(AX_IND, (0,)),
+    )
 
 
 def equality_theorems() -> tuple[CorpusEntry, ...]:
-    er, es, et = mk_eq_refl(), mk_eq_symm(), mk_eq_trans()
     return (
-        CorpusEntry("eq_refl", eq_refl_formula(), er, "checks", 1),
-        CorpusEntry("eq_symm", eq_symm_formula(), es, "checks", 0),
-        CorpusEntry("eq_trans", eq_trans_formula(), et, "checks", 1),
-        CorpusEntry("eq_lei", lei_formula(), mk_lei(es, et), "checks", 0),
-        CorpusEntry("eq_ext", ext_formula(), mk_ext(er), "checks", 0),
+        CorpusEntry("eq_refl", eq_refl_formula(), mk_eq_refl(), "checks", 1),
+        CorpusEntry("eq_symm", eq_symm_formula(), mk_eq_symm(), "checks", 0),
+        CorpusEntry("eq_trans", eq_trans_formula(), mk_eq_trans(), "checks", 1),
+        CorpusEntry("eq_lei", lei_formula(), mk_lei(), "checks", 0),
+        CorpusEntry("eq_ext", ext_formula(), mk_ext(), "checks", 0),
     )
 
 
 def numeral_theorems(up_to: int = 5) -> tuple[CorpusEntry, ...]:
-    er = mk_eq_refl()
     return tuple(
-        CorpusEntry(f"num_{n}", numeral_mem_formula(n), build_numeral_proof(n, er), "checks", 0)
+        CorpusEntry(f"num_{n}", numeral_mem_formula(n), build_numeral_proof(n), "checks", 0)
         for n in range(up_to + 1)
     )
 
@@ -209,27 +209,14 @@ def _burn_let(n: int) -> CorpusEntry:
     return CorpusEntry("red_let", ezero, t, "checks", n + 4)
 
 
-def _lemma_applications() -> tuple[CorpusEntry, ...]:
-    er, es, et = mk_eq_refl(), mk_eq_symm(), mk_eq_trans()
-    zero = numeral(0)
-    refl0 = AppT(er, zero)
-    ezero = Eq(zero, zero)
-    symm_app = App(AppT(AppT(es, zero), zero), refl0)
-    trans_app = App(AppT(AppT(AppT(et, zero), zero), zero), PairP(refl0, refl0))
-    lei_app = App(
-        AppT(AppT(AppT(mk_lei(es, et), zero), zero), Omega()),
-        PairP(build_numeral_proof(0, er), refl0),
-    )
-    magic_chain = LamP(
-        "x", _B, Magic(App(LamP("y", _B, PropVar("y")), PropVar("x")), _B)
-    )
-    return (
-        CorpusEntry("red_refl_at", ezero, refl0, "checks", 6),
-        CorpusEntry("red_symm_app", ezero, symm_app, "checks", 16),
-        CorpusEntry("red_trans_app", ezero, trans_app, "checks", 16),
-        CorpusEntry("red_lei_app", Mem(zero, Omega()), lei_app, "checks", 32),
-        CorpusEntry("red_magic", Imp(_B, _B), magic_chain, "checks", 0),
-    )
+# The lemmas at zero, read after the lemma texts, which they cite by name.
+LEMMA_APPLICATIONS = LEI + NUM_ZERO + r"""
+thm red_refl_at : empty = empty := eq_refl @empty .
+thm red_symm_app : empty = empty := eq_symm @empty @empty (eq_refl @empty) .
+thm red_trans_app : empty = empty := eq_trans @empty @empty @empty (eq_refl @empty, eq_refl @empty) .
+thm red_lei_app : empty in omega := eq_lei @empty @empty @omega (num_0, eq_refl @empty) .
+thm red_magic : bot -> bot := fun (x : bot) => magic((fun (y : bot) => y) x : bot) .
+"""
 
 
 def reduction_theorems() -> tuple[CorpusEntry, ...]:
@@ -239,7 +226,7 @@ def reduction_theorems() -> tuple[CorpusEntry, ...]:
         _burn_case(48),
         _burn_cancel(48),
         _burn_let(48),
-        *_lemma_applications(),
+        *_theorems(LEMMA_APPLICATIONS, (6, 16, 16, 32, 0)),
     )
 
 
@@ -247,29 +234,20 @@ def reduction_theorems() -> tuple[CorpusEntry, ...]:
 # The non-well-founded suite
 
 
+# Each theorem after the first cites earlier ones by name.
+NWF_SUITE = r"""
+mode nwf .
+thm nwf_l0 : forall e, (e in nwfD -> e in nwfC) /\ (e in nwfC -> e in nwfD) :=
+  fun a => (fun (x : a in nwfD) => fst(sProp(a, x)), fun (x : a in nwfC) => sRep(a, (x, fun (y : a in a) => x))) .
+thm nwf_l05 : nwfD in nwfC := nRep(nwfD, nwf_l0) .
+thm nwf_l1 : nwfD in nwfD -> nwfD in nwfC := fun (x : nwfD in nwfD) => snd(sProp(nwfD, x)) x .
+thm nwf_l2 : nwfD in nwfC := nwf_l1 sRep(nwfD, (nwf_l05, nwf_l1)) .
+"""
+
+
 def nwf_suite() -> tuple[CorpusEntry, ...]:
-    c, d = NwfConst("C"), NwfConst("D")
-    a, x = Var("a"), PropVar("x")
-    m_l0 = LamF(
-        "a",
-        PairP(
-            LamP("x", Mem(a, d), Fst(AxProp(Sep0Ax(), a, (), x))),
-            LamP(
-                "x",
-                Mem(a, c),
-                AxRep(Sep0Ax(), a, (), PairP(x, LamP("y", Mem(a, a), x))),
-            ),
-        ),
-    )
-    m_l05 = AxRep(NwfAx(), d, (), m_l0)
-    m_l1 = LamP("x", Mem(d, d), App(Snd(AxProp(Sep0Ax(), d, (), x)), x))
-    m_l2 = App(m_l1, AxRep(Sep0Ax(), d, (), PairP(m_l05, m_l1)))
-    return (
-        CorpusEntry("nwf_l0", phi_A(NwfAx(), d, ()), m_l0, "checks", 0, nwf=True),
-        CorpusEntry("nwf_l05", Mem(d, c), m_l05, "checks", 0, nwf=True),
-        CorpusEntry("nwf_l1", Imp(Mem(d, d), Mem(d, c)), m_l1, "checks", 0, nwf=True),
-        CorpusEntry("nwf_l2", Mem(d, c), m_l2, "diverges", 10**5, period=3, nwf=True),
-    )
+    *lemmas, loop = _theorems(NWF_SUITE, (0, 0, 0, 0), nwf=True)
+    return (*lemmas, CorpusEntry(loop.name, loop.formula, loop.proof, "diverges", 10**5, period=3, nwf=True))
 
 
 def standard_entries() -> tuple[CorpusEntry, ...]:
@@ -291,10 +269,9 @@ def all_entries() -> tuple[CorpusEntry, ...]:
 
 def corpus_files() -> dict[str, tuple[str, tuple[CorpusEntry, ...], tuple[tuple[str, str], ...]]]:
     """Filename -> (mode, entries, directives) for the shipped theorem files."""
-    er = mk_eq_refl()
     two = (
-        CorpusEntry("eq_refl", eq_refl_formula(), er, "checks", 1),
-        CorpusEntry("two_in_omega", numeral_mem_formula(2), build_numeral_proof(2, er), "checks", 0),
+        equality_theorems()[0],
+        CorpusEntry("two_in_omega", numeral_mem_formula(2), build_numeral_proof(2), "checks", 0),
     )
     return {
         "axioms.izf": ("standard", axiom_theorems(), ()),

@@ -1,282 +1,147 @@
-"""Checker-validated proof terms for the derived equality lemmas.
+"""The derived equality lemmas and the numeral membership proofs, as text.
 
-The constructions follow the informal equality proofs: reflexivity by set
-induction, transitivity by set induction on the middle argument with the
-two membership unfoldings chained through the inductive hypothesis, and the
-membership-respects-equality lemma composing symmetry and transitivity.
+Each lemma is one ``thm`` declaration in the notation: its statement and its
+proof, parsed on first use and kept (``axioms.parsed``), so importing the
+package parses nothing.  The proofs follow the informal equality proofs:
+reflexivity by set induction, symmetry by swapping the two directions of
+(EQ), transitivity by set induction on the middle argument with the two
+membership unfoldings chained through the inductive hypothesis,
+membership-respecting equality composing symmetry and transitivity, and
+extensionality embedding an intensional member through reflexivity.  A
+lemma that uses another cites it by name, and its text is read after the
+other's, as a theorem file is: the parser inlines the cited proof.  A
+numeral proof iterates one step template, open in ``t``, ``p`` and the
+hypothesis ``prev``, over the zero case; one ``substitute_many`` fills a
+level in.
 """
 
 from __future__ import annotations
 
-from .axioms import EqAx, InAx, IndAx, phi_A
-from .proofs import (
-    App,
-    AppT,
-    AxProp,
-    AxRep,
-    ExIntro,
-    Fst,
-    Ind,
-    LamF,
-    LamP,
-    Let,
-    PairP,
-    Proof,
-    PropVar,
-    Snd,
-)
-from .syntax import And, Eq, Forall, Formula, Imp, Mem, MemI, Omega, Term, Var, numeral
+from .axioms import parsed
+from .parser import Declaration
+from .proofs import Proof
+from .syntax import Empty, Formula, numeral, substitute_many, succ_term
+
+EQ_REFL = r"""
+thm eq_refl : forall a, a = a :=
+  ind[a | a = a](fun c => fun (x : forall b, b ini c -> b = b) =>
+    eqRep(c, c, fun d => (
+      fun (y : d ini c) => inRep(d, c, [d, (y, x @d y) : exists c1, c1 ini c /\ d = c1]),
+      fun (y : d ini c) => inRep(d, c, [d, (y, x @d y) : exists c1, c1 ini c /\ d = c1])))) .
+"""
+
+EQ_SYMM = r"""
+thm eq_symm : forall a, forall b, a = b -> b = a :=
+  fun a => fun b => fun (x : a = b) =>
+    eqRep(b, a, fun d => (snd(eqProp(a, b, x) @d), fst(eqProp(a, b, x) @d))) .
+"""
+
+# Both directions unfold f's membership twice, through b and then through the
+# far side, and close with x1 @a2 fst(x4) @f @a3 (snd(x4), snd(x5)) : f = a3.
+EQ_TRANS = r"""
+thm eq_trans : forall b, forall a, forall c, a = b /\ b = c -> a = c :=
+  ind[b | forall a, forall c, a = b /\ b = c -> a = c](fun b =>
+    fun (x1 : forall e, e ini b -> (forall a, forall c, a = e /\ e = c -> a = c)) =>
+    fun a1 => fun c => fun (x2 : a1 = b /\ b = c) => eqRep(a1, c, fun f => (
+      fun (x3 : f ini a1) =>
+        let [a2, x4 : a2 ini b /\ f = a2] := inProp(f, b, fst(eqProp(a1, b, fst(x2)) @f) x3) in
+        let [a3, x5 : a3 ini c /\ a2 = a3] := inProp(a2, c, fst(eqProp(b, c, snd(x2)) @a2) fst(x4)) in
+        inRep(f, c, [a3, (fst(x5), x1 @a2 fst(x4) @f @a3 (snd(x4), snd(x5))) : exists c1, c1 ini c /\ f = c1]),
+      fun (x3 : f ini c) =>
+        let [a2, x4 : a2 ini b /\ f = a2] := inProp(f, b, snd(eqProp(b, c, snd(x2)) @f) x3) in
+        let [a3, x5 : a3 ini a1 /\ a2 = a3] := inProp(a2, a1, snd(eqProp(a1, b, fst(x2)) @a2) fst(x4)) in
+        inRep(f, a1, [a3, (fst(x5), x1 @a2 fst(x4) @f @a3 (snd(x4), snd(x5))) : exists c, c ini a1 /\ f = c])))) .
+"""
+
+LEI = EQ_SYMM + EQ_TRANS + r"""
+thm eq_lei : forall a, forall b, forall c, a in c /\ a = b -> b in c :=
+  fun a => fun b => fun c => fun (x : a in c /\ a = b) =>
+    let [d, y : d ini c /\ a = d] := inProp(a, c, fst(x)) in
+    inRep(b, c, [d, (fst(y), eq_trans @a @b @d (eq_symm @a @b snd(x), snd(y))) : exists c1, c1 ini c /\ b = c1]) .
+"""
+
+EXT = EQ_REFL + r"""
+thm eq_ext : forall a, forall b, (forall d, (d in a -> d in b) /\ (d in b -> d in a)) -> a = b :=
+  fun a => fun b => fun (x : forall d, (d in a -> d in b) /\ (d in b -> d in a)) => eqRep(a, b, fun d => (
+    fun (y : d ini a) => fst(x @d) inRep(d, a, [d, (y, eq_refl @d) : exists c, c ini a /\ d = c]),
+    fun (y : d ini b) => snd(x @d) inRep(d, b, [d, (y, eq_refl @d) : exists c, c ini b /\ d = c]))) .
+"""
+
+# Zero is in omega by the infinity axiom's first clause, then (IN).
+NUM_ZERO = EQ_REFL + r"""
+thm num_0 : empty in omega :=
+  inRep(empty, omega, [empty, (
+    infRep(empty, inl(eq_refl @empty : empty = empty \/ (exists b, b in omega /\ empty = S(b)))),
+    eq_refl @empty) : exists c, c ini omega /\ empty = c]) .
+"""
+
+# t = S(p) is in omega by the successor clause at prev : p in omega, then (IN).
+NUM_STEP = EQ_REFL + r"""
+thm num_step : t in omega :=
+  inRep(t, omega, [t, (
+    infRep(t, inr([p, (prev, eq_refl @t) : exists b, b in omega /\ t = S(b)]
+      : t = empty \/ (exists b, b in omega /\ t = S(b)))),
+    eq_refl @t) : exists c, c ini omega /\ t = c]) .
+"""
 
 
-def _v(name: str) -> Var:
-    return Var(name)
-
-
-def in_rep(t: Term, u: Term, m: Proof) -> Proof:
-    return AxRep(InAx(), t, (u,), m)
-
-
-def in_prop(t: Term, u: Term, m: Proof) -> Proof:
-    return AxProp(InAx(), t, (u,), m)
-
-
-def eq_rep(t: Term, u: Term, m: Proof) -> Proof:
-    return AxRep(EqAx(), t, (u,), m)
-
-
-def eq_prop(t: Term, u: Term, m: Proof) -> Proof:
-    return AxProp(EqAx(), t, (u,), m)
-
-
-def ex_in(t: Term, u: Term, witness: Term, body: Proof) -> Proof:
-    """[witness, body] at the existential shape of the (IN) right-hand side."""
-    return ExIntro(witness, body, phi_A(InAx(), t, (u,)))
+def _thm(text: str) -> Declaration:
+    """The last theorem of a text, the one it is named for."""
+    return parsed(text, "parse").declarations[-1]
 
 
 def eq_refl_formula() -> Formula:
-    return Forall("a", Eq(_v("a"), _v("a")))
+    return _thm(EQ_REFL).formula
 
 
 def mk_eq_refl() -> Proof:
-    """ind of: given c and the hypothesis below c, both directions are the
-    membership-with-reflexivity embedding."""
-    a, b, c, d, x, y = "a", "b", "c", "d", "x", "y"
-    ih = Forall(b, Imp(MemI(_v(b), _v(c)), Eq(_v(b), _v(b))))
-    side = LamP(
-        y,
-        MemI(_v(d), _v(c)),
-        in_rep(
-            _v(d),
-            _v(c),
-            ex_in(_v(d), _v(c), _v(d), PairP(PropVar(y), App(AppT(PropVar(x), _v(d)), PropVar(y)))),
-        ),
-    )
-    m = LamF(c, LamP(x, ih, eq_rep(_v(c), _v(c), LamF(d, PairP(side, side)))))
-    return Ind(IndAx(a, (), Eq(_v(a), _v(a))), m, ())
+    return _thm(EQ_REFL).proof
 
 
 def eq_symm_formula() -> Formula:
-    return Forall("a", Forall("b", Imp(Eq(_v("a"), _v("b")), Eq(_v("b"), _v("a")))))
+    return _thm(EQ_SYMM).formula
 
 
 def mk_eq_symm() -> Proof:
-    a, b, d, x = "a", "b", "d", "x"
-    flip = lambda: AppT(eq_prop(_v(a), _v(b), PropVar(x)), _v(d))
-    return LamF(
-        a,
-        LamF(
-            b,
-            LamP(
-                x,
-                Eq(_v(a), _v(b)),
-                eq_rep(_v(b), _v(a), LamF(d, PairP(Snd(flip()), Fst(flip())))),
-            ),
-        ),
-    )
+    return _thm(EQ_SYMM).proof
 
 
 def eq_trans_formula() -> Formula:
-    a, b, c = _v("a"), _v("b"), _v("c")
-    return Forall(
-        "b", Forall("a", Forall("c", Imp(And(Eq(a, b), Eq(b, c)), Eq(a, c))))
-    )
+    return _thm(EQ_TRANS).formula
 
 
 def mk_eq_trans() -> Proof:
-    """Set induction on the middle argument; both directions thread the
-    inductive hypothesis through the two unfolded memberships."""
-    b = _v("b")
-    a1, c, f, a2, a3 = _v("a1"), _v("c"), _v("f"), _v("a2"), _v("a3")
-    x1, x2, x3, x4, x5 = (PropVar(n) for n in ("x1", "x2", "x3", "x4", "x5"))
-    schema = IndAx(
-        "b", (), Forall("a", Forall("c", Imp(And(Eq(_v("a"), b), Eq(b, _v("c"))), Eq(_v("a"), _v("c")))))
-    )
-    ih = Forall(
-        "e",
-        Imp(
-            MemI(_v("e"), b),
-            Forall("a", Forall("c", Imp(And(Eq(_v("a"), _v("e")), Eq(_v("e"), _v("c"))), Eq(_v("a"), _v("c"))))),
-        ),
-    )
-
-    # x1 a2 fst(x4) f a3 <snd(x4), snd(x5)> : f = a3
-    chained = App(
-        AppT(AppT(App(AppT(x1, a2), Fst(x4)), f), a3),
-        PairP(Snd(x4), Snd(x5)),
-    )
-
-    def letann(member: Var, of: Term, binder: str) -> Formula:
-        return And(MemI(_v(binder), of), Eq(member, _v(binder)))
-
-    n2 = in_rep(f, c, ex_in(f, c, a3, PairP(Fst(x5), chained)))
-    n1 = Let(
-        "a3",
-        "x5",
-        letann(a2, c, "a3"),
-        in_prop(a2, c, App(Fst(AppT(eq_prop(b, c, Snd(x2)), a2)), Fst(x4))),
-        n2,
-    )
-    n0 = LamP(
-        "x3",
-        MemI(f, a1),
-        Let(
-            "a2",
-            "x4",
-            letann(f, b, "a2"),
-            in_prop(f, b, App(Fst(AppT(eq_prop(a1, b, Fst(x2)), f)), x3)),
-            n1,
-        ),
-    )
-
-    o2 = in_rep(f, a1, ex_in(f, a1, a3, PairP(Fst(x5), chained)))
-    o1 = Let(
-        "a3",
-        "x5",
-        letann(a2, a1, "a3"),
-        in_prop(a2, a1, App(Snd(AppT(eq_prop(a1, b, Fst(x2)), a2)), Fst(x4))),
-        o2,
-    )
-    o0 = LamP(
-        "x3",
-        MemI(f, c),
-        Let(
-            "a2",
-            "x4",
-            letann(f, b, "a2"),
-            in_prop(f, b, App(Snd(AppT(eq_prop(b, c, Snd(x2)), f)), x3)),
-            o1,
-        ),
-    )
-
-    m0 = LamF(
-        "b",
-        LamP(
-            "x1",
-            ih,
-            LamF(
-                "a1",
-                LamF(
-                    "c",
-                    LamP(
-                        "x2",
-                        And(Eq(a1, b), Eq(b, c)),
-                        eq_rep(a1, c, LamF("f", PairP(n0, o0))),
-                    ),
-                ),
-            ),
-        ),
-    )
-    return Ind(schema, m0, ())
+    return _thm(EQ_TRANS).proof
 
 
 def lei_formula() -> Formula:
-    a, b, c = _v("a"), _v("b"), _v("c")
-    return Forall("a", Forall("b", Forall("c", Imp(And(Mem(a, c), Eq(a, b)), Mem(b, c)))))
+    return _thm(LEI).formula
 
 
-def mk_lei(eq_symm: Proof | None = None, eq_trans: Proof | None = None) -> Proof:
-    a, b, c, d = _v("a"), _v("b"), _v("c"), _v("d")
-    x, y = PropVar("x"), PropVar("y")
-    eq_symm = eq_symm if eq_symm is not None else mk_eq_symm()
-    eq_trans = eq_trans if eq_trans is not None else mk_eq_trans()
-    b_eq_d = App(
-        AppT(AppT(AppT(eq_trans, a), b), d),
-        PairP(App(AppT(AppT(eq_symm, a), b), Snd(x)), Snd(y)),
-    )
-    body = Let(
-        "d",
-        "y",
-        And(MemI(d, c), Eq(a, d)),
-        in_prop(a, c, Fst(x)),
-        in_rep(b, c, ex_in(b, c, d, PairP(Fst(y), b_eq_d))),
-    )
-    return LamF(
-        "a", LamF("b", LamF("c", LamP("x", And(Mem(a, c), Eq(a, b)), body)))
-    )
+def mk_lei() -> Proof:
+    return _thm(LEI).proof
 
 
 def ext_formula() -> Formula:
-    a, b, d = _v("a"), _v("b"), _v("d")
-    both = Forall("d", And(Imp(Mem(d, a), Mem(d, b)), Imp(Mem(d, b), Mem(d, a))))
-    return Forall("a", Forall("b", Imp(both, Eq(a, b))))
+    return _thm(EXT).formula
 
 
-def mk_ext(eq_refl: Proof | None = None) -> Proof:
-    """Extensionality: embed an intensional member and push it across x."""
-    a, b, d = _v("a"), _v("b"), _v("d")
-    x, y = PropVar("x"), PropVar("y")
-    eq_refl = eq_refl if eq_refl is not None else mk_eq_refl()
-
-    def embed(t: Term, u: Term) -> Proof:
-        # From y : t intensionally in u, conclude t in u.
-        return in_rep(t, u, ex_in(t, u, t, PairP(y, AppT(eq_refl, t))))
-
-    fwd = LamP("y", MemI(d, a), App(Fst(AppT(x, d)), embed(d, a)))
-    bwd = LamP("y", MemI(d, b), App(Snd(AppT(x, d)), embed(d, b)))
-    hypo = Forall("d", And(Imp(Mem(d, a), Mem(d, b)), Imp(Mem(d, b), Mem(d, a))))
-    return LamF(
-        "a",
-        LamF("b", LamP("x", hypo, eq_rep(a, b, LamF("d", PairP(fwd, bwd))))),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Numeral membership proofs
+def mk_ext() -> Proof:
+    return _thm(EXT).proof
 
 
 def numeral_mem_formula(n: int) -> Formula:
-    return Mem(numeral(n), Omega())
+    return substitute_many(_thm(NUM_STEP).formula, {"t": numeral(n)})
 
 
-def build_numeral_proof(n: int, eq_refl: Proof | None = None) -> Proof:
-    """A proof that the n-th numeral is a member of omega.
-
-    Structurally n nested successor layers over the zero disjunct: each
-    layer embeds the previous proof through the infinity axiom's successor
-    clause, then through the (IN) axiom.
-    """
+def build_numeral_proof(n: int) -> Proof:
+    """A proof that the n-th numeral is a member of omega: n steps over the
+    zero case, each at t = S(p) built once, so the proof shares the
+    successor chain and a level adds a constant number of nodes."""
     if n < 0:
         raise ValueError("numerals are non-negative")
-    from .axioms import InfAx
-    from .proofs import Inl, Inr
-
-    eq_refl = eq_refl if eq_refl is not None else mk_eq_refl()
-
-    def refl_at(t: Term) -> Proof:
-        return AppT(eq_refl, t)
-
-    def mem_omega(k: int) -> Proof:
-        t = numeral(k)
-        inf_phi = phi_A(InfAx(), t, ())
-        if k == 0:
-            disj: Proof = Inl(refl_at(t), inf_phi)
-        else:
-            prev = numeral(k - 1)
-            # exists b. b in omega /\ t = S(b), witnessed by the previous numeral
-            ex_ann = inf_phi.right
-            body = ExIntro(prev, PairP(mem_omega(k - 1), refl_at(t)), ex_ann)
-            disj = Inr(body, inf_phi)
-        ini_omega = AxRep(InfAx(), t, (), disj)
-        return in_rep(t, Omega(), ex_in(t, Omega(), t, PairP(ini_omega, refl_at(t))))
-
-    return mem_omega(n)
+    step, t, proof = _thm(NUM_STEP).proof, Empty(), _thm(NUM_ZERO).proof
+    for _ in range(n):
+        p, t = t, succ_term(t)
+        proof = substitute_many(step, {"t": t, "p": p, "prev": proof})
+    return proof

@@ -3,12 +3,14 @@
 The tables were recorded from the Python constructor builders the library
 had before its lemmas were written as text in the notation, so any rewrite
 of ``lemmas`` or ``corpus`` must give the same trees, names and binders
-included.
+included.  The numeral proofs must also share their successor chain: a
+level adds a constant number of distinct nodes.
 """
 
 import hashlib
 
 from izf import corpus, lemmas
+from izf.syntax import SHAPES, Node
 
 # every mk_*(), *_formula() and build_numeral_proof(n) for n <= 5
 LEMMAS = {
@@ -97,3 +99,21 @@ def test_every_corpus_entry_is_the_recorded_one():
     assert list(got) == list(ENTRIES)
     assert got == ENTRIES
 
+
+def _distinct_nodes(x: Node) -> int:
+    """Nodes of x counted once each by identity: the size of its DAG."""
+    seen, todo = set(), [x]
+    while todo:
+        y = todo.pop()
+        if id(y) in seen:
+            continue
+        seen.add(id(y))
+        for f in SHAPES[type(y)].fields:
+            v = getattr(y, f.name)
+            todo.extend(u for u in (v if type(v) is tuple else (v,)) if isinstance(u, Node))
+    return len(seen)
+
+
+def test_a_numeral_proof_level_adds_a_constant_number_of_nodes():
+    sizes = [_distinct_nodes(lemmas.build_numeral_proof(n)) for n in (40, 41, 42)]
+    assert sizes[1] - sizes[0] == sizes[2] - sizes[1]
