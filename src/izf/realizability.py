@@ -116,10 +116,9 @@ class LambdaName:
     """
 
     entries: tuple[tuple[ErasedProof, "LambdaName"], ...]
-    key: tuple = ()  # computed from the entries, whatever is passed
-    label: Callable[[ErasedProof], str] | None = None  # read by __init__ only
+    key: tuple  # computed from the entries
 
-    def __init__(self, entries, key=(), label=None) -> None:
+    def __init__(self, entries, label: Callable[[ErasedProof], str] | None = None) -> None:
         for v, member in entries:
             if not is_value(v):
                 raise ValueError("name labels must be erased values")

@@ -117,13 +117,13 @@ def test_config_records_reject_bad_budgets(cls, kwargs):
 
 def test_lambda_name_keeps_its_own_identity_and_label_parameter():
     signature = inspect.signature(LambdaName).parameters.values()
-    assert [(p.name, p.default) for p in signature] == [("entries", REQ), ("key", ()), ("label", None)]
-    assert LambdaName.__match_args__ == ("entries", "key", "label")
+    assert [(p.name, p.default) for p in signature] == [("entries", REQ), ("label", None)]
+    assert LambdaName.__match_args__ == ("entries", "key")
     one = LambdaName(((identity_value(), EMPTY_NAME),))
     labelled = LambdaName(((identity_value(), EMPTY_NAME),), label=lambda v: "x")
     assert repr(one) == "<name:2:1>" and one.key != labelled.key and one != labelled
     assert one == LambdaName(((identity_value(), EMPTY_NAME),)) and hash(one) == hash(one.key)
-    assert LambdaName(()) == EMPTY_NAME and LambdaName((), key=("ignored",)).key == EMPTY_NAME.key
+    assert LambdaName(()) == EMPTY_NAME and not hasattr(EMPTY_NAME, "label")
     with pytest.raises(AttributeError):
         one.entries = ()
     with pytest.raises(ValueError):
