@@ -30,7 +30,7 @@ from izf.realizability import (
 )
 from izf.realizers import mk_eqRefl, mk_eqSymm, mk_eqTrans, mk_lei
 from izf.reduction import normalize
-from izf.syntax import And, Eq, Forall, Imp, Inac, Mem, NameRef, Omega, Sep, Var, alpha_eq, succ_term
+from izf.syntax import And, Empty, Eq, Exists, Forall, Imp, Inac, Mem, NameRef, Omega, Sep, Var, alpha_eq, succ_term
 from izf.typecheck import check
 from izf.corpus import nwf_suite
 from test_metatheory_random import grown_theorems
@@ -459,3 +459,116 @@ def test_omega_name_is_built_once_across_queries():
         assert reals(erase(e.proof), e.formula, {}, cfg).realizes
     info = rz.omega_name.cache_info()
     assert info.misses == 1 and info.hits >= 2, info
+
+
+# -- the order and laziness of the clause sweeps, pinned with a scripted ``mem``
+
+
+def _scripted_mem(monkeypatch, script, calls):
+    """Make ``_Eval.mem`` answer its n-th call with ``script[n]`` (the last
+    entry repeats) and record each call's subject and names in ``calls``."""
+
+    def mem(self, m, a, b):
+        calls.append((m, a, b))
+        return script[min(len(calls), len(script)) - 1]
+
+    monkeypatch.setattr(_Eval, "mem", mem)
+
+
+def _counted_eq(monkeypatch, calls):
+    real = _Eval.eq
+    monkeypatch.setattr(_Eval, "eq", lambda self, m, x, y: calls.append((m, x, y)) or real(self, m, x, y))
+
+
+def test_a_universal_sweep_stops_at_its_first_failure(monkeypatch):
+    calls = []
+    _scripted_mem(monkeypatch, [REALIZES, rz.unknown("later"), FAILS, REALIZES], calls)
+    phi = Forall("x", Mem(Var("x"), b))
+    assert reals(ELamF("x", mem_wrap(identity_value())), phi, {"b": EMPTY_NAME}, SMALL) is FAILS
+    assert len(calls) == 3
+    # each call is the next universe name, in the universe's order
+    assert [x for _, x, _ in calls] == sorted(x for _, x, _ in calls)
+
+
+def test_an_existential_sweep_stops_at_its_first_realizer(monkeypatch):
+    calls = []
+    _scripted_mem(monkeypatch, [FAILS, rz.unknown("u"), REALIZES, FAILS], calls)
+    phi = Exists("x", Mem(Var("x"), b))
+    assert reals(EExIntro(Empty(), mem_wrap(identity_value())), phi, {"b": EMPTY_NAME}, SMALL) is REALIZES
+    assert len(calls) == 3
+
+
+def test_an_implication_skips_its_conclusion_when_the_hypothesis_fails(monkeypatch):
+    mems, eqs = [], []
+    _scripted_mem(monkeypatch, [FAILS], mems)
+    _counted_eq(monkeypatch, eqs)
+    phi = Imp(Mem(a, b), Eq(a, a))
+    assert reals(identity_value(), phi, {"a": EMPTY_NAME, "b": EMPTY_NAME}, SMALL) is REALIZES
+    # every hypothesis realizer of the pool was tried, no conclusion was
+    assert len(mems) == len(SMALL.realizers) and eqs == []
+
+
+def test_an_implication_stops_at_its_first_failing_conclusion(monkeypatch):
+    mems, eqs = [], []
+    _scripted_mem(monkeypatch, [FAILS, REALIZES], mems)
+    _counted_eq(monkeypatch, eqs)
+    # no realizer of the pool realizes b = a when a and b differ
+    phi = Imp(Mem(a, b), Eq(b, a))
+    rho = {"a": EMPTY_NAME, "b": _sing(identity_value())}
+    assert reals(identity_value(), phi, rho, SMALL) is FAILS
+    assert len(mems) == 2 and len(eqs) == 1
+
+
+@pytest.mark.parametrize(
+    "hyp, conclusion, want",
+    [
+        (rz.unknown("h"), REALIZES, REALIZES),
+        (rz.unknown("h"), FAILS, rz.unknown("h")),
+        (rz.unknown("h"), rz.unknown("c"), rz.unknown("h")),
+        (rz.unknown(""), FAILS, rz.unknown("hypothesis unknown")),
+        (REALIZES, rz.unknown("c"), rz.unknown("c")),
+    ],
+)
+def test_an_implication_with_an_undecided_side(monkeypatch, hyp, conclusion, want):
+    from izf.syntax import MemI
+
+    mems = []
+    _scripted_mem(monkeypatch, [hyp], mems)
+    monkeypatch.setattr(_Eval, "mem_i", lambda self, m, x, y: conclusion)
+    phi = Imp(Mem(a, b), MemI(a, b))
+    assert reals(identity_value(), phi, {"a": EMPTY_NAME, "b": EMPTY_NAME}, SMALL) == want
+
+
+def test_a_sweep_reports_the_first_unknown_it_meets(monkeypatch):
+    calls = []
+    script = [REALIZES, rz.unknown("first"), REALIZES, rz.unknown("second"), REALIZES]
+    _scripted_mem(monkeypatch, script, calls)
+    phi = Forall("x", Mem(Var("x"), b))
+    got = reals(ELamF("x", mem_wrap(identity_value())), phi, {"b": EMPTY_NAME}, SMALL)
+    assert got == rz.unknown("first")
+    assert len(calls) == len(SMALL.universe)
+    # a failure after an unknown still decides the sweep
+    calls.clear()
+    _scripted_mem(monkeypatch, [REALIZES, rz.unknown("first"), FAILS], calls)
+    assert reals(ELamF("x", mem_wrap(identity_value())), phi, {"b": EMPTY_NAME}, SMALL) is FAILS
+
+
+def test_a_truncated_sweep_that_survives_its_pool_is_unknown(monkeypatch):
+    cfg = RealizCfg(universe=SMALL.universe, realizers=SMALL.realizers, terms=SMALL.terms, truncated=True)
+    _scripted_mem(monkeypatch, [REALIZES], [])
+    m = ELamF("x", mem_wrap(identity_value()))
+    got = reals(m, Forall("x", Mem(Var("x"), b)), {"b": EMPTY_NAME}, cfg)
+    assert got == rz.unknown("universal position exhausted a truncated pool")
+    _scripted_mem(monkeypatch, [FAILS], [])
+    got = reals(EExIntro(Empty(), mem_wrap(identity_value())), Exists("x", Mem(Var("x"), b)), {"b": EMPTY_NAME}, cfg)
+    assert got == rz.unknown("existential position exhausted a truncated pool")
+
+
+def test_a_conjunction_evaluates_both_conjuncts(monkeypatch):
+    mems, eqs = [], []
+    _scripted_mem(monkeypatch, [FAILS], mems)
+    _counted_eq(monkeypatch, eqs)
+    pair = EPairP(mem_wrap(identity_value()), refl_value())
+    got = reals(pair, And(Mem(a, b), Eq(a, a)), {"a": EMPTY_NAME, "b": EMPTY_NAME}, SMALL)
+    assert got is FAILS
+    assert len(mems) == 1 and len(eqs) == 1
