@@ -13,14 +13,19 @@ reports Unknown instead.  Fuel exhaustion always reports Unknown.
 
 Each query runs one evaluator, ``_Eval``, whose tables die with the query;
 omega's name, a constant of the model, is built once per process.  The
-evaluator first compiles the query's formula, separation bodies included,
-into one node per subformula: the node's int key, the slots of its free
-variables in the environment, and a closure for its clause (one per paper
-clause: ⊥, ∈ᵢ, ∈, =, ∧, ∨, →, ∀, ∃) over its compiled children; terms
-compile likewise.
-An environment is a tuple of per-query name ids, so a relation instance is
-keyed by ints alone, and each piece of work is done once per query: each
-key, name id, normal form, instantiation, label, verdict, meaning and pool.
+evaluator compiles the query's formula, separation bodies included, into
+one node per subformula: its int key, the slots of its free variables in
+the environment, and a closure for its paper clause (⊥, ∈ᵢ, ∈, =, ∧, ∨, →,
+∀, ∃) over its compiled children; terms compile likewise.  An environment
+is a tuple of per-query name ids, so a relation instance is keyed by ints
+alone, and each piece of work is done once per query: each key, name id,
+normal form, instantiation, label, verdict, meaning and pool.  A memo hit
+is one dictionary read, with no closure.  A clause sweeps its pool in a
+plain loop, in pool order: a universal sweep stops at its first failure,
+an existential one at its first realizer, and each reports the first
+unknown it met; ∧ evaluates both conjuncts, and → its conclusion only where
+the hypothesis does not fail.  Only ``REALIZES`` and ``FAILS`` carry those
+two statuses, so verdicts compare by identity.
 """
 
 from __future__ import annotations
@@ -169,6 +174,10 @@ def name_of(pairs) -> LambdaName:
 
 @record()
 class Verdict:
+    """A verdict.  Only the module constants ``REALIZES`` and ``FAILS``
+    carry those two statuses (``unknown`` makes every other verdict), so a
+    verdict is compared by identity: ``v is FAILS``."""
+
     status: str  # "realizes" | "fails" | "unknown"
     reason: str = ""
 
@@ -193,44 +202,11 @@ def unknown(reason: str) -> Verdict:
     return Verdict("unknown", reason)
 
 
-def _v_all(verdicts, truncated_pool: bool = False) -> Verdict:
-    pending = None
-    for v in verdicts:
-        status = v.status
-        if status == "fails":
-            return v
-        if status == "unknown" and pending is None:
-            pending = v
-    if pending is not None:
-        return pending
-    if truncated_pool:
-        return unknown("universal position exhausted a truncated pool")
-    return REALIZES
-
-
-def _v_any(verdicts, truncated_pool: bool = False) -> Verdict:
-    pending = None
-    for v in verdicts:
-        status = v.status
-        if status == "realizes":
-            return v
-        if status == "unknown" and pending is None:
-            pending = v
-    if pending is not None:
-        return pending
-    if truncated_pool:
-        return unknown("existential position exhausted a truncated pool")
-    return FAILS
-
-
-def _v_implies(hyp: Verdict, conclusion) -> Verdict:
-    """conclusion is a thunk, evaluated only when the hypothesis may hold."""
-    if hyp.fails:
-        return REALIZES
-    c = conclusion()
-    if hyp.realizes:
-        return c
-    return REALIZES if c.realizes else unknown(hyp.reason or "hypothesis unknown")
+def _both(x: Verdict, y: Verdict) -> Verdict:
+    """x and y: ``FAILS`` if either fails, else the first unknown of them."""
+    if x is FAILS or y is FAILS:
+        return FAILS
+    return y if x is REALIZES else x
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +315,7 @@ def default_cfg(
 # The evaluator
 
 
-_RUNNING = object()  # the verdict of a relation instance while it is being computed
+_RUNNING = unknown("self-referential relation instance")  # an instance's verdict while it is computed
 _HEADS = {And: EPairP, Or: (EInl, EInr), Imp: ELamP, Forall: ELamF, Exists: EExIntro}  # value shapes
 
 
@@ -393,9 +369,10 @@ class _Eval:
       and by identity; ``_inst``: each instantiation of a lambda's body, by
       the keys of lambda and argument; ``_labels``: each ``label_key``;
     * ``_rel``: each relation instance's verdict, ``_RUNNING`` while it is
-      computed; a formula's is keyed by (its key, the subject's key, the
-      ids in its slots); ``_meaning``: each compound term's name id, by its
-      key and slot ids; ``_pools``: each hypothesis pool, by its name ids.
+      computed, read inline on a hit; a formula's is keyed by (its key, the
+      subject's key, the ids in its slots); ``_meaning``: each compound
+      term's name id, by its key and slot ids; ``_pools``: each hypothesis
+      pool, by head and name ids; ``_dpools``: each ``_direction_pool``.
 
     A scope lists the variables bound at a node in the order a dict would,
     after ``None`` in slot 0; an environment, their name ids after -1.
@@ -406,7 +383,10 @@ class _Eval:
         self._ids, self._nodes, self._name_ids, self._compiled = {}, {}, {}, {}
         self._names, self._facts = [], []
         self._norm, self._values, self._inst, self._labels = {}, {}, {}, {}
-        self._rel, self._meaning, self._pools = {}, {}, {}
+        self._rel, self._meaning, self._pools, self._dpools = {}, {}, {}, {}
+        # what a universal (existential) sweep that met no deciding verdict and no unknown reports
+        self._swept = unknown("universal position exhausted a truncated pool") if cfg.truncated else REALIZES
+        self._unmet = unknown("existential position exhausted a truncated pool") if cfg.truncated else FAILS
         self._universe = tuple(map(self.nid, cfg.universe))
         self._empty = self.nid(EMPTY_NAME)
         self._omega = self._succ = None
@@ -496,14 +476,13 @@ class _Eval:
                 del rel[key]
                 raise
             rel[key] = hit
-        elif hit is _RUNNING:
-            return unknown("self-referential relation instance")
         return hit
 
     # -- atomic relations, over name ids
 
     def mem_i(self, m: ErasedProof, a: int, b: int) -> Verdict:
-        return self._memo(("memi", self.key(m), a, b), lambda: self._mem_i(m, a, b))
+        hit = self._rel.get(key := ("memi", self.key(m), a, b))
+        return self._memo(key, lambda: self._mem_i(m, a, b)) if hit is None else hit
 
     def _mem_i(self, m: ErasedProof, a: int, b: int) -> Verdict:
         v, err = self._value_of(m)
@@ -534,20 +513,11 @@ class _Eval:
             pair, err = self._as(ex.body, EPairP)
         if err is not None:
             return err
-
-        if candidates is None:
-            candidates = dict.fromkeys((*self.members(approx), a, *self.members(a), *self._universe))
-
-        def for_b(b: int) -> Verdict:
-            member = self.mem(pair.left, b, approx)
-            if member.fails:
-                return member
-            return _v_all([member, self.eq(pair.right, a, self.succ(b))])
-
-        return _v_any(for_b(b) for b in candidates)
+        return self._witnessed(self.mem, pair, a, approx, self.succ, candidates)
 
     def mem(self, m: ErasedProof, a: int, b: int) -> Verdict:
-        return self._memo(("mem", self.key(m), a, b), lambda: self._mem(m, a, b))
+        hit = self._rel.get(key := ("mem", self.key(m), a, b))
+        return self._memo(key, lambda: self._mem(m, a, b)) if hit is None else hit
 
     def _mem(self, m: ErasedProof, a: int, b: int) -> Verdict:
         v, err = self._as(m, EAxRep, "in")
@@ -557,20 +527,30 @@ class _Eval:
             pair, err = self._as(ex.body, EPairP)
         if err is not None:
             return err
+        return self._witnessed(self.mem_i, pair, a, b)
 
-        def check_c(c: int) -> Verdict:
-            first = self.mem_i(pair.left, c, b)
-            if first.fails:
-                return first
-            return _v_all([first, self.eq(pair.right, a, c)])
-
-        # Membership witnesses must label an entry of b, so the sweep over
-        # b's member names is exhaustive for literal entries; the subject
-        # and its members are added for the clause-extended omega name.
-        return _v_any(check_c(c) for c in dict.fromkeys((*self.members(b), a, *self.members(a), *self._universe)))
+    def _witnessed(self, rel, pair: EPairP, a: int, b: int, step=None, candidates=None) -> Verdict:
+        """Whether, for some candidate c, pair's left realizes ``rel`` at
+        (c, b) and its right realizes a = c (a = step(c), with a ``step``).
+        Membership witnesses must label an entry of b, so the candidates,
+        b's member names, are exhaustive for literal entries; the subject
+        and its members are added for the clause-extended omega name."""
+        if candidates is None:
+            candidates = dict.fromkeys((*self.members(b), a, *self.members(a), *self._universe))
+        pending = None
+        for c in candidates:
+            got = rel(pair.left, c, b)
+            if got is not FAILS:
+                got = _both(got, self.eq(pair.right, a, c if step is None else step(c)))
+                if got is REALIZES:
+                    return REALIZES
+                if pending is None and got is not FAILS:
+                    pending = got
+        return FAILS if pending is None else pending
 
     def eq(self, m: ErasedProof, a: int, b: int) -> Verdict:
-        return self._memo(("eq", self.key(m), a, b), lambda: self._eq(m, a, b))
+        hit = self._rel.get(key := ("eq", self.key(m), a, b))
+        return self._memo(key, lambda: self._eq(m, a, b)) if hit is None else hit
 
     def _eq(self, m: ErasedProof, a: int, b: int) -> Verdict:
         v, err = self._as(m, EAxRep, "eq")
@@ -578,8 +558,11 @@ class _Eval:
             m0, err = self._as(v.arg, ELamF)
         if err is not None:
             return err
-
-        def per_term(t: Term) -> Verdict:
+        # One sweep over each term, then each member name d of a or b (only
+        # those can have realizable intensional membership hypotheses, so
+        # it is exhaustive), evaluating both directions at each d.
+        pending = None
+        for t in self.cfg.terms:
             pair, err = self._as(self.instantiate(m0, t), EPairP)
             if err is None:
                 o, err = self._value_of(pair.left)
@@ -587,30 +570,57 @@ class _Eval:
                 p, err = self._value_of(pair.right)
             if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
                 err = FAILS
+            if err is FAILS:
+                return FAILS
             if err is not None:
-                return err
-            # Only member names of a or b can have realizable intensional
-            # membership hypotheses, so this sweep is exhaustive.
-            dpool = dict.fromkeys((*self.members(a), *self.members(b)))
+                pending = err if pending is None else pending
+                continue
+            for d in dict.fromkeys((*self.members(a), *self.members(b))):
+                got = _both(self._direction(o, a, b, d), self._direction(p, b, a, d))
+                if got is FAILS:
+                    return FAILS
+                if pending is None and got is not REALIZES:
+                    pending = got
+        return self._swept if pending is None else pending
 
-            def direction(lam: ELamP, src: int, dst: int, d: int) -> Verdict:
-                return _v_all(
-                    (
-                        _v_implies(self.mem_i(n, d, src), lambda n=n: self.mem(self.instantiate(lam, n), d, dst))
-                        for n in self._hyp_pool((src, dst))
-                    ),
-                    truncated_pool=self.cfg.truncated,
-                )
+    def _direction(self, lam: ELamP, src: int, dst: int, d: int) -> Verdict:
+        """Whether every hypothesis realizer n of d ∈ᵢ src makes lam's body
+        at n realize d ∈ dst; n runs over ``_direction_pool``."""
+        pending = None
+        for n in self._direction_pool(src, dst, d):
+            hyp = self.mem_i(n, d, src)
+            if hyp is FAILS:
+                continue
+            got = self.mem(self.instantiate(lam, n), d, dst)
+            if hyp is not REALIZES and got is not REALIZES:
+                got = unknown(hyp.reason or "hypothesis unknown")
+            if got is FAILS:
+                return FAILS
+            if pending is None and got is not REALIZES:
+                pending = got
+        return self._swept if pending is None else pending
 
-            return _v_all(_v_all([direction(o, a, b, d), direction(p, b, a, d)]) for d in dpool)
-
-        return _v_all((per_term(t) for t in self.cfg.terms), truncated_pool=self.cfg.truncated)
-
-    def _hyp_pool(self, names: tuple[int, ...]) -> tuple[ErasedProof, ...]:
-        """The configured realizers, then each further label of the names."""
-        cache_key = frozenset(names)
-        hit = self._pools.get(cache_key)
+    def _direction_pool(self, src: int, dst: int, d: int) -> tuple[ErasedProof, ...]:
+        """The realizers of ``_hyp_pool`` for which d ∈ᵢ src may hold: those
+        without a value for want of fuel and those whose label is an entry
+        of src at d, or all of them when src is omega (as ``_mem_i``)."""
+        hit = self._dpools.get(k := (src, dst, d))
         if hit is None:
+            entries, keep = self._name_facts(src)[1], []
+            for n in self._hyp_pool((src, dst)):
+                v, err = self._value_of(n)
+                if err is not FAILS and (err is not None or (self.label(v), d) in entries or src == self.omega()):
+                    keep.append(n)
+            hit = self._dpools[k] = tuple(keep)
+        return hit
+
+    def _hyp_pool(self, names: tuple[int, ...], head=None) -> tuple[ErasedProof, ...]:
+        """The configured realizers, then each further label of the names;
+        with a ``head``, only those whose value may have that shape."""
+        hit = self._pools.get(cache_key := (head, frozenset(names)))
+        if hit is None and head is not None:
+            hit = tuple(n for n in self._hyp_pool(names) if self._as(n, head)[1] is not FAILS)
+        elif hit is None:
             out = list(self.cfg.realizers)
             seen = {self.label(x) for x in out}
             for n in names:
@@ -618,7 +628,8 @@ class _Eval:
                     if k not in seen:
                         seen.add(k)
                         out.append(lab)
-            hit = self._pools[cache_key] = tuple(out)
+            hit = tuple(out)
+        self._pools[cache_key] = hit
         return hit
 
     def _exists_pool(self, env: tuple) -> tuple[int, ...]:
@@ -710,7 +721,7 @@ class _Eval:
                     for v1, c in un.entries:
                         inner_env = _extend(env, slots, (self.nid(c), *argids))
                         for w in cfg.realizers + (rv,):
-                            if self.reals(cb, w, inner_env).realizes:
+                            if self.reals(cb, w, inner_env) is REALIZES:
                                 entries.append((EAxRep("sep", EPairP(mem_wrap(v1), w)), c))
                                 break
                     return self.name(entries)
@@ -753,7 +764,8 @@ class _Eval:
                 return err
         if node.clause is None:
             node.clause = node.build()
-        return self._memo((node.key, self.key(m), node.pick(env)), lambda: node.clause(m_or_v, env))
+        hit = self._rel.get(key := (node.key, self.key(m), node.pick(env)))
+        return self._memo(key, lambda: node.clause(m_or_v, env)) if hit is None else hit
 
     def _formula(self, phi: Formula, scope: tuple) -> _Node:
         """phi compiled under ``scope``, once; its clause is built on demand."""
@@ -768,7 +780,7 @@ class _Eval:
     def _clause(self, phi: Formula, scope: tuple) -> Callable[[ErasedProof, tuple], Verdict]:
         """phi's clause, over the subject's value (its subject, for a node
         without a head) and an environment; it compiles phi's children."""
-        reals, cfg = self.reals, self.cfg
+        reals, inst = self.reals, self.instantiate
         match phi:
             case Bottom():
                 return lambda m, env: FAILS
@@ -778,7 +790,7 @@ class _Eval:
                 return lambda m, env: rel(m, tl(env), tr(env))
             case And(l, r):
                 cl, cr = self._formula(l, scope), self._formula(r, scope)
-                return lambda v, env: _v_all([reals(cl, v.left, env), reals(cr, v.right, env)])
+                return lambda v, env: _both(reals(cl, v.left, env), reals(cr, v.right, env))
             case Or(l, r):
                 cl, cr = self._formula(l, scope), self._formula(r, scope)
                 return lambda v, env: reals(cl if isinstance(v, EInl) else cr, v.body, env)
@@ -790,28 +802,48 @@ class _Eval:
                     if pool is None:
                         # A realizer that is stuck or of the wrong shape fails
                         # the hypothesis, so the implication holds vacuously.
-                        pool = self._hyp_pool(env[1:])
-                        if cl.head is not None:
-                            pool = tuple(n for n in pool if self._as(n, cl.head)[1] is not FAILS)
-                        pools[env] = pool
-                    inst = self.instantiate
-                    verdicts = (_v_implies(reals(cl, n, env), lambda n=n: reals(cr, inst(v, n), env)) for n in pool)
-                    return _v_all(verdicts, truncated_pool=cfg.truncated)
+                        pool = pools[env] = self._hyp_pool(env[1:], cl.head)
+                    pending = None
+                    for n in pool:
+                        hyp = reals(cl, n, env)
+                        if hyp is FAILS:
+                            continue
+                        got = reals(cr, inst(v, n), env)
+                        if hyp is not REALIZES and got is not REALIZES:
+                            got = unknown(hyp.reason or "hypothesis unknown")
+                        if got is FAILS:
+                            return FAILS
+                        if pending is None and got is not REALIZES:
+                            pending = got
+                    return self._swept if pending is None else pending
 
                 return imp
             case Forall(a, body) | Exists(a, body):
                 inner, slots = _bind(scope, (a,))
-                cb, envs_of, every = self._formula(body, inner), {}, isinstance(phi, Forall)
+                cb, envs_of, every, terms = self._formula(body, inner), {}, isinstance(phi, Forall), self.cfg.terms
 
                 def quantifier(v: ELamF | EExIntro, env: tuple) -> Verdict:
                     envs = envs_of.get(env)
                     if envs is None:
                         pool = self._universe if every else self._exists_pool(env)
                         envs = envs_of[env] = tuple(_extend(env, slots, (n,)) for n in pool)
+                    pending = None
                     if every:
-                        insts = (reals(cb, self.instantiate(v, t), e) for e in envs for t in cfg.terms)
-                        return _v_all(insts, truncated_pool=cfg.truncated)
-                    return _v_any((reals(cb, v.body, e) for e in envs), truncated_pool=cfg.truncated)
+                        for e in envs:
+                            for t in terms:
+                                got = reals(cb, inst(v, t), e)
+                                if got is FAILS:
+                                    return FAILS
+                                if pending is None and got is not REALIZES:
+                                    pending = got
+                        return self._swept if pending is None else pending
+                    for e in envs:
+                        got = reals(cb, v.body, e)
+                        if got is REALIZES:
+                            return REALIZES
+                        if pending is None and got is not FAILS:
+                            pending = got
+                    return self._unmet if pending is None else pending
 
                 return quantifier
 
