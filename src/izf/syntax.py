@@ -568,8 +568,8 @@ def substitute(x: Tree, a: str, s: Tree) -> Tree:
     """Capture-avoiding substitution of s for the variable a: a term for a
     first-order variable, a proof for a hypothesis variable."""
     if isinstance(s, Term):
-        return x if type(s) is Var and s.name == a else _SUBST[type(x)](x, {a: s}, {}, {})
-    return _SUBST[type(x)](x, {}, {a: s}, {})
+        return x if type(s) is Var and s.name == a else _SUBST[type(x)](x, {a: s}, {}, [])
+    return _SUBST[type(x)](x, {}, {a: s}, [])
 
 
 def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
@@ -589,30 +589,30 @@ def substitute_many(x: Tree, env: dict[str, Tree]) -> Tree:
     """
     fo = {a: s for a, s in env.items() if isinstance(s, Term) and not (type(s) is Var and s.name == a)}
     hyp = {a: s for a, s in env.items() if not isinstance(s, Term)}
-    return _SUBST[type(x)](x, fo, hyp, {}) if fo or hyp else x
+    return _SUBST[type(x)](x, fo, hyp, []) if fo or hyp else x
 
 
-def _known(free: dict[str, tuple], *envs: dict[str, Tree]) -> list[tuple]:
-    """The ``_names`` of each replacement in ``envs``, kept in ``free``."""
-    for env in envs:
-        for a, s in env.items():
-            if a not in free:
-                free[a] = _names(s)
-    return [free[a] for env in envs for a in env]
+def _clash(cell: list, env: dict[str, Tree], henv: dict[str, Tree]) -> list:
+    """Fills ``cell`` with the clash sets of the maps ``env`` and ``henv``:
+    the free first-order names of all their replacements and the free
+    hypothesis names of the proof replacements."""
+    fo, hyp = [_names(s) for s in env.values()], [_names(s) for s in henv.values()]
+    cell[:] = (frozenset().union(*[f[1] for f in fo + hyp]), frozenset().union(*[f[0] for f in hyp]))
+    return cell
 
 
 # x comes back as is when no substituted variable is free in it and none of
 # its binders is named like a free name of a replacement, as no binder in it
-# can then be renamed.
+# can then be renamed.  The clash sets are built at the first binder that
+# needs them and shared by every node entered with the same maps.
 _GUARD = """\
   hfree, ffree, fbound, hbound, _ = x._facts or _FACTS[type(x)](x)
-  if (
-      ffree.isdisjoint(env)
-      and hfree.isdisjoint(henv)
-      and not (fbound and any(not fbound.isdisjoint(f[1]) for f in _known(free, env, henv)))
-      and not (hbound and any(not hbound.isdisjoint(f[0]) for f in _known(free, henv)))
-  ):
-   return x"""
+  if ffree.isdisjoint(env) and hfree.isdisjoint(henv):
+   if not (fbound or hbound):
+    return x
+   fc, hc = free or _clash(free, env, henv)
+   if fbound.isdisjoint(fc) and hbound.isdisjoint(hc):
+    return x"""
 
 
 def _subst_source(plan: tuple) -> str:
@@ -638,13 +638,13 @@ def _subst_source(plan: tuple) -> str:
     if binders:
         out += [
             f"  names = [{', '.join(('*' if many else '') + f'v{index[b]}' for b, many in binders)}]",
-            "  inner = {a: t for a, t in env.items() if a not in names}",
-            "  clashes = frozenset().union(*[f[1] for f in _known(free, inner, henv)])",
+            "  inner = env if env.keys().isdisjoint(names) else {a: t for a, t in env.items() if a not in names}",
+            "  ci = (free or _clash(free, env, henv)) if inner is env else _clash([], inner, henv)",
             "  for k in range(len(names) - 1, -1, -1):",
             "   b = names[k]",
-            "   if b in clashes:",
-            f"    names[k] = fresh_name(b, clashes.union(inner, names, {', '.join(f'free_vars(v{j})' for j in scope)}))",
-            *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{b: Var(names[k])}}, {{}}, {{}})" for j in scope),
+            "   if b in ci[0]:",
+            f"    names[k] = fresh_name(b, ci[0].union(inner, names, {', '.join(f'free_vars(v{j})' for j in scope)}))",
+            *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{b: Var(names[k])}}, {{}}, [])" for j in scope),
             "    changed = True",
             "  if changed:",
         ]
@@ -657,35 +657,39 @@ def _subst_source(plan: tuple) -> str:
     sealed = {j for _, over in hyp_binders for j in over if kinds[j] is PROOF}
     if hyp_binders:
         out += [*(f"  h{j} = henv" for j in sorted(sealed)), "  if henv:",
-                "   hclashes = frozenset().union(*[f[0] for f in _known(free, henv)])"]
+                "   hc = (free or _clash(free, env, henv))[1]"]
         for i, over in hyp_binders:
             out += [f"   if v{i} in henv:"]
             out += [f"    h{j} = {{a: t for a, t in h{j}.items() if a != v{i}}}" for j in over if j in sealed]
             # A sealed binder is renamed only if free in the replacement of
             # another variable that is free in its scope.
             in_scope = " or ".join(f"a in _names(v{j})[0]" for j in over)
-            capture = f"any(v{i} in f[0] and ({in_scope}) for a, f in zip(henv, _known(free, henv)) if a != v{i})"
+            capture = f"any(v{i} in _names(t)[0] and ({in_scope}) for a, t in henv.items() if a != v{i})"
             out += [
-                f"   if v{i} in hclashes and (v{i} not in henv or {capture}):",
-                f"    b = fresh_name(v{i}, hclashes.union(henv, {', '.join(f'_names(v{j})[0]' for j in over)}))",
-                *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{}}, {{v{i}: H(b)}}, {{}})" for j in over),
+                f"   if v{i} in hc and (v{i} not in henv or {capture}):",
+                f"    b = fresh_name(v{i}, hc.union(henv, {', '.join(f'_names(v{j})[0]' for j in over)}))",
+                *(f"    v{j} = _SUBST[type(v{j})](v{j}, {{}}, {{v{i}: H(b)}}, [])" for j in over),
                 f"    v{i} = b",
                 "    changed = True",
             ]
     same, args = ["not changed"] if binders or hyp_binders else [], []
     for j, (_, kind, _, fo_under) in enumerate(fields):
-        e, h = ("inner" if fo_under else "env"), (f"h{j}" if j in sealed else "henv")
+        # A child entered with this node's maps shares its clash sets, one
+        # entered with narrower maps gets a cell of its own.
+        e, h, cell = ("inner", f"h{j}", "ci") if fo_under else ("env", f"h{j}", "free")
+        h = h if j in sealed else "henv"
         if kind is PROOF and (e, h) == ("env", "henv"):  # past the guard, env or henv is not empty
             out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, env, henv, free)")
         elif kind is PROOF:
-            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, {e}, {h}, free) if {e} or {h} else v{j}")
+            shared = cell if h == "henv" else f"{cell} if {h} is henv else []"
+            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, {e}, {h}, {shared}) if {e} or {h} else v{j}")
         elif kind in _TREES:
-            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, {e}, {{}}, free) if {e} else v{j}")
+            out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, {e}, {{}}, [] if henv else {cell}) if {e} else v{j}")
         elif kind is TERMS:
             out += [
                 f"  w{j} = v{j}",
                 f"  if {e} and v{j}:",
-                f"   t = [_SUBST[type(u)](u, {e}, {{}}, free) for u in v{j}]",
+                f"   t = [_SUBST[type(u)](u, {e}, {{}}, [] if henv else {cell}) for u in v{j}]",
                 f"   if any(map(is_not, t, v{j})):",
                 f"    w{j} = tuple(t)",
             ]
@@ -730,12 +734,13 @@ _KEY: dict[type, Callable] = _Generated(_key_source)
 # A substitution function ``f(x, env, henv, free)``: ``env`` maps first-order
 # variables to terms and ``henv`` hypothesis variables to proofs; only
 # sub-proofs can hold hypotheses, so the other children are entered with
-# ``env`` alone.  ``free`` holds the ``_names`` of each replacement, looked up
-# when first needed and then kept for the whole call.  Each child is entered
-# through this table, so a nesting level costs one frame.
+# ``env`` alone.  ``free`` is the cell of the maps' clash sets (see
+# ``_clash``): empty until a binder first needs them, then kept for every
+# node entered with the same maps.  Each child is entered through this
+# table, so a nesting level costs one frame.
 _SUBST: dict[type, Callable] = _Generated(_subst_source)
 _GENERATED_NS = dict(  # the generated code's globals
-    _SUBST=_SUBST, _FACTS=_FACTS, _KEY=_KEY, _known=_known, _names=_names, _join=_join, _NONE=_NONE,
+    _SUBST=_SUBST, _FACTS=_FACTS, _KEY=_KEY, _clash=_clash, _names=_names, _join=_join, _NONE=_NONE,
     _CLOSED=_CLOSED, free_vars=free_vars, fresh_name=fresh_name, Var=Var, is_not=is_not,
 )
 
