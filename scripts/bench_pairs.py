@@ -13,10 +13,11 @@ checkout, unchanged, `--pairs` times; pair i runs the parent first when i is
 even and the change first when i is odd, so a drift of the host's speed
 falls on both sides alike.
 
-Both sides run in one bytecode-cache state: no interpreter reads or writes
-a `.pyc` file (`PYTHONDONTWRITEBYTECODE=1`, and `PYTHONPYCACHEPREFIX` names
-an empty directory), so every one compiles the kernel from source, as in a
-fresh checkout, whatever `__pycache__` directories either checkout holds.
+Both sides run in one bytecode-cache state, that of a fresh checkout: the
+script refuses a checkout whose `src/` or `perfbench/` holds a `__pycache__`
+directory, and runs with `PYTHONDONTWRITEBYTECODE=1`, so every interpreter
+of either side compiles the kernel and the benchmark from source (the
+standard library's cache is the interpreter's own, the same for both).
 
 The report holds every run's result line (`correct`, `attempted`, `failed`
 and the raw `metrics`) and, per workload, seed, trace mode and metric, the
@@ -40,7 +41,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 
 SIDES = ("parent", "change")
 
@@ -58,10 +58,9 @@ def _directions(root: pathlib.Path) -> dict[str, str]:
     return {m["name"]: m.get("better", "lower") for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
-def _env(cache: str) -> dict[str, str]:
-    """The environment of every run: no bytecode is written, and with the
-    cache prefix an empty directory none is read either."""
-    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+def _cached(root: pathlib.Path) -> list[str]:
+    """The bytecode caches under root's kernel and benchmark sources."""
+    return [str(p) for d in ("src", "perfbench") for p in sorted((root / d).rglob("__pycache__"))]
 
 
 def run_once(root: pathlib.Path, workload: str, seed: int, seconds: float, trace: int, env: dict) -> dict:
@@ -134,6 +133,9 @@ def main() -> int:
         if not (root / "perfbench" / "run.py").is_file():
             print(f"bench_pairs: {side} checkout {root} has no perfbench/run.py", file=sys.stderr)
             return 2
+        if _cached(root):
+            print(f"bench_pairs: {side} checkout holds bytecode caches: {', '.join(_cached(root))}", file=sys.stderr)
+            return 2
     out_path = args.out or pathlib.Path(f"BENCH_{args.pr}.json")
     report = json.loads(out_path.read_text()) if args.append and out_path.exists() else {"pr": args.pr, "runs": []}
     report.setdefault("invocations", []).append({
@@ -144,18 +146,17 @@ def main() -> int:
         "host": {"platform": platform.platform(), "python": platform.python_version(), "cpus": os.cpu_count()},
     })
 
-    with tempfile.TemporaryDirectory(prefix="bench-pyc-") as cache:
-        env = _env(cache)
-        for seed in args.seed or [21]:
-            for workload in args.workload or ["realize"]:
-                for i in range(args.pairs):
-                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                        result = run_once(roots[side], workload, seed, args.seconds, args.trace, env)
-                        result.update(side=side, workload=workload, seed=seed, trace=args.trace, pair=i,
-                                      invocation=len(report["invocations"]) - 1)
-                        report["runs"].append(result)
-                        shown = result.get("metrics", {}).get("op_ms_p50", result.get("error"))
-                        print(f"{workload} seed={seed} pair={i} {side}: op_ms_p50 {shown}", flush=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    for seed in args.seed or [21]:
+        for workload in args.workload or ["realize"]:
+            for i in range(args.pairs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result = run_once(roots[side], workload, seed, args.seconds, args.trace, env)
+                    result.update(side=side, workload=workload, seed=seed, trace=args.trace, pair=i,
+                                  invocation=len(report["invocations"]) - 1)
+                    report["runs"].append(result)
+                    shown = result.get("metrics", {}).get("op_ms_p50", result.get("error"))
+                    print(f"{workload} seed={seed} pair={i} {side}: op_ms_p50 {shown}", flush=True)
 
     # Pairs of different invocations are kept apart by numbering them per invocation.
     runs = [dict(r, pair=(r["invocation"], r["pair"])) for r in report["runs"]]
