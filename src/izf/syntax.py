@@ -676,8 +676,8 @@ def _subst_source(plan: tuple) -> str:
     for j, (_, kind, _, fo_under) in enumerate(fields):
         # A child entered with this node's maps shares its clash sets, one
         # entered with narrower maps gets a cell of its own.
-        e, h, cell = ("inner", f"h{j}", "ci") if fo_under else ("env", f"h{j}", "free")
-        h = h if j in sealed else "henv"
+        e, cell = ("inner", "ci") if fo_under else ("env", "free")
+        h = f"h{j}" if j in sealed else "henv"
         if kind is PROOF and (e, h) == ("env", "henv"):  # past the guard, env or henv is not empty
             out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, env, henv, free)")
         elif kind is PROOF:
