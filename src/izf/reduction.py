@@ -7,20 +7,24 @@ fire in place.  Everything reduction-based is fuel-bounded and total.
 
 The rules are a table keyed by class, ``_RULES``: one function per
 construct serves both machines, as a construct's annotated and erased
-classes share the field names it reads.  For one node it gives the rule
-that fires there with its contractum, the evaluation-context child to look
-into, or why the node is stuck; a class with no entry has no rule.
+classes share the field names it reads.  It gives each class its rule and
+the attribute of its hole, the evaluation-context child.  A rule reads its
+node and the value in that hole and gives the rule that fires there with
+its contractum, or why the node is stuck; a class with no entry has no rule.
 
 One loop, ``_run``, is a focused machine whose transitions are those
 outcomes (Accattoli, Barenbaum & Mazza, *Distilling Abstract Machines*,
 ICFP 2014).  Its state is a focus and a persistent context of
-``(parent, attr)`` frames, the redex path, and each focus costs one lookup
-in the rule table.  After a contraction it goes on from the contractum
-instead of re-descending from the root, on a loop rather than native
-recursion, so each step costs what changed, not the depth.  ``step``,
-``normalize``, ``trace_states``, ``detect_cycle`` and ``simulate_erasure``
-all drive it.  A state is plugged into a full term only when it is read:
-by ``on_step``, by ``detect_cycle``'s key or as a result.
+``(parent, attr)`` frames, the redex path (a zipper: Huet, *The Zipper*,
+JFP 1997).  A value in a hole pops its frame and the parent's rule reads
+the parent and that value, so no parent is rebuilt on the way; after a
+contraction the machine goes on from the contractum instead of
+re-descending from the root, on a loop rather than native recursion, so
+each step costs what changed, not the depth.  ``step``, ``normalize``,
+``trace_states``, ``detect_cycle`` and ``simulate_erasure`` all drive it.
+Parents are rebuilt only by ``_plug``, when a state is read: by
+``on_step``, by ``detect_cycle``'s key, as a result or as a fuel or stuck
+state.
 
 ``_redex_at_root`` and ``_hole_child`` keep an independent, per-calculus
 statement of the same grammar for ``count_redexes`` and the determinism
@@ -34,6 +38,7 @@ from typing import Optional, Union
 
 from .proof_ops import canon, erase, subst_proof, subst_proof_term
 from .proofs import (
+    _VALUES,
     App,
     AppT,
     AxProp,
@@ -70,7 +75,6 @@ from .proofs import (
     Proof,
     PropVar,
     Snd,
-    is_value,
     proof_free_vars,
 )
 from .syntax import MemI, Var, alpha_eq, fresh_name, record
@@ -114,107 +118,93 @@ def _ind_unfold(m: Ind | EInd) -> AnyProof:
     return ELamF(c, EApp(EAppT(m.arg, Var(c)), step_fn))
 
 
-# The rules of both machines, one function per construct, shared by its
-# annotated and erased classes, which have the same field names.  A rule
-# function gives, for one node m, ``(rule, contractum, None)`` when a rule
-# fires at m, ``(None, attr, reason)`` when m waits on its
-# evaluation-context child ``attr`` (and is stuck for ``reason`` if that
-# child is a value), and ``(None, None, reason)`` when no rule can ever fire
-# at m.
+# The rules of both machines, one function per construct.  A rule reads a
+# node m and the value in its hole (None for a construct without one) and
+# gives ``(rule, contractum)`` when a rule fires at m, else ``(None, reason)``.
 
 
-def _free_hypothesis(m: PropVar | EPropVar):
-    return None, None, f"free hypothesis {m.name}"
+def _free_hypothesis(m: PropVar | EPropVar, _):
+    return None, f"free hypothesis {m.name}"
 
 
-def _app(m: App | EApp):
-    f = m.fn
+def _app(m: App | EApp, f):
     if isinstance(f, (LamP, ELamP)):
-        return "beta", subst_proof(f.body, f.var, m.arg), None
-    return None, "fn", "application of a non-lambda value"
+        return "beta", subst_proof(f.body, f.var, m.arg)
+    return None, "application of a non-lambda value"
 
 
-def _app_term(m: AppT | EAppT):
-    f = m.fn
+def _app_term(m: AppT | EAppT, f):
     if isinstance(f, (LamF, ELamF)):
-        return "beta-fo", subst_proof_term(f.body, f.var, m.arg), None
-    return None, "fn", "term application of a non-term-lambda value"
+        return "beta-fo", subst_proof_term(f.body, f.var, m.arg)
+    return None, "term application of a non-term-lambda value"
 
 
-def _fst(m: Fst | EFst):
-    if isinstance(m.arg, (PairP, EPairP)):
-        return "fst", m.arg.left, None
-    return None, "arg", "fst of a non-pair value"
+def _fst(m: Fst | EFst, v):
+    if isinstance(v, (PairP, EPairP)):
+        return "fst", v.left
+    return None, "fst of a non-pair value"
 
 
-def _snd(m: Snd | ESnd):
-    if isinstance(m.arg, (PairP, EPairP)):
-        return "snd", m.arg.right, None
-    return None, "arg", "snd of a non-pair value"
+def _snd(m: Snd | ESnd, v):
+    if isinstance(v, (PairP, EPairP)):
+        return "snd", v.right
+    return None, "snd of a non-pair value"
 
 
-def _case(m: Case | ECase):
-    s = m.scrut
+def _case(m: Case | ECase, s):
     if isinstance(s, (Inl, EInl)):
-        return "case-inl", subst_proof(m.lbody, m.lvar, s.body), None
+        return "case-inl", subst_proof(m.lbody, m.lvar, s.body)
     if isinstance(s, (Inr, EInr)):
-        return "case-inr", subst_proof(m.rbody, m.rvar, s.body), None
-    return None, "scrut", "case subject is not an injection"
+        return "case-inr", subst_proof(m.rbody, m.rvar, s.body)
+    return None, "case subject is not an injection"
 
 
-def _let(m: Let | ELet):
-    subj = m.subject
+def _let(m: Let | ELet, subj):
     if isinstance(subj, (ExIntro, EExIntro)):
-        out = subst_proof(subst_proof_term(m.body, m.fvar, subj.witness), m.pvar, subj.body)
-        return "let-ex", out, None
-    return None, "subject", "let subject is not a witness pair"
+        return "let-ex", subst_proof(subst_proof_term(m.body, m.fvar, subj.witness), m.pvar, subj.body)
+    return None, "let subject is not a witness pair"
 
 
-def _magic(m: Magic | EMagic):
-    return None, "arg", "magic of a value"
+def _magic(m: Magic | EMagic, _):
+    return None, "magic of a value"
 
 
-def _ax_prop(m: AxProp | EAxProp):
-    arg = m.arg
-    if isinstance(arg, (AxRep, EAxRep)):
-        if _cancels(m, arg):
-            return "ax-cancel", arg.arg, None
-        return None, None, "mismatched elimination/introduction pair"
-    return None, "arg", "axiom elimination of a non-introduction value"
+def _ax_prop(m: AxProp | EAxProp, v):
+    if isinstance(v, (AxRep, EAxRep)):
+        return ("ax-cancel", v.arg) if _cancels(m, v) else (None, "mismatched elimination/introduction pair")
+    return None, "axiom elimination of a non-introduction value"
 
 
-def _ind(m: Ind | EInd):
-    return "ind-unfold", _ind_unfold(m), None
+def _ind(m: Ind | EInd, _):
+    return "ind-unfold", _ind_unfold(m)
 
 
-def _no_rule(m: AnyProof):
-    return None, None, f"no rule for {type(m).__name__}"
+def _no_rule(m: AnyProof, _):
+    return None, f"no rule for {type(m).__name__}"
 
 
+# Each class's rule and the attribute of its hole, None for no hole.
 _RULES = {
-    **dict.fromkeys((PropVar, EPropVar), _free_hypothesis),
-    **dict.fromkeys((App, EApp), _app),
-    **dict.fromkeys((AppT, EAppT), _app_term),
-    **dict.fromkeys((Fst, EFst), _fst),
-    **dict.fromkeys((Snd, ESnd), _snd),
-    **dict.fromkeys((Case, ECase), _case),
-    **dict.fromkeys((Let, ELet), _let),
-    **dict.fromkeys((Magic, EMagic), _magic),
-    **dict.fromkeys((AxProp, EAxProp), _ax_prop),
-    **dict.fromkeys((Ind, EInd), _ind),
+    **dict.fromkeys((PropVar, EPropVar), (_free_hypothesis, None)),
+    **dict.fromkeys((App, EApp), (_app, "fn")),
+    **dict.fromkeys((AppT, EAppT), (_app_term, "fn")),
+    **dict.fromkeys((Fst, EFst), (_fst, "arg")),
+    **dict.fromkeys((Snd, ESnd), (_snd, "arg")),
+    **dict.fromkeys((Case, ECase), (_case, "scrut")),
+    **dict.fromkeys((Let, ELet), (_let, "subject")),
+    **dict.fromkeys((Magic, EMagic), (_magic, "arg")),
+    **dict.fromkeys((AxProp, EAxProp), (_ax_prop, "arg")),
+    **dict.fromkeys((Ind, EInd), (_ind, None)),
 }
+_NO_RULE = (_no_rule, None)
 
 
 def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
     """Whether an axiom elimination meets an introduction of the same instance."""
     if isinstance(elim, EAxProp):
         return elim.family == intro.family
-    return (
-        alpha_eq(elim.ax, intro.ax)
-        and alpha_eq(elim.term, intro.term)
-        and len(elim.args) == len(intro.args)
-        and all(alpha_eq(u, v) for u, v in zip(elim.args, intro.args))
-    )
+    mine, theirs = (elim.ax, elim.term, *elim.args), (intro.ax, intro.term, *intro.args)
+    return mine == theirs or (len(mine) == len(theirs) and all(map(alpha_eq, mine, theirs)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +213,7 @@ def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
 # A context is a persistent linked list of frames ``(parent, attr, outer)``,
 # innermost first, ending in None at the root: the path from the root to the
 # focus.  A frame's parent is read only for its fields other than ``attr``,
-# so ancestors are rebuilt only when a state is plugged into a full term.
+# so ancestors are rebuilt only by ``_plug``, when a state is read.
 
 Ctx = Optional[tuple]
 
@@ -268,45 +258,50 @@ def _path(ctx: Ctx) -> Path:
 def _run(m: AnyProof):
     """The focused machine on m, the one loop behind both calculi.
 
-    Yields ``(rule, ctx, redex, contractum)`` for every step, the state
-    after it being ``_plug(ctx, contractum)``; then ``(None, ctx, focus,
-    reason)`` once the state ``_plug(ctx, focus)`` is final, with reason
-    None for a value and the stuck reason otherwise.
+    Yields ``(rule, ctx, contractum, None)`` for every step, then ``(None,
+    ctx, focus, reason)`` once the state is final, with reason None for a
+    value and the stuck reason otherwise: each state is ``_plug(ctx, term)``.
 
-    After a contraction the machine resumes at the contractum: a value pops
-    one frame (the parent, rebuilt around it, is then a redex or stuck) and
-    a non-redex pushes one.  Only the immediate parent's hole child changes
-    head, so no other ancestor can become a redex.
+    A rule reads its node's hole.  A node whose hole holds a non-value
+    pushes a frame; a value pops one, and the parent's rule reads the parent
+    and that value, so parents are rebuilt only by ``_plug``.  After a
+    contraction the machine resumes at the contractum.  Only the immediate
+    parent's hole child changes head, so no other ancestor becomes a redex.
     """
     ctx: Ctx = None
     focus = m
     while True:
-        if is_value(focus):
-            if ctx is None:
-                yield None, None, focus, None
-                return
-            parent, _, ctx = ctx
-            focus = _FILL[type(parent)](parent, focus)
-        rule, out, reason = _RULES.get(type(focus), _no_rule)(focus)
-        if rule is not None:
-            yield rule, ctx, focus, out
-            focus = out
-        elif out is None or is_value(child := getattr(focus, out)):
-            yield None, ctx, focus, reason
+        if type(focus) not in _VALUES:
+            fire, attr = _RULES.get(type(focus), _NO_RULE)
+            hole = attr and getattr(focus, attr)
+            if attr is not None and type(hole) not in _VALUES:
+                ctx = (focus, attr, ctx)
+                focus = hole
+                continue
+            rule, out = fire(focus, hole)
+        elif ctx is None:
+            yield None, None, focus, None
             return
         else:
-            ctx = (focus, out, ctx)
-            focus = child
+            parent, attr, ctx = ctx
+            rule, out = _RULES[type(parent)][0](parent, focus)
+            if rule is None:
+                focus = _plug((parent, attr, None), focus)
+        if rule is None:
+            yield None, ctx, focus, out
+            return
+        yield rule, ctx, out, None
+        focus = out
 
 
 def step(m: AnyProof) -> StepResult:
     """One step of the machine of m's calculus, annotated or erased."""
-    rule, ctx, _, out = next(_run(m))
+    rule, ctx, term, reason = next(_run(m))
     if rule is not None:
-        return Stepped(_plug(ctx, out), rule, _path(ctx))
-    if out is None:
+        return Stepped(_plug(ctx, term), rule, _path(ctx))
+    if reason is None:
         return IsValue()
-    return Stuck(_path(ctx), out)
+    return Stuck(_path(ctx), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +341,22 @@ def normalize(m: AnyProof, fuel: int = DEFAULT_FUEL, on_step=None) -> NormalizeO
 
     ``on_step(index, rule, path, state)`` is invoked after every step, which
     is how the trace exporter hooks in; only then is every state plugged.
+    The state after the last step is kept as its context and term and
+    plugged only if the fuel runs out there.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     i = 0
-    for rule, ctx, focus, out in _run(m):
+    last_ctx, last_term = None, m
+    for rule, ctx, term, reason in _run(m):
         if rule is None:
-            status = "value" if out is None else "stuck"
-            return NormalizeOutcome(status, _plug(ctx, focus), i, _path(ctx), out or "")
+            status = "value" if reason is None else "stuck"
+            return NormalizeOutcome(status, _plug(ctx, term), i, _path(ctx), reason or "")
         if i == fuel:
-            return NormalizeOutcome("fuel", _plug(ctx, focus), i)
+            return NormalizeOutcome("fuel", _plug(last_ctx, last_term), i)
         if on_step is not None:
-            on_step(i, rule, _path(ctx), _plug(ctx, out))
+            on_step(i, rule, _path(ctx), _plug(ctx, term))
+        last_ctx, last_term = ctx, term
         i += 1
     raise AssertionError("unreachable")
 
@@ -375,13 +374,13 @@ def normalize_value(m: AnyProof, fuel: int = DEFAULT_FUEL) -> tuple[AnyProof, in
 def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
     """All states of a run that must end in a value: [m, ..., value]."""
     states = [m]
-    for rule, ctx, _, out in islice(_run(m), fuel):
+    for rule, ctx, term, reason in islice(_run(m), fuel):
         if rule is not None:
-            states.append(_plug(ctx, out))
-        elif out is None:
+            states.append(_plug(ctx, term))
+        elif reason is None:
             return states
         else:
-            raise StuckTerm(NormalizeOutcome("stuck", states[-1], len(states) - 1, _path(ctx), out))
+            raise StuckTerm(NormalizeOutcome("stuck", states[-1], len(states) - 1, _path(ctx), reason))
     raise FuelExhausted(NormalizeOutcome("fuel", states[-1], fuel))
 
 
@@ -395,10 +394,10 @@ def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:
         if key in seen:
             return seen[key], i - seen[key]
         seen[key] = i
-        rule, ctx, _, out = next(run)
+        rule, ctx, term, _ = next(run)
         if rule is None:
             return None
-        state = _plug(ctx, out)
+        state = _plug(ctx, term)
     return None
 
 
@@ -423,7 +422,7 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
     for i in range(fuel + 1):
         if canon(erase(typed)) != canon(erased):
             return ErasureReport(False, i, "diverged", i, "erasure of state differs")
-        (rt, ct, _, ot), (re, ce, _, oe) = next(runs)
+        (rt, ct, tt, ot), (re, ce, te, oe) = next(runs)
         value_t, value_e = rt is None and ot is None, re is None and oe is None
         if value_t or value_e:
             if value_t and value_e:
@@ -433,8 +432,8 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
             if rt is None and re is None:
                 return ErasureReport(True, i, "stuck")
             return ErasureReport(False, i, "diverged", i, "one machine stuck early")
-        typed = _plug(ct, ot)
-        erased = _plug(ce, oe)
+        typed = _plug(ct, tt)
+        erased = _plug(ce, te)
     return ErasureReport(True, fuel, "fuel")
 
 

@@ -30,6 +30,7 @@ from izf.proofs import (
     Snd,
     is_value,
 )
+from izf import reduction
 from izf.axioms import IndAx
 from izf.reduction import (
     FuelExhausted,
@@ -278,3 +279,23 @@ def test_machine_steps_at_the_oracle_redex_on_the_enumeration():
         for m in enum_restricted(size, 0):
             _run_against_oracle(m, 200, h)
     assert h.hexdigest() == _ENUM_LOCKSTEP_SHA256
+
+
+@pytest.mark.parametrize("calculus", ["annotated", "erased"])
+def test_a_run_rebuilds_no_context_node(calculus, monkeypatch):
+    """Parents are rebuilt only when a state is plugged: a long fuel run
+    rebuilds at most the final state's context, once."""
+    l2 = [e for e in nwf_suite() if e.name == "nwf_l2"][0].proof
+    m = l2 if calculus == "annotated" else erase(l2)
+    fills = []
+
+    def counted(fill):
+        return lambda p, c: fills.append(type(p)) or fill(p, c)
+
+    monkeypatch.setattr(reduction, "_FILL", {cls: counted(fill) for cls, fill in reduction._FILL.items()})
+    out = normalize(m, 3000)
+    assert out.status == "fuel" and out.steps == 3000
+    depth, node = 0, out.result
+    while (node := _hole_child(node)) is not None:
+        depth += 1
+    assert len(fills) <= depth
