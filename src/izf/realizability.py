@@ -365,9 +365,10 @@ class _Eval:
       its entries as (label key, member id) pairs;
     * ``_compiled``: each formula's ``_Node`` and each term's function from
       an environment to its name id, by identity and scope;
-    * ``_norm``/``_values``: each term's value or why it has none, by key
-      and by identity; ``_inst``: each instantiation of a lambda's body, by
-      the keys of lambda and argument; ``_labels``: each ``label_key``;
+    * ``_norm``: each term's value or why it has none, by key; ``_values``:
+      each subject's value, why it has none, key and the subject itself, by
+      identity; ``_inst``: each instantiation of a lambda's body, by the
+      keys of lambda and argument; ``_labels``: each ``label_key``;
     * ``_rel``: each relation instance's verdict, ``_RUNNING`` while it is
       computed, read inline on a hit; a formula's is keyed by (its key, the
       subject's key, the ids in its slots); ``_meaning``: each compound
@@ -442,23 +443,25 @@ class _Eval:
             hit = self._inst[k] = subst(lam.body, lam.var, arg)
         return hit
 
-    def _value_of(self, m: ErasedProof) -> tuple[ErasedProof | None, Verdict | None]:
-        """m's value, or None and why not: unknown out of fuel, ``FAILS`` if stuck."""
+    def _value_of(self, m: ErasedProof) -> tuple[ErasedProof | None, Verdict | None, int, ErasedProof]:
+        """m's value, or None and why not (unknown out of fuel, ``FAILS`` if
+        stuck), then m's key and m: one entry by identity, which holds m so
+        its id is not reused."""
         hit = self._values.get(id(m))
         if hit is None:
-            key = self.key(m)  # which also holds m, so its id is not reused
-            hit = self._norm.get(key)
-            if hit is None:
+            key = self.key(m)
+            norm = self._norm.get(key)
+            if norm is None:
                 out = normalize(m, self.cfg.fuel)
                 why = unknown("fuel exhausted during normalization") if out.status == "fuel" else FAILS
-                hit = self._norm[key] = (out.result, None) if out.is_value else (None, why)
-            self._values[id(m)] = hit
+                norm = self._norm[key] = (out.result, None) if out.is_value else (None, why)
+            hit = self._values[id(m)] = (*norm, key, m)
         return hit
 
     def _as(self, m: ErasedProof, head, family: str | None = None):
         """m's value if it is a ``head`` (of ``family``, for an axiom
         value), else None and why not: ``FAILS`` for any other value."""
-        v, err = self._value_of(m)
+        v, err, _, _ = self._value_of(m)
         if err is None and not (isinstance(v, head) and (family is None or v.family == family)):
             return None, FAILS
         return v, err
@@ -485,7 +488,7 @@ class _Eval:
         return self._memo(key, lambda: self._mem_i(m, a, b)) if hit is None else hit
 
     def _mem_i(self, m: ErasedProof, a: int, b: int) -> Verdict:
-        v, err = self._value_of(m)
+        v, err, _, _ = self._value_of(m)
         if err is not None:
             return err
         if (self.label(v), a) in self._name_facts(b)[1]:
@@ -565,9 +568,9 @@ class _Eval:
         for t in self.cfg.terms:
             pair, err = self._as(self.instantiate(m0, t), EPairP)
             if err is None:
-                o, err = self._value_of(pair.left)
+                o, err, _, _ = self._value_of(pair.left)
             if err is None:
-                p, err = self._value_of(pair.right)
+                p, err, _, _ = self._value_of(pair.right)
             if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
                 err = FAILS
             if err is FAILS:
@@ -608,7 +611,7 @@ class _Eval:
         if hit is None:
             entries, keep = self._name_facts(src)[1], []
             for n in self._hyp_pool((src, dst)):
-                v, err = self._value_of(n)
+                v, err, _, _ = self._value_of(n)
                 if err is not FAILS and (err is not None or (self.label(v), d) in entries or src == self.omega()):
                     keep.append(n)
             hit = self._dpools[k] = tuple(keep)
@@ -756,15 +759,19 @@ class _Eval:
     def reals(self, node: _Node, m: ErasedProof, env: tuple) -> Verdict:
         """Whether m realizes node's formula under env.  A subject without
         the value shape the clause wants fails (or is unknown, out of fuel)
-        before any memo is touched: no instance can recur through it."""
-        m_or_v = m
-        if node.head is not None:
-            m_or_v, err = self._as(m, node.head)
+        before any memo is touched: no instance can recur through it.  Its
+        value and key are read off one entry."""
+        if node.head is None:
+            m_or_v, k = m, self.key(m)
+        else:
+            m_or_v, err, k, _ = self._value_of(m)
             if err is not None:
                 return err
+            if not isinstance(m_or_v, node.head):
+                return FAILS
         if node.clause is None:
             node.clause = node.build()
-        hit = self._rel.get(key := (node.key, self.key(m), node.pick(env)))
+        hit = self._rel.get(key := (node.key, k, node.pick(env)))
         return self._memo(key, lambda: node.clause(m_or_v, env)) if hit is None else hit
 
     def _formula(self, phi: Formula, scope: tuple) -> _Node:
