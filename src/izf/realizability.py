@@ -358,17 +358,17 @@ class _Eval:
     ``omega`` interns once, is the process constant ``omega_name()``):
 
     * ``_ids``: the int standing for each nameless key; ``_nodes``: each
-      keyed node's int, by identity (an entry holds its node, so no other
-      node takes its id during the query);
+      keyed node's entry, by identity: the node (so no other node takes its
+      id during the query) and its int, then, once the node has been
+      normalized as a subject, its value and why it has none;
     * ``_name_ids``/``_names``: each name's int id, by key, and back (a name
       is hashed once, when interned); ``_facts``: each id's member ids and
       its entries as (label key, member id) pairs;
     * ``_compiled``: each formula's ``_Node`` and each term's function from
       an environment to its name id, by identity and scope;
-    * ``_norm``: each term's value or why it has none, by key; ``_values``:
-      each subject's value, why it has none, key and the subject itself, by
-      identity; ``_inst``: each instantiation of a lambda's body, by the
-      keys of lambda and argument; ``_labels``: each ``label_key``;
+    * ``_norm``: each term's value or why it has none, by key; ``_inst``:
+      each instantiation of a lambda's body, by the keys of lambda and
+      argument; ``_labels``: each ``label_key``;
     * ``_rel``: each relation instance's verdict, ``_RUNNING`` while it is
       computed, read inline on a hit; a formula's is keyed by (its key, the
       subject's key, the ids in its slots); ``_meaning``: each compound
@@ -383,7 +383,7 @@ class _Eval:
         self.cfg = cfg
         self._ids, self._nodes, self._name_ids, self._compiled = {}, {}, {}, {}
         self._names, self._facts = [], []
-        self._norm, self._values, self._inst, self._labels = {}, {}, {}, {}
+        self._norm, self._inst, self._labels = {}, {}, {}
         self._rel, self._meaning, self._pools, self._dpools = {}, {}, {}, {}
         # what a universal (existential) sweep that met no deciding verdict and no unknown reports
         self._swept = unknown("universal position exhausted a truncated pool") if cfg.truncated else REALIZES
@@ -443,25 +443,24 @@ class _Eval:
             hit = self._inst[k] = subst(lam.body, lam.var, arg)
         return hit
 
-    def _value_of(self, m: ErasedProof) -> tuple[ErasedProof | None, Verdict | None, int, ErasedProof]:
-        """m's value, or None and why not (unknown out of fuel, ``FAILS`` if
-        stuck), then m's key and m: one entry by identity, which holds m so
-        its id is not reused."""
-        hit = self._values.get(id(m))
-        if hit is None:
+    def _value_of(self, m: ErasedProof) -> tuple[ErasedProof, int, ErasedProof | None, Verdict | None]:
+        """m's entry in ``_nodes`` with its value: m, its key, then its
+        value, or None and why not (unknown out of fuel, ``FAILS`` if stuck)."""
+        hit = self._nodes.get(id(m))
+        if hit is None or len(hit) == 2:
             key = self.key(m)
             norm = self._norm.get(key)
             if norm is None:
                 out = normalize(m, self.cfg.fuel)
                 why = unknown("fuel exhausted during normalization") if out.status == "fuel" else FAILS
                 norm = self._norm[key] = (out.result, None) if out.is_value else (None, why)
-            hit = self._values[id(m)] = (*norm, key, m)
+            hit = self._nodes[id(m)] = (m, key, *norm)
         return hit
 
     def _as(self, m: ErasedProof, head, family: str | None = None):
         """m's value if it is a ``head`` (of ``family``, for an axiom
         value), else None and why not: ``FAILS`` for any other value."""
-        v, err, _, _ = self._value_of(m)
+        _, _, v, err = self._value_of(m)
         if err is None and not (isinstance(v, head) and (family is None or v.family == family)):
             return None, FAILS
         return v, err
@@ -488,7 +487,7 @@ class _Eval:
         return self._memo(key, lambda: self._mem_i(m, a, b)) if hit is None else hit
 
     def _mem_i(self, m: ErasedProof, a: int, b: int) -> Verdict:
-        v, err, _, _ = self._value_of(m)
+        _, _, v, err = self._value_of(m)
         if err is not None:
             return err
         if (self.label(v), a) in self._name_facts(b)[1]:
@@ -568,9 +567,9 @@ class _Eval:
         for t in self.cfg.terms:
             pair, err = self._as(self.instantiate(m0, t), EPairP)
             if err is None:
-                o, err, _, _ = self._value_of(pair.left)
+                _, _, o, err = self._value_of(pair.left)
             if err is None:
-                p, err, _, _ = self._value_of(pair.right)
+                _, _, p, err = self._value_of(pair.right)
             if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
                 err = FAILS
             if err is FAILS:
@@ -611,7 +610,7 @@ class _Eval:
         if hit is None:
             entries, keep = self._name_facts(src)[1], []
             for n in self._hyp_pool((src, dst)):
-                v, err, _, _ = self._value_of(n)
+                _, _, v, err = self._value_of(n)
                 if err is not FAILS and (err is not None or (self.label(v), d) in entries or src == self.omega()):
                     keep.append(n)
             hit = self._dpools[k] = tuple(keep)
@@ -760,11 +759,11 @@ class _Eval:
         """Whether m realizes node's formula under env.  A subject without
         the value shape the clause wants fails (or is unknown, out of fuel)
         before any memo is touched: no instance can recur through it.  Its
-        value and key are read off one entry."""
+        value and key are read off its one entry."""
         if node.head is None:
             m_or_v, k = m, self.key(m)
         else:
-            m_or_v, err, k, _ = self._value_of(m)
+            _, k, m_or_v, err = self._value_of(m)
             if err is not None:
                 return err
             if not isinstance(m_or_v, node.head):
