@@ -40,7 +40,6 @@ from .syntax import (
     MemI,
     Node,
     NwfConst,
-    Or,
     Repl,
     Sep,
     Term,
@@ -282,14 +281,6 @@ def _checked(ax: AxiomId, args: tuple[Term, ...]) -> Row:
     return _row(ax)
 
 
-def term_head(ax: AxiomId, args: tuple[Term, ...]) -> Term:
-    """The set term t_A(args); In/Eq/Ind have no term form."""
-    row = _checked(ax, args)
-    if row.term is None:
-        raise NoTermFormError(f"{type(ax).__name__} has no term form")
-    return row.term(ax, args)
-
-
 def head_formula(ax: AxiomId, t: Term, args: tuple[Term, ...]) -> Formula:
     """The conclusion an introduction proof term gets: t R t_A(args), or t R
     args[0] for (IN) and (EQ)."""
@@ -312,33 +303,3 @@ def axiom_statement(ax: AxiomId) -> Formula:
 
 def is_nwf_axiom(ax: AxiomId) -> bool:
     return _row(ax).nwf
-
-
-def inac_phi1(i: int, c: str) -> Formula:
-    """Membership conditions for V_i: the five-way disjunction."""
-    return substitute_many(parsed(INAC_PHI1), {"c": Var(c), **_inaccessibles(i)})
-
-
-def inac_phi2(i: int, d: str) -> Formula:
-    """Inaccessibility conditions for d: the five-way conjunction."""
-    return substitute_many(parsed(INAC_PHI2), {"d": Var(d), **_inaccessibles(i)})
-
-
-def disjuncts(phi: Formula) -> list[Formula]:
-    """Split a right-nested disjunction into its clauses."""
-    out = []
-    while isinstance(phi, Or):
-        out.append(phi.left)
-        phi = phi.right
-    out.append(phi)
-    return out
-
-
-def conjuncts(phi: Formula) -> list[Formula]:
-    """Split a right-nested conjunction into its clauses."""
-    out = []
-    while isinstance(phi, And):
-        out.append(phi.left)
-        phi = phi.right
-    out.append(phi)
-    return out

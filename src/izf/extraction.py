@@ -96,7 +96,7 @@ def _normalize_value(m: Proof, cfg: ExtractionConfig) -> Proof:
     return out.result
 
 
-def _recheck(m: Proof, phi: Formula, cfg: ExtractionConfig, what: str) -> None:
+def _recheck(m: Proof, phi: Formula, cfg: ExtractionConfig) -> None:
     if cfg.paranoid:
         check((), m, phi)
 
@@ -145,7 +145,7 @@ def _extract_numeral(m: Proof, goal: Mem, cfg: ExtractionConfig, depth: int) -> 
     v = _normalize_value(m, cfg)
     if not isinstance(v, AxRep):
         raise ShapeError("membership value is not an introduction")
-    _recheck(v.arg, phi_A(v.ax, v.term, v.args), cfg, "in-intro premise")
+    _recheck(v.arg, phi_A(v.ax, v.term, v.args), cfg)
     ex = _normalize_value(v.arg, cfg)
     if not isinstance(ex, ExIntro):
         raise ShapeError("membership unpacks to a non-witness")
@@ -156,7 +156,7 @@ def _extract_numeral(m: Proof, goal: Mem, cfg: ExtractionConfig, depth: int) -> 
     inf = _normalize_value(conj.left, cfg)
     if not (isinstance(inf, AxRep) and isinstance(inf.ax, InfAx)):
         raise ShapeError("intensional component is not an infinity introduction")
-    _recheck(inf.arg, phi_A(InfAx(), inf.term, ()), cfg, "infinity premise")
+    _recheck(inf.arg, phi_A(InfAx(), inf.term, ()), cfg)
     disj = _normalize_value(inf.arg, cfg)
     if isinstance(disj, Inl):
         return 0
@@ -169,7 +169,7 @@ def _extract_numeral(m: Proof, goal: Mem, cfg: ExtractionConfig, depth: int) -> 
     if not isinstance(pair, PairP):
         raise ShapeError("successor clause body is not a conjunction pair")
     sub_goal = Mem(succ_ex.witness, Omega())
-    _recheck(pair.left, sub_goal, cfg, "predecessor membership")
+    _recheck(pair.left, sub_goal, cfg)
     return 1 + _extract_numeral(pair.left, sub_goal, cfg, depth - 1)
 
 

@@ -496,14 +496,14 @@ class _Eval:
             # The omega name is inductively defined: arbitrary labels are
             # admitted whenever the base or successor clause accepts them,
             # not only the canonical entries listed in the approximation.
-            return self._memo(("omega-entry", self.key(v), a), lambda: self._omega_clause(v, a, b))
+            return self._memo(("omega-entry", self.key(v), a), lambda: self._omega_clause(v, a))
         return FAILS
 
-    def _omega_clause(self, v: ErasedProof, a: int, approx: int, candidates=None) -> Verdict:
+    def _omega_clause(self, v: ErasedProof, a: int) -> Verdict:
         """Whether the entry (v, a) meets omega's base clause (an inl whose
         payload realizes equality with zero) or its successor clause (an inr
-        packaging a membership of some candidate b, by default as in ``_mem``,
-        in ``approx`` with an equality of a to the successor of b)."""
+        packaging a membership of some candidate b, as in ``_mem``, in
+        omega's name with an equality of a to the successor of b)."""
         if not (isinstance(v, EAxRep) and v.family == "inf"):
             return FAILS
         nv, err = self._as(v.arg, (EInl, EInr))
@@ -515,7 +515,7 @@ class _Eval:
             pair, err = self._as(ex.body, EPairP)
         if err is not None:
             return err
-        return self._witnessed(self.mem, pair, a, approx, self.succ, candidates)
+        return self._witnessed(self.mem, pair, a, self.omega(), self.succ)
 
     def mem(self, m: ErasedProof, a: int, b: int) -> Verdict:
         hit = self._rel.get(key := ("mem", self.key(m), a, b))
@@ -531,16 +531,14 @@ class _Eval:
             return err
         return self._witnessed(self.mem_i, pair, a, b)
 
-    def _witnessed(self, rel, pair: EPairP, a: int, b: int, step=None, candidates=None) -> Verdict:
+    def _witnessed(self, rel, pair: EPairP, a: int, b: int, step=None) -> Verdict:
         """Whether, for some candidate c, pair's left realizes ``rel`` at
         (c, b) and its right realizes a = c (a = step(c), with a ``step``).
         Membership witnesses must label an entry of b, so the candidates,
         b's member names, are exhaustive for literal entries; the subject
         and its members are added for the clause-extended omega name."""
-        if candidates is None:
-            candidates = dict.fromkeys((*self.members(b), a, *self.members(a), *self._universe))
         pending = None
-        for c in candidates:
+        for c in dict.fromkeys((*self.members(b), a, *self.members(a), *self._universe)):
             got = rel(pair.left, c, b)
             if got is not FAILS:
                 got = _both(got, self.eq(pair.right, a, c if step is None else step(c)))
@@ -889,21 +887,6 @@ def _reject_inac(phi: Formula) -> None:
 # Public operations
 
 
-def reals_mem_i(m: ErasedProof, a: LambdaName, b: LambdaName, fuel: int = 10**4) -> Verdict:
-    ev = _Eval(RealizCfg(fuel=fuel))
-    return ev.mem_i(m, ev.nid(a), ev.nid(b))
-
-
-def reals_mem(m: ErasedProof, a: LambdaName, b: LambdaName, cfg: RealizCfg) -> Verdict:
-    ev = _Eval(cfg)
-    return ev.mem(m, ev.nid(a), ev.nid(b))
-
-
-def reals_eq(m: ErasedProof, a: LambdaName, b: LambdaName, cfg: RealizCfg) -> Verdict:
-    ev = _Eval(cfg)
-    return ev.eq(m, ev.nid(a), ev.nid(b))
-
-
 def reals(
     m: ErasedProof,
     phi: Formula,
@@ -915,13 +898,3 @@ def reals(
     ev = _Eval(cfg)
     scope, env = ev._root(rho or {})
     return ev.reals(ev._formula(phi, scope), m, env)
-
-
-def omega_prime_member(entry: tuple[ErasedProof, LambdaName], approx: LambdaName, fuel: int = 10**4) -> Verdict:
-    """Check one candidate entry against omega's base or successor clause,
-    with ``approx`` as the approximation the successor clause looks into."""
-    label, a = entry
-    dedup = dict.fromkeys((EMPTY_NAME, a, approx, *approx.members(), *a.members()))
-    ev = _Eval(RealizCfg(fuel=fuel, universe=tuple(dedup), realizers=default_realizer_pool(), terms=(Empty(),)))
-    candidates = tuple(map(ev.nid, (*approx.members(), *dedup)))
-    return ev._omega_clause(label, ev.nid(a), ev.nid(approx), candidates)

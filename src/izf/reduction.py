@@ -361,16 +361,6 @@ def normalize(m: AnyProof, fuel: int = DEFAULT_FUEL, on_step=None) -> NormalizeO
     raise AssertionError("unreachable")
 
 
-def normalize_value(m: AnyProof, fuel: int = DEFAULT_FUEL) -> tuple[AnyProof, int]:
-    """Like normalize but demands a value, raising otherwise."""
-    out = normalize(m, fuel)
-    if out.status == "fuel":
-        raise FuelExhausted(out)
-    if out.status == "stuck":
-        raise StuckTerm(out)
-    return out.result, out.steps
-
-
 def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
     """All states of a run that must end in a value: [m, ..., value]."""
     states = [m]
@@ -394,6 +384,8 @@ def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:
         if key in seen:
             return seen[key], i - seen[key]
         seen[key] = i
+        if i == fuel:
+            break
         rule, ctx, term, _ = next(run)
         if rule is None:
             return None

@@ -427,17 +427,3 @@ def canonical_form(phi: Formula, v: Proof, nwf: bool = False) -> CanonicalForm:
         case Bottom():
             raise InternalInconsistencyError("no closed value proves absurdity")
     raise InternalInconsistencyError(f"unclassifiable type {phi!r}")
-
-
-def weaken_ok(ctx: Context, extra: tuple[str, Formula], m: Proof, phi: Formula, nwf: bool = False) -> bool:
-    """Check that one fresh hypothesis does not change the verdict."""
-    x, psi = extra
-    pv, fv = proof_free_vars(m)
-    fresh = (
-        ctx_lookup(ctx, x) is None
-        and x not in pv
-        and not (free_vars(psi) & (ctx_fo_vars(ctx) | fv | free_vars(phi)))
-    )
-    if not fresh:
-        raise ValueError("weakening precondition: hypothesis must be fresh")
-    return checks(ctx, m, phi, nwf) == checks(ctx + ((x, psi),), m, phi, nwf)

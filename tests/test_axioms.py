@@ -20,12 +20,8 @@ from izf.axioms import (
     SepAx,
     UnionAx,
     axiom_statement,
-    conjuncts,
-    disjuncts,
-    inac_phi1,
-    inac_phi2,
+    head_formula,
     phi_A,
-    term_head,
 )
 from izf.syntax import (
     And,
@@ -72,17 +68,37 @@ def test_phi_arity_mismatch():
         phi_A(PairAx(), c, (a,))
 
 
+def _clauses(phi, connective):
+    """Split a right-nested disjunction or conjunction into its clauses."""
+    out = []
+    while isinstance(phi, connective):
+        out.append(phi.left)
+        phi = phi.right
+    return [*out, phi]
+
+
+def _inac_phi1(i):
+    """Membership conditions for V_i at c: the five-way disjunction."""
+    return phi_A(InacAx(i), c, ()).left
+
+
+def _inac_phi2(i):
+    """Inaccessibility conditions for d: the five-way conjunction."""
+    bound = phi_A(InacAx(i), c, ()).right
+    return substitute(bound.body.left, bound.binder, d)
+
+
 def test_inac_phi1_clauses():
-    d1 = disjuncts(inac_phi1(1, "c"))
+    d1 = _clauses(_inac_phi1(1), Or)
     assert len(d1) == 5
     assert d1[0] == Eq(c, Omega())
     assert alpha_eq(d1[2], Exists("a", And(Mem(a, Inac(1)), Eq(c, UnionT(a)))))
-    d2 = disjuncts(inac_phi1(2, "c"))
+    d2 = _clauses(_inac_phi1(2), Or)
     assert d2[0] == Eq(c, Inac(1))
 
 
 def test_inac_phi2_clauses():
-    cl = conjuncts(inac_phi2(1, "d"))
+    cl = _clauses(_inac_phi2(1), And)
     assert len(cl) == 5
     assert cl[0] == Mem(Omega(), d)
     want2 = Forall("e", Forall("f", Imp(And(Mem(Var("e"), d), Mem(Var("f"), Var("e"))), Mem(Var("f"), d))))
@@ -93,15 +109,13 @@ def test_inac_phi2_clauses():
 
 def test_inac_index_zero_rejected():
     with pytest.raises(ValueError):
-        inac_phi1(0, "c")
-    with pytest.raises(ValueError):
-        inac_phi2(0, "d")
+        phi_A(InacAx(0), c, ())
 
 
 def test_inac_index_shift():
     # consecutive indices differ exactly by shifting the V occurrences
-    one = inac_phi1(1, "c")
-    two = inac_phi1(2, "c")
+    one = _inac_phi1(1)
+    two = _inac_phi1(2)
 
     def shift(t):
         match t:
@@ -140,7 +154,7 @@ def test_inac_index_shift():
                 return Exists(x, shift_f(body))
 
     assert alpha_eq(shift_f(one), two)
-    assert alpha_eq(shift_f(inac_phi2(1, "d")), inac_phi2(2, "d"))
+    assert alpha_eq(shift_f(_inac_phi2(1)), _inac_phi2(2))
 
 
 def test_axiom_statement_in():
@@ -173,10 +187,12 @@ def test_axiom_statement_ind_instance():
 
 
 def test_term_head_examples():
-    assert term_head(PairAx(), (Empty(), Omega())) == PairT(Empty(), Omega())
-    assert term_head(InacAx(3), ()) == Inac(3)
+    assert head_formula(PairAx(), c, (Empty(), Omega())).right == PairT(Empty(), Omega())
+    assert head_formula(InacAx(3), c, ()).right == Inac(3)
+    # (IN) has no term form: its head relates c to the argument itself
+    assert head_formula(InAx(), c, (a,)) == Mem(c, a)
     with pytest.raises(NoTermFormError):
-        term_head(InAx(), (a,))
+        head_formula(IndAx("a", (), Eq(a, a)), c, ())
 
 
 def test_phi_uses_only_extensional_relations():
@@ -247,7 +263,7 @@ def test_schema_instantiation_commutes_with_substitution(seed):
 
 def test_nwf_axiom_shapes():
     got = phi_A(NwfAx(), a, ())
-    cc = term_head(NwfAx(), ())
+    cc = head_formula(NwfAx(), a, ()).right
     want = Forall(
         "x",
         And(Imp(Mem(Var("x"), a), Mem(Var("x"), cc)), Imp(Mem(Var("x"), cc), Mem(Var("x"), a))),

@@ -6,7 +6,7 @@ import pytest
 from izf import lemmas
 from izf import realizability as rz
 from izf.proof_ops import alpha_eq_proof, erase
-from izf.proofs import EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar, is_value
+from izf.proofs import EApp, EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar, is_value
 from izf.realizability import (
     EMPTY_NAME,
     FAILS,
@@ -21,16 +21,12 @@ from izf.realizability import (
     identity_value,
     mem_wrap,
     name_of,
-    omega_prime_member,
     reals,
-    reals_eq,
-    reals_mem,
-    reals_mem_i,
     refl_value,
 )
 from izf.realizers import mk_eqRefl, mk_eqSymm, mk_eqTrans, mk_lei
 from izf.reduction import normalize
-from izf.syntax import And, Empty, Eq, Exists, Forall, Imp, Inac, Mem, NameRef, Omega, Sep, Var, alpha_eq, succ_term
+from izf.syntax import And, Empty, Eq, Exists, Forall, Imp, Inac, Mem, MemI, NameRef, Omega, Sep, Var, alpha_eq, succ_term
 from izf.typecheck import check
 from izf.corpus import nwf_suite
 from test_metatheory_random import grown_theorems
@@ -43,39 +39,45 @@ def _sing(label, member=EMPTY_NAME):
     return name_of(((label, member),))
 
 
+def _atomic(m, rel, left, right, cfg=SMALL):
+    """Whether m realizes the atomic formula rel(a, b) with a named left
+    and b named right."""
+    return reals(m, rel(a, b), {"a": left, "b": right}, cfg)
+
+
 def test_mem_i_examples():
     v = identity_value()
     B = _sing(v)
-    assert reals_mem_i(v, EMPTY_NAME, B).realizes
-    assert reals_mem_i(v, EMPTY_NAME, EMPTY_NAME).fails
+    assert _atomic(v, MemI, EMPTY_NAME, B).realizes
+    assert _atomic(v, MemI, EMPTY_NAME, EMPTY_NAME).fails
 
 
 def test_mem_i_diverging_is_unknown():
     l2 = [e for e in nwf_suite() if e.name == "nwf_l2"][0]
     loop = erase(l2.proof)
-    verdict = reals_mem_i(loop, EMPTY_NAME, _sing(identity_value()), fuel=500)
+    verdict = _atomic(loop, MemI, EMPTY_NAME, _sing(identity_value()), RealizCfg(fuel=500))
     assert verdict.unknown
 
 
 def test_mem_fails_against_empty_name():
     v = mem_wrap(identity_value())
-    assert reals_mem(v, EMPTY_NAME, EMPTY_NAME, SMALL).fails
+    assert _atomic(v, Mem, EMPTY_NAME, EMPTY_NAME).fails
 
 
 def test_mem_through_wrap():
     v = identity_value()
     B = _sing(v)
-    assert reals_mem(mem_wrap(v), EMPTY_NAME, B, SMALL).realizes
+    assert _atomic(mem_wrap(v), Mem, EMPTY_NAME, B).realizes
 
 
 def test_eq_refl_small_names():
     for nm in enumerate_names(2, 12):
-        assert reals_eq(refl_value(), nm, nm, SMALL).realizes, nm
+        assert _atomic(refl_value(), Eq, nm, nm).realizes, nm
 
 
 def test_eq_distinct_singletons_fail():
     l, r = _sing(EInl(identity_value())), _sing(EInr(identity_value()))
-    assert reals_eq(refl_value(), l, r, SMALL).fails
+    assert _atomic(refl_value(), Eq, l, r).fails
 
 
 def test_eq_is_label_sensitive():
@@ -84,14 +86,14 @@ def test_eq_is_label_sensitive():
     # witness through a label present on both sides can
     l = _sing(EInl(identity_value()))
     lr = name_of(((EInl(identity_value()), EMPTY_NAME), (EInr(identity_value()), EMPTY_NAME)))
-    assert reals_eq(refl_value(), l, lr, SMALL).fails
+    assert _atomic(refl_value(), Eq, l, lr).fails
     funnel = ELamP(
         "x",
         EAxRep("in", EExIntro(Var("d"), EPairP(EInl(identity_value()), refl_value()))),
     )
     hand = EAxRep("eq", ELamF("d", EPairP(funnel, funnel)))
-    assert reals_eq(hand, l, lr, SMALL).realizes
-    assert reals_eq(hand, lr, l, SMALL).realizes
+    assert _atomic(hand, Eq, l, lr).realizes
+    assert _atomic(hand, Eq, lr, l).realizes
 
 
 def test_realizes_implies_normalizes():
@@ -171,30 +173,39 @@ def test_truncated_mode_reports_unknown():
     assert v.unknown
 
 
-def test_omega_prime_base_entry():
-    label = EAxRep("inf", EInl(refl_value()))
-    approx = name_of(((label, EMPTY_NAME),))
-    assert omega_prime_member((label, EMPTY_NAME), approx).realizes
+def _omega_member(monkeypatch, label, member=EMPTY_NAME):
+    """Whether label realizes member ini omega, with the subjects the omega
+    clause ran on: a label omega's name lists is decided without the clause."""
+    runs = []
+    clause = _Eval._omega_clause
+    monkeypatch.setattr(_Eval, "_omega_clause", lambda ev, v, n: runs.append(v) or clause(ev, v, n))
+    return reals(label, MemI(a, Omega()), {"a": member}, SMALL), runs
 
 
-def test_omega_prime_successor_entry():
-    from izf.realizability import _Eval
+def test_omega_prime_base_entry(monkeypatch):
+    # a redex where omega's listed entry has refl: a label the name does not list
+    label = EAxRep("inf", EInl(EApp(identity_value(), refl_value())))
+    verdict, runs = _omega_member(monkeypatch, label)
+    assert verdict.realizes and runs == [label]
 
-    ev = _Eval(default_cfg(depth=1, fuel=10**4, universe_size=8))
+
+def test_omega_prime_successor_entry(monkeypatch):
+    one = _Eval(SMALL).meaning(succ_term(NameRef(EMPTY_NAME)), {})
     base_label = EAxRep("inf", EInl(refl_value()))
-    approx = name_of(((base_label, EMPTY_NAME),))
-    one = ev.meaning(succ_term(NameRef(EMPTY_NAME)), {})
-    from izf.proofs import EExIntro
-    from izf.syntax import Empty
-
-    succ_label = EAxRep(
-        "inf", EInr(EExIntro(Empty(), EPairP(mem_wrap(base_label), refl_value())))
-    )
-    assert omega_prime_member((succ_label, one), approx).realizes
+    payload = EPairP(mem_wrap(base_label), EApp(identity_value(), refl_value()))
+    label = EAxRep("inf", EInr(EExIntro(Empty(), payload)))
+    verdict, runs = _omega_member(monkeypatch, label, one)
+    assert verdict.realizes and runs[0] == label
 
 
-def test_omega_prime_wrong_head_fails():
-    assert omega_prime_member((identity_value(), EMPTY_NAME), EMPTY_NAME).fails
+def test_omega_prime_wrong_head_fails(monkeypatch):
+    verdict, runs = _omega_member(monkeypatch, identity_value())
+    assert verdict.fails and runs == [identity_value()]
+
+
+def test_omega_listed_entry_skips_the_clause(monkeypatch):
+    verdict, runs = _omega_member(monkeypatch, EAxRep("inf", EInl(refl_value())))
+    assert verdict.realizes and runs == []
 
 
 def test_stock_realizers_erase_proofs_of_the_criterion_8_statements():

@@ -43,7 +43,6 @@ from izf.reduction import (
     count_redexes,
     detect_cycle,
     normalize,
-    normalize_value,
     simulate_erasure,
     step,
     trace_states,
@@ -103,8 +102,8 @@ def test_normalize_value_immediately():
 
 def test_normalize_single_beta():
     m = App(LamP("x", Bottom(), x), IDB)
-    v, steps = normalize_value(m, 10)
-    assert steps == 1 and v == IDB
+    out = normalize(m, 10)
+    assert out.status == "value" and out.steps == 1 and out.result == IDB
 
 
 def test_normalize_fuel_zero():
@@ -122,6 +121,17 @@ def test_stuck_reports_path():
 
 def test_detect_cycle_on_value():
     assert detect_cycle(IDB, 100) is None
+
+
+def test_detect_cycle_takes_no_step_past_its_fuel(monkeypatch):
+    calls = []
+    real = reduction.subst_proof
+    monkeypatch.setattr(reduction, "subst_proof", lambda *args: calls.append(args) or real(*args))
+    beta = App(LamP("x", Bottom(), PropVar("x")), LamP("y", Bottom(), PropVar("y")))
+    assert detect_cycle(beta, 0) is None
+    assert calls == []
+    assert detect_cycle(beta, 1) is None
+    assert len(calls) == 1
 
 
 def test_detect_cycle_omega_loop():

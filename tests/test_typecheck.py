@@ -23,6 +23,7 @@ from izf.proofs import (
     Let,
     PairP,
     PropVar,
+    proof_free_vars,
 )
 from izf.syntax import (
     And,
@@ -52,8 +53,9 @@ from izf.typecheck import (
     canonical_form,
     check,
     checks,
+    ctx_fo_vars,
+    ctx_lookup,
     infer,
-    weaken_ok,
 )
 
 x, y = PropVar("x"), PropVar("y")
@@ -170,6 +172,20 @@ def test_canonical_form_bottom_impossible():
 def test_canonical_form_rejects_nonchecking():
     with pytest.raises(InternalInconsistencyError):
         canonical_form(Imp(B, Imp(B, B)), IDB)
+
+
+def weaken_ok(ctx, extra, m, phi, nwf=False):
+    """Check that one fresh hypothesis does not change the verdict."""
+    x, psi = extra
+    pv, fv = proof_free_vars(m)
+    fresh = (
+        ctx_lookup(ctx, x) is None
+        and x not in pv
+        and not (free_vars(psi) & (ctx_fo_vars(ctx) | fv | free_vars(phi)))
+    )
+    if not fresh:
+        raise ValueError("weakening precondition: hypothesis must be fresh")
+    return checks(ctx, m, phi, nwf) == checks(ctx + ((x, psi),), m, phi, nwf)
 
 
 def test_weaken_ok_simple():

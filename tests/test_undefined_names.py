@@ -1,12 +1,18 @@
 """Every name a module of the package loads must be defined somewhere, and
-every name it defines must be used somewhere.
+every name it defines must be used somewhere, by more than tests.
 
 A name used but never imported or bound (say a constructor matched in a
 ``case`` pattern but missing from the imports) only fails when that line runs.
 This scan finds such names statically: a loaded name must be a global of the
 imported module, a builtin, or bound somewhere in the same file.  The second
 scan finds the opposite: a module-level function, class or constant that no
-code of the project loads or imports.
+code of the project loads or imports.  The third holds the public names (no
+leading underscore) to a higher bar: each must be used by the package, the
+scripts or the benchmark, or imported by ``tests/test_acceptance.py`` (read
+from its imports), unless ``KEPT`` gives the reason it stays.  A public name
+only tests reach is a second way into a definition the kernel states once;
+its tests go through the public path instead.  On failure the scan lists
+each such name with the test files that use it, where the reroute is due.
 """
 
 import ast
@@ -17,6 +23,11 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "izf"
 USERS = ("src", "tests", "scripts", "perfbench")  # the code that may use a name of the package
+KERNEL_USERS = ("src", "scripts", "perfbench")  # the code whose use keeps a public name
+KEPT = {  # public names only tests reach, each kept for the reason given
+    "typecheck.canonical_form": "the paper's canonical-forms lemma, the progress oracle",
+    "extraction.defining_formula": "the paper's elimination of function symbols, which the README advertises",
+}
 
 
 def _bound_names(tree: ast.AST) -> set[str]:
@@ -80,16 +91,53 @@ def _uses(tree: ast.Module) -> set[str]:
     return out
 
 
+def _used_by(tops) -> dict[pathlib.Path, set[str]]:
+    """The names each Python file under the given top-level folders uses."""
+    return {
+        path: _uses(ast.parse(path.read_text(encoding="utf-8")))
+        for top in tops
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def _definitions():
+    """(file, line, name) for each module-level name of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in _defines(stmt):
+                yield path, stmt.lineno, name
+
+
 def test_every_module_level_name_is_used():
-    used: set[str] = set()
-    for top in USERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            used |= _uses(ast.parse(path.read_text(encoding="utf-8")))
+    used = set().union(*_used_by(USERS).values())
     unused = [
-        f"{path.name}:{stmt.lineno} {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-        for name in _defines(stmt)
+        f"{path.name}:{line} {name}"
+        for path, line, name in _definitions()
         if not (name.startswith("__") and name.endswith("__")) and name not in used
     ]
     assert unused == []
+
+
+def _acceptance_imports() -> set[str]:
+    """The names the acceptance criteria import from the package."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "izf"
+        for alias in node.names
+    }
+
+
+def test_every_public_name_has_a_user_beyond_the_tests():
+    used = set().union(*_used_by(KERNEL_USERS).values(), _acceptance_imports())
+    tests = _used_by(("tests",))
+    defined = {f"{path.stem}.{name}" for path, _, name in _definitions()}
+    assert set(KEPT) <= defined, "a KEPT entry names nothing the package defines"
+    flagged = [
+        f"{path.name}:{line} {name}, used by "
+        + (", ".join(test.name for test, names in tests.items() if name in names) or "no test")
+        for path, line, name in _definitions()
+        if not name.startswith("_") and name not in used and f"{path.stem}.{name}" not in KEPT
+    ]
+    assert flagged == [], "\n".join(flagged)
