@@ -22,8 +22,8 @@ key ``to_nameless`` and substitution are generated per shape: for each job,
 each class gets its own straight-line function, made from its shape the
 first time the job meets a node of the class, that enters each child through
 the job's table of these functions, one frame per level.  The child map
-``map_children`` (and ``proof_ops.erase``) still interpret the shapes.  A
-node without a shape is rejected by every one of them.  Substitution serves
+``map_children`` (and ``proof_ops.erase``) still interpret the shapes.  All
+read ``SHAPES``, which rejects a class without a shape.  Substitution serves
 both namespaces: a term replaces a first-order variable and a proof a
 hypothesis variable, in terms, formulas and proofs of both calculi; it
 renames binders only if the shape has any, and a variable is one dictionary
@@ -202,21 +202,15 @@ class Shape:
     fields: tuple[FieldShape, ...]
 
 
-SHAPES: dict[type, Shape] = {}
-
-
-class _Plans(dict):
+class _Shapes(dict):
     def __missing__(self, cls: type):
         raise TypeError(f"{cls.__name__} has no binding shape")
 
 
-# Per constructor: (tag, fields as (name, kind, hypothesis binders over it,
-# first-order binders over it), its first-order binders, indices of the
-# fields they cover, its hypothesis binders as (index, indices of the fields
-# it covers), the hypothesis variable of its calculus); a binder is (field
-# name, is a tuple).  A node's first-order binders all cover the same fields;
-# each hypothesis binder has its own scope.
-_PLANS: dict[type, tuple] = _Plans()
+SHAPES: dict[type, Shape] = _Shapes()
+# Per base class, its hypothesis variable: the class whose first field is a
+# HYP.  A node's hypothesis binders are renamed to variables of that class.
+_HYP_VARS: dict[type, type] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +247,8 @@ def node(base: type, name: str, tag: str, /, *, reject: tuple[str, str] | None =
         "__module__": sys._getframe(1).f_globals["__name__"],
     })
     SHAPES[cls] = Shape(tag, tuple(out))
+    if out and out[0].kind is HYP:
+        _HYP_VARS[base] = cls
     _PENDING[cls] = reject
     return cls
 
@@ -263,9 +259,7 @@ def declare() -> None:
 
     Their ``__init__``s are compiled from one source, in one ``exec``: each
     tests its reject clause, then writes its fields through their slots and
-    ``_facts`` empty.  Then the traversals over them are planned.  A
-    hypothesis binder is renamed to a variable of its node's calculus: the
-    declared hypothesis-variable class that shares the node's base class.
+    ``_facts`` empty.
     """
     src, space = [], {"inits": []}
     for i, (cls, reject) in enumerate(_PENDING.items()):
@@ -280,23 +274,6 @@ def declare() -> None:
     for cls, init in zip(_PENDING, space["inits"]):
         cls.__init__ = init
         init.__qualname__ = f"{cls.__qualname__}.__init__"
-    hyp_vars = {c.__mro__[1]: c for c, s in SHAPES.items() if s.fields and s.fields[0].kind is HYP}
-    for cls in _PENDING:
-        shape = SHAPES[cls]
-        many = {f.name: f.kind is FO_BINDERS for f in shape.fields}
-        pairs = lambda names: tuple((b, many[b]) for b in names)
-        fields = tuple(
-            (f.name, f.kind, pairs(f.hyp_under), pairs(f.fo_under)) for f in shape.fields
-        )
-        binders = pairs(f.name for f in shape.fields if f.kind in (FO_BINDER, FO_BINDERS))
-        scope = tuple(i for i, f in enumerate(shape.fields) if f.fo_under)
-        hyp_binders = tuple(
-            (i, tuple(j for j, g in enumerate(shape.fields) if b.name in g.hyp_under))
-            for i, b in enumerate(shape.fields)
-            if b.kind is HYP_BINDER
-        )
-        hyp_var = hyp_vars.get(cls.__mro__[1]) if hyp_binders else None
-        _PLANS[cls] = (shape.tag, fields, binders, scope, hyp_binders, hyp_var)
     _PENDING.clear()
 
 
@@ -402,11 +379,11 @@ def map_children(x: Tree, f: Callable[[Tree], Tree]) -> Tree:
     they are.  x itself comes back when ``f`` returns every child unchanged.
     """
     vals, changed = [], False
-    for name, kind, _, _ in _PLANS[type(x)][1]:
-        v = w = getattr(x, name)
-        if kind in _CHILD:
+    for field in SHAPES[type(x)].fields:
+        v = w = getattr(x, field.name)
+        if field.kind in _CHILD:
             w = f(v)
-        elif kind is TERMS and v:
+        elif field.kind is TERMS and v:
             w = tuple(f(u) for u in v)
         changed = changed or w is not v
         vals.append(w)
@@ -460,27 +437,34 @@ def to_nameless(x: Tree, stack: tuple[str, ...] = (), hstack: tuple[str, ...] = 
     return _KEY[type(x)](x, stack, hstack, True)
 
 
-def _binders(names: tuple, index: dict[str, int]) -> str:
-    """The source of the tuple of names these binder fields bind, in order."""
-    return f"({', '.join(('*' if many else '') + f'v{index[b]}' for b, many in names)},)"
+def _binders(names: tuple[str, ...], fields: tuple[FieldShape, ...]) -> str:
+    """The source of the names these binder fields bind, in order, as the
+    items of a sequence: ``v0, *v1``."""
+    index = {f.name: j for j, f in enumerate(fields)}
+    return ", ".join(("*" if fields[index[b]].kind is FO_BINDERS else "") + f"v{index[b]}" for b in names)
 
 
-def _facts_source(plan: tuple) -> str:
+def _fo_binders(fields: tuple[FieldShape, ...]) -> tuple[str, ...]:
+    """A node's first-order binder fields, in order; they all cover the same fields."""
+    return tuple(f.name for f in fields if f.kind in (FO_BINDER, FO_BINDERS))
+
+
+def _facts_source(shape: Shape) -> str:
     """The source of ``make(C, tag, H)``, which gives the facts function
-    ``f(x)`` of a class ``C`` with this plan: it joins the facts of the
+    ``f(x)`` of a class ``C`` with this shape: it joins the facts of the
     children, each entered through ``_FACTS``, drops the names each child's
     binders bind, adds the node's own binders and keeps the result on x."""
-    fields = plan[1]
-    index = {f[0]: j for j, f in enumerate(fields)}
+    fields = shape.fields
     out = ["def make(C, tag, H):", ' S = C.__dict__["_facts"].__set__', " def f(x):"]
-    out += [f"  v{j} = x.{f[0]}" for j, f in enumerate(fields) if f[1] is not LITERAL]
+    out += [f"  v{j} = x.{f.name}" for j, f in enumerate(fields) if f.kind is not LITERAL]
     sets: list[list[str]] = [[], [], [], []]  # hypothesis free, first-order free, first-order bound, hypothesis bound
-    for j, (_, kind, hyp_under, fo_under) in enumerate(fields):
+    for j, f in enumerate(fields):
+        kind = f.kind
         if kind in _CHILD:
             out.append(f"  h{j}, f{j}, b{j}, k{j}, _ = v{j}._facts or _FACTS[type(v{j})](v{j})")
-            for own, under in ((f"h{j}", hyp_under), (f"f{j}", fo_under)):
+            for own, under in ((f"h{j}", f.hyp_under), (f"f{j}", f.fo_under)):
                 if under:
-                    out.append(f"  if {own}: {own} = {own}.difference({_binders(under, index)})")
+                    out.append(f"  if {own}: {own} = {own}.difference(({_binders(under, fields)},))")
             for parts, own in zip(sets, (f"h{j}", f"f{j}", f"b{j}", f"k{j}")):
                 parts.append(own)
         elif kind is TERMS:
@@ -499,30 +483,30 @@ def _facts_source(plan: tuple) -> str:
     return "\n".join([*out, "  S(x, facts)", "  return facts", " return f"])
 
 
-def _key_source(plan: tuple) -> str:
+def _key_source(shape: Shape) -> str:
     """The source of ``make(C, tag, H)``, which gives the key function
-    ``k(x, stack, hstack, keep)`` of a class ``C`` with this plan: the kept
+    ``k(x, stack, hstack, keep)`` of a class ``C`` with this shape: the kept
     key when the stacks bind none of x's free names, else the tag and one
     entry per field, each child keyed through ``_KEY`` under the stacks its
     binders extend; a bound variable is its index.  With ``keep``, x keeps
     its key when the key does not depend on the stacks.  One frame per
     level."""
-    _, fields, binders, _, _, _ = plan
-    index = {f[0]: j for j, f in enumerate(fields)}
+    fields, binders = shape.fields, _fo_binders(shape.fields)
     out = [
         "def make(C, tag, H):", ' S = C.__dict__["_facts"].__set__', " def k(x, stack, hstack, keep):",
         "  facts = x._facts",
         "  if facts is not None and facts[4] is not None and facts[1].isdisjoint(stack) and facts[0].isdisjoint(hstack):",
         "   return facts[4]",
-        *(f"  v{j} = x.{f[0]}" for j, f in enumerate(fields)),
+        *(f"  v{j} = x.{f.name}" for j, f in enumerate(fields)),
     ]
     if binders:
-        out.append(f"  fs = stack + {_binders(binders, index)}")
+        out.append(f"  fs = stack + ({_binders(binders, fields)},)")
     entries = ["tag"]
-    for j, (_, kind, hyp_under, fo_under) in enumerate(fields):
+    for j, f in enumerate(fields):
+        kind = f.kind
         if kind in _CHILD:
-            hs = f"hstack + {_binders(hyp_under, index)}" if hyp_under else "hstack"
-            entries.append(f"_KEY[type(v{j})](v{j}, {'fs' if fo_under else 'stack'}, {hs}, keep)")
+            hs = f"hstack + ({_binders(f.hyp_under, fields)},)" if f.hyp_under else "hstack"
+            entries.append(f"_KEY[type(v{j})](v{j}, {'fs' if f.fo_under else 'stack'}, {hs}, keep)")
         elif kind is TERMS:
             entries.append(f"tuple([_KEY[type(u)](u, stack, (), keep) for u in v{j}])")
         elif kind in (FO_VAR, HYP):
@@ -615,29 +599,34 @@ _GUARD = """\
     return x"""
 
 
-def _subst_source(plan: tuple) -> str:
+def _subst_source(shape: Shape) -> str:
     """The source of ``make(C, tag, H)``: the substitution function of a
-    class ``C`` with this plan, ``H`` being its hypothesis variable.
+    class ``C`` with this shape, ``H`` being its hypothesis variable.
 
     The function is straight-line code over the node's fields ``v0``,
     ``v1``, ...: the guard, the renaming of binders free in a replacement
     (only for a shape with binders), one call per child, and a rebuild only
     when something changed.  A variable is one dictionary lookup."""
-    _, fields, binders, scope, hyp_binders, _ = plan
-    kinds = [f[1] for f in fields]
+    fields, binders = shape.fields, _fo_binders(shape.fields)
+    kinds = [f.kind for f in fields]
+    index = {f.name: j for j, f in enumerate(fields)}
+    scope = [j for j, f in enumerate(fields) if f.fo_under]
+    hyp_binders = [  # each hypothesis binder's index, with the indices of the fields it covers
+        (i, [j for j, g in enumerate(fields) if b.name in g.hyp_under])
+        for i, b in enumerate(fields) if b.kind is HYP_BINDER]
     out = ["def make(C, tag, H):", " def s(x, env, henv, free):"]
-    for name, kind, _, _ in fields:
-        if kind in (FO_VAR, HYP):  # the node is the occurrence
-            return "\n".join([*out, f"  return {'env' if kind is FO_VAR else 'henv'}.get(x.{name}, x)", " return s"])
+    for f in fields:
+        if f.kind in (FO_VAR, HYP):  # the node is the occurrence
+            env = "env" if f.kind is FO_VAR else "henv"
+            return "\n".join([*out, f"  return {env}.get(x.{f.name}, x)", " return s"])
     if all(k not in _CHILD and k is not TERMS for k in kinds):
         return "\n".join([*out, "  return x", " return s"])
-    out += [_GUARD, *(f"  v{j} = x.{f[0]}" for j, f in enumerate(fields))]
-    index = {f[0]: j for j, f in enumerate(fields)}
+    out += [_GUARD, *(f"  v{j} = x.{f.name}" for j, f in enumerate(fields))]
     if binders or hyp_binders:
         out.append("  changed = False")
     if binders:
         out += [
-            f"  names = [{', '.join(('*' if many else '') + f'v{index[b]}' for b, many in binders)}]",
+            f"  names = [{_binders(binders, fields)}]",
             "  inner = env if env.keys().isdisjoint(names) else {a: t for a, t in env.items() if a not in names}",
             "  ci = (free or _clash(free, env, henv)) if inner is env else _clash([], inner, henv)",
             "  for k in range(len(names) - 1, -1, -1):",
@@ -649,8 +638,9 @@ def _subst_source(plan: tuple) -> str:
             "  if changed:",
         ]
         start = "0"  # where the next binder's names start in ``names``
-        for b, many in binders:
+        for b in binders:
             j = index[b]
+            many = kinds[j] is FO_BINDERS
             end = f"{start} + len(v{j})" if many else f"{start} + 1"
             out.append(f"   v{j} = tuple(names[{start}:{end}])" if many else f"   v{j} = names[{start}]")
             start = end
@@ -673,10 +663,11 @@ def _subst_source(plan: tuple) -> str:
                 "    changed = True",
             ]
     same, args = ["not changed"] if binders or hyp_binders else [], []
-    for j, (_, kind, _, fo_under) in enumerate(fields):
+    for j, f in enumerate(fields):
+        kind = f.kind
         # A child entered with this node's maps shares its clash sets, one
         # entered with narrower maps gets a cell of its own.
-        e, cell = ("inner", "ci") if fo_under else ("env", "free")
+        e, cell = ("inner", "ci") if f.fo_under else ("env", "free")
         h = f"h{j}" if j in sealed else "henv"
         if kind is PROOF and (e, h) == ("env", "henv"):  # past the guard, env or henv is not empty
             out.append(f"  w{j} = _SUBST[type(v{j})](v{j}, env, henv, free)")
@@ -704,23 +695,23 @@ def _subst_source(plan: tuple) -> str:
 
 class _Generated(dict):
     """A class-keyed table of generated functions, each made from its
-    class's plan the first time the table is asked for the class.
-    ``source(plan)`` gives the source of a factory ``make(C, tag, H)``: the
+    class's shape the first time the table is asked for the class.
+    ``source(shape)`` gives the source of a factory ``make(C, tag, H)``: the
     function of class ``C`` with its tag and hypothesis variable.  Classes
     whose source is the same share one compiled factory."""
 
-    def __init__(self, source: Callable[[tuple], str]):
+    def __init__(self, source: Callable[[Shape], str]):
         super().__init__()
         self.source = source
 
     def __missing__(self, cls: type):
-        plan = _PLANS[cls]
-        src = self.source(plan)
+        shape = SHAPES[cls]
+        src = self.source(shape)
         if src not in _MAKERS:
             space: dict = {}
             exec(src, _GENERATED_NS, space)
             _MAKERS[src] = space["make"]
-        f = self[cls] = _MAKERS[src](cls, plan[0], plan[5])
+        f = self[cls] = _MAKERS[src](cls, shape.tag, _HYP_VARS.get(cls.__mro__[1]))
         return f
 
 
