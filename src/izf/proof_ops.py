@@ -6,8 +6,8 @@ both calculi, is ``syntax.substitute``: a term replaces a first-order
 variable and a proof a hypothesis variable, in one capture-avoiding
 traversal that dodges propositional and first-order binders alike; like the
 key, it is generated per constructor.  Erasure, interpreted from the shapes,
-maps each annotated constructor to the erased one with the same tag, which
-takes the same-named fields.
+maps each annotated constructor to its erased twin in ``proofs.TWINS``,
+which takes the same-named fields.
 
 ``canon`` is the proof-level nameless key, ``syntax.to_nameless`` itself:
 proof binders become indices like first-order ones, and an axiom identifier
@@ -23,7 +23,7 @@ walking them.  This module holds no cache.
 from __future__ import annotations
 
 from .notation import family
-from .proofs import ErasedProof, Proof
+from .proofs import TWINS, ErasedProof, Proof
 from .syntax import PROOF, SHAPES, alpha_eq, substitute, to_nameless
 
 
@@ -37,21 +37,10 @@ subst_proof = esubst_prop = subst_proof_term = esubst_term = substitute
 # Erasure
 
 
-def _erasure_plans() -> dict[type, tuple]:
-    """Per annotated constructor: its erased partner, the constructor with
-    the same tag, and the partner's fields as (name, kind of the same-named
-    annotated field); ``family`` alone has no such field."""
-    erased = {shape.tag: cls for cls, shape in SHAPES.items() if issubclass(cls, ErasedProof)}
-    plans = {}
-    for cls, shape in SHAPES.items():
-        if issubclass(cls, Proof):
-            kinds = {f.name: f.kind for f in shape.fields}
-            partner = erased[shape.tag]
-            plans[cls] = (partner, tuple((f.name, kinds.get(f.name)) for f in SHAPES[partner].fields))
-    return plans
-
-
-_ERASURE = _erasure_plans()
+# Per annotated constructor: its erased twin and the twin's fields as (name,
+# kind).  Each field but ``family``, which ``erase`` reads off the axiom
+# identifier, is the annotated field of that name and kind.
+_ERASURE = {cls: (twin, tuple((f.name, f.kind) for f in SHAPES[twin].fields)) for cls, twin in TWINS.items()}
 
 
 def erase(m: Proof) -> ErasedProof:

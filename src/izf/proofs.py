@@ -11,11 +11,11 @@ erasure of the untyped calculus.
 Each constructor is one ``syntax.node`` declaration of its class and its
 binding shape, into the table ``syntax.SHAPES`` that also holds every term,
 formula and axiom identifier; an erased constructor is declared from its
-annotated twin by naming the fields it drops.  Free variables, the nameless
-key ``canon`` and substitution in both namespaces are the syntax traversals
-over that table, and erasure in ``proof_ops`` is read off it: an annotated
-constructor and its erased partner share a tag, and the erased one keeps
-the same-named fields.
+annotated twin by naming the fields it drops, which records the pair in
+``TWINS``.  Free variables, the nameless key ``canon`` and substitution in
+both namespaces are the syntax traversals over that table.  Erasure in
+``proof_ops``, the values below and the machine's rules read the pairs off
+``TWINS``; a twin keeps its annotated constructor's tag and field names.
 """
 
 from __future__ import annotations
@@ -43,17 +43,22 @@ class ErasedProof(sx.Node):
     __slots__ = ()
 
 
+TWINS: dict[type, type] = {}  # annotated constructor -> its erased twin
+
+
 def erased(twin: type, /, *dropped: str, **family: str) -> type:
-    """Declare the erased partner of an annotated constructor: ``E`` before
-    its name, its tag, and its fields in order but the ``dropped`` ones; the
-    field named in ``family`` becomes the literal family tag named there."""
+    """Declare the erased twin of an annotated constructor, and record it in
+    ``TWINS``: ``E`` before its name, its tag, and its fields in order but
+    the ``dropped`` ones; the field named in ``family`` becomes the literal
+    family tag named there."""
     fields = {}
     for f in sx.SHAPES[twin].fields:
         if f.name in family:
             fields[family[f.name]] = LITERAL
         elif f.name not in dropped:
             fields[f.name] = (f.kind, *f.under)
-    return node(ErasedProof, "E" + twin.__name__, sx.SHAPES[twin].tag, **fields)
+    TWINS[twin] = node(ErasedProof, "E" + twin.__name__, sx.SHAPES[twin].tag, **fields)
+    return TWINS[twin]
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +120,7 @@ sx.declare()
 
 
 # The value grammar, annotated and erased; ind terms always reduce.
-_VALUES = frozenset(
-    {LamF, ELamF, LamP, ELamP, Inl, EInl, Inr, EInr, ExIntro, EExIntro, PairP, EPairP, AxRep, EAxRep}
-)
+_VALUES = frozenset(c for v in (LamF, LamP, Inl, Inr, ExIntro, PairP, AxRep) for c in (v, TWINS[v]))
 
 
 def is_value(m: Proof | ErasedProof) -> bool:

@@ -5,12 +5,13 @@ The evaluation contexts descend into exactly one position per constructor
 axiom elimination and magic), so decomposition is unique; induction terms
 fire in place.  Everything reduction-based is fuel-bounded and total.
 
-The rules are a table keyed by class, ``_RULES``: one function per
-construct serves both machines, as a construct's annotated and erased
-classes share the field names it reads.  It gives each class its rule and
-the attribute of its hole, the evaluation-context child.  A rule reads its
-node and the value in that hole and gives the rule that fires there with
-its contractum, or why the node is stuck; a class with no entry has no rule.
+The rules are a table keyed by class, ``_RULES``: it names each construct
+once, by its annotated class, with its rule and the attribute of its hole,
+the evaluation-context child, and the erased twin (``proofs.TWINS``) shares
+both, as it has the field names the rule reads.  A rule reads its node and
+the value in that hole and gives the rule that fires there with its
+contractum, or why the node is stuck; a class with no entry has no rule.
+``_FILL`` rebuilds a node around its hole, read off the hole and the fields.
 
 One loop, ``_run``, is a focused machine whose transitions are those
 outcomes (Accattoli, Barenbaum & Mazza, *Distilling Abstract Machines*,
@@ -38,6 +39,7 @@ from typing import Optional, Union
 
 from .proof_ops import canon, erase, subst_proof, subst_proof_term
 from .proofs import (
+    TWINS,
     _VALUES,
     App,
     AppT,
@@ -183,19 +185,21 @@ def _no_rule(m: AnyProof, _):
     return None, f"no rule for {type(m).__name__}"
 
 
-# Each class's rule and the attribute of its hole, None for no hole.
+# Each construct's rule and the attribute of its hole, None for no hole, by
+# its annotated class; its erased twin shares both.
 _RULES = {
-    **dict.fromkeys((PropVar, EPropVar), (_free_hypothesis, None)),
-    **dict.fromkeys((App, EApp), (_app, "fn")),
-    **dict.fromkeys((AppT, EAppT), (_app_term, "fn")),
-    **dict.fromkeys((Fst, EFst), (_fst, "arg")),
-    **dict.fromkeys((Snd, ESnd), (_snd, "arg")),
-    **dict.fromkeys((Case, ECase), (_case, "scrut")),
-    **dict.fromkeys((Let, ELet), (_let, "subject")),
-    **dict.fromkeys((Magic, EMagic), (_magic, "arg")),
-    **dict.fromkeys((AxProp, EAxProp), (_ax_prop, "arg")),
-    **dict.fromkeys((Ind, EInd), (_ind, None)),
+    PropVar: (_free_hypothesis, None),
+    App: (_app, "fn"),
+    AppT: (_app_term, "fn"),
+    Fst: (_fst, "arg"),
+    Snd: (_snd, "arg"),
+    Case: (_case, "scrut"),
+    Let: (_let, "subject"),
+    Magic: (_magic, "arg"),
+    AxProp: (_ax_prop, "arg"),
+    Ind: (_ind, None),
 }
+_RULES.update({TWINS[cls]: rule for cls, rule in _RULES.items()})
 _NO_RULE = (_no_rule, None)
 
 
@@ -217,25 +221,16 @@ def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
 
 Ctx = Optional[tuple]
 
-# Each context node with its hole filled: one constructor call.
-_FILL = {
-    App: lambda p, c: App(c, p.arg),
-    EApp: lambda p, c: EApp(c, p.arg),
-    AppT: lambda p, c: AppT(c, p.arg),
-    EAppT: lambda p, c: EAppT(c, p.arg),
-    Fst: lambda p, c: Fst(c),
-    EFst: lambda p, c: EFst(c),
-    Snd: lambda p, c: Snd(c),
-    ESnd: lambda p, c: ESnd(c),
-    Case: lambda p, c: Case(c, p.lvar, p.lann, p.lbody, p.rvar, p.rann, p.rbody),
-    ECase: lambda p, c: ECase(c, p.lvar, p.lbody, p.rvar, p.rbody),
-    Let: lambda p, c: Let(p.fvar, p.pvar, p.ann, c, p.body),
-    ELet: lambda p, c: ELet(p.fvar, p.pvar, c, p.body),
-    Magic: lambda p, c: Magic(c, p.ann),
-    EMagic: lambda p, c: EMagic(c),
-    AxProp: lambda p, c: AxProp(p.ax, p.term, p.args, c),
-    EAxProp: lambda p, c: EAxProp(p.family, c),
-}
+
+def _filler(cls: type, hole: str):
+    """The function of a context node p of class cls and a proof c that
+    gives p with c in its hole: one constructor call read off the class's
+    fields, such as ``lambda p, c: App(c, p.arg)``."""
+    args = ", ".join("c" if f == hole else f"p.{f}" for f in cls.__match_args__)
+    return eval(f"lambda p, c: {cls.__name__}({args})", {cls.__name__: cls})
+
+
+_FILL = {cls: _filler(cls, hole) for cls, (_, hole) in _RULES.items() if hole}
 
 
 def _plug(ctx: Ctx, m: AnyProof) -> AnyProof:
