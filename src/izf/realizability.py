@@ -5,8 +5,9 @@ alpha-aware set semantics.  The realizability relation follows the clause
 definitions literally, with two finite surrogates for the class-sized
 quantifiers: candidate member names come from the names embedded in the
 relevant sets (which is exhaustive for the intensional conjuncts), while
-hypothesis realizers and instantiating terms come from configured pools,
-which is a genuine truncation.  With ``truncated=False`` the pools are
+hypothesis realizers come from a configured pool, which is a genuine
+truncation, and a realizer of a first-order quantifier or of an equality
+is instantiated at the one term ``INSTANCE_TERM``.  With ``truncated=False`` the pools are
 treated as exhaustive and every verdict is decisive; with ``truncated=True``
 a universally quantified pool position that merely survives its pool
 reports Unknown instead.  Fuel exhaustion always reports Unknown.
@@ -214,6 +215,7 @@ def _both(x: Verdict, y: Verdict) -> Verdict:
 
 OMEGA_DEPTH = 3  # omega's name holds this many numerals
 POWER_CAP = 6  # a power set's name holds the subsets of this many members
+INSTANCE_TERM = Empty()  # the term a first-order abstraction is instantiated at
 
 
 @record()
@@ -221,11 +223,10 @@ class RealizCfg:
     fuel: int = 10**4
     universe: tuple[LambdaName, ...] = (EMPTY_NAME,)
     realizers: tuple[ErasedProof, ...] = ()
-    terms: tuple[Term, ...] = (Empty(),)
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if self.fuel <= 0 or not self.universe or not self.terms:
+        if self.fuel <= 0 or not self.universe:
             raise ValueError("configuration pools must be non-empty, fuel positive")
 
 
@@ -308,7 +309,7 @@ def default_cfg(
 ) -> RealizCfg:
     pool = default_realizer_pool()[:pool_size]
     universe = enumerate_names(depth, universe_size)
-    return RealizCfg(fuel=fuel, universe=universe, realizers=pool, terms=(Empty(),), truncated=truncated)
+    return RealizCfg(fuel=fuel, universe=universe, realizers=pool, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -558,29 +559,25 @@ class _Eval:
             m0, err = self._as(v.arg, ELamF)
         if err is not None:
             return err
-        # One sweep over each term, then each member name d of a or b (only
-        # those can have realizable intensional membership hypotheses, so
-        # it is exhaustive), evaluating both directions at each d.
+        pair, err = self._as(self.instantiate(m0, INSTANCE_TERM), EPairP)
+        if err is None:
+            _, _, o, err = self._value_of(pair.left)
+        if err is None:
+            _, _, p, err = self._value_of(pair.right)
+        if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
+            err = FAILS
+        if err is not None:
+            return err
+        # One sweep over each member name d of a or b (only those can have
+        # realizable intensional membership hypotheses, so it is
+        # exhaustive), evaluating both directions at each d.
         pending = None
-        for t in self.cfg.terms:
-            pair, err = self._as(self.instantiate(m0, t), EPairP)
-            if err is None:
-                _, _, o, err = self._value_of(pair.left)
-            if err is None:
-                _, _, p, err = self._value_of(pair.right)
-            if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
-                err = FAILS
-            if err is FAILS:
+        for d in dict.fromkeys((*self.members(a), *self.members(b))):
+            got = _both(self._direction(o, a, b, d), self._direction(p, b, a, d))
+            if got is FAILS:
                 return FAILS
-            if err is not None:
-                pending = err if pending is None else pending
-                continue
-            for d in dict.fromkeys((*self.members(a), *self.members(b))):
-                got = _both(self._direction(o, a, b, d), self._direction(p, b, a, d))
-                if got is FAILS:
-                    return FAILS
-                if pending is None and got is not REALIZES:
-                    pending = got
+            if pending is None and got is not REALIZES:
+                pending = got
         return self._swept if pending is None else pending
 
     def _direction(self, lam: ELamP, src: int, dst: int, d: int) -> Verdict:
@@ -824,7 +821,7 @@ class _Eval:
                 return imp
             case Forall(a, body) | Exists(a, body):
                 inner, slots = _bind(scope, (a,))
-                cb, envs_of, every, terms = self._formula(body, inner), {}, isinstance(phi, Forall), self.cfg.terms
+                cb, envs_of, every = self._formula(body, inner), {}, isinstance(phi, Forall)
 
                 def quantifier(v: ELamF | EExIntro, env: tuple) -> Verdict:
                     envs = envs_of.get(env)
@@ -834,12 +831,11 @@ class _Eval:
                     pending = None
                     if every:
                         for e in envs:
-                            for t in terms:
-                                got = reals(cb, inst(v, t), e)
-                                if got is FAILS:
-                                    return FAILS
-                                if pending is None and got is not REALIZES:
-                                    pending = got
+                            got = reals(cb, inst(v, INSTANCE_TERM), e)
+                            if got is FAILS:
+                                return FAILS
+                            if pending is None and got is not REALIZES:
+                                pending = got
                         return self._swept if pending is None else pending
                     for e in envs:
                         got = reals(cb, v.body, e)

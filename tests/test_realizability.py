@@ -166,7 +166,6 @@ def test_truncated_mode_reports_unknown():
         fuel=10**3,
         universe=enumerate_names(1, 6),
         realizers=default_realizer_pool(),
-        terms=SMALL.terms,
         truncated=True,
     )
     v = reals(mk_eqRefl(), Forall("a", Eq(a, a)), {}, cfg)
@@ -565,7 +564,7 @@ def test_a_sweep_reports_the_first_unknown_it_meets(monkeypatch):
 
 
 def test_a_truncated_sweep_that_survives_its_pool_is_unknown(monkeypatch):
-    cfg = RealizCfg(universe=SMALL.universe, realizers=SMALL.realizers, terms=SMALL.terms, truncated=True)
+    cfg = RealizCfg(universe=SMALL.universe, realizers=SMALL.realizers, truncated=True)
     _scripted_mem(monkeypatch, [REALIZES], [])
     m = ELamF("x", mem_wrap(identity_value()))
     got = reals(m, Forall("x", Mem(Var("x"), b)), {"b": EMPTY_NAME}, cfg)

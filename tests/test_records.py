@@ -42,7 +42,7 @@ RECORDS = [
     ("realizability", "Verdict", True, dict(status=REQ, reason="")),
     (
         "realizability", "RealizCfg", True,
-        dict(fuel=10**4, universe=(EMPTY_NAME,), realizers=(), terms=(Empty(),), truncated=False),
+        dict(fuel=10**4, universe=(EMPTY_NAME,), realizers=(), truncated=False),
     ),
     ("parser", "Diagnostic", False, dict(line=REQ, col=REQ, message=REQ, expected=())),
     ("parser", "Declaration", True, dict(name=REQ, formula=REQ, proof=REQ)),
@@ -107,7 +107,6 @@ def test_record_is_its_dataclass_twin(module, name, frozen, params):
     ("extraction.ExtractionConfig", dict(depth_cap=-1)),
     ("realizability.RealizCfg", dict(fuel=0)),
     ("realizability.RealizCfg", dict(universe=())),
-    ("realizability.RealizCfg", dict(terms=())),
 ])
 def test_config_records_reject_bad_budgets(cls, kwargs):
     module, name = cls.split(".")
