@@ -1,12 +1,9 @@
-import pytest
-
 from izf.corpus import (
     all_entries,
     axiom_theorems,
     equality_theorems,
     numeral_theorems,
     nwf_suite,
-    reduction_theorems,
     standard_entries,
 )
 from izf.axioms import axiom_statement, IndAx

@@ -10,11 +10,10 @@ import random
 import pytest
 
 from izf.corpus import standard_entries
-from izf.proof_ops import erase
 from izf.proofs import App, AppT, Fst, Inl, Inr, PairP, Snd, is_value
 from izf.reduction import IsValue, Stepped, count_redexes, simulate_erasure, step, trace_states
 from izf.syntax import And, Empty, Forall, Imp, Omega, Or, PowerT, UnionT, numeral, substitute
-from izf.typecheck import check, infer
+from izf.typecheck import check
 
 _TERMS = (Empty(), Omega(), PowerT(Empty()), UnionT(Omega()), numeral(2))
 

@@ -6,7 +6,7 @@ import pytest
 from izf import lemmas
 from izf import realizability as rz
 from izf.proof_ops import alpha_eq_proof, erase
-from izf.proofs import EApp, EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar, is_value
+from izf.proofs import EApp, EAxRep, EExIntro, EInd, EInl, EInr, ELamF, ELamP, EPairP, EPropVar
 from izf.realizability import (
     EMPTY_NAME,
     FAILS,

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from gens import enum_restricted
-from izf.axioms import PairAx, phi_A
+from izf.axioms import PairAx
 from izf.corpus import all_entries, nwf_suite
 from izf.lemmas import mk_eq_refl
 from izf.proof_ops import alpha_eq_proof, erase
@@ -27,17 +27,14 @@ from izf.proofs import (
     LamP,
     PairP,
     PropVar,
-    Snd,
     is_value,
 )
 from izf import reduction
 from izf.axioms import IndAx
 from izf.reduction import (
-    FuelExhausted,
     IsValue,
     Stepped,
     Stuck,
-    StuckTerm,
     _hole_child,
     _redex_at_root,
     count_redexes,
@@ -48,7 +45,7 @@ from izf.reduction import (
     trace_states,
 )
 from izf.syntax import Bottom, Empty, Eq, MemI, Omega, PowerT, Var
-from izf.typecheck import check, infer
+from izf.typecheck import check
 
 x, y = PropVar("x"), PropVar("y")
 B = Bottom()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from izf.axioms import EqAx, InAx, PairAx, phi_A
+from izf.axioms import InAx, PairAx, phi_A
 from izf.corpus import all_entries
 from izf.lemmas import build_numeral_proof, mk_eq_refl, mk_eq_symm
 from izf.proof_ops import subst_proof, subst_proof_term
@@ -45,7 +45,6 @@ from izf.syntax import (
 )
 from izf.typecheck import (
     CFAxiom,
-    CFLam,
     CFLeft,
     CFWitness,
     InternalInconsistencyError,

@@ -13,6 +13,8 @@ from its imports), unless ``KEPT`` gives the reason it stays.  A public name
 only tests reach is a second way into a definition the kernel states once;
 its tests go through the public path instead.  On failure the scan lists
 each such name with the test files that use it, where the reroute is due.
+The fourth scan reads the tests themselves: a name a test file imports
+must be loaded in that file.
 """
 
 import ast
@@ -24,6 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "izf"
 USERS = ("src", "tests", "scripts", "perfbench")  # the code that may use a name of the package
 KERNEL_USERS = ("src", "scripts", "perfbench")  # the code whose use keeps a public name
+IMPORT_SCAN_EXEMPT = ("test_acceptance.py",)  # the behaviour contract, which is never edited
 KEPT = {  # public names only tests reach, each kept for the reason given
     "typecheck.canonical_form": "the paper's canonical-forms lemma, the progress oracle",
     "extraction.defining_formula": "the paper's elimination of function symbols, which the README advertises",
@@ -141,3 +144,20 @@ def test_every_public_name_has_a_user_beyond_the_tests():
         if not name.startswith("_") and name not in used and f"{path.stem}.{name}" not in KEPT
     ]
     assert flagged == [], "\n".join(flagged)
+
+
+def test_every_name_a_test_imports_is_loaded():
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name in IMPORT_SCAN_EXEMPT:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                    if name not in loaded
+                ]
+    assert unused == []
