@@ -830,8 +830,9 @@ class _Eval:
                         envs = envs_of[env] = tuple(_extend(env, slots, (n,)) for n in pool)
                     pending = None
                     if every:
+                        body = inst(v, INSTANCE_TERM)
                         for e in envs:
-                            got = reals(cb, inst(v, INSTANCE_TERM), e)
+                            got = reals(cb, body, e)
                             if got is FAILS:
                                 return FAILS
                             if pending is None and got is not REALIZES:

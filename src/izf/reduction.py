@@ -9,23 +9,25 @@ The rules are a table keyed by class, ``_RULES``: it names each construct
 once, by its annotated class, with its rule and the attribute of its hole,
 the evaluation-context child, and the erased twin (``proofs.TWINS``) shares
 both, as it has the field names the rule reads.  A rule reads its node and
-the value in that hole and gives the rule that fires there with its
-contractum, or why the node is stuck; a class with no entry has no rule.
-``_FILL`` rebuilds a node around its hole, read off the hole and the fields.
+the value in that hole and gives the rule that fires there, or why the node
+is stuck; ``_CONTRACT`` performs each rule.  ``_FILL`` rebuilds a node
+around its hole, read off the hole and the fields.
 
-One loop, ``_run``, is a focused machine whose transitions are those
+One loop, ``_run``, is an environment machine whose transitions are those
 outcomes (Accattoli, Barenbaum & Mazza, *Distilling Abstract Machines*,
-ICFP 2014).  Its state is a focus and a persistent context of
-``(parent, attr)`` frames, the redex path (a zipper: Huet, *The Zipper*,
-JFP 1997).  A value in a hole pops its frame and the parent's rule reads
-the parent and that value, so no parent is rebuilt on the way; after a
-contraction the machine goes on from the contractum instead of
-re-descending from the root, on a loop rather than native recursion, so
-each step costs what changed, not the depth.  ``step``, ``normalize``,
+ICFP 2014).  Its state is a focus under an environment of closed values
+and a persistent context of ``(parent, attr, env)`` frames, the redex path
+(a zipper: Huet, *The Zipper*, JFP 1997).  A rule binds a closed argument
+instead of substituting it, and a bound hypothesis in focus is looked up.
+A value in a hole pops its frame and the parent's rule reads the parent
+and that value; the machine goes on from the contractum, on a loop, so a
+step costs what changed, not the depth.  ``step``, ``normalize``,
 ``trace_states``, ``detect_cycle`` and ``simulate_erasure`` all drive it.
-Parents are rebuilt only by ``_plug``, when a state is read: by
-``on_step``, by ``detect_cycle``'s key, as a result or as a fuel or stuck
-state.
+Only ``_plug`` reads a state back, substituting its environments and
+rebuilding its parents, when the state is observed: by ``on_step``, by
+``detect_cycle``'s key, as a result or as a fuel or stuck state.  The
+values being closed, each is the state a machine substituting at every
+contraction reaches.
 
 ``_redex_at_root`` and ``_hole_child`` keep an independent, per-calculus
 statement of the same grammar for ``count_redexes`` and the determinism
@@ -79,7 +81,7 @@ from .proofs import (
     Snd,
     proof_free_vars,
 )
-from .syntax import MemI, Var, alpha_eq, fresh_name, record
+from .syntax import MemI, Term, Var, alpha_eq, fresh_name, record
 
 AnyProof = Union[Proof, ErasedProof]
 
@@ -120,104 +122,144 @@ def _ind_unfold(m: Ind | EInd) -> AnyProof:
     return ELamF(c, EApp(EAppT(m.arg, Var(c)), step_fn))
 
 
-# The rules of both machines, one function per construct.  A rule reads a
-# node m and the value in its hole (None for a construct without one) and
-# gives ``(rule, contractum)`` when a rule fires at m, else ``(None, reason)``.
+# The rules of both machines.  A construct's rule reads its node m under
+# the node's environment and the value v in its hole under v's (None for a
+# construct without a hole) and gives ``(rule, None)`` when a rule fires at
+# m, else ``(None, reason)``; ``_CONTRACT`` then performs the rule.
 
 
-def _free_hypothesis(m: PropVar | EPropVar, _):
-    return None, f"free hypothesis {m.name}"
+def _fires(reason: str, *rules: tuple[type, str]):
+    """A rule firing on values of these annotated classes, else stuck for ``reason.format(m=m)``."""
+    table = {c: (rule, None) for cls, rule in rules for c in (cls, TWINS[cls])}
+
+    def match(m: AnyProof, env, v, venv):
+        return table.get(type(v)) or (None, reason.format(m=m))
+
+    return match
 
 
-def _app(m: App | EApp, f):
-    if isinstance(f, (LamP, ELamP)):
-        return "beta", subst_proof(f.body, f.var, m.arg)
-    return None, "application of a non-lambda value"
-
-
-def _app_term(m: AppT | EAppT, f):
-    if isinstance(f, (LamF, ELamF)):
-        return "beta-fo", subst_proof_term(f.body, f.var, m.arg)
-    return None, "term application of a non-term-lambda value"
-
-
-def _fst(m: Fst | EFst, v):
-    if isinstance(v, (PairP, EPairP)):
-        return "fst", v.left
-    return None, "fst of a non-pair value"
-
-
-def _snd(m: Snd | ESnd, v):
-    if isinstance(v, (PairP, EPairP)):
-        return "snd", v.right
-    return None, "snd of a non-pair value"
-
-
-def _case(m: Case | ECase, s):
-    if isinstance(s, (Inl, EInl)):
-        return "case-inl", subst_proof(m.lbody, m.lvar, s.body)
-    if isinstance(s, (Inr, EInr)):
-        return "case-inr", subst_proof(m.rbody, m.rvar, s.body)
-    return None, "case subject is not an injection"
-
-
-def _let(m: Let | ELet, subj):
-    if isinstance(subj, (ExIntro, EExIntro)):
-        return "let-ex", subst_proof(subst_proof_term(m.body, m.fvar, subj.witness), m.pvar, subj.body)
-    return None, "let subject is not a witness pair"
-
-
-def _magic(m: Magic | EMagic, _):
-    return None, "magic of a value"
-
-
-def _ax_prop(m: AxProp | EAxProp, v):
+def _ax_prop(m: AxProp | EAxProp, env, v, venv):
     if isinstance(v, (AxRep, EAxRep)):
-        return ("ax-cancel", v.arg) if _cancels(m, v) else (None, "mismatched elimination/introduction pair")
+        return ("ax-cancel", None) if _cancels(m, env, v, venv) else (None, "mismatched elimination/introduction pair")
     return None, "axiom elimination of a non-introduction value"
-
-
-def _ind(m: Ind | EInd, _):
-    return "ind-unfold", _ind_unfold(m)
-
-
-def _no_rule(m: AnyProof, _):
-    return None, f"no rule for {type(m).__name__}"
 
 
 # Each construct's rule and the attribute of its hole, None for no hole, by
 # its annotated class; its erased twin shares both.
 _RULES = {
-    PropVar: (_free_hypothesis, None),
-    App: (_app, "fn"),
-    AppT: (_app_term, "fn"),
-    Fst: (_fst, "arg"),
-    Snd: (_snd, "arg"),
-    Case: (_case, "scrut"),
-    Let: (_let, "subject"),
-    Magic: (_magic, "arg"),
+    PropVar: (_fires("free hypothesis {m.name}"), None),
+    App: (_fires("application of a non-lambda value", (LamP, "beta")), "fn"),
+    AppT: (_fires("term application of a non-term-lambda value", (LamF, "beta-fo")), "fn"),
+    Fst: (_fires("fst of a non-pair value", (PairP, "fst")), "arg"),
+    Snd: (_fires("snd of a non-pair value", (PairP, "snd")), "arg"),
+    Case: (_fires("case subject is not an injection", (Inl, "case-inl"), (Inr, "case-inr")), "scrut"),
+    Let: (_fires("let subject is not a witness pair", (ExIntro, "let-ex")), "subject"),
+    Magic: (_fires("magic of a value"), "arg"),
     AxProp: (_ax_prop, "arg"),
-    Ind: (_ind, None),
+    Ind: (lambda m, env, v, venv: ("ind-unfold", None), None),
 }
 _RULES.update({TWINS[cls]: rule for cls, rule in _RULES.items()})
-_NO_RULE = (_no_rule, None)
+_NO_RULE = (_fires("no rule for {m.__class__.__name__}"), None)
 
 
-def _cancels(elim: AxProp | EAxProp, intro: AxRep | EAxRep) -> bool:
-    """Whether an axiom elimination meets an introduction of the same instance."""
+def _cancels(elim: AxProp | EAxProp, env, intro: AxRep | EAxRep, ienv) -> bool:
+    """Whether an axiom elimination meets an introduction of the same
+    instance, each read under its environment."""
     if isinstance(elim, EAxProp):
         return elim.family == intro.family
     mine, theirs = (elim.ax, elim.term, *elim.args), (intro.ax, intro.term, *intro.args)
+    mine = tuple(_read(x, env) for x in mine) if env[1] else mine
+    theirs = tuple(_read(x, ienv) for x in theirs) if ienv[1] else theirs
     return mine == theirs or (len(mine) == len(theirs) and all(map(alpha_eq, mine, theirs)))
 
 
 # ---------------------------------------------------------------------------
-# The focused machine
+# Environments
 #
-# A context is a persistent linked list of frames ``(parent, attr, outer)``,
-# innermost first, ending in None at the root: the path from the root to the
-# focus.  A frame's parent is read only for its fields other than ``attr``,
-# so ancestors are rebuilt only by ``_plug``, when a state is read.
+# An environment maps hypotheses to proofs and first-order variables to
+# terms, all closed, so no value captures a name and the order of
+# substitutions does not matter; a node under it stands for its read-back.
+
+Env = tuple[dict, dict]
+_EMPTY: Env = ({}, {})
+_VARS = (PropVar, EPropVar)
+
+
+def _read(x, env: Env):
+    """x read back under env: the values of env substituted for x's free names."""
+    hyps, fos = env
+    if hyps or fos:
+        pv, fv = proof_free_vars(x)
+        for a, t in fos.items():
+            if a in fv:
+                x = subst_proof_term(x, a, t)
+        for a, p in hyps.items():
+            if a in pv:
+                x = subst_proof(x, a, p)
+    return x
+
+
+def _closed(x, env: Env):
+    """x read back under env when that is closed, else None."""
+    if type(x) in _VARS:
+        return env[0].get(x.name)
+    pv, fv = proof_free_vars(x)
+    return _read(x, env) if pv.issubset(env[0]) and fv.issubset(env[1]) else None
+
+
+# The contraction of each rule: from the redex m under env and the value v
+# in its hole under venv, the contractum and its environment.
+
+
+def _beta(m: App | AppT | EApp | EAppT, env: Env, f: LamP | LamF | ELamP | ELamF, fenv: Env):
+    # A variable body is substituted at once, as by _enter: one lookup.
+    if type(f.body) in _VARS:
+        return subst_proof(_read(f, fenv).body, f.var, _read(m.arg, env)), _EMPTY
+    a = _closed(m.arg, env)
+    if a is None:
+        return _enter(f, fenv, "body", (f.var, m.arg, env))
+    return f.body, (fenv[0], {**fenv[1], f.var: a}) if isinstance(a, Term) else ({**fenv[0], f.var: a}, fenv[1])
+
+
+def _enter(node: AnyProof, env: Env, body: str, *binds: tuple):
+    """node's field ``body`` under env with each ``(binder, argument, the
+    argument's environment)`` of binds bound: a term binds a first-order
+    variable, a proof a hypothesis.  If an argument is open, or the body a
+    variable (a lookup), all are substituted at once, in order, instead."""
+    lookup, bound = type(getattr(node, body)) in _VARS, env
+    for var, arg, aenv in binds:
+        a = None if lookup else _closed(arg, aenv)
+        if a is None:
+            x = getattr(_read(node, env), body)
+            for var, arg, aenv in binds:
+                x = subst_proof(x, var, _read(arg, aenv))
+            return x, _EMPTY
+        hyps, fos = bound
+        bound = (hyps, {**fos, var: a}) if isinstance(a, Term) else ({**hyps, var: a}, fos)
+    return getattr(node, body), bound
+
+
+_CONTRACT = {
+    "beta": _beta,
+    "beta-fo": _beta,
+    "fst": lambda m, env, v, venv: (v.left, venv),
+    "snd": lambda m, env, v, venv: (v.right, venv),
+    "case-inl": lambda m, env, s, senv: _enter(m, env, "lbody", (m.lvar, s.body, senv)),
+    "case-inr": lambda m, env, s, senv: _enter(m, env, "rbody", (m.rvar, s.body, senv)),
+    "let-ex": lambda m, env, p, penv: _enter(m, env, "body", (m.fvar, p.witness, penv), (m.pvar, p.body, penv)),
+    "ax-cancel": lambda m, env, v, venv: (v.arg, venv),
+    "ind-unfold": lambda m, env, v, venv: (_ind_unfold(_read(m, env)), _EMPTY),
+}
+
+
+# ---------------------------------------------------------------------------
+# The environment machine
+#
+# A context is a persistent linked list of frames ``(parent, attr, env,
+# outer)``, innermost first, ending in None at the root: the path from the
+# root to the focus, each parent under its environment.  A frame's parent is
+# read only for its fields other than ``attr``, so ancestors are rebuilt
+# only by ``_plug``, when a state is read.
 
 Ctx = Optional[tuple]
 
@@ -233,11 +275,13 @@ def _filler(cls: type, hole: str):
 _FILL = {cls: _filler(cls, hole) for cls, (_, hole) in _RULES.items() if hole}
 
 
-def _plug(ctx: Ctx, m: AnyProof) -> AnyProof:
-    """The full term with m in the hole of ctx."""
+def _plug(ctx: Ctx, m: AnyProof, env: Env = _EMPTY) -> AnyProof:
+    """The full term with m, under env, in the hole of ctx.  No name free in
+    a read-back hole is bound in its parent's environment."""
+    m = _read(m, env)
     while ctx is not None:
-        parent, _, ctx = ctx
-        m = _FILL[type(parent)](parent, m)
+        parent, _, env, ctx = ctx
+        m = _read(_FILL[type(parent)](parent, m), env)
     return m
 
 
@@ -246,54 +290,71 @@ def _path(ctx: Ctx) -> Path:
     attrs = []
     while ctx is not None:
         attrs.append(ctx[1])
-        ctx = ctx[2]
+        ctx = ctx[3]
     return tuple(reversed(attrs))
 
 
-def _run(m: AnyProof):
-    """The focused machine on m, the one loop behind both calculi.
+def _run(m: AnyProof, fuel: Optional[int] = None):
+    """The environment machine on m, the one loop behind both calculi.
 
-    Yields ``(rule, ctx, contractum, None)`` for every step, then ``(None,
-    ctx, focus, reason)`` once the state is final, with reason None for a
-    value and the stuck reason otherwise: each state is ``_plug(ctx, term)``.
+    Yields ``(rule, ctx, contractum, env, None)`` for every step, then
+    ``(None, ctx, focus, env, reason)`` once the state is final, with reason
+    None for a value: each state is ``_plug(ctx, term, env)``.  After
+    ``fuel`` steps it ends before it performs another rule.
 
-    A rule reads its node's hole.  A node whose hole holds a non-value
-    pushes a frame; a value pops one, and the parent's rule reads the parent
-    and that value, so parents are rebuilt only by ``_plug``.  After a
-    contraction the machine resumes at the contractum.  Only the immediate
-    parent's hole child changes head, so no other ancestor becomes a redex.
+    A node whose hole holds a non-value pushes a frame; a value pops one,
+    and the parent's rule reads the parent and that value, each under its
+    environment.  Looking up a bound hypothesis is not a step.  Only the
+    immediate parent's hole child changes head in a contraction, so no other
+    ancestor becomes a redex.
     """
     ctx: Ctx = None
-    focus = m
+    focus, env = m, _EMPTY
+    steps = 0
     while True:
-        if type(focus) not in _VALUES:
-            fire, attr = _RULES.get(type(focus), _NO_RULE)
-            hole = attr and getattr(focus, attr)
-            if attr is not None and type(hole) not in _VALUES:
-                ctx = (focus, attr, ctx)
-                focus = hole
-                continue
-            rule, out = fire(focus, hole)
+        cls = type(focus)
+        if cls not in _VALUES:
+            match, attr = _RULES.get(cls, _NO_RULE)
+            if attr is None:
+                if cls in _VARS and focus.name in env[0]:
+                    focus, env = env[0][focus.name], _EMPTY
+                    continue
+                v = venv = None
+            else:
+                v, venv = getattr(focus, attr), env
+                if type(v) not in _VALUES:
+                    if type(v) in _VARS and v.name in env[0]:
+                        v, venv = env[0][v.name], _EMPTY
+                    if type(v) not in _VALUES:
+                        ctx = (focus, attr, env, ctx)
+                        focus, env = v, venv
+                        continue
+            node, nenv = focus, env
         elif ctx is None:
-            yield None, None, focus, None
+            yield None, None, focus, env, None
             return
         else:
-            parent, attr, ctx = ctx
-            rule, out = _RULES[type(parent)][0](parent, focus)
-            if rule is None:
-                focus = _plug((parent, attr, None), focus)
+            v, venv = focus, env
+            node, _, nenv, ctx = ctx
+            match = _RULES[type(node)][0]
+        rule, reason = match(node, nenv, v, venv)
         if rule is None:
-            yield None, ctx, focus, out
+            if node is not focus:
+                node = _FILL[type(node)](node, _read(v, venv))
+            yield None, ctx, node, nenv, reason
             return
-        yield rule, ctx, out, None
-        focus = out
+        if steps == fuel:
+            return
+        steps += 1
+        focus, env = _CONTRACT[rule](node, nenv, v, venv)
+        yield rule, ctx, focus, env, None
 
 
 def step(m: AnyProof) -> StepResult:
     """One step of the machine of m's calculus, annotated or erased."""
-    rule, ctx, term, reason = next(_run(m))
+    rule, ctx, term, env, reason = next(_run(m))
     if rule is not None:
-        return Stepped(_plug(ctx, term), rule, _path(ctx))
+        return Stepped(_plug(ctx, term, env), rule, _path(ctx))
     if reason is None:
         return IsValue()
     return Stuck(_path(ctx), reason)
@@ -335,33 +396,31 @@ def normalize(m: AnyProof, fuel: int = DEFAULT_FUEL, on_step=None) -> NormalizeO
     """Iterate the appropriate machine, counting steps exactly.
 
     ``on_step(index, rule, path, state)`` is invoked after every step, which
-    is how the trace exporter hooks in; only then is every state plugged.
-    The state after the last step is kept as its context and term and
-    plugged only if the fuel runs out there.
+    is how the trace exporter hooks in; only then is every state read back.
+    The state after the last step is read back only if the fuel runs out
+    there, and no rule is performed past the fuel.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     i = 0
-    last_ctx, last_term = None, m
-    for rule, ctx, term, reason in _run(m):
+    last_ctx, last_term, last_env = None, m, _EMPTY
+    for rule, ctx, term, env, reason in _run(m, fuel):
         if rule is None:
             status = "value" if reason is None else "stuck"
-            return NormalizeOutcome(status, _plug(ctx, term), i, _path(ctx), reason or "")
-        if i == fuel:
-            return NormalizeOutcome("fuel", _plug(last_ctx, last_term), i)
+            return NormalizeOutcome(status, _plug(ctx, term, env), i, _path(ctx), reason or "")
         if on_step is not None:
-            on_step(i, rule, _path(ctx), _plug(ctx, term))
-        last_ctx, last_term = ctx, term
+            on_step(i, rule, _path(ctx), _plug(ctx, term, env))
+        last_ctx, last_term, last_env = ctx, term, env
         i += 1
-    raise AssertionError("unreachable")
+    return NormalizeOutcome("fuel", _plug(last_ctx, last_term, last_env), i)
 
 
 def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
     """All states of a run that must end in a value: [m, ..., value]."""
     states = [m]
-    for rule, ctx, term, reason in islice(_run(m), fuel):
+    for rule, ctx, term, env, reason in islice(_run(m), fuel):
         if rule is not None:
-            states.append(_plug(ctx, term))
+            states.append(_plug(ctx, term, env))
         elif reason is None:
             return states
         else:
@@ -381,10 +440,10 @@ def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:
         seen[key] = i
         if i == fuel:
             break
-        rule, ctx, term, _ = next(run)
+        rule, ctx, term, env, _ = next(run)
         if rule is None:
             return None
-        state = _plug(ctx, term)
+        state = _plug(ctx, term, env)
     return None
 
 
@@ -409,7 +468,7 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
     for i in range(fuel + 1):
         if canon(erase(typed)) != canon(erased):
             return ErasureReport(False, i, "diverged", i, "erasure of state differs")
-        (rt, ct, tt, ot), (re, ce, te, oe) = next(runs)
+        (rt, ct, tt, et, ot), (re, ce, te, ee, oe) = next(runs)
         value_t, value_e = rt is None and ot is None, re is None and oe is None
         if value_t or value_e:
             if value_t and value_e:
@@ -419,8 +478,8 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
             if rt is None and re is None:
                 return ErasureReport(True, i, "stuck")
             return ErasureReport(False, i, "diverged", i, "one machine stuck early")
-        typed = _plug(ct, tt)
-        erased = _plug(ce, te)
+        typed = _plug(ct, tt, et)
+        erased = _plug(ce, te, ee)
     return ErasureReport(True, fuel, "fuel")
 
 

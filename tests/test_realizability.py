@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import pytest
@@ -344,6 +345,25 @@ def test_inaccessibles_are_rejected_once_per_query(monkeypatch):
     symm = Forall("a", Forall("b", Imp(Eq(a, b), Eq(b, a))))
     assert reals(mk_eqSymm(), symm, {}, SMALL).realizes
     assert calls == [symm]
+
+
+def test_the_forall_clause_instantiates_its_realizer_once_per_evaluation(monkeypatch):
+    """The instance does not depend on the environment, so each evaluation
+    of the clause instantiates once, before its sweep of the universe."""
+    calls = []
+    real = _Eval.instantiate
+
+    def counted(ev, lam, arg):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "quantifier":
+            calls.append(caller)
+        return real(ev, lam, arg)
+
+    monkeypatch.setattr(_Eval, "instantiate", counted)
+    symm = Forall("a", Forall("b", Imp(Eq(a, b), Eq(b, a))))
+    assert reals(mk_eqSymm(), symm, {}, SMALL).realizes
+    assert len(SMALL.universe) > 1 and len(calls) > 1
+    assert len({id(frame) for frame in calls}) == len(calls)
 
 
 LEI = Forall("a", Forall("b", Forall("c", Imp(And(Mem(a, c), Eq(a, b)), Mem(b, c)))))

@@ -131,6 +131,23 @@ def test_detect_cycle_takes_no_step_past_its_fuel(monkeypatch):
     assert len(calls) == 1
 
 
+def test_normalize_takes_no_step_past_its_fuel(monkeypatch):
+    """A run out of fuel performs no further rule: here ind-unfold, whose
+    unfolding is one call, and then every rule, through ``_CONTRACT``."""
+    unfolds, fired = [], []
+    real = reduction._ind_unfold
+    monkeypatch.setattr(reduction, "_ind_unfold", lambda m: unfolds.append(m) or real(m))
+    w = ELamF("c", ELamP("x", EAppT(EPropVar("x"), Var("c"))))
+    m = EAppT(EInd(w), Empty())
+    assert (normalize(m, 0).status, unfolds) == ("fuel", [])
+    assert (normalize(m, 1).status, len(unfolds)) == ("fuel", 1)
+    for rule, contract in reduction._CONTRACT.items():
+        monkeypatch.setitem(reduction._CONTRACT, rule, lambda *a, rule=rule, f=contract: fired.append(rule) or f(*a))
+    assert (normalize(m, 0).steps, fired) == (0, [])
+    assert (normalize(m, 1).steps, fired) == (1, ["ind-unfold"])
+    assert (normalize(m, 2).steps, fired[1:]) == (2, ["ind-unfold", "beta-fo"])
+
+
 def test_detect_cycle_omega_loop():
     w = ELamP("x", EApp(EPropVar("x"), EPropVar("x")))
     assert detect_cycle(EApp(w, w), 50) == (0, 1)
