@@ -12,15 +12,19 @@ treated as exhaustive and every verdict is decisive; with ``truncated=True``
 a universally quantified pool position that merely survives its pool
 reports Unknown instead.  Fuel exhaustion always reports Unknown.
 
-Each query runs one evaluator, ``_Eval``, whose tables die with the query;
-omega's name, a constant of the model, is built once per process.  The
-evaluator compiles the query's formula, separation bodies included, into
+A configuration is one model: its first query builds an evaluator,
+``_Eval``, which every later query on it reuses, so each table whose
+entries depend on their keys alone dies with the configuration.  Verdicts
+stay per query, as do the term meanings of a query with a separation,
+which read verdicts: a verdict read off a running instance depends on
+where the query entered the cycle.  omega's name is built once per
+process.  A query compiles its formula, separation bodies included, into
 one node per subformula: its int key, the slots of its free variables in
 the environment, and a closure for its paper clause (⊥, ∈ᵢ, ∈, =, ∧, ∨, →,
 ∀, ∃) over its compiled children; terms compile likewise.  An environment
-is a tuple of per-query name ids, so a relation instance is keyed by ints
-alone, and each piece of work is done once per query: each key, name id,
-normal form, instantiation, label, verdict, meaning and pool.  A memo hit
+is a tuple of name ids, so a relation instance is keyed by ints alone, and
+each key, name id, normal form, instantiation, label and pool is made once
+per configuration, each verdict once per query.  A memo hit
 is one dictionary read, with no closure.  A clause sweeps its pool in a
 plain loop, in pool order: a universal sweep stops at its first failure,
 an existential one at its first realizer, and each reports the first
@@ -355,43 +359,50 @@ class _Node:
 
 
 class _Eval:
-    """One query's evaluator.  Its tables die with it (omega's name, which
-    ``omega`` interns once, is the process constant ``omega_name()``):
+    """One configuration's evaluator, kept on it as ``_model``.  Its tables
+    live with it (omega's name, which ``omega`` interns once, is the process
+    constant ``omega_name()``), but for the per-query ones ``begin`` makes:
 
     * ``_ids``: the int standing for each nameless key; ``_nodes``: each
       keyed node's entry, by identity: the node (so no other node takes its
-      id during the query) and its int, then, once the node has been
+      id while the model lives) and its int, then, once the node has been
       normalized as a subject, its value and why it has none;
     * ``_name_ids``/``_names``: each name's int id, by key, and back (a name
       is hashed once, when interned); ``_facts``: each id's member ids and
       its entries as (label key, member id) pairs;
-    * ``_compiled``: each formula's ``_Node`` and each term's function from
-      an environment to its name id, by identity and scope;
     * ``_norm``: each term's value or why it has none, by key; ``_inst``:
       each instantiation of a lambda's body, by the keys of lambda and
-      argument; ``_labels``: each ``label_key``;
-    * ``_rel``: each relation instance's verdict, ``_RUNNING`` while it is
-      computed, read inline on a hit; a formula's is keyed by (its key, the
-      subject's key, the ids in its slots); ``_meaning``: each compound
+      argument; ``_labels``: each ``label_key``; ``_meaning``: each compound
       term's name id, by its key and slot ids; ``_pools``: each hypothesis
-      pool, by head and name ids; ``_dpools``: each ``_direction_pool``.
+      pool, by head and name ids; ``_dpools``: each ``_direction_pool``;
+    * per query, ``_rel``: each relation instance's verdict, ``_RUNNING``
+      while it is computed, read inline on a hit; a formula's is keyed by
+      (its key, the subject's key, the ids in its slots); ``_terms``: the
+      meanings a query uses, ``_meaning`` or, for a query with a separation
+      in it (whose meaning reads verdicts), a fresh table; ``_compiled``:
+      each formula's ``_Node`` and each term's function from an environment
+      to its name id, by identity and scope.
 
     A scope lists the variables bound at a node in the order a dict would,
     after ``None`` in slot 0; an environment, their name ids after -1.
     """
 
     def __init__(self, cfg: RealizCfg):
-        self.cfg = cfg
-        self._ids, self._nodes, self._name_ids, self._compiled = {}, {}, {}, {}
+        self.fuel, self.realizers = cfg.fuel, cfg.realizers
+        self._ids, self._nodes, self._name_ids, self._meaning = {}, {}, {}, {}
         self._names, self._facts = [], []
-        self._norm, self._inst, self._labels = {}, {}, {}
-        self._rel, self._meaning, self._pools, self._dpools = {}, {}, {}, {}
+        self._norm, self._inst, self._labels, self._pools, self._dpools = {}, {}, {}, {}, {}
+        self.begin()
         # what a universal (existential) sweep that met no deciding verdict and no unknown reports
         self._swept = unknown("universal position exhausted a truncated pool") if cfg.truncated else REALIZES
         self._unmet = unknown("existential position exhausted a truncated pool") if cfg.truncated else FAILS
         self._universe = tuple(map(self.nid, cfg.universe))
         self._empty = self.nid(EMPTY_NAME)
         self._omega = self._succ = None
+
+    def begin(self, private: bool = False) -> None:
+        self._rel, self._compiled = {}, {}
+        self._terms = {} if private else self._meaning
 
     # -- keys, name ids, labels, values and instantiation, each computed once
 
@@ -452,7 +463,7 @@ class _Eval:
             key = self.key(m)
             norm = self._norm.get(key)
             if norm is None:
-                out = normalize(m, self.cfg.fuel)
+                out = normalize(m, self.fuel)
                 why = unknown("fuel exhausted during normalization") if out.status == "fuel" else FAILS
                 norm = self._norm[key] = (out.result, None) if out.is_value else (None, why)
             hit = self._nodes[id(m)] = (m, key, *norm)
@@ -618,7 +629,7 @@ class _Eval:
         if hit is None and head is not None:
             hit = tuple(n for n in self._hyp_pool(names) if self._as(n, head)[1] is not FAILS)
         elif hit is None:
-            out = list(self.cfg.realizers)
+            out = list(self.realizers)
             seen = {self.label(x) for x in out}
             for n in names:
                 for k, lab in self._names[n].labels().items():
@@ -649,10 +660,10 @@ class _Eval:
             return hit[1]
         build = self._term_clause(t, scope)
         if isinstance(t, (PairT, UnionT, PowerT, Sep)):
-            key, pick, table, build_raw = self.key(t), _picker(t, scope), self._meaning, build
+            key, pick, build_raw = self.key(t), _picker(t, scope), build
 
             def build(env: tuple) -> int:
-                k = (key, pick(env))
+                k, table = (key, pick(env)), self._terms
                 hit = table.get(k)
                 if hit is None:
                     hit = table[k] = build_raw(env)
@@ -662,7 +673,7 @@ class _Eval:
         return build
 
     def _term_clause(self, t: Term, scope: tuple) -> Callable[[tuple], int]:
-        names, cfg, rv = self._names, self.cfg, refl_value()
+        names, rv = self._names, refl_value()
         match t:
             case Var(a):
                 slot = scope.index(a) if a in scope else 0
@@ -717,7 +728,7 @@ class _Eval:
                     entries = []
                     for v1, c in un.entries:
                         inner_env = _extend(env, slots, (self.nid(c), *argids))
-                        for w in cfg.realizers + (rv,):
+                        for w in self.realizers + (rv,):
                             if self.reals(cb, w, inner_env) is REALIZES:
                                 entries.append((EAxRep("sep", EPairP(mem_wrap(v1), w)), c))
                                 break
@@ -868,16 +879,19 @@ def omega_name() -> LambdaName:
     return ev._names[ev.name(entries)]
 
 
-def _reject_inac(phi: Formula) -> None:
-    """Checked once per public query: every formula the evaluator meets,
-    separation bodies included, is a sub-tree of the query's.  The walk
-    keeps its own work list, so a deep formula takes no stack."""
-    todo = [phi]
+def _scan(phi: Formula) -> bool:
+    """Whether phi has a separation; a formula with an inaccessible constant
+    is rejected.  Checked once per public query: every formula the evaluator
+    meets, separation bodies included, is a sub-tree of the query's.  The
+    walk keeps its own work list, so a deep formula takes no stack."""
+    todo, seps = [phi], False
     while todo:
         x = todo.pop()
         if isinstance(x, Inac):
             raise UnsupportedFormulaError("inaccessible constants are outside the finite model")
+        seps = seps or isinstance(x, Sep)
         map_children(x, lambda y: todo.append(y) or y)
+    return seps
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +905,12 @@ def reals(
     cfg: RealizCfg | None = None,
 ) -> Verdict:
     cfg = cfg if cfg is not None else default_cfg()
-    _reject_inac(phi)
-    ev = _Eval(cfg)
-    scope, env = ev._root(rho or {})
-    return ev.reals(ev._formula(phi, scope), m, env)
+    seps = _scan(phi)
+    ev = cfg.__dict__.get("_model") or _Eval(cfg)
+    object.__setattr__(cfg, "_model", ev)
+    ev.begin(seps)
+    try:
+        scope, env = ev._root(rho or {})
+        return ev.reals(ev._formula(phi, scope), m, env)
+    finally:
+        ev.begin()

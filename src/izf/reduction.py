@@ -36,7 +36,7 @@ check.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import zip_longest
 from typing import Optional, Union
 
 from .proof_ops import canon, erase, subst_proof, subst_proof_term
@@ -418,7 +418,7 @@ def normalize(m: AnyProof, fuel: int = DEFAULT_FUEL, on_step=None) -> NormalizeO
 def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
     """All states of a run that must end in a value: [m, ..., value]."""
     states = [m]
-    for rule, ctx, term, env, reason in islice(_run(m), fuel):
+    for rule, ctx, term, env, reason in _run(m, fuel):
         if rule is not None:
             states.append(_plug(ctx, term, env))
         elif reason is None:
@@ -460,15 +460,18 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
     """Drive both machines in lockstep, comparing through the erasure map.
 
     At every index the erasure of the annotated state must be alpha-equal to
-    the erased state, and the two machines must agree on being done.
+    the erased state, and the two machines must agree on being done.  Each
+    machine performs at most ``fuel`` rules; one still going after them
+    reads as a step that is not taken.
     """
     typed = m
     erased = erase(m)
-    runs = zip(_run(typed), _run(erased))
+    going = ("fuel", None, None, None, None)
+    runs = zip_longest(_run(typed, fuel), _run(erased, fuel), fillvalue=going)
     for i in range(fuel + 1):
         if canon(erase(typed)) != canon(erased):
             return ErasureReport(False, i, "diverged", i, "erasure of state differs")
-        (rt, ct, tt, et, ot), (re, ce, te, ee, oe) = next(runs)
+        (rt, ct, tt, et, ot), (re, ce, te, ee, oe) = next(runs, (going, going))
         value_t, value_e = rt is None and ot is None, re is None and oe is None
         if value_t or value_e:
             if value_t and value_e:
@@ -478,6 +481,8 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
             if rt is None and re is None:
                 return ErasureReport(True, i, "stuck")
             return ErasureReport(False, i, "diverged", i, "one machine stuck early")
+        if i == fuel:
+            break
         typed = _plug(ct, tt, et)
         erased = _plug(ce, te, ee)
     return ErasureReport(True, fuel, "fuel")

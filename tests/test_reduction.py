@@ -32,6 +32,7 @@ from izf.proofs import (
 from izf import reduction
 from izf.axioms import IndAx
 from izf.reduction import (
+    FuelExhausted,
     IsValue,
     Stepped,
     Stuck,
@@ -187,6 +188,32 @@ def test_simulate_erasure_on_corpus():
         assert rep.ok, (e.name, rep)
         if e.checks:
             assert rep.status == "value"
+
+
+def test_simulate_erasure_takes_no_step_past_its_fuel(monkeypatch):
+    """Each machine performs at most ``fuel`` rules, counted through
+    ``_CONTRACT``; a run that is done after them is still seen to be done."""
+    fired = []
+    for rule, contract in reduction._CONTRACT.items():
+        monkeypatch.setitem(reduction._CONTRACT, rule, lambda *a, rule=rule, f=contract: fired.append(rule) or f(*a))
+    m = App(IDB, LamP("y", B, y))
+    rep = simulate_erasure(m, 0)
+    assert (rep.ok, rep.steps, rep.status, fired) == (True, 0, "fuel", [])
+    rep = simulate_erasure(m, 1)
+    assert (rep.ok, rep.steps, rep.status, fired) == (True, 1, "value", ["beta", "beta"])
+    fired.clear()
+    rep = simulate_erasure(App(IDB, App(IDB, IDB)), 1)
+    assert (rep.ok, rep.steps, rep.status, fired) == (True, 1, "fuel", ["beta", "beta"])
+
+
+def test_trace_states_reaches_a_value_in_exactly_its_fuel():
+    m = App(IDB, LamP("y", B, y))
+    assert normalize(m, 1).status == "value"
+    states = trace_states(m, 1)
+    assert len(states) == 2 and states[0] is m and alpha_eq_proof(states[1], LamP("y", B, y))
+    with pytest.raises(FuelExhausted) as raised:
+        trace_states(m, 0)
+    assert raised.value.outcome.steps == 0
 
 
 def test_simulate_erasure_value_at_zero():
