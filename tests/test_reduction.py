@@ -4,7 +4,7 @@ import pytest
 
 from gens import enum_restricted
 from izf.axioms import PairAx
-from izf.corpus import all_entries, nwf_suite
+from izf.corpus import _burn_beta, _burn_cancel, _burn_case, _burn_let, _burn_proj, all_entries, nwf_suite
 from izf.lemmas import mk_eq_refl
 from izf.proof_ops import alpha_eq_proof, erase
 from izf.proofs import (
@@ -350,3 +350,39 @@ def test_a_run_rebuilds_no_context_node(calculus, monkeypatch):
     while (node := _hole_child(node)) is not None:
         depth += 1
     assert len(fills) <= depth
+
+
+def _observed_and_unobserved_agree(m) -> None:
+    """A run with an observer ends where the same run without one does."""
+    for fuel in (0, 1, 2, 7, 200):
+        plain, seen = normalize(m, fuel), normalize(m, fuel, on_step=lambda *a: None)
+        assert (plain.status, plain.steps, plain.stuck_path, plain.stuck_reason) == (
+            seen.status,
+            seen.steps,
+            seen.stuck_path,
+            seen.stuck_reason,
+        ), (m, fuel)
+        assert plain.result == seen.result, (m, fuel)
+
+
+def test_an_observer_does_not_change_a_run():
+    subjects = [e.proof for e in all_entries()]
+    subjects += [burn(3).proof for burn in (_burn_beta, _burn_proj, _burn_case, _burn_cancel, _burn_let)]
+    for m in subjects:
+        _observed_and_unobserved_agree(m)
+        _observed_and_unobserved_agree(erase(m))
+    for size in range(1, 8):
+        for m in enum_restricted(size, 0):
+            _observed_and_unobserved_agree(m)
+
+
+@pytest.mark.parametrize("on_step", [None, lambda *a: None])
+def test_a_node_stuck_at_exactly_its_fuel_reports_stuck(on_step):
+    m = App(LamP("x", B, Fst(PropVar("x"))), IDB)
+    for s in (m, erase(m)):
+        out = normalize(s, 1, on_step=on_step)
+        assert (out.status, out.steps, out.stuck_reason) == ("stuck", 1, "fst of a non-pair value")
+    args = (Empty(), Omega())
+    mismatched = AxProp(PairAx(), Empty(), args, AxRep(PairAx(), Omega(), args, x))
+    out = normalize(mismatched, 0, on_step=on_step)
+    assert (out.status, out.steps, out.stuck_reason) == ("stuck", 0, "mismatched elimination/introduction pair")
