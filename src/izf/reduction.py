@@ -6,23 +6,25 @@ axiom elimination and magic), so decomposition is unique; induction terms
 fire in place.  Everything reduction-based is fuel-bounded and total.
 
 The rules are a table keyed by class, ``_RULES``: it names each construct
-once, by its annotated class, with its rule and the attribute of its hole,
-the evaluation-context child, and the erased twin (``proofs.TWINS``) shares
-both, as it has the field names the rule reads.  A rule reads its node and
-the value in that hole and gives the rule that fires there, or why the node
-is stuck; ``_CONTRACT`` performs each rule.  ``_FILL`` rebuilds a node
+once, by its annotated class, with the attribute of its hole, the
+evaluation-context child, the rule fired by each class of value in that
+hole, and why the construct is stuck on any other; the erased twin
+(``proofs.TWINS``) shares the entry, as it has the field names the rule
+reads.  ``_CONTRACT`` performs each rule.  ``_FILL`` rebuilds a node
 around its hole, read off the hole and the fields.
 
 One loop, ``_run``, is an environment machine whose transitions are those
-outcomes (Accattoli, Barenbaum & Mazza, *Distilling Abstract Machines*,
-ICFP 2014).  Its state is a focus under an environment of closed values
-and a persistent context of ``(parent, attr, env)`` frames, the redex path
-(a zipper: Huet, *The Zipper*, JFP 1997).  A rule binds a closed argument
+rules (Accattoli, Barenbaum & Mazza, *Distilling Abstract Machines*, ICFP
+2014).  Its state is a focus under an environment of closed values and a
+persistent context of ``(parent, attr, env)`` frames, the redex path (a
+zipper: Huet, *The Zipper*, JFP 1997).  A rule binds a closed argument
 instead of substituting it, and a bound hypothesis in focus is looked up.
-A value in a hole pops its frame and the parent's rule reads the parent
-and that value; the machine goes on from the contractum, on a loop, so a
-step costs what changed, not the depth.  ``step``, ``normalize``,
-``trace_states``, ``detect_cycle`` and ``simulate_erasure`` all drive it.
+A value in a hole pops its frame, and the parent's rule is one lookup by
+the value's class; the machine goes on from the contractum, on a loop, so
+a step costs what changed, not the depth.  The loop owns the fuel and the
+step count, and ``step``, ``normalize``, ``trace_states``,
+``detect_cycle`` and ``simulate_erasure`` all read it: it yields each step
+only to an observer, and its last yield is always the end of the run.
 Only ``_plug`` reads a state back, substituting its environments and
 rebuilding its parents, when the state is observed: by ``on_step``, by
 ``detect_cycle``'s key, as a result or as a fuel or stuck state.  The
@@ -36,7 +38,6 @@ check.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Optional, Union
 
 from .proof_ops import canon, erase, subst_proof, subst_proof_term
@@ -122,44 +123,30 @@ def _ind_unfold(m: Ind | EInd) -> AnyProof:
     return ELamF(c, EApp(EAppT(m.arg, Var(c)), step_fn))
 
 
-# The rules of both machines.  A construct's rule reads its node m under
-# the node's environment and the value v in its hole under v's (None for a
-# construct without a hole) and gives ``(rule, None)`` when a rule fires at
-# m, else ``(None, reason)``; ``_CONTRACT`` then performs the rule.
-
-
-def _fires(reason: str, *rules: tuple[type, str]):
-    """A rule firing on values of these annotated classes, else stuck for ``reason.format(m=m)``."""
-    table = {c: (rule, None) for cls, rule in rules for c in (cls, TWINS[cls])}
-
-    def match(m: AnyProof, env, v, venv):
-        return table.get(type(v)) or (None, reason.format(m=m))
-
-    return match
-
-
-def _ax_prop(m: AxProp | EAxProp, env, v, venv):
-    if isinstance(v, (AxRep, EAxRep)):
-        return ("ax-cancel", None) if _cancels(m, env, v, venv) else (None, "mismatched elimination/introduction pair")
-    return None, "axiom elimination of a non-introduction value"
-
-
-# Each construct's rule and the attribute of its hole, None for no hole, by
-# its annotated class; its erased twin shares both.
+# The rules of both machines, by annotated class: the rule fired by each
+# class of value in the construct's hole, the attribute of that hole (None
+# for a construct without one, whose rule is read off the class of None),
+# and why the construct is stuck on any other value.  The erased twin
+# (``proofs.TWINS``) shares the entry.  ``_CONTRACT`` performs each rule;
+# an ax-cancel fires only if ``_cancels`` holds.
 _RULES = {
-    PropVar: (_fires("free hypothesis {m.name}"), None),
-    App: (_fires("application of a non-lambda value", (LamP, "beta")), "fn"),
-    AppT: (_fires("term application of a non-term-lambda value", (LamF, "beta-fo")), "fn"),
-    Fst: (_fires("fst of a non-pair value", (PairP, "fst")), "arg"),
-    Snd: (_fires("snd of a non-pair value", (PairP, "snd")), "arg"),
-    Case: (_fires("case subject is not an injection", (Inl, "case-inl"), (Inr, "case-inr")), "scrut"),
-    Let: (_fires("let subject is not a witness pair", (ExIntro, "let-ex")), "subject"),
-    Magic: (_fires("magic of a value"), "arg"),
-    AxProp: (_ax_prop, "arg"),
-    Ind: (lambda m, env, v, venv: ("ind-unfold", None), None),
+    PropVar: ({}, None, "free hypothesis {m.name}"),
+    App: ({LamP: "beta"}, "fn", "application of a non-lambda value"),
+    AppT: ({LamF: "beta-fo"}, "fn", "term application of a non-term-lambda value"),
+    Fst: ({PairP: "fst"}, "arg", "fst of a non-pair value"),
+    Snd: ({PairP: "snd"}, "arg", "snd of a non-pair value"),
+    Case: ({Inl: "case-inl", Inr: "case-inr"}, "scrut", "case subject is not an injection"),
+    Let: ({ExIntro: "let-ex"}, "subject", "let subject is not a witness pair"),
+    Magic: ({}, "arg", "magic of a value"),
+    AxProp: ({AxRep: "ax-cancel"}, "arg", "axiom elimination of a non-introduction value"),
+    Ind: ({type(None): "ind-unfold"}, None, ""),
+}
+_RULES = {
+    cls: ({**table, **{TWINS[c]: rule for c, rule in table.items() if c in TWINS}}, hole, reason)
+    for cls, (table, hole, reason) in _RULES.items()
 }
 _RULES.update({TWINS[cls]: rule for cls, rule in _RULES.items()})
-_NO_RULE = (_fires("no rule for {m.__class__.__name__}"), None)
+_NO_RULE = ({}, None, "no rule for {m.__class__.__name__}")
 
 
 def _cancels(elim: AxProp | EAxProp, env, intro: AxRep | EAxRep, ienv) -> bool:
@@ -272,7 +259,7 @@ def _filler(cls: type, hole: str):
     return eval(f"lambda p, c: {cls.__name__}({args})", {cls.__name__: cls})
 
 
-_FILL = {cls: _filler(cls, hole) for cls, (_, hole) in _RULES.items() if hole}
+_FILL = {cls: _filler(cls, hole) for cls, (_, hole, _) in _RULES.items() if hole}
 
 
 def _plug(ctx: Ctx, m: AnyProof, env: Env = _EMPTY) -> AnyProof:
@@ -294,27 +281,33 @@ def _path(ctx: Ctx) -> Path:
     return tuple(reversed(attrs))
 
 
-def _run(m: AnyProof, fuel: Optional[int] = None):
-    """The environment machine on m, the one loop behind both calculi.
+def _run(m: AnyProof, fuel: int, observed: bool):
+    """The environment machine on m, the one loop behind both calculi and
+    every observer of a run; it performs at most ``fuel`` rules.
 
-    Yields ``(rule, ctx, contractum, env, None)`` for every step, then
-    ``(None, ctx, focus, env, reason)`` once the state is final, with reason
-    None for a value: each state is ``_plug(ctx, term, env)``.  After
-    ``fuel`` steps it ends before it performs another rule.
+    If ``observed``, it yields ``(rule, ctx, contractum, env, None)`` for
+    every step.  Its last yield, always, is the end of the run, ``(None,
+    ctx, focus, env, (status, steps, reason))``: status "value", "stuck"
+    (the reason that of the stuck node, in focus) or "fuel" (the focus the
+    node whose rule would fire next).  Each state is ``_plug(ctx, focus,
+    env)``.
 
     A node whose hole holds a non-value pushes a frame; a value pops one,
-    and the parent's rule reads the parent and that value, each under its
-    environment.  Looking up a bound hypothesis is not a step.  Only the
-    immediate parent's hole child changes head in a contraction, so no other
-    ancestor becomes a redex.
+    and the rule of the parent is read off the class of that value, then
+    performed on the parent and the value, each under its environment.
+    Looking up a bound hypothesis is not a step.  Only the immediate
+    parent's hole child changes head in a contraction, so no other ancestor
+    becomes a redex.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
     ctx: Ctx = None
     focus, env = m, _EMPTY
     steps = 0
     while True:
         cls = type(focus)
         if cls not in _VALUES:
-            match, attr = _RULES.get(cls, _NO_RULE)
+            table, attr, reason = _RULES.get(cls, _NO_RULE)
             if attr is None:
                 if cls in _VARS and focus.name in env[0]:
                     focus, env = env[0][focus.name], _EMPTY
@@ -331,33 +324,37 @@ def _run(m: AnyProof, fuel: Optional[int] = None):
                         continue
             node, nenv = focus, env
         elif ctx is None:
-            yield None, None, focus, env, None
+            yield None, None, focus, env, ("value", steps, None)
             return
         else:
             v, venv = focus, env
             node, _, nenv, ctx = ctx
-            match = _RULES[type(node)][0]
-        rule, reason = match(node, nenv, v, venv)
-        if rule is None:
-            if node is not focus:
-                node = _FILL[type(node)](node, _read(v, venv))
-            yield None, ctx, node, nenv, reason
-            return
-        if steps == fuel:
-            return
-        steps += 1
-        focus, env = _CONTRACT[rule](node, nenv, v, venv)
-        yield rule, ctx, focus, env, None
+            table, _, reason = _RULES[type(node)]
+        rule = table.get(type(v))
+        if rule is None or rule == "ax-cancel" and not _cancels(node, nenv, v, venv):
+            end = ("stuck", steps, "mismatched elimination/introduction pair" if rule else reason.format(m=node))
+        elif steps == fuel:
+            end = ("fuel", steps, None)
+        else:
+            steps += 1
+            focus, env = _CONTRACT[rule](node, nenv, v, venv)
+            if observed:
+                yield rule, ctx, focus, env, None
+            continue
+        if node is not focus:
+            node = _FILL[type(node)](node, _read(v, venv))
+        yield None, ctx, node, nenv, end
+        return
 
 
 def step(m: AnyProof) -> StepResult:
     """One step of the machine of m's calculus, annotated or erased."""
-    rule, ctx, term, env, reason = next(_run(m))
+    rule, ctx, term, env, end = next(_run(m, 1, True))
     if rule is not None:
         return Stepped(_plug(ctx, term, env), rule, _path(ctx))
-    if reason is None:
+    if end[0] == "value":
         return IsValue()
-    return Stuck(_path(ctx), reason)
+    return Stuck(_path(ctx), end[2])
 
 
 # ---------------------------------------------------------------------------
@@ -392,59 +389,50 @@ class StuckTerm(Exception):
 DEFAULT_FUEL = 10**6
 
 
+def _outcome(ctx: Ctx, focus: AnyProof, env: Env, end: tuple) -> NormalizeOutcome:
+    """The outcome of a run from its last yield."""
+    status, steps, reason = end
+    path = _path(ctx) if status == "stuck" else ()
+    return NormalizeOutcome(status, _plug(ctx, focus, env), steps, path, reason or "")
+
+
 def normalize(m: AnyProof, fuel: int = DEFAULT_FUEL, on_step=None) -> NormalizeOutcome:
-    """Iterate the appropriate machine, counting steps exactly.
+    """Run the machine of m's calculus for at most ``fuel`` steps.
 
     ``on_step(index, rule, path, state)`` is invoked after every step, which
-    is how the trace exporter hooks in; only then is every state read back.
-    The state after the last step is read back only if the fuel runs out
-    there, and no rule is performed past the fuel.
+    is how the trace exporter hooks in; only then is the run observed and
+    every state read back.  Otherwise only the last state is.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
-    i = 0
-    last_ctx, last_term, last_env = None, m, _EMPTY
-    for rule, ctx, term, env, reason in _run(m, fuel):
-        if rule is None:
-            status = "value" if reason is None else "stuck"
-            return NormalizeOutcome(status, _plug(ctx, term, env), i, _path(ctx), reason or "")
-        if on_step is not None:
-            on_step(i, rule, _path(ctx), _plug(ctx, term, env))
-        last_ctx, last_term, last_env = ctx, term, env
-        i += 1
-    return NormalizeOutcome("fuel", _plug(last_ctx, last_term, last_env), i)
+    if on_step is None:
+        _, ctx, focus, env, end = next(_run(m, fuel, False))
+    else:
+        for i, (rule, ctx, focus, env, end) in enumerate(_run(m, fuel, True)):
+            if end is None:
+                on_step(i, rule, _path(ctx), _plug(ctx, focus, env))
+    return _outcome(ctx, focus, env, end)
 
 
 def trace_states(m: AnyProof, fuel: int) -> list[AnyProof]:
     """All states of a run that must end in a value: [m, ..., value]."""
     states = [m]
-    for rule, ctx, term, env, reason in _run(m, fuel):
-        if rule is not None:
-            states.append(_plug(ctx, term, env))
-        elif reason is None:
-            return states
-        else:
-            raise StuckTerm(NormalizeOutcome("stuck", states[-1], len(states) - 1, _path(ctx), reason))
-    raise FuelExhausted(NormalizeOutcome("fuel", states[-1], fuel))
+    for _, ctx, focus, env, end in _run(m, fuel, True):
+        if end is None:
+            states.append(_plug(ctx, focus, env))
+    if end[0] == "value":
+        return states
+    raise (StuckTerm if end[0] == "stuck" else FuelExhausted)(_outcome(ctx, focus, env, end))
 
 
 def detect_cycle(m: AnyProof, fuel: int) -> Optional[tuple[int, int]]:
     """First recurrence of an alpha-equal state: (prefix length, period)."""
-    seen: dict[object, int] = {}
-    state = m
-    run = _run(m)
-    for i in range(fuel + 1):
-        key = canon(state)
+    seen = {canon(m): 0}
+    for i, (_, ctx, focus, env, end) in enumerate(_run(m, fuel, True), 1):
+        if end is not None:
+            return None
+        key = canon(_plug(ctx, focus, env))
         if key in seen:
             return seen[key], i - seen[key]
         seen[key] = i
-        if i == fuel:
-            break
-        rule, ctx, term, env, _ = next(run)
-        if rule is None:
-            return None
-        state = _plug(ctx, term, env)
-    return None
 
 
 @record(frozen=False)
@@ -460,32 +448,21 @@ def simulate_erasure(m: Proof, fuel: int = DEFAULT_FUEL) -> ErasureReport:
     """Drive both machines in lockstep, comparing through the erasure map.
 
     At every index the erasure of the annotated state must be alpha-equal to
-    the erased state, and the two machines must agree on being done.  Each
-    machine performs at most ``fuel`` rules; one still going after them
-    reads as a step that is not taken.
+    the erased state, and the two machines must end alike at the same index.
+    Each machine performs at most ``fuel`` rules.
     """
-    typed = m
-    erased = erase(m)
-    going = ("fuel", None, None, None, None)
-    runs = zip_longest(_run(typed, fuel), _run(erased, fuel), fillvalue=going)
-    for i in range(fuel + 1):
+    typed, erased = m, erase(m)
+    runs = zip(_run(typed, fuel, True), _run(erased, fuel, True))
+    for i, ((_, ct, tt, et, end_t), (_, ce, te, ee, end_e)) in enumerate(runs):
         if canon(erase(typed)) != canon(erased):
             return ErasureReport(False, i, "diverged", i, "erasure of state differs")
-        (rt, ct, tt, et, ot), (re, ce, te, ee, oe) = next(runs, (going, going))
-        value_t, value_e = rt is None and ot is None, re is None and oe is None
-        if value_t or value_e:
-            if value_t and value_e:
-                return ErasureReport(True, i, "value")
-            return ErasureReport(False, i, "diverged", i, "one machine finished early")
-        if rt is None or re is None:
-            if rt is None and re is None:
-                return ErasureReport(True, i, "stuck")
-            return ErasureReport(False, i, "diverged", i, "one machine stuck early")
-        if i == fuel:
-            break
-        typed = _plug(ct, tt, et)
-        erased = _plug(ce, te, ee)
-    return ErasureReport(True, fuel, "fuel")
+        if end_t or end_e:
+            status_t, status_e = (end[0] if end else "running" for end in (end_t, end_e))
+            if status_t == status_e:
+                return ErasureReport(True, i, status_t)
+            early = "finished" if "value" in (status_t, status_e) else "stuck"
+            return ErasureReport(False, i, "diverged", i, f"one machine {early} early")
+        typed, erased = _plug(ct, tt, et), _plug(ce, te, ee)
 
 
 def count_redexes(m: AnyProof) -> int:

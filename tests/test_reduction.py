@@ -386,3 +386,9 @@ def test_a_node_stuck_at_exactly_its_fuel_reports_stuck(on_step):
     mismatched = AxProp(PairAx(), Empty(), args, AxRep(PairAx(), Omega(), args, x))
     out = normalize(mismatched, 0, on_step=on_step)
     assert (out.status, out.steps, out.stuck_reason) == ("stuck", 0, "mismatched elimination/introduction pair")
+
+
+@pytest.mark.parametrize("observer", [normalize, trace_states, simulate_erasure, detect_cycle])
+def test_every_observer_rejects_negative_fuel(observer):
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        observer(App(IDB, LamP("y", B, y)), -1)
