@@ -1,10 +1,12 @@
 """Computational content of closed proofs.
 
-Disjunct selection and witness extraction normalize and take the canonical
-form apart.  Numeral extraction stages canonical forms through the
+Disjunct selection, witness extraction and numeral extraction read values
+through the canonical-forms lemma, ``proofs.CANONICAL``: a sub-proof of a
+formula of some class normalizes to one of the constructors the table gives
+that class, which is then taken apart.  Numeral extraction loops through the
 membership and infinity axiom shapes: unpack the extensional membership,
-normalize the intensional component, then read the zero/successor disjunct
-and recurse.  Defining formulas eliminate every function symbol from a
+normalize the intensional component, read the zero/successor disjunct and
+go on with the predecessor, at most ``depth_cap`` times.  Defining formulas eliminate every function symbol from a
 closed term by introducing each compound argument with a fresh existential
 and characterizing memberships by the matching axiom right-hand side.
 """
@@ -25,7 +27,7 @@ from .axioms import (
     UnionAx,
     phi_A,
 )
-from .proofs import AxRep, ExIntro, Inl, Inr, PairP, Proof
+from .proofs import CANONICAL, Inl, Proof
 from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
     And,
@@ -87,12 +89,16 @@ class Side(Enum):
     RIGHT = "right"
 
 
-def _normalize_value(m: Proof, cfg: ExtractionConfig) -> Proof:
+def _value(m: Proof, cls: type, cfg: ExtractionConfig) -> Proof:
+    """m's value, which proves a formula of class ``cls``, so that the
+    canonical-forms lemma makes it one of ``CANONICAL[cls]``."""
     out = normalize(m, cfg.fuel)
     if out.status == "fuel":
         raise FuelExhausted(out)
     if out.status == "stuck":
         raise ShapeError(f"stuck while normalizing: {out.stuck_reason}")
+    if type(out.result) not in CANONICAL[cls]:
+        raise ShapeError(f"a {cls.__name__} value is a {type(out.result).__name__}")
     return out.result
 
 
@@ -106,14 +112,10 @@ def extract_dp(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tuple[Si
     goal = infer((), m)
     if not isinstance(goal, Or):
         raise ShapeError(f"goal is not a disjunction: {goal!r}")
-    v = _normalize_value(m, cfg)
-    if isinstance(v, Inl):
-        check((), v.body, goal.left)
-        return Side.LEFT, v.body
-    if isinstance(v, Inr):
-        check((), v.body, goal.right)
-        return Side.RIGHT, v.body
-    raise ShapeError("disjunction value is not an injection")
+    v = _value(m, Or, cfg)
+    side, phi = (Side.LEFT, goal.left) if isinstance(v, Inl) else (Side.RIGHT, goal.right)
+    check((), v.body, phi)
+    return side, v.body
 
 
 def extract_witness(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tuple[Term, Proof]:
@@ -121,56 +123,33 @@ def extract_witness(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tup
     goal = infer((), m)
     if not isinstance(goal, Exists):
         raise ShapeError(f"goal is not existential: {goal!r}")
-    v = _normalize_value(m, cfg)
-    if not isinstance(v, ExIntro):
-        raise ShapeError("existential value is not a witness pair")
-    at = substitute(goal.body, goal.binder, v.witness)
-    check((), v.body, at)
+    v = _value(m, Exists, cfg)
+    check((), v.body, substitute(goal.body, goal.binder, v.witness))
     return v.witness, v.body
 
 
 def extract_numeral(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> int:
-    """Read the natural number out of a closed proof of ``t in omega``."""
+    """Read the natural number out of a closed proof of ``t in omega``: each
+    round unpacks ``t in omega`` to the infinity disjunct of its intensional
+    witness, which is zero or the successor of a number in omega."""
     goal = infer((), m)
     if not (isinstance(goal, Mem) and isinstance(goal.right, Omega)):
         raise ShapeError(f"goal is not a membership in omega: {goal!r}")
-    return _extract_numeral(m, goal, cfg, cfg.depth_cap)
-
-
-def _extract_numeral(m: Proof, goal: Mem, cfg: ExtractionConfig, depth: int) -> int:
-    if depth <= 0:
-        raise DepthExceeded("numeral recursion depth cap hit")
-    t = goal.left
-    # t in omega is inRep of (exists c. c intensionally-in omega and t = c)
-    v = _normalize_value(m, cfg)
-    if not isinstance(v, AxRep):
-        raise ShapeError("membership value is not an introduction")
-    _recheck(v.arg, phi_A(v.ax, v.term, v.args), cfg)
-    ex = _normalize_value(v.arg, cfg)
-    if not isinstance(ex, ExIntro):
-        raise ShapeError("membership unpacks to a non-witness")
-    conj = _normalize_value(ex.body, cfg)
-    if not isinstance(conj, PairP):
-        raise ShapeError("membership witness body is not a conjunction pair")
-    # left component proves: witness intensionally-in omega, via infRep
-    inf = _normalize_value(conj.left, cfg)
-    if not (isinstance(inf, AxRep) and isinstance(inf.ax, InfAx)):
-        raise ShapeError("intensional component is not an infinity introduction")
-    _recheck(inf.arg, phi_A(InfAx(), inf.term, ()), cfg)
-    disj = _normalize_value(inf.arg, cfg)
-    if isinstance(disj, Inl):
-        return 0
-    if not isinstance(disj, Inr):
-        raise ShapeError("infinity disjunct is not an injection")
-    succ_ex = _normalize_value(disj.body, cfg)
-    if not isinstance(succ_ex, ExIntro):
-        raise ShapeError("successor clause is not a witness pair")
-    pair = _normalize_value(succ_ex.body, cfg)
-    if not isinstance(pair, PairP):
-        raise ShapeError("successor clause body is not a conjunction pair")
-    sub_goal = Mem(succ_ex.witness, Omega())
-    _recheck(pair.left, sub_goal, cfg)
-    return 1 + _extract_numeral(pair.left, sub_goal, cfg, depth - 1)
+    for n in range(cfg.depth_cap):
+        # t in omega is inRep of (exists c. c intensionally-in omega and t = c)
+        v = _value(m, Mem, cfg)
+        _recheck(v.arg, phi_A(v.ax, v.term, v.args), cfg)
+        conj = _value(_value(v.arg, Exists, cfg).body, And, cfg)
+        # its left component proves c intensionally-in omega, by infRep
+        inf = _value(conj.left, MemI, cfg)
+        _recheck(inf.arg, phi_A(InfAx(), inf.term, ()), cfg)
+        disj = _value(inf.arg, Or, cfg)
+        if isinstance(disj, Inl):
+            return n
+        succ = _value(disj.body, Exists, cfg)
+        m = _value(succ.body, And, cfg).left
+        _recheck(m, Mem(succ.witness, Omega()), cfg)
+    raise DepthExceeded("numeral recursion depth cap hit")
 
 
 # ---------------------------------------------------------------------------

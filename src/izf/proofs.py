@@ -16,6 +16,9 @@ annotated twin by naming the fields it drops, which records the pair in
 both namespaces are the syntax traversals over that table.  Erasure in
 ``proof_ops``, the values below and the machine's rules read the pairs off
 ``TWINS``; a twin keeps its annotated constructor's tag and field names.
+``CANONICAL`` states the canonical-forms lemma once, from each formula class
+to the value constructors that prove it; the value grammar, the checker's
+canonical-forms oracle, extraction and the realizability heads read it.
 """
 
 from __future__ import annotations
@@ -116,11 +119,18 @@ sx.declare()
 
 
 # ---------------------------------------------------------------------------
-# Value classification
+# Canonical forms
+#
+# The canonical-forms lemma: a closed value proving a formula of each class
+# is one of these annotated constructors; no closed value proves absurdity.
+# The value grammar is these constructors and their twins; ind terms always
+# reduce.
 
-
-# The value grammar, annotated and erased; ind terms always reduce.
-_VALUES = frozenset(c for v in (LamF, LamP, Inl, Inr, ExIntro, PairP, AxRep) for c in (v, TWINS[v]))
+CANONICAL: dict[type, tuple[type, ...]] = {
+    sx.Or: (Inl, Inr), sx.And: (PairP,), sx.Imp: (LamP,), sx.Forall: (LamF,), sx.Exists: (ExIntro,),
+    sx.MemI: (AxRep,), sx.Mem: (AxRep,), sx.Eq: (AxRep,), sx.Bottom: (),
+}
+_VALUES = frozenset(c for vs in CANONICAL.values() for v in vs for c in (v, TWINS[v]))
 
 
 def is_value(m: Proof | ErasedProof) -> bool:

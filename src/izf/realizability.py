@@ -42,6 +42,8 @@ from typing import Callable
 
 from .proof_ops import canon, canon_key, esubst_prop, esubst_term
 from .proofs import (
+    CANONICAL,
+    TWINS,
     EAxRep,
     EExIntro,
     EInl,
@@ -321,7 +323,9 @@ def default_cfg(
 
 
 _RUNNING = unknown("self-referential relation instance")  # an instance's verdict while it is computed
-_HEADS = {And: EPairP, Or: (EInl, EInr), Imp: ELamP, Forall: ELamF, Exists: EExIntro}  # value shapes
+# The value shapes of the connectives' clauses, erased from ``CANONICAL``; the
+# atoms and absurdity have none: their clauses read the subject itself.
+_HEADS = {phi: tuple(TWINS[c] for c in CANONICAL[phi]) for phi in (And, Or, Imp, Forall, Exists)}
 
 
 def _bind(scope: tuple, names) -> tuple[tuple, tuple[int, ...]]:

@@ -8,6 +8,9 @@ arguments match the subject's type up to alpha.  Inference is a table keyed
 by class, ``_INFER``: one rule per constructor, entering each sub-proof
 through the table, one frame per nesting level, with its path a persistent
 ``(attr, parent)`` link that becomes ``TypeCheckError.path`` only on error.
+``canonical_form`` is the canonical-forms lemma as an oracle: a closed value
+that checks against a formula has a class that ``proofs.CANONICAL`` gives
+the formula's class.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .axioms import (
-    AxiomId,
     IndAx,
     arity,
     head_formula,
@@ -24,6 +26,7 @@ from .axioms import (
 )
 from .proof_ops import subst_proof, subst_proof_term
 from .proofs import (
+    CANONICAL,
     App,
     AppT,
     AxProp,
@@ -48,15 +51,11 @@ from .proofs import (
 from .syntax import (
     And,
     Bottom,
-    Eq,
     Exists,
     Forall,
     Formula,
     Imp,
-    Mem,
-    MemI,
     Or,
-    Term,
     Var,
     alpha_eq,
     free_vars,
@@ -335,95 +334,16 @@ _INFER: dict[type, Callable] = _Rules({
 # Canonical forms
 
 
-@record()
-class CFAxiom:
-    ax: AxiomId
-    term: Term
-    args: tuple[Term, ...]
-    inner: Proof
-    inner_type: Formula
-
-
-@record()
-class CFLeft:
-    inner: Proof
-    inner_type: Formula
-
-
-@record()
-class CFRight:
-    inner: Proof
-    inner_type: Formula
-
-
-@record()
-class CFPair:
-    left: Proof
-    right: Proof
-    left_type: Formula
-    right_type: Formula
-
-
-@record()
-class CFLam:
-    var: str
-    dom: Formula
-    body: Proof
-
-
-@record()
-class CFLamF:
-    var: str
-    body: Proof
-
-
-@record()
-class CFWitness:
-    term: Term
-    inner: Proof
-    inner_type: Formula
-
-
-CanonicalForm = CFAxiom | CFLeft | CFRight | CFPair | CFLam | CFLamF | CFWitness
-
-
-def canonical_form(phi: Formula, v: Proof, nwf: bool = False) -> CanonicalForm:
-    """Classify a closed well-typed value by its type's head connective.
-
-    Raises InternalInconsistencyError when the classification promised by
-    the type fails to hold, which would witness a kernel soundness bug.
-    """
+def canonical_form(phi: Formula, v: Proof, nwf: bool = False) -> Proof:
+    """The canonical-forms lemma as an oracle: a closed value that checks
+    against phi is one of the constructors ``CANONICAL`` gives phi's class.
+    Returns v; raises InternalInconsistencyError when v is not a value, does
+    not check, or has another class, which would witness a kernel soundness
+    bug."""
     if not is_value(v):
         raise InternalInconsistencyError("canonical_form applied to a non-value")
     if not checks((), v, phi, nwf):
         raise InternalInconsistencyError("canonical_form subject does not check")
-    match phi:
-        case MemI() | Mem() | Eq():
-            if not isinstance(v, AxRep):
-                raise InternalInconsistencyError(f"atomic type {phi!r} with non-axRep value")
-            return CFAxiom(v.ax, v.term, v.args, v.arg, phi_A(v.ax, v.term, v.args))
-        case Or(l, r):
-            if isinstance(v, Inl):
-                return CFLeft(v.body, l)
-            if isinstance(v, Inr):
-                return CFRight(v.body, r)
-            raise InternalInconsistencyError("disjunction value is neither inl nor inr")
-        case And(l, r):
-            if isinstance(v, PairP):
-                return CFPair(v.left, v.right, l, r)
-            raise InternalInconsistencyError("conjunction value is not a pair")
-        case Imp(l, _):
-            if isinstance(v, LamP):
-                return CFLam(v.var, v.dom, v.body)
-            raise InternalInconsistencyError("implication value is not a lambda")
-        case Forall():
-            if isinstance(v, LamF):
-                return CFLamF(v.var, v.body)
-            raise InternalInconsistencyError("universal value is not a term lambda")
-        case Exists(a, body):
-            if isinstance(v, ExIntro):
-                return CFWitness(v.witness, v.body, substitute(body, a, v.witness))
-            raise InternalInconsistencyError("existential value is not a witness pair")
-        case Bottom():
-            raise InternalInconsistencyError("no closed value proves absurdity")
-    raise InternalInconsistencyError(f"unclassifiable type {phi!r}")
+    if type(v) not in CANONICAL[type(phi)]:
+        raise InternalInconsistencyError(f"a {type(phi).__name__} proved by a {type(v).__name__} value")
+    return v

@@ -27,13 +27,6 @@ RECORDS = [
     ("syntax", "FieldShape", True, dict(name=REQ, kind=REQ, under=REQ, hyp_under=REQ, fo_under=REQ)),
     ("syntax", "Shape", True, dict(tag=REQ, fields=REQ)),
     ("typecheck", "TypeCheckError", False, dict(kind=REQ, path=REQ, message=REQ, expected=None, found=None)),
-    ("typecheck", "CFAxiom", True, dict(ax=REQ, term=REQ, args=REQ, inner=REQ, inner_type=REQ)),
-    ("typecheck", "CFLeft", True, dict(inner=REQ, inner_type=REQ)),
-    ("typecheck", "CFRight", True, dict(inner=REQ, inner_type=REQ)),
-    ("typecheck", "CFPair", True, dict(left=REQ, right=REQ, left_type=REQ, right_type=REQ)),
-    ("typecheck", "CFLam", True, dict(var=REQ, dom=REQ, body=REQ)),
-    ("typecheck", "CFLamF", True, dict(var=REQ, body=REQ)),
-    ("typecheck", "CFWitness", True, dict(term=REQ, inner=REQ, inner_type=REQ)),
     ("reduction", "Stepped", True, dict(term=REQ, rule=REQ, path=REQ)),
     ("reduction", "IsValue", True, dict()),
     ("reduction", "Stuck", True, dict(path=REQ, reason=REQ)),
