@@ -2,7 +2,8 @@
 
 Corpus entries are combined by type-directed random composition into fresh
 closed well-typed terms; every term is then driven to a value, re-checking
-the type at each state and confirming exactly one rule applies.
+the type at each state and confirming exactly one rule applies, and its
+value is one the canonical-forms lemma (``proofs.CANONICAL``) allows.
 """
 
 import random
@@ -10,10 +11,11 @@ import random
 import pytest
 
 from izf.corpus import standard_entries
-from izf.proofs import App, AppT, Fst, Inl, Inr, PairP, Snd, is_value
+from izf.proof_ops import erase
+from izf.proofs import CANONICAL, TWINS, App, AppT, Fst, Inl, Inr, PairP, Snd, is_value
 from izf.reduction import IsValue, Stepped, count_redexes, simulate_erasure, step, trace_states
 from izf.syntax import And, Empty, Forall, Imp, Omega, Or, PowerT, UnionT, numeral, substitute
-from izf.typecheck import check
+from izf.typecheck import canonical_form, check
 
 _TERMS = (Empty(), Omega(), PowerT(Empty()), UnionT(Omega()), numeral(2))
 
@@ -74,5 +76,8 @@ def test_random_well_typed_terms_respect_metatheory(seed):
             else:
                 assert isinstance(r, Stepped)  # progress
                 assert count_redexes(s) == 1  # determinism
+        v = states[-1]
+        assert canonical_form(phi, v) is v  # canonical forms
+        assert type(erase(v)) in {TWINS[c] for c in CANONICAL[type(phi)]}
         rep = simulate_erasure(m, 10**4)
         assert rep.ok and rep.status == "value"

@@ -4,10 +4,12 @@ import pytest
 
 from gens import enum_restricted
 from izf.axioms import PairAx
-from izf.corpus import _burn_beta, _burn_cancel, _burn_case, _burn_let, _burn_proj, all_entries, nwf_suite
+from izf.corpus import _burn_beta, _burn_cancel, _burn_case, _burn_let, _burn_proj, all_entries, nwf_suite, standard_entries
 from izf.lemmas import mk_eq_refl
 from izf.proof_ops import alpha_eq_proof, erase
 from izf.proofs import (
+    CANONICAL,
+    TWINS,
     App,
     AppT,
     AxProp,
@@ -46,7 +48,7 @@ from izf.reduction import (
     trace_states,
 )
 from izf.syntax import Bottom, Empty, Eq, MemI, Omega, PowerT, Var
-from izf.typecheck import check
+from izf.typecheck import canonical_form, check
 
 x, y = PropVar("x"), PropVar("y")
 B = Bottom()
@@ -247,6 +249,22 @@ def test_progress_on_corpus_traces():
                 assert count_redexes(s) == 1
             else:
                 assert count_redexes(s) == 0
+
+
+def test_canonical_forms_of_corpus_values():
+    """The value of every checked standard corpus entry that reaches one is
+    a constructor the canonical-forms lemma gives its formula's class, and
+    its erasure is that constructor's twin."""
+    reached = 0
+    for e in standard_entries():
+        out = normalize(e.proof, 10**4)
+        if not e.checks or out.status != "value":
+            continue
+        v = out.result
+        assert canonical_form(e.formula, v) is v, e.name
+        assert type(erase(v)) in {TWINS[c] for c in CANONICAL[type(e.formula)]}, e.name
+        reached += 1
+    assert reached >= 1
 
 
 def test_normalize_within_declared_bounds():
