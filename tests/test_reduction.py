@@ -124,14 +124,18 @@ def test_detect_cycle_on_value():
 
 
 def test_detect_cycle_takes_no_step_past_its_fuel(monkeypatch):
-    calls = []
-    real = reduction.subst_proof
-    monkeypatch.setattr(reduction, "subst_proof", lambda *args: calls.append(args) or real(*args))
+    """Cycle detection performs at most ``fuel`` rules, counted through
+    ``_CONTRACT``, both on a run that reaches a value in exactly its fuel
+    and on one that never recurs."""
+    fired = []
+    for rule, contract in reduction._CONTRACT.items():
+        monkeypatch.setitem(reduction._CONTRACT, rule, lambda *a, rule=rule, f=contract: fired.append(rule) or f(*a))
     beta = App(LamP("x", Bottom(), PropVar("x")), LamP("y", Bottom(), PropVar("y")))
-    assert detect_cycle(beta, 0) is None
-    assert calls == []
-    assert detect_cycle(beta, 1) is None
-    assert len(calls) == 1
+    assert (detect_cycle(beta, 0), fired) == (None, [])
+    assert (detect_cycle(beta, 1), fired) == (None, ["beta"])
+    fired.clear()
+    m = ELamP("x", EApp(EApp(EPropVar("x"), EPropVar("x")), EPropVar("x")))
+    assert (detect_cycle(EApp(m, m), 3), fired) == (None, ["beta"] * 3)
 
 
 def test_normalize_takes_no_step_past_its_fuel(monkeypatch):
