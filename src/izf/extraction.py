@@ -27,6 +27,7 @@ from .axioms import (
     UnionAx,
     phi_A,
 )
+from .printer import print_formula
 from .proofs import CANONICAL, Inl, Proof
 from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
@@ -111,7 +112,7 @@ def extract_dp(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tuple[Si
     """Select the proven disjunct of a closed disjunction proof."""
     goal = infer((), m)
     if not isinstance(goal, Or):
-        raise ShapeError(f"goal is not a disjunction: {goal!r}")
+        raise ShapeError(f"goal is not a disjunction: {print_formula(goal)}")
     v = _value(m, Or, cfg)
     side, phi = (Side.LEFT, goal.left) if isinstance(v, Inl) else (Side.RIGHT, goal.right)
     check((), v.body, phi)
@@ -122,7 +123,7 @@ def extract_witness(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tup
     """Recover the witness term of a closed existential proof."""
     goal = infer((), m)
     if not isinstance(goal, Exists):
-        raise ShapeError(f"goal is not existential: {goal!r}")
+        raise ShapeError(f"goal is not existential: {print_formula(goal)}")
     v = _value(m, Exists, cfg)
     check((), v.body, substitute(goal.body, goal.binder, v.witness))
     return v.witness, v.body
@@ -134,7 +135,7 @@ def extract_numeral(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> int
     witness, which is zero or the successor of a number in omega."""
     goal = infer((), m)
     if not (isinstance(goal, Mem) and isinstance(goal.right, Omega)):
-        raise ShapeError(f"goal is not a membership in omega: {goal!r}")
+        raise ShapeError(f"goal is not a membership in omega: {print_formula(goal)}")
     for n in range(cfg.depth_cap):
         # t in omega is inRep of (exists c. c intensionally-in omega and t = c)
         v = _value(m, Mem, cfg)

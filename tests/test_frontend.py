@@ -434,6 +434,25 @@ def test_cli_extract_numeral():
     assert r.stdout.strip() == "2"
 
 
+def test_cli_extract_prints_a_wrong_goal_in_the_notation(tmp_path):
+    src = tmp_path / "goals.izf"
+    src.write_text(
+        "thm t : bot -> bot := fun (x : bot) => x .\n\n"
+        "thm w : exists a, bot -> bot := [empty, fun (x : bot) => x : exists a, bot -> bot] .\n"
+    )
+    want = {
+        "dp": ["FAIL t: goal is not a disjunction: bot -> bot", "FAIL w: goal is not a disjunction: exists a, bot -> bot"],
+        "witness": ["FAIL t: goal is not existential: bot -> bot", "empty"],
+        "numeral": [
+            "FAIL t: goal is not a membership in omega: bot -> bot",
+            "FAIL w: goal is not a membership in omega: exists a, bot -> bot",
+        ],
+    }
+    for goal, lines in want.items():
+        r = izf("extract", str(src), "--goal", goal)
+        assert (r.returncode, r.stdout.splitlines()) == (1, lines), goal
+
+
 def test_cli_trace_export(tmp_path):
     out = tmp_path / "trace.jsonl"
     r = izf("normalize", "corpus/equality.izf", "--trace", str(out))
