@@ -6,9 +6,10 @@ formula of some class normalizes to one of the constructors the table gives
 that class, which is then taken apart.  Numeral extraction loops through the
 membership and infinity axiom shapes: unpack the extensional membership,
 normalize the intensional component, read the zero/successor disjunct and
-go on with the predecessor, at most ``depth_cap`` times.  Defining formulas eliminate every function symbol from a
-closed term by introducing each compound argument with a fresh existential
-and characterizing memberships by the matching axiom right-hand side.
+go on with the predecessor, at most ``depth_cap`` times.  Defining formulas
+eliminate every function symbol from a closed term by introducing each
+compound argument with a fresh existential and characterizing memberships
+by the matching axiom right-hand side.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def extract_numeral(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> int
         # t in omega is inRep of (exists c. c intensionally-in omega and t = c)
         v = _value(m, Mem, cfg)
         _recheck(v.arg, phi_A(v.ax, v.term, v.args), cfg)
-        conj = _value(_value(v.arg, Exists, cfg).body, And, cfg)
+        ex = _value(v.arg, Exists, cfg)
+        conj = _value(ex.body, And, cfg)
         # its left component proves c intensionally-in omega, by infRep
         inf = _value(conj.left, MemI, cfg)
         _recheck(inf.arg, phi_A(InfAx(), inf.term, ()), cfg)
