@@ -17,7 +17,9 @@ it reads each operand through the operand's tables inline, so a nesting
 level costs one frame.  Reserved words -- every word a template spells,
 ``V<n>`` and the axiom words such as ``pairRep`` -- are never names.
 Diagnostics carry line, column and the tokens the parser was prepared to
-accept.
+accept.  A handler returns the node its parse built before from the same
+build and operands (nodes by identity), so equal nodes of one parse are one
+object; the table dies with the parse (Filliâtre & Conchon, ML 2006).
 """
 
 from __future__ import annotations
@@ -89,11 +91,15 @@ def tokenize(text: str) -> tuple[list[str], list[str]]:
     return [*words, ""], [*keys, EOF]
 
 
+def _itself(x):
+    return x
+
+
 _notes = list(NOTES.values())
 _OPEN, _CLOSE = GROUP.split("{x}")
 for _cat, _kind in (("term", TERM), ("formula", FORMULA), ("proof", PROOF)):
     _top = len(LEVELS[_cat]) - 1
-    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), lambda x: x))
+    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), _itself))
 _PREFIX: dict[str, list[Note]] = {c: [] for c in _CATS}  # opened by a token
 _INFIX: dict[str, dict] = {c: {} for c in _CATS}  # an operand, then this word (None: another operand)
 _NAME: dict[str, Note] = {}  # a bare name
@@ -154,8 +160,13 @@ class _Emit:
         while True:
             note, parts = alts[0]
             if not parts:
-                out.append(f"{ind}try: return {c(note.build)}({', '.join(args)})")
-                return out.append(f"{ind}except ValueError as x: raise {c(_diagnostic)}(p.text, s, str(x)) from None")
+                if note.build is _itself:
+                    return out.append(f"{ind}return {args[0][0]}")
+                build, keys = c(note.build), ", ".join(key for _, key in args)
+                return out.extend([f"{ind}n = p.nodes.get(q := ({build}, {keys}))", f"{ind}if n is None:",
+                                   f"{ind} try: n = p.nodes[q] = {build}({', '.join(v for v, _ in args)})",
+                                   f"{ind} except ValueError as x: raise {c(_diagnostic)}(p.text, s, str(x)) from None",
+                                   f"{ind}return n"])
             if len({p[0] if isinstance(p[0], str) else p[0][1:] for _, p in alts}) > 1:  # a word decides
                 words = {p[0]: (n, p[1:]) for n, p in alts if isinstance(p[0], str)}
                 for j, (word, alt) in enumerate(words.items()):
@@ -172,24 +183,29 @@ class _Emit:
                 label = part if part[0].isalpha() else repr(part)
                 out += [] if lead else [f"{ind}if w[p.pos] != {c(part)}: p.miss(p.pos, {c((label,))})"]
                 out.append(f"{ind}p.pos += 1")
-            elif part.kind is LITERAL:  # the integer glued to the word
+            elif part.kind is LITERAL:  # the integer glued to the word, keyed by the word
                 out.append(f"{ind}{v} = p.pos; p.pos += 1")
-                v = f"int(w[{v}][{len(part.glued)}:len(w[{v}]) - {len(suffix)}])"
+                v, key = f"int(w[{v}][{len(part.glued)}:len(w[{v}]) - {len(suffix)}])", f"w[{v}]"
             elif part.kind is SCHEMA:
                 self.site(ind, v, "axiom", part.arg[0])
+                key = f"id({v})"
             elif part.kind is TERMS:  # as many as the node's axiom takes, or a list after a word
                 holes = [h for h in note.parts if not isinstance(h, str)]
-                count = f"arity({args[[h.kind for h in holes].index(SCHEMA)]})" if part.arg == "," else None
+                count = f"arity({args[[h.kind for h in holes].index(SCHEMA)][0]})" if part.arg == "," else None
                 out.append(f"{ind}{v} = p.terms({c(part.arg)}, {count})")
+                key = f"tuple(map(id, {v}))"
             elif part.kind is FO_BINDERS:  # every identifier that follows
                 out.append(f"{ind}{v} = []")
                 out.append(f"{ind}while {c(IDENT)}.match(w[p.pos]): {v}.append(p.name({c(part.kind.value)}))")
-                v = f"tuple({v})"
+                out.append(f"{ind}{v} = tuple({v})")
+                key = v
             elif part.kind in (TERM, FORMULA, PROOF):
                 self.site(ind, v, part.cat, part.arg)
+                key = f"id({v})"
             else:  # a name
                 out.append(f"{ind}{v} = " + ("w[p.pos]; p.pos += 1" if lead else f"p.name({c(part.kind.value)})"))
-            args += [] if isinstance(part, str) else [v]
+                key = v
+            args += [] if isinstance(part, str) else [(v, key)]
             lead = False
 
     def compile(self):
@@ -209,7 +225,7 @@ def _handler(notes: list[Note], suffix: str = "", infix: bool = False):
         if len({n.right for n in notes}) > 1:
             raise ValueError(f"notes that open alike must be seen alike from their right: {notes}")
         gen = _Emit("p, w, k, x" if infix else "p, w, k")
-        gen.read("  ", [(n, n.parts[infix:]) for n in notes], ["x"] if infix else [], suffix, True)
+        gen.read("  ", [(n, n.parts[infix:]) for n in notes], [("x", "id(x)")] if infix else [], suffix, True)
         _HANDLERS[at] = gen.compile()
     return _HANDLERS[at]
 
@@ -218,8 +234,10 @@ def _reference(p, w, k):
     """A name in proof position: an earlier theorem of the file, inlined, or a hypothesis."""
     name = w[p.pos]
     p.pos += 1
-    m = p.table.get(name)
-    return _NAME["proof"].build(name) if m is None else m
+    m = p.table.get(name) or p.nodes.get(q := (_NAME["proof"].build, name))
+    if m is None:
+        m = p.nodes[q] = q[0](name)
+    return m
 
 
 def _later(table: dict, keys, make) -> None:
@@ -257,18 +275,19 @@ for _cat in ("term", "formula", "proof"):
         for _table in _I[_cat][: _note.level + 1]:
             _keys = _opens[_cat, _note.parts[1].arg] if _op is None else [_op]
             _later(_table, _keys, lambda n=_note: (_handler([n], infix=True), n.parts[0].arg, n.right))
-_WHOLE = {c: [Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), lambda x: x)]
+_WHOLE = {c: [Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), _itself)]
           for c, kind in (("term", TERM), ("formula", FORMULA), ("axiom", SCHEMA), ("proof", PROOF))}  # whole trees
 
 
 class _Parser:
-    __slots__ = ("text", "w", "k", "pos", "table")
+    __slots__ = ("text", "w", "k", "pos", "table", "nodes")
 
     def __init__(self, text: str):
         self.text = text
         self.w, self.k = tokenize(text)
         self.pos = 0
         self.table: dict[str, Proof] = {}
+        self.nodes: dict[tuple, object] = {}  # a build and its operands' keys -> the node this parse built
 
     def miss(self, i: int, expected: tuple[str, ...]):
         raise _diagnostic(self.text, i, f"found {self.w[i] or 'end of input'!r}", expected)

@@ -7,7 +7,7 @@ variable and a proof a hypothesis variable, in one capture-avoiding
 traversal that dodges propositional and first-order binders alike; like the
 key, it is generated per constructor.  Erasure, interpreted from the shapes,
 maps each annotated constructor to its erased twin in ``proofs.TWINS``,
-which takes the same-named fields.
+which takes the same-named fields, once per distinct node of its input.
 
 ``canon`` is the proof-level nameless key, ``syntax.to_nameless`` itself:
 proof binders become indices like first-order ones, and an axiom identifier
@@ -46,7 +46,16 @@ _ERASURE = {cls: (twin, tuple((f.name, f.kind) for f in SHAPES[twin].fields)) fo
 def erase(m: Proof) -> ErasedProof:
     """Strip annotations; axiom and induction terms lose their term data,
     and an axiom identifier becomes its family tag.  One frame per nesting
-    level."""
+    level, and each distinct node of m is erased once, so the erasure keeps
+    m's sharing."""
+    return _erase(m, {})
+
+
+def _erase(m: Proof, done: dict[int, ErasedProof]) -> ErasedProof:
+    """m erased, ``done`` holding the erasure of each node of the input met so far, by id."""
+    out = done.get(id(m))
+    if out is not None:
+        return out
     plan = _ERASURE.get(type(m))
     if plan is None:
         raise TypeError(f"not a proof term: {m!r}")
@@ -54,12 +63,13 @@ def erase(m: Proof) -> ErasedProof:
     vals = []
     for name, kind in fields:
         if kind is PROOF:
-            vals.append(erase(getattr(m, name)))
+            vals.append(_erase(getattr(m, name), done))
         elif name == "family":
             vals.append(family(m.ax))
         else:
             vals.append(getattr(m, name))
-    return cls(*vals)
+    out = done[id(m)] = cls(*vals)
+    return out
 
 
 # ---------------------------------------------------------------------------

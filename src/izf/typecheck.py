@@ -8,6 +8,9 @@ arguments match the subject's type up to alpha.  Inference is a table keyed
 by class, ``_INFER``: one rule per constructor, entering each sub-proof
 through the table, one frame per nesting level, with its path a persistent
 ``(attr, parent)`` link that becomes ``TypeCheckError.path`` only on error.
+One ``infer`` call builds each axiom instance's ``phi_A`` and ``head_formula``
+once, by the identity of schema, term and arguments, so down a parsed chain a
+premise is the very formula returned below it, which ``alpha_eq`` accepts.
 ``canonical_form`` is the canonical-forms lemma as an oracle: a closed value
 that checks against a formula has a class that ``proofs.CANONICAL`` gives
 the formula's class.
@@ -115,18 +118,28 @@ def _err(kind: str, at: Link, msg: str, expected=None, found=None) -> TypeCheckE
     return TypeCheckError(kind, path, msg, expected, found)
 
 
+class _Run:
+    """One ``infer`` call: its mode, and the axiom instances its rules built."""
+
+    __slots__ = ("nwf", "instances")
+
+    def __init__(self, nwf: bool):
+        self.nwf, self.instances = nwf, {}
+
+
 def infer(ctx: Context, m: Proof, nwf: bool = False) -> Formula:
     """Synthesize the type of m in ctx, or raise TypeCheckError."""
     if not context_well_formed(ctx):
         raise _err("SideCondition", None, "context binds a variable twice")
-    return _INFER[type(m)](ctx, m, nwf, None)
+    return _INFER[type(m)](ctx, m, _Run(nwf), None)
 
 
-def check(ctx: Context, m: Proof, phi: Formula, nwf: bool = False) -> None:
-    """Raise Mismatch unless the synthesized type is alpha-equal to phi."""
+def check(ctx: Context, m: Proof, phi: Formula, nwf: bool = False) -> Formula:
+    """The synthesized type; raise Mismatch unless it is alpha-equal to phi."""
     got = infer(ctx, m, nwf)
     if not alpha_eq(got, phi):
         raise _err("Mismatch", None, "declared and synthesized types differ", phi, got)
+    return got
 
 
 def checks(ctx: Context, m: Proof, phi: Formula, nwf: bool = False) -> bool:
@@ -156,49 +169,49 @@ def _fresh_witness(ctx: Context, a: str, body: Proof, avoid: frozenset[str]) -> 
     return a2, subst_proof_term(body, a, Var(a2))
 
 
-def _prop_var(ctx: Context, m: PropVar, nwf: bool, path: Link) -> Formula:
+def _prop_var(ctx: Context, m: PropVar, run: _Run, path: Link) -> Formula:
     phi = ctx_lookup(ctx, m.name)
     if phi is None:
         raise _err("UnboundVar", path, f"unbound hypothesis {m.name}")
     return phi
 
 
-def _app(ctx: Context, m: App, nwf: bool, path: Link) -> Formula:
+def _app(ctx: Context, m: App, run: _Run, path: Link) -> Formula:
     f, a = m.fn, m.arg
-    tf = _INFER[type(f)](ctx, f, nwf, ("fn", path))
+    tf = _INFER[type(f)](ctx, f, run, ("fn", path))
     if not isinstance(tf, Imp):
         raise _err("NotAFunction", path, "application head is not an implication", found=tf)
-    ta = _INFER[type(a)](ctx, a, nwf, ("arg", path))
+    ta = _INFER[type(a)](ctx, a, run, ("arg", path))
     if not alpha_eq(ta, tf.left):
         raise _err("Mismatch", ("arg", path), "argument type mismatch", tf.left, ta)
     return tf.right
 
 
-def _lam_p(ctx: Context, m: LamP, nwf: bool, path: Link) -> Formula:
+def _lam_p(ctx: Context, m: LamP, run: _Run, path: Link) -> Formula:
     ctx2, body = _bind_prop(ctx, m.var, m.dom, m.body)
-    return Imp(m.dom, _INFER[type(body)](ctx2, body, nwf, ("body", path)))
+    return Imp(m.dom, _INFER[type(body)](ctx2, body, run, ("body", path)))
 
 
-def _lam_f(ctx: Context, m: LamF, nwf: bool, path: Link) -> Formula:
+def _lam_f(ctx: Context, m: LamF, run: _Run, path: Link) -> Formula:
     a, body = _fresh_witness(ctx, m.var, m.body, frozenset())
-    return Forall(a, _INFER[type(body)](ctx, body, nwf, ("body", path)))
+    return Forall(a, _INFER[type(body)](ctx, body, run, ("body", path)))
 
 
-def _app_t(ctx: Context, m: AppT, nwf: bool, path: Link) -> Formula:
-    tf = _INFER[type(m.fn)](ctx, m.fn, nwf, ("fn", path))
+def _app_t(ctx: Context, m: AppT, run: _Run, path: Link) -> Formula:
+    tf = _INFER[type(m.fn)](ctx, m.fn, run, ("fn", path))
     if not isinstance(tf, Forall):
         raise _err("NotUniversal", path, "term application to a non-universal", found=tf)
     return substitute(tf.body, tf.binder, m.arg)
 
 
-def _pair(ctx: Context, m: PairP, nwf: bool, path: Link) -> Formula:
+def _pair(ctx: Context, m: PairP, run: _Run, path: Link) -> Formula:
     l, r = m.left, m.right
-    return And(_INFER[type(l)](ctx, l, nwf, ("left", path)), _INFER[type(r)](ctx, r, nwf, ("right", path)))
+    return And(_INFER[type(l)](ctx, l, run, ("left", path)), _INFER[type(r)](ctx, r, run, ("right", path)))
 
 
 def _projection(word: str, side: str) -> Callable:
-    def rule(ctx: Context, m: Fst | Snd, nwf: bool, path: Link) -> Formula:
-        ta = _INFER[type(m.arg)](ctx, m.arg, nwf, ("arg", path))
+    def rule(ctx: Context, m: Fst | Snd, run: _Run, path: Link) -> Formula:
+        ta = _INFER[type(m.arg)](ctx, m.arg, run, ("arg", path))
         if not isinstance(ta, And):
             raise _err("NotAConjunction", path, f"{word} of a non-conjunction", found=ta)
         return getattr(ta, side)
@@ -206,47 +219,47 @@ def _projection(word: str, side: str) -> Callable:
 
 
 def _injection(word: str, side: str) -> Callable:
-    def rule(ctx: Context, m: Inl | Inr, nwf: bool, path: Link) -> Formula:
+    def rule(ctx: Context, m: Inl | Inr, run: _Run, path: Link) -> Formula:
         ann, b = m.ann, m.body
         if not isinstance(ann, Or):
             raise _err("NotADisjunction", path, f"{word} annotation must be a disjunction", found=ann)
-        tb = _INFER[type(b)](ctx, b, nwf, ("body", path))
+        tb = _INFER[type(b)](ctx, b, run, ("body", path))
         if not alpha_eq(tb, getattr(ann, side)):
             raise _err("Mismatch", path, f"{word} body does not match {side} disjunct", getattr(ann, side), tb)
         return ann
     return rule
 
 
-def _case(ctx: Context, m: Case, nwf: bool, path: Link) -> Formula:
+def _case(ctx: Context, m: Case, run: _Run, path: Link) -> Formula:
     s, la, ra = m.scrut, m.lann, m.rann
-    ts = _INFER[type(s)](ctx, s, nwf, ("scrut", path))
+    ts = _INFER[type(s)](ctx, s, run, ("scrut", path))
     if not isinstance(ts, Or):
         raise _err("NotADisjunction", path, "case subject is not a disjunction", found=ts)
     if not alpha_eq(ts.left, la) or not alpha_eq(ts.right, ra):
         raise _err("Mismatch", path, "case branch annotations do not match subject", ts, Or(la, ra))
     lctx, lb = _bind_prop(ctx, m.lvar, la, m.lbody)
-    tl = _INFER[type(lb)](lctx, lb, nwf, ("left", path))
+    tl = _INFER[type(lb)](lctx, lb, run, ("left", path))
     rctx, rb = _bind_prop(ctx, m.rvar, ra, m.rbody)
-    tr = _INFER[type(rb)](rctx, rb, nwf, ("right", path))
+    tr = _INFER[type(rb)](rctx, rb, run, ("right", path))
     if not alpha_eq(tl, tr):
         raise _err("Mismatch", path, "case branches disagree", tl, tr)
     return tl
 
 
-def _ex_intro(ctx: Context, m: ExIntro, nwf: bool, path: Link) -> Formula:
+def _ex_intro(ctx: Context, m: ExIntro, run: _Run, path: Link) -> Formula:
     ann, b = m.ann, m.body
     if not isinstance(ann, Exists):
         raise _err("NotExistential", path, "witness annotation must be existential", found=ann)
-    tb = _INFER[type(b)](ctx, b, nwf, ("body", path))
+    tb = _INFER[type(b)](ctx, b, run, ("body", path))
     want = substitute(ann.body, ann.binder, m.witness)
     if not alpha_eq(tb, want):
         raise _err("Mismatch", path, "witness body type mismatch", want, tb)
     return ann
 
 
-def _let(ctx: Context, m: Let, nwf: bool, path: Link) -> Formula:
+def _let(ctx: Context, m: Let, run: _Run, path: Link) -> Formula:
     a, ann, subj = m.fvar, m.ann, m.subject
-    tsubj = _INFER[type(subj)](ctx, subj, nwf, ("subject", path))
+    tsubj = _INFER[type(subj)](ctx, subj, run, ("subject", path))
     if not isinstance(tsubj, Exists):
         raise _err("NotExistential", path, "let subject is not existential", found=tsubj)
     if not alpha_eq(tsubj, Exists(a, ann)):
@@ -257,20 +270,20 @@ def _let(ctx: Context, m: Let, nwf: bool, path: Link) -> Formula:
     if a2 != a:
         ann = substitute(ann, a, Var(a2))
     ctx2, body = _bind_prop(ctx, m.pvar, ann, body)
-    tbody = _INFER[type(body)](ctx2, body, nwf, ("body", path))
+    tbody = _INFER[type(body)](ctx2, body, run, ("body", path))
     if a2 in free_vars(tbody):
         raise _err("SideCondition", path, f"witness variable {a2} escapes into the let body's type", found=tbody)
     return tbody
 
 
-def _magic(ctx: Context, m: Magic, nwf: bool, path: Link) -> Formula:
-    ta = _INFER[type(m.arg)](ctx, m.arg, nwf, ("arg", path))
+def _magic(ctx: Context, m: Magic, run: _Run, path: Link) -> Formula:
+    ta = _INFER[type(m.arg)](ctx, m.arg, run, ("arg", path))
     if not isinstance(ta, Bottom):
         raise _err("Mismatch", path, "magic argument must prove absurdity", Bottom(), ta)
     return m.ann
 
 
-def _ind(ctx: Context, m: Ind, nwf: bool, path: Link) -> Formula:
+def _ind(ctx: Context, m: Ind, run: _Run, path: Link) -> Formula:
     schema, ts = m.schema, m.terms
     if not isinstance(schema, IndAx):
         raise _err("AxiomShape", path, "ind carries a non-induction schema")
@@ -281,7 +294,7 @@ def _ind(ctx: Context, m: Ind, nwf: bool, path: Link) -> Formula:
     term_fv = frozenset().union(frozenset(), *(free_vars(t) for t in ts))
     c = fresh_name("c", term_fv | free_vars(schema.body) | {schema.binder})
     premise = Forall(c, phi_A(schema, Var(c), ts))
-    targ = _INFER[type(m.arg)](ctx, m.arg, nwf, ("arg", path))
+    targ = _INFER[type(m.arg)](ctx, m.arg, run, ("arg", path))
     if not alpha_eq(targ, premise):
         raise _err("Mismatch", path, "ind argument type mismatch", premise, targ)
     binder, body = schema.binder, schema.body
@@ -294,22 +307,26 @@ def _ind(ctx: Context, m: Ind, nwf: bool, path: Link) -> Formula:
 
 def _axiom(intro: bool) -> Callable:
     """The rule of an axiom's introduction (rep) or elimination (prop)."""
-    def rule(ctx: Context, m: AxRep | AxProp, nwf: bool, path: Link) -> Formula:
+    def rule(ctx: Context, m: AxRep | AxProp, run: _Run, path: Link) -> Formula:
         ax, t, args, a = m.ax, m.term, m.args, m.arg
         if isinstance(ax, IndAx):
             raise _err("AxiomShape", path, "induction has no rep/prop form")
-        if is_nwf_axiom(ax) and not nwf:
+        if is_nwf_axiom(ax) and not run.nwf:
             raise _err("AxiomShape", path, "nwf axiom used outside nwf mode")
         if free_vars(ax):
             raise _err("AxiomShape", path, "schema body has stray free variables")
         if len(args) != arity(ax):
             raise _err("ArityMismatch", path, f"axiom expects {arity(ax)} argument(s), got {len(args)}")
-        expected = phi_A(ax, t, args) if intro else head_formula(ax, t, args)
-        got = _INFER[type(a)](ctx, a, nwf, ("arg", path))
+        key = (id(ax), id(t), *map(id, args))
+        if key not in run.instances:  # kept with ax, t and args, so that no id is reused within the call
+            run.instances[key] = (phi_A(ax, t, args), head_formula(ax, t, args), ax, t, args)
+        premise, head, *_ = run.instances[key]
+        expected = premise if intro else head
+        got = _INFER[type(a)](ctx, a, run, ("arg", path))
         if not alpha_eq(got, expected):
             what = "introduction premise" if intro else "elimination subject"
             raise _err("Mismatch", path, f"axiom {what} mismatch", expected, got)
-        return head_formula(ax, t, args) if intro else phi_A(ax, t, args)
+        return head if intro else premise
     return rule
 
 
@@ -318,7 +335,7 @@ class _Rules(dict):
         return _not_a_proof
 
 
-def _not_a_proof(ctx: Context, m: object, nwf: bool, path: Link) -> Formula:
+def _not_a_proof(ctx: Context, m: object, run: _Run, path: Link) -> Formula:
     raise _err("AxiomShape", path, f"not a proof term: {m!r}")
 
 
