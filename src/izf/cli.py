@@ -159,15 +159,15 @@ def cmd_extract(args) -> int:
             return 1
         for decl in _selected(tf, "eval"):
             try:
-                check((), decl.proof, decl.formula)
+                goal = check((), decl.proof, decl.formula)
                 if args.goal == "dp":
-                    side, _ = extract_dp(decl.proof, cfg)
+                    side, _ = extract_dp(decl.proof, cfg, goal)
                     print(side.value)
                 elif args.goal == "witness":
-                    term, _ = extract_witness(decl.proof, cfg)
+                    term, _ = extract_witness(decl.proof, cfg, goal)
                     print(print_term(term))
                 else:
-                    print(extract_numeral(decl.proof, cfg))
+                    print(extract_numeral(decl.proof, cfg, goal))
             except (TypeCheckError, ExtractionError, FuelExhausted, StuckTerm) as e:
                 failed += 1
                 print(f"FAIL {decl.name}: {e}")

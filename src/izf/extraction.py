@@ -3,7 +3,9 @@
 Disjunct selection, witness extraction and numeral extraction read values
 through the canonical-forms lemma, ``proofs.CANONICAL``: a sub-proof of a
 formula of some class normalizes to one of the constructors the table gives
-that class, which is then taken apart.  Numeral extraction loops through the
+that class, which is then taken apart.  Each extractor infers the proof's
+type, unless its caller passes the type it has already inferred as
+``goal``.  Numeral extraction loops through the
 membership and infinity axiom shapes: unpack the extensional membership,
 normalize the intensional component, read the zero/successor disjunct and
 go on with the predecessor, at most ``depth_cap`` times.  Defining formulas
@@ -109,9 +111,9 @@ def _recheck(m: Proof, phi: Formula, cfg: ExtractionConfig) -> None:
         check((), m, phi)
 
 
-def extract_dp(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tuple[Side, Proof]:
+def extract_dp(m: Proof, cfg: ExtractionConfig = ExtractionConfig(), goal: Formula | None = None) -> tuple[Side, Proof]:
     """Select the proven disjunct of a closed disjunction proof."""
-    goal = infer((), m)
+    goal = infer((), m) if goal is None else goal
     if not isinstance(goal, Or):
         raise ShapeError(f"goal is not a disjunction: {print_formula(goal)}")
     v = _value(m, Or, cfg)
@@ -120,9 +122,9 @@ def extract_dp(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tuple[Si
     return side, v.body
 
 
-def extract_witness(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tuple[Term, Proof]:
+def extract_witness(m: Proof, cfg: ExtractionConfig = ExtractionConfig(), goal: Formula | None = None) -> tuple[Term, Proof]:
     """Recover the witness term of a closed existential proof."""
-    goal = infer((), m)
+    goal = infer((), m) if goal is None else goal
     if not isinstance(goal, Exists):
         raise ShapeError(f"goal is not existential: {print_formula(goal)}")
     v = _value(m, Exists, cfg)
@@ -130,11 +132,11 @@ def extract_witness(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> tup
     return v.witness, v.body
 
 
-def extract_numeral(m: Proof, cfg: ExtractionConfig = ExtractionConfig()) -> int:
+def extract_numeral(m: Proof, cfg: ExtractionConfig = ExtractionConfig(), goal: Formula | None = None) -> int:
     """Read the natural number out of a closed proof of ``t in omega``: each
     round unpacks ``t in omega`` to the infinity disjunct of its intensional
     witness, which is zero or the successor of a number in omega."""
-    goal = infer((), m)
+    goal = infer((), m) if goal is None else goal
     if not (isinstance(goal, Mem) and isinstance(goal.right, Omega)):
         raise ShapeError(f"goal is not a membership in omega: {print_formula(goal)}")
     for n in range(cfg.depth_cap):

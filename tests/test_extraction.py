@@ -260,3 +260,22 @@ def test_witness_sweep_over_existential_corpus():
             from izf.typecheck import check
 
             check((), sub, substitute(e.formula.body, e.formula.binder, t))
+
+
+def test_cli_extract_type_checks_each_declaration_once(monkeypatch, capsys):
+    import pathlib
+
+    from izf import cli, extraction, typecheck
+
+    inferred, infer = [], typecheck.infer
+
+    def counted(ctx, m, nwf=False):
+        inferred.append(m)
+        return infer(ctx, m, nwf)
+
+    for module in (typecheck, extraction):
+        monkeypatch.setattr(module, "infer", counted)
+    numerals = pathlib.Path(__file__).resolve().parents[1] / "corpus" / "numerals.izf"
+    assert cli.main(["extract", "--goal", "numeral", str(numerals)]) == 0
+    assert capsys.readouterr().out.split() == ["0", "1", "2", "3", "4", "5"]
+    assert len(inferred) == len({*map(id, inferred)}) == 6  # one call for each of the six declarations
