@@ -323,9 +323,10 @@ def default_cfg(
 
 
 _RUNNING = unknown("self-referential relation instance")  # an instance's verdict while it is computed
-# The value shapes of the connectives' clauses, erased from ``CANONICAL``; the
-# atoms and absurdity have none: their clauses read the subject itself.
+# The value shapes of the connectives' clauses, erased from ``CANONICAL``; the atoms
+# and absurdity have none, and the atoms unpack their subjects through these.
 _HEADS = {phi: tuple(TWINS[c] for c in CANONICAL[phi]) for phi in (And, Or, Imp, Forall, Exists)}
+_AND, _OR, _IMP, _FORALL, _EXISTS = map(_HEADS.__getitem__, (And, Or, Imp, Forall, Exists))
 
 
 def _bind(scope: tuple, names) -> tuple[tuple, tuple[int, ...]]:
@@ -522,13 +523,13 @@ class _Eval:
         omega's name with an equality of a to the successor of b)."""
         if not (isinstance(v, EAxRep) and v.family == "inf"):
             return FAILS
-        nv, err = self._as(v.arg, (EInl, EInr))
+        nv, err = self._as(v.arg, _OR)
         if isinstance(nv, EInl):
             return self.eq(nv.body, a, self._empty)
         if err is None:
-            ex, err = self._as(nv.body, EExIntro)
+            ex, err = self._as(nv.body, _EXISTS)
         if err is None:
-            pair, err = self._as(ex.body, EPairP)
+            pair, err = self._as(ex.body, _AND)
         if err is not None:
             return err
         return self._witnessed(self.mem, pair, a, self.omega(), self.succ)
@@ -540,9 +541,9 @@ class _Eval:
     def _mem(self, m: ErasedProof, a: int, b: int) -> Verdict:
         v, err = self._as(m, EAxRep, "in")
         if err is None:
-            ex, err = self._as(v.arg, EExIntro)
+            ex, err = self._as(v.arg, _EXISTS)
         if err is None:
-            pair, err = self._as(ex.body, EPairP)
+            pair, err = self._as(ex.body, _AND)
         if err is not None:
             return err
         return self._witnessed(self.mem_i, pair, a, b)
@@ -571,15 +572,15 @@ class _Eval:
     def _eq(self, m: ErasedProof, a: int, b: int) -> Verdict:
         v, err = self._as(m, EAxRep, "eq")
         if err is None:
-            m0, err = self._as(v.arg, ELamF)
+            m0, err = self._as(v.arg, _FORALL)
         if err is not None:
             return err
-        pair, err = self._as(self.instantiate(m0, INSTANCE_TERM), EPairP)
+        pair, err = self._as(self.instantiate(m0, INSTANCE_TERM), _AND)
         if err is None:
             _, _, o, err = self._value_of(pair.left)
         if err is None:
             _, _, p, err = self._value_of(pair.right)
-        if err is None and not (isinstance(o, ELamP) and isinstance(p, ELamP)):
+        if err is None and not (isinstance(o, _IMP) and isinstance(p, _IMP)):
             err = FAILS
         if err is not None:
             return err
