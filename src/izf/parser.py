@@ -91,15 +91,11 @@ def tokenize(text: str) -> tuple[list[str], list[str]]:
     return [*words, ""], [*keys, EOF]
 
 
-def _itself(x):
-    return x
-
-
 _notes = list(NOTES.values())
 _OPEN, _CLOSE = GROUP.split("{x}")
 for _cat, _kind in (("term", TERM), ("formula", FORMULA), ("proof", PROOF)):
     _top = len(LEVELS[_cat]) - 1
-    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), _itself))
+    _notes.append(Note(_cat, _top, _top, (_OPEN, Hole("x", _kind, _cat, 0), _CLOSE), (), lambda x: x))
 _PREFIX: dict[str, list[Note]] = {c: [] for c in _CATS}  # opened by a token
 _INFIX: dict[str, dict] = {c: {} for c in _CATS}  # an operand, then this word (None: another operand)
 _NAME: dict[str, Note] = {}  # a bare name
@@ -160,8 +156,6 @@ class _Emit:
         while True:
             note, parts = alts[0]
             if not parts:
-                if note.build is _itself:
-                    return out.append(f"{ind}return {args[0][0]}")
                 build, keys = c(note.build), ", ".join(key for _, key in args)
                 return out.extend([f"{ind}n = p.nodes.get(q := ({build}, {keys}))", f"{ind}if n is None:",
                                    f"{ind} try: n = p.nodes[q] = {build}({', '.join(v for v, _ in args)})",
@@ -275,7 +269,7 @@ for _cat in ("term", "formula", "proof"):
         for _table in _I[_cat][: _note.level + 1]:
             _keys = _opens[_cat, _note.parts[1].arg] if _op is None else [_op]
             _later(_table, _keys, lambda n=_note: (_handler([n], infix=True), n.parts[0].arg, n.right))
-_WHOLE = {c: [Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), _itself)]
+_WHOLE = {c: [Note(c, 0, 0, (Hole("x", kind, c, ("", ()) if kind is SCHEMA else 0),), (), lambda x: x)]
           for c, kind in (("term", TERM), ("formula", FORMULA), ("axiom", SCHEMA), ("proof", PROOF))}  # whole trees
 
 
