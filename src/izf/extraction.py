@@ -4,14 +4,13 @@ Disjunct selection, witness extraction and numeral extraction read values
 through the canonical-forms lemma, ``proofs.CANONICAL``: a sub-proof of a
 formula of some class normalizes to one of the constructors the table gives
 that class, which is then taken apart.  Each extractor infers the proof's
-type, unless its caller passes the type it has already inferred as
-``goal``.  Numeral extraction loops through the
-membership and infinity axiom shapes: unpack the extensional membership,
-normalize the intensional component, read the zero/successor disjunct and
-go on with the predecessor, at most ``depth_cap`` times.  Defining formulas
-eliminate every function symbol from a closed term by introducing each
-compound argument with a fresh existential and characterizing memberships
-by the matching axiom right-hand side.
+type, unless its caller passes the type it has already inferred as ``goal``.
+Numeral extraction loops through the membership and infinity axiom shapes:
+unpack the extensional membership, normalize the intensional component, read
+the zero/successor disjunct and go on with the predecessor, at most
+``depth_cap`` times.  Defining formulas eliminate every function symbol from
+a closed term by introducing each compound argument with a fresh existential
+and characterizing memberships by the matching axiom right-hand side.
 """
 
 from __future__ import annotations
